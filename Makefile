@@ -1,7 +1,7 @@
 GO ?= go
 BENCHTIME ?= 1s
 
-.PHONY: build test vet lint race race-serving bench bench-json bench-saturation bench-cluster fuzz-kernel fuzz-wire serve integration cluster-e2e window-e2e ns-e2e elastic-e2e reshard-e2e obs-smoke sim-multi-seed loadgen-smoke ci
+.PHONY: build test vet lint race race-serving bench bench-json bench-saturation bench-cluster fuzz-kernel fuzz-wire fuzz-snapshot serve integration cluster-e2e window-e2e ns-e2e elastic-e2e reshard-e2e obs-smoke sim-multi-seed loadgen-smoke ci
 
 build:
 	$(GO) build ./...
@@ -105,6 +105,13 @@ fuzz-wire:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./server/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStatus -fuzztime $(FUZZTIME) ./server/wire
 	$(GO) test -run '^$$' -fuzz FuzzRepFrameRoundTrip -fuzztime $(FUZZTIME) ./server/wire
+
+# fuzz-snapshot hardens the snapshot decoders (reached over the network
+# by IMPORT and replica bootstrap): malformed filter and elastic-chain
+# encodings must error, never panic or allocate past their input.
+fuzz-snapshot:
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalFilter$$' -fuzztime $(FUZZTIME) ./elastic
 
 # serve runs the mpcbfd daemon with a local data dir; MPCBFD_FLAGS adds
 # extra flags (e.g. MPCBFD_FLAGS='-fsync interval -shards 32').

@@ -32,6 +32,11 @@ import (
 	"repro/internal/loadgen"
 )
 
+// dumpFrame is the response-frame cap of the convergence clients: a
+// grown elastic chain's DUMP (~1.4 MB at five generations) outgrows the
+// default 1 MiB frame until DUMP is chunked, as in ns_e2e.
+const dumpFrame = 8 << 20
+
 func simSeeds(t *testing.T) []uint64 {
 	raw := os.Getenv("MPCBF_SIM_SEEDS")
 	if raw == "" {
@@ -180,7 +185,7 @@ func runSim(t *testing.T, bin string, seed uint64, dur time.Duration, elastic bo
 		Bin: bin, Dir: t.TempDir(), Addr: raddr, ReplicateFrom: proxy.Addr(),
 		Extra: extra,
 	})
-	rc := e2e.DialRetry(t, raddr)
+	rc := e2e.DialRetry(t, raddr, client.WithMaxFrame(dumpFrame))
 	defer rc.Close()
 
 	schedule := chaos.Generate(seed, simGenConfig(dur))
@@ -247,7 +252,7 @@ func runSim(t *testing.T, bin string, seed uint64, dur time.Duration, elastic bo
 	t.Logf("seed %d: %d ops (%d errors, %d maybe-applied), %d distinct acked keys",
 		seed, lg.res.TotalOps, lg.res.Errors, lg.res.MaybeApplied, len(keys))
 
-	pc := e2e.DialRetry(t, paddr)
+	pc := e2e.DialRetry(t, paddr, client.WithMaxFrame(dumpFrame))
 	defer pc.Close()
 
 	if elastic {

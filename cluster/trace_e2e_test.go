@@ -115,6 +115,11 @@ func TestClusterTraceE2E(t *testing.T) {
 			if sp.RoundSeq == 0 || sp.RoundRecs == 0 {
 				t.Errorf("node %s: insert_batch span missing commit-round attribution: %+v", httpAddr, sp)
 			}
+			// The envelope forces the trace before decoding, so an
+			// unsampled request still times its decode stage.
+			if sp.DecodeNs <= 0 {
+				t.Errorf("node %s: insert_batch span missing the decode stage: %+v", httpAddr, sp)
+			}
 		}
 		if !foundMutation {
 			t.Errorf("node %s: no insert_batch span under trace %s", httpAddr, tc)

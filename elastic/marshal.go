@@ -1,12 +1,15 @@
 package elastic
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 
 	mpcbf "repro"
+	"repro/internal/snapio"
 )
 
 // Chain snapshot format (all little-endian), fully self-describing so
@@ -37,19 +40,13 @@ func IsElastic(data []byte) bool {
 	return len(data) >= 4 && binary.LittleEndian.Uint32(data) == elasticMagic
 }
 
-// MarshalBinary snapshots the whole chain.
+// MarshalBinary snapshots the whole chain into one buffer sized up front.
 func (f *Filter) MarshalBinary() ([]byte, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	blobs := make([][]byte, len(f.gens))
 	size := headerSize
-	for i, g := range f.gens {
-		b, err := g.f.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("elastic: marshal generation %d: %w", i, err)
-		}
-		blobs[i] = b
-		size += genHdrSize + len(b)
+	for _, g := range f.gens {
+		size += genHdrSize + g.f.MarshaledSize()
 	}
 	buf := make([]byte, 0, size)
 	o := f.opts
@@ -77,19 +74,35 @@ func (f *Filter) MarshalBinary() ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint32(buf, g.growIdx)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(g.capacity))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.budget))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blobs[i])))
-		buf = append(buf, blobs[i]...)
+		at := len(buf)
+		buf = append(buf, 0, 0, 0, 0)
+		var err error
+		if buf, err = g.f.AppendBinary(buf); err != nil {
+			return nil, fmt.Errorf("elastic: marshal generation %d: %w", i, err)
+		}
+		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
 	}
 	return buf, nil
 }
 
 // UnmarshalFilter reconstructs a chain from a MarshalBinary snapshot.
 func UnmarshalFilter(data []byte) (*Filter, error) {
-	if len(data) < headerSize {
+	return ReadFilter(bytes.NewReader(data), int64(len(data)))
+}
+
+// ReadFilter is UnmarshalFilter over a stream: it decodes exactly n bytes
+// of r, holding one 64 KiB buffer besides the decoded chain.
+func ReadFilter(r io.Reader, n int64) (*Filter, error) {
+	rd := snapio.From(r, n)
+	if n < headerSize || n > rd.Remaining() {
 		return nil, errors.New("elastic: snapshot too short")
 	}
-	if binary.LittleEndian.Uint32(data) != elasticMagic {
+	if !IsElastic(rd.Peek(4)) {
 		return nil, errors.New("elastic: bad magic")
+	}
+	data, err := rd.Next(headerSize)
+	if err != nil {
+		return nil, fmt.Errorf("elastic: header: %w", err)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != elasticVersion {
 		return nil, fmt.Errorf("elastic: unsupported snapshot version %d", v)
@@ -120,40 +133,49 @@ func UnmarshalFilter(data []byte) (*Filter, error) {
 	grows := binary.LittleEndian.Uint32(data[p:])
 	imports := binary.LittleEndian.Uint64(data[p+4:])
 	nGens := binary.LittleEndian.Uint32(data[p+12:])
-	p += 16
 	if err := o.setDefaults(); err != nil {
 		return nil, err
 	}
-	if nGens == 0 || nGens > 1<<16 {
+	left := n - headerSize
+	if nGens == 0 || nGens > 1<<16 || int64(nGens) > left/genHdrSize {
 		return nil, fmt.Errorf("elastic: implausible generation count %d", nGens)
 	}
 	f := &Filter{opts: o, grows: grows, imports: imports}
 	f.gens = make([]*generation, 0, nGens)
 	for i := uint32(0); i < nGens; i++ {
-		if len(data)-p < genHdrSize {
+		if left < genHdrSize {
 			return nil, errors.New("elastic: truncated generation header")
 		}
-		g := &generation{
-			imported: data[p] == 1,
-			growIdx:  binary.LittleEndian.Uint32(data[p+1:]),
-			capacity: int(binary.LittleEndian.Uint64(data[p+5:])),
-			budget:   math.Float64frombits(binary.LittleEndian.Uint64(data[p+13:])),
+		h, err := rd.Next(genHdrSize)
+		if err != nil {
+			return nil, errors.New("elastic: truncated generation header")
 		}
-		blobLen := int(binary.LittleEndian.Uint32(data[p+21:]))
-		p += genHdrSize
-		if blobLen < 0 || len(data)-p < blobLen {
+		// MarshalBinary writes the flag as 0 or 1; any other byte would
+		// decode and re-encode differently.
+		if h[0] > 1 {
+			return nil, fmt.Errorf("elastic: generation %d: bad imported flag %d", i, h[0])
+		}
+		g := &generation{
+			imported: h[0] == 1,
+			growIdx:  binary.LittleEndian.Uint32(h[1:]),
+			capacity: int(binary.LittleEndian.Uint64(h[5:])),
+			budget:   math.Float64frombits(binary.LittleEndian.Uint64(h[13:])),
+		}
+		blobLen := int64(binary.LittleEndian.Uint32(h[21:]))
+		left -= genHdrSize
+		if blobLen > left {
 			return nil, errors.New("elastic: truncated generation blob")
 		}
-		s, err := mpcbf.UnmarshalSharded(data[p : p+blobLen])
+		s, err := mpcbf.ReadSharded(rd, blobLen)
 		if err != nil {
 			return nil, fmt.Errorf("elastic: generation %d: %w", i, err)
 		}
 		g.f = s
-		p += blobLen
+		left -= blobLen
 		f.gens = append(f.gens, g)
 	}
-	if p != len(data) {
-		return nil, fmt.Errorf("elastic: %d trailing bytes after chain", len(data)-p)
+	if left != 0 {
+		return nil, fmt.Errorf("elastic: %d trailing bytes after chain", left)
 	}
 	if f.gens[len(f.gens)-1].imported {
 		return nil, errors.New("elastic: head generation marked imported")

@@ -72,8 +72,10 @@ func binomialMix(trials int, p float64, f func(j int) float64) float64 {
 			sum += pmf * f(j)
 			acc += pmf
 		}
-		// Stop when virtually all mass is consumed and we are past the mean.
-		if float64(j) > mean && acc > 1-1e-15 {
+		// Stop when virtually all mass is consumed and we are past the mean,
+		// or once the pmf has underflowed there: every later term is then
+		// zero, and walking on to trials is O(trials) for large inputs.
+		if float64(j) > mean && (acc > 1-1e-15 || pmf == 0) {
 			break
 		}
 		pmf *= float64(trials-j) / float64(j+1) * ratio
@@ -280,6 +282,12 @@ func PoissInv(p, lambda float64) int {
 	// Hard limit far beyond any plausible quantile to guarantee termination
 	// even for p extremely close to 1 with accumulated rounding.
 	limit := int(lambda) + 200 + int(20*math.Sqrt(lambda))
+	if pmf == 0 {
+		// exp(-lambda) underflowed (lambda > ~745): the recurrence below
+		// would stay at zero and walk to the limit one step at a time —
+		// O(lambda) for an untrusted geometry — so answer it directly.
+		return limit
+	}
 	for cdf < p && x < limit {
 		x++
 		pmf *= lambda / float64(x)
@@ -325,10 +333,13 @@ func Design(n, memoryBits, w, k, g int) (MPCBFDesign, error) {
 	l := memoryBits / w
 	nmax := HeuristicNmax(g*n, l)
 	perWordK := (k + g - 1) / g
-	b1 := w - perWordK*nmax
-	if b1 < perWordK {
-		return MPCBFDesign{}, fmt.Errorf("analytic: word too small: w=%d leaves b1=%d for %d hashes (nmax=%d)", w, b1, perWordK, nmax)
+	// b1 = w - perWordK*nmax must leave perWordK first-level bits. Compare
+	// before multiplying: an absurd n (a decoded or network-supplied
+	// geometry) makes nmax large enough for the product to wrap.
+	if perWordK >= w || nmax > (w-perWordK)/perWordK {
+		return MPCBFDesign{}, fmt.Errorf("analytic: word too small: w=%d cannot hold nmax=%d elements of %d hashes", w, nmax, perWordK)
 	}
+	b1 := w - perWordK*nmax
 	return MPCBFDesign{MemoryBits: memoryBits, W: w, L: l, K: k, G: g, Nmax: nmax, B1: b1}, nil
 }
 

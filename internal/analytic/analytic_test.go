@@ -259,6 +259,20 @@ func TestPoissInv(t *testing.T) {
 			}
 		}
 	}
+	// Past exp(-lambda) underflow the answer is the walk's limit, reached
+	// at once: a decoded or network-supplied geometry with absurd n/l
+	// (1e12 items per word here) must not cost O(lambda) to reject.
+	if got, want := PoissInv(0.5, 1e12), int(1e12)+200+int(20*math.Sqrt(1e12)); got != want {
+		t.Fatalf("PoissInv(0.5, 1e12) = %d, want %d", got, want)
+	}
+	if _, err := Design(1<<40, 128, 64, 3, 1); err == nil {
+		t.Fatal("Design accepted 2^40 items in two words")
+	}
+	// 158 hashes times a ~6e16 per-word capacity wraps int64: the check
+	// must not let the wrapped product pass as a roomy first level.
+	if _, err := Design(0x3779bc0000000000, 4096, 64, 158, 1); err == nil {
+		t.Fatal("Design accepted a geometry whose b1 product wraps")
+	}
 }
 
 func poissonCDF(x int, lambda float64) float64 {

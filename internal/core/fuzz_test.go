@@ -26,6 +26,7 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(mk(Config{MemoryBits: 1 << 10, B1: 32, K: 2, G: 2, Overflow: OverflowSaturate}, 40))
 	f.Add([]byte{})
 	f.Add([]byte("BCPM gibberish"))
+	f.Add(wrappedLengthBlob())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		flt, err := Unmarshal(data)

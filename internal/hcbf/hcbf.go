@@ -166,6 +166,23 @@ func (h Word) Used() int {
 	}
 }
 
+// Fits reports whether the word's counter hierarchy ends inside the
+// word. Words built by Inc and Dec always fit; only bits decoded from
+// outside can fail it, and the per-bit walkers would then read past the
+// word (off the arena for the last one).
+func (h Word) Fits() bool {
+	start, size, end := h.base, h.b1, h.base+h.w
+	for start+size <= end {
+		ones := h.arena.Ones(start, start+size)
+		if ones == 0 {
+			return true
+		}
+		start += size
+		size = ones
+	}
+	return false
+}
+
 // Free returns the number of increments the word can still absorb.
 func (h Word) Free() int { return h.w - h.Used() }
 

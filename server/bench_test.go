@@ -106,7 +106,7 @@ func BenchmarkDispatchContains(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := wire.Request{Op: wire.OpContains, Key: keys[i%len(keys)]}
-		resp, _, _ = srv.dispatch(req, resp[:0], nil)
+		resp, _, _ = srv.dispatch(req, resp[:0], nil, nil)
 	}
 }
 
@@ -120,11 +120,11 @@ func BenchmarkDispatchInsertDelete(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := keys[i%len(keys)]
-		resp, tkt, _ = srv.dispatch(wire.Request{Op: wire.OpInsert, Key: k}, resp[:0], nil)
+		resp, tkt, _ = srv.dispatch(wire.Request{Op: wire.OpInsert, Key: k}, resp[:0], nil, nil)
 		if err := st.waitDurable(tkt, nil); err != nil {
 			b.Fatal(err)
 		}
-		resp, tkt, _ = srv.dispatch(wire.Request{Op: wire.OpDelete, Key: k}, resp[:0], nil)
+		resp, tkt, _ = srv.dispatch(wire.Request{Op: wire.OpDelete, Key: k}, resp[:0], nil, nil)
 		if err := st.waitDurable(tkt, nil); err != nil {
 			b.Fatal(err)
 		}

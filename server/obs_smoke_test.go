@@ -113,28 +113,36 @@ func TestObsSmoke(t *testing.T) {
 	if err := c.Traced(tc).Insert([]byte("traced-smoke-key")); err != nil {
 		t.Fatal(err)
 	}
-	code, traces := httpGetStatus(t, "http://"+httpAddr+"/debug/traces")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/traces = %d", code)
-	}
+	// The span is recorded after the response is flushed, so the client
+	// can see the ack first: poll briefly for it.
 	var trep TracesReport
-	if err := json.Unmarshal([]byte(traces), &trep); err != nil {
-		t.Fatalf("/debug/traces unparseable: %v", err)
-	}
-	foundSpan := false
-	for _, sp := range trep.Spans {
-		if sp.TraceID == tc.String() {
-			foundSpan = true
-			if sp.RoundSeq == 0 {
-				t.Errorf("traced insert span missing commit-round attribution: %+v", sp)
-			}
-			if sp.WALSeq == 0 {
-				t.Errorf("traced insert span missing WAL position: %+v", sp)
+	var span *TraceEntry
+	for deadline := time.Now().Add(5 * time.Second); span == nil; time.Sleep(20 * time.Millisecond) {
+		code, traces := httpGetStatus(t, "http://"+httpAddr+"/debug/traces")
+		if code != http.StatusOK {
+			t.Fatalf("/debug/traces = %d", code)
+		}
+		trep = TracesReport{}
+		if err := json.Unmarshal([]byte(traces), &trep); err != nil {
+			t.Fatalf("/debug/traces unparseable: %v", err)
+		}
+		for i := range trep.Spans {
+			if trep.Spans[i].TraceID == tc.String() {
+				span = &trep.Spans[i]
 			}
 		}
+		if span == nil && time.Now().After(deadline) {
+			t.Fatalf("no span with trace id %s in /debug/traces (traced=%d)", tc, trep.Traced)
+		}
 	}
-	if !foundSpan {
-		t.Errorf("no span with trace id %s in /debug/traces (traced=%d)", tc, trep.Traced)
+	if span.RoundSeq == 0 {
+		t.Errorf("traced insert span missing commit-round attribution: %+v", *span)
+	}
+	if span.WALSeq == 0 {
+		t.Errorf("traced insert span missing WAL position: %+v", *span)
+	}
+	if span.DecodeNs <= 0 {
+		t.Errorf("traced insert span missing the decode stage: %+v", *span)
 	}
 
 	// Debug listener: pprof goroutine dump must mention this process's

@@ -7,9 +7,7 @@ import (
 	"os"
 	"time"
 
-	mpcbf "repro"
-	"repro/elastic"
-	"repro/window"
+	"repro/internal/snapio"
 )
 
 // This file is the Store's replication surface.
@@ -165,43 +163,19 @@ func (s *Store) ReplicaBootstrap(seq uint64, cumRecords, cumBytes uint64, data [
 		return errors.New("server: ReplicaBootstrap on a non-replica store")
 	}
 	// The mirror adopts whatever state the primary ships — windowed or
-	// not, bare or namespace container — the same way OpenStore adopts a
-	// replica's local snapshot.
-	var (
-		f         *mpcbf.Sharded
-		w         *window.Filter
-		el        *elastic.Filter
-		nsEntries []nsSnapEntry
-	)
-	base := data
-	if isNsContainer(base) {
-		var err error
-		if base, nsEntries, err = decodeNsContainer(base); err != nil {
-			return fmt.Errorf("server: bootstrap snapshot: %w", err)
-		}
-	}
-	switch {
-	case window.IsWindowed(base):
-		var err error
-		if w, err = window.UnmarshalFilter(base); err != nil {
-			return fmt.Errorf("server: bootstrap snapshot: %w", err)
-		}
-	case elastic.IsElastic(base):
-		var err error
-		if el, err = elastic.UnmarshalFilter(base); err != nil {
-			return fmt.Errorf("server: bootstrap snapshot: %w", err)
-		}
-	default:
-		var err error
-		if f, err = mpcbf.UnmarshalSharded(base); err != nil {
-			return fmt.Errorf("server: bootstrap snapshot: %w", err)
-		}
+	// not, bare or namespace container — through the same decoder
+	// OpenStore loads a local snapshot with.
+	n := int64(len(data))
+	snap, err := decodeSnapPayload(snapio.NewReader(bytes.NewReader(data), n), n, s.stageEvicted)
+	if err != nil {
+		return fmt.Errorf("server: bootstrap snapshot: %w", err)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
 	if err := s.wal.Close(); err != nil {
+		snap.discard()
 		return fmt.Errorf("server: bootstrap wal close: %w", err)
 	}
 	// Wipe segments first, snapshots second, then persist the new
@@ -224,9 +198,9 @@ func (s *Store) ReplicaBootstrap(seq uint64, cumRecords, cumBytes uint64, data [
 			}
 		}
 	}
-	// Local evict files describe the divergent history being wiped;
-	// InstallSnapshot below rewrites the surviving ones from the shipped
-	// container so tail replay starts from the container's exact bytes.
+	// Local evict files describe the divergent history being wiped; the
+	// staged ones from the shipped container replace them below, so tail
+	// replay starts from the container's exact bytes.
 	for _, path := range listNsSnapFiles(s.opts.Dir) {
 		if err := os.Remove(path); err != nil {
 			s.opts.Log.Warn("bootstrap: remove ns evict file", "path", path, "error", err)
@@ -235,44 +209,32 @@ func (s *Store) ReplicaBootstrap(seq uint64, cumRecords, cumBytes uint64, data [
 
 	final := snapshotPath(s.opts.Dir, seq)
 	tmp := final + ".tmp"
-	if err := writeFileSync(tmp, encodeSnapshot(data)); err != nil {
+	if err := writeSnapshotFile(tmp, data); err != nil {
+		snap.discard()
 		return fmt.Errorf("server: bootstrap snapshot write: %w", err)
 	}
 	if err := os.Rename(tmp, final); err != nil {
+		snap.discard()
 		return fmt.Errorf("server: bootstrap snapshot rename: %w", err)
 	}
 	syncDir(s.opts.Dir)
 
 	nw, err := openWAL(s.opts.Dir, seq, s.opts.Sync, -1)
 	if err != nil {
+		snap.discard()
 		return fmt.Errorf("server: bootstrap wal open: %w", err)
 	}
 	nw.setBaseline(cumRecords, cumBytes)
 	s.wal = nw
 	s.walCtx = nil
 	s.reg.Reset()
-	for _, en := range nsEntries {
-		if err := s.reg.InstallSnapshot(en.name, en.cfg, en.resident, en.items, en.data); err != nil {
-			return fmt.Errorf("server: bootstrap namespace: %w", err)
-		}
+	if err := s.installNamespaces(&snap); err != nil {
+		return fmt.Errorf("server: bootstrap: %w", err)
 	}
 	if err := s.reg.EnsureQuota(nil); err != nil {
 		return fmt.Errorf("server: bootstrap namespace quota: %w", err)
 	}
-	switch {
-	case w != nil:
-		s.win.Store(w)
-		s.el.Store(nil)
-		s.filter.Store(nil)
-	case el != nil:
-		s.el.Store(el)
-		s.win.Store(nil)
-		s.filter.Store(nil)
-	default:
-		s.filter.Store(f)
-		s.win.Store(nil)
-		s.el.Store(nil)
-	}
+	s.setState(snap.base)
 	s.snapshots.Add(1)
 	s.lastSnapshot.Store(time.Now().UnixNano())
 	return nil

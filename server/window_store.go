@@ -3,12 +3,8 @@ package server
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"os"
 	"time"
 
-	mpcbf "repro"
-	"repro/elastic"
 	"repro/window"
 )
 
@@ -210,48 +206,6 @@ func (s *Store) marshalBaseLocked() ([]byte, error) {
 		return el.MarshalBinary()
 	}
 	return s.f().MarshalBinary()
-}
-
-// readSnapshotData reads one snapshot file and returns its CRC-verified
-// payload, which is either a Sharded or a windowed encoding — the
-// leading magic (window.IsWindowed) says which.
-func readSnapshotData(path string) ([]byte, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSnapshot(blob)
-}
-
-// verifySnapshot confirms a just-written snapshot file loads cleanly —
-// the default state and, for a namespace container, every embedded
-// namespace.
-func verifySnapshot(path string) error {
-	data, err := readSnapshotData(path)
-	if err != nil {
-		return err
-	}
-	if isNsContainer(data) {
-		var entries []nsSnapEntry
-		if data, entries, err = decodeNsContainer(data); err != nil {
-			return err
-		}
-		for i := range entries {
-			if err := verifyNsState(entries[i].data); err != nil {
-				return fmt.Errorf("ns %q: %w", entries[i].name, err)
-			}
-		}
-	}
-	if window.IsWindowed(data) {
-		_, err = window.UnmarshalFilter(data)
-		return err
-	}
-	if elastic.IsElastic(data) {
-		_, err = elastic.UnmarshalFilter(data)
-		return err
-	}
-	_, err = mpcbf.UnmarshalSharded(data)
-	return err
 }
 
 func windowOptionsFrom(opts StoreOptions) window.Options {
