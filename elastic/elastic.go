@@ -268,32 +268,20 @@ func (f *Filter) Contains(key []byte) bool {
 	return false
 }
 
-// ContainsBatch answers membership for keys, order-preserving, carrying
-// only unresolved keys to older generations.
-func (f *Filter) ContainsBatch(keys [][]byte, workers int) []bool {
+// ContainsBatch answers membership for keys, order-preserving, into a
+// fresh slice (ContainsBatchInto with fresh scratch).
+func (f *Filter) ContainsBatch(keys [][]byte) []bool {
+	return f.ContainsBatchInto(keys, nil)
+}
+
+// ContainsBatchInto answers membership for keys, order-preserving, on
+// the calling goroutine, carrying only unresolved keys to older
+// generations. The result belongs to sc (see mpcbf.ContainsChainInto).
+func (f *Filter) ContainsBatchInto(keys [][]byte, sc *mpcbf.BatchScratch) []bool {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	out := make([]bool, len(keys))
-	pending := keys
-	pendingIdx := make([]int, len(keys))
-	for i := range pendingIdx {
-		pendingIdx[i] = i
-	}
-	for gi := len(f.gens) - 1; gi >= 0 && len(pending) > 0; gi-- {
-		flags := f.gens[gi].f.ContainsBatch(pending, workers)
-		var nextKeys [][]byte
-		var nextIdx []int
-		for i, ok := range flags {
-			if ok {
-				out[pendingIdx[i]] = true
-			} else {
-				nextKeys = append(nextKeys, pending[i])
-				nextIdx = append(nextIdx, pendingIdx[i])
-			}
-		}
-		pending, pendingIdx = nextKeys, nextIdx
-	}
-	return out
+	last := len(f.gens) - 1
+	return mpcbf.ContainsChainInto(len(f.gens), func(i int) *mpcbf.Sharded { return f.gens[last-i].f }, keys, sc)
 }
 
 // Delete removes key from the newest generation that reports it — the

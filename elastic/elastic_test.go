@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	mpcbf "repro"
@@ -104,7 +105,7 @@ func TestBatchOpsAcrossChain(t *testing.T) {
 		}
 	}
 	probe := append([][]byte{[]byte("absent-a"), []byte("absent-b")}, keys...)
-	flags := f.ContainsBatch(probe, 4)
+	flags := f.ContainsBatch(probe)
 	if flags[0] || flags[1] {
 		// Statistically possible but with this geometry effectively never.
 		t.Fatal("absent probe reported present")
@@ -113,6 +114,14 @@ func TestBatchOpsAcrossChain(t *testing.T) {
 		if !ok {
 			t.Fatalf("key %d missing from batch lookup", i)
 		}
+	}
+	// The scratch path answers the same and, warmed up, allocates nothing.
+	var sc mpcbf.BatchScratch
+	if got := f.ContainsBatchInto(probe, &sc); !slices.Equal(got, flags) {
+		t.Fatal("ContainsBatchInto diverges from ContainsBatch")
+	}
+	if avg := testing.AllocsPerRun(20, func() { f.ContainsBatchInto(probe, &sc) }); avg != 0 {
+		t.Fatalf("ContainsBatchInto with warm scratch: %.1f allocs/op, want 0", avg)
 	}
 	del, err := f.DeleteBatch(append([][]byte{[]byte("absent-a")}, keys[:100]...), 4)
 	if err != nil {

@@ -3,6 +3,7 @@ package mpcbf
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -182,6 +183,31 @@ func TestShardedUnmarshalErrorPaths(t *testing.T) {
 		if _, err := UnmarshalSharded(bad, 5); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestShardedUnmarshalBoundsShardTable: a header claiming more shards
+// than the body has room for (a 4-byte size plus a filter header each)
+// is rejected before the shard table is allocated, so a short blob
+// cannot make the decoder allocate several times its own size.
+func TestShardedUnmarshalBoundsShardTable(t *testing.T) {
+	const nShards = 4096
+	// Room for a size and one word per shard, not for a filter header.
+	data := make([]byte, shardedHdrLen+nShards*(4+8))
+	le := binary.LittleEndian
+	le.PutUint32(data[0:4], shardedMagic)
+	le.PutUint32(data[4:8], shardedVersion)
+	le.PutUint32(data[12:16], nShards)
+	if _, err := UnmarshalSharded(data); err == nil || !strings.Contains(err.Error(), "implausible sharded header") {
+		t.Fatalf("err = %v, want the shard-count bound", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	UnmarshalSharded(data)
+	runtime.ReadMemStats(&after)
+	// One read buffer no larger than the blob, and a few small headers.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*uint64(len(data)) {
+		t.Fatalf("rejecting a %d-byte blob allocated %d bytes", len(data), got)
 	}
 }
 

@@ -208,32 +208,25 @@ func newTracer(sampleEvery int, slow time.Duration, log *slog.Logger) *Tracer {
 	return t
 }
 
-// begin assigns the request ID and decides sampling. The returned trace
-// is nil for unsampled requests.
-func (t *Tracer) begin() (id uint64, tr *reqTrace) {
+// beginFrame assigns a request frame its ID and decides whether it is
+// traced. The returned trace is nil for a request neither sampled nor
+// sent in a TRACE envelope carrying ids. Such an envelope (always the
+// outermost op) records stage detail — the client asked for it —
+// independent of the sampling rate, starting before the decode so its
+// span times the decode too; Sampled stays false for it so the recent
+// ring remains a faithful 1-in-N sample. The zero-length untraced
+// envelope is handled like any other frame.
+func (t *Tracer) beginFrame(payload []byte) (id uint64, tr *reqTrace) {
 	id = t.seq.Add(1)
-	if t.sampleEvery == 0 || id%t.sampleEvery != 0 {
+	sampled := t.sampleEvery != 0 && id%t.sampleEvery == 0
+	if !sampled && !(len(payload) > 1 && payload[0] == wire.OpTrace && payload[1] != 0) {
 		return id, nil
 	}
 	tr = &reqTrace{}
 	tr.entry.ID = id
 	tr.entry.Start = time.Now()
-	tr.entry.Sampled = true
+	tr.entry.Sampled = sampled
 	return id, tr
-}
-
-// force upgrades an unsampled request to a full trace. Requests that
-// arrive inside a TRACE envelope always record stage detail — the
-// client asked for it — independent of the sampling rate; Sampled stays
-// false so the recent ring remains a faithful 1-in-N sample.
-func (t *Tracer) force(id uint64, tr *reqTrace) *reqTrace {
-	if tr != nil {
-		return tr
-	}
-	tr = &reqTrace{}
-	tr.entry.ID = id
-	tr.entry.Start = time.Now()
-	return tr
 }
 
 // recordApply pushes one replica-side WAL apply span: the offset range

@@ -62,8 +62,8 @@ type Options struct {
 	Filter mpcbf.Options
 	// Shards is the per-generation shard count (default 16).
 	Shards int
-	// Workers bounds batch fan-out inside each generation (0 = one
-	// goroutine per shard).
+	// Workers bounds InsertBatch fan-out inside each generation (0 = one
+	// goroutine per shard). Batch reads run on the calling goroutine.
 	Workers int
 	// Precise enables per-key TTL deletes via the expiry heap.
 	Precise bool
@@ -251,36 +251,22 @@ func (f *Filter) Contains(key []byte) bool {
 	return false
 }
 
-// ContainsBatch answers membership for keys, order-preserving. Each
-// generation is probed with its parallel batch path, and only keys
-// still unresolved carry over to the next (older) generation, so the
-// common all-recent batch costs one generation pass.
+// ContainsBatch answers membership for keys, order-preserving, into a
+// fresh slice (ContainsBatchInto with fresh scratch).
 func (f *Filter) ContainsBatch(keys [][]byte) []bool {
-	out := make([]bool, len(keys))
+	return f.ContainsBatchInto(keys, nil)
+}
+
+// ContainsBatchInto answers membership for keys, order-preserving, on
+// the calling goroutine. Generations are probed newest first, and only
+// keys still unresolved carry over to the next (older) one, so the
+// common all-recent batch costs one generation pass. The result belongs
+// to sc (see mpcbf.ContainsChainInto).
+func (f *Filter) ContainsBatchInto(keys [][]byte, sc *mpcbf.BatchScratch) []bool {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	g := len(f.gens)
-	pending := make([]int, len(keys))
-	for i := range pending {
-		pending[i] = i
-	}
-	sub := keys
-	for gi := 0; gi < g && len(pending) > 0; gi++ {
-		gen := f.gens[(f.head-gi+g*2)%g]
-		flags := gen.ContainsBatch(sub, f.opts.Workers)
-		var nextPending []int
-		var nextSub [][]byte
-		for j, ok := range flags {
-			if ok {
-				out[pending[j]] = true
-			} else if gi < g-1 {
-				nextPending = append(nextPending, pending[j])
-				nextSub = append(nextSub, sub[j])
-			}
-		}
-		pending, sub = nextPending, nextSub
-	}
-	return out
+	return mpcbf.ContainsChainInto(g, func(i int) *mpcbf.Sharded { return f.gens[(f.head-i+g*2)%g] }, keys, sc)
 }
 
 // Delete removes key from the newest generation that reports it,

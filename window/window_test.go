@@ -2,7 +2,10 @@ package window
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -235,6 +238,14 @@ func TestWindowContainsBatch(t *testing.T) {
 			t.Fatalf("batch flag %d = %v, want %v (got %v)", i, got[i], want[i], got)
 		}
 	}
+	// The scratch path answers the same and, warmed up, allocates nothing.
+	var sc mpcbf.BatchScratch
+	if got := f.ContainsBatchInto(batch, &sc); !slices.Equal(got, want) {
+		t.Fatalf("ContainsBatchInto = %v, want %v", got, want)
+	}
+	if avg := testing.AllocsPerRun(20, func() { f.ContainsBatchInto(batch, &sc) }); avg != 0 {
+		t.Fatalf("ContainsBatchInto with warm scratch: %.1f allocs/op, want 0", avg)
+	}
 }
 
 func TestWindowDelete(t *testing.T) {
@@ -401,6 +412,13 @@ func TestWindowUnmarshalRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := UnmarshalFilter(blob); err != nil {
 		t.Fatalf("pristine blob rejected: %v", err)
+	}
+	// A ring larger than the body could hold is rejected before the ring
+	// is allocated.
+	big := bytes.Clone(blob[:windowHdrLen+64])
+	binary.LittleEndian.PutUint32(big[8:12], 1000)
+	if _, err := UnmarshalFilter(big); err == nil || !strings.Contains(err.Error(), "implausible windowed header") {
+		t.Fatalf("1000-generation header over a 64-byte body: %v", err)
 	}
 }
 
