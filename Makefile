@@ -1,7 +1,7 @@
 GO ?= go
 BENCHTIME ?= 1s
 
-.PHONY: build test vet lint race race-serving bench bench-json bench-saturation bench-cluster fuzz-kernel fuzz-wire fuzz-snapshot serve integration cluster-e2e window-e2e ns-e2e elastic-e2e reshard-e2e obs-smoke sim-multi-seed loadgen-smoke ci
+.PHONY: build test vet lint race race-serving bench bench-json bench-saturation bench-cluster fuzz-kernel fuzz-wire fuzz-snapshot serve integration cluster-e2e window-e2e ns-e2e elastic-e2e reshard-e2e obs-smoke sim-multi-seed loadgen-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -11,6 +11,16 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the non-test Go lines of each package and their total,
+# summed over the GoFiles `go list` reports; PKGS narrows it, e.g.
+# make loc PKGS="./server ./server/ns ./client".
+loc:
+	@$(GO) list -f '{{.Dir}} {{.ImportPath}} {{join .GoFiles " "}}' $(or $(PKGS),./...) | \
+	while read -r dir pkg files; do \
+		n=0; if [ -n "$$files" ]; then n=$$(cd "$$dir" && cat $$files | wc -l); fi; \
+		printf '%6d %s\n' "$$n" "$$pkg"; \
+	done | awk '{ t += $$1; print } END { printf "%6d total\n", t }'
 
 # lint runs staticcheck when it is installed; vet is the floor either
 # way (the CI lint job installs staticcheck explicitly).

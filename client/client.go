@@ -80,8 +80,11 @@ func WithReconnect(attempts int, base, max time.Duration) Option {
 	}
 }
 
-// Client is a connection to an mpcbfd daemon.
+// Client is a connection to an mpcbfd daemon. Its data operations are
+// those of its zero Handle: the default filter, untraced.
 type Client struct {
+	Handle
+
 	mu       sync.Mutex
 	conn     net.Conn
 	r        *bufio.Reader
@@ -145,6 +148,7 @@ func (c *Client) WriteProm(w io.Writer) {
 // Dial connects to an mpcbfd daemon at addr.
 func Dial(addr string, opts ...Option) (*Client, error) {
 	c := &Client{addr: addr, timeout: 10 * time.Second, maxFrame: wire.DefaultMaxFrame}
+	c.Handle = Handle{c: c}
 	for _, o := range opts {
 		o(c)
 	}
@@ -256,11 +260,6 @@ func encodeRequest(dst []byte, op byte, ns, key []byte, keys [][]byte, ttl uint6
 	default:
 		return wire.AppendKeyRequest(dst, op, key)
 	}
-}
-
-// do runs one non-namespaced, untraced operation; see doNS.
-func (c *Client) do(op byte, key []byte, keys [][]byte, ttl uint64, dec func([]byte) error) error {
-	return c.doNS(op, nil, key, keys, ttl, wire.NsConfig{}, Trace{}, dec)
 }
 
 // doNS runs one operation, re-encoding the request from its arguments on
@@ -408,152 +407,6 @@ func (c *Client) fail(err error) error {
 	return err
 }
 
-// Insert adds key. A nil return means the daemon acknowledged the
-// mutation under its configured durability policy.
-func (c *Client) Insert(key []byte) error {
-	return c.do(wire.OpInsert, key, nil, 0, nil)
-}
-
-// Delete removes a previously inserted key.
-func (c *Client) Delete(key []byte) error {
-	return c.do(wire.OpDelete, key, nil, 0, nil)
-}
-
-// Contains reports whether key may be in the set.
-func (c *Client) Contains(key []byte) (bool, error) {
-	var ok bool
-	err := c.do(wire.OpContains, key, nil, 0, func(body []byte) (err error) {
-		ok, err = wire.DecodeBool(body)
-		return err
-	})
-	return ok, err
-}
-
-// EstimateCount returns an upper bound on key's multiplicity.
-func (c *Client) EstimateCount(key []byte) (int, error) {
-	var v uint64
-	err := c.do(wire.OpEstimate, key, nil, 0, func(body []byte) (err error) {
-		v, err = wire.DecodeU64(body)
-		return err
-	})
-	return int(v), err
-}
-
-// Len returns the daemon's current element count.
-func (c *Client) Len() (int, error) {
-	var v uint64
-	err := c.do(wire.OpLen, nil, nil, 0, func(body []byte) (err error) {
-		v, err = wire.DecodeU64(body)
-		return err
-	})
-	return int(v), err
-}
-
-// InsertBatch inserts keys as one request (one WAL commit server-side).
-func (c *Client) InsertBatch(keys [][]byte) error {
-	return c.do(wire.OpInsertBatch, nil, keys, 0, nil)
-}
-
-// DeleteBatch deletes keys as one request, returning order-preserving
-// flags for which keys were actually removed.
-func (c *Client) DeleteBatch(keys [][]byte) ([]bool, error) {
-	return c.DeleteBatchInto(keys, nil)
-}
-
-// DeleteBatchInto is DeleteBatch decoding into dst's backing array:
-// a caller reusing the returned slice across batches stops allocating.
-func (c *Client) DeleteBatchInto(keys [][]byte, dst []bool) ([]bool, error) {
-	var out []bool
-	err := c.do(wire.OpDeleteBatch, nil, keys, 0, func(body []byte) (err error) {
-		out, err = wire.DecodeBoolsInto(body, dst)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ContainsBatch answers membership for keys, order-preserving.
-func (c *Client) ContainsBatch(keys [][]byte) ([]bool, error) {
-	return c.ContainsBatchInto(keys, nil)
-}
-
-// ContainsBatchInto is ContainsBatch decoding into dst's backing array:
-// a caller reusing the returned slice across batches stops allocating.
-func (c *Client) ContainsBatchInto(keys [][]byte, dst []bool) ([]bool, error) {
-	var out []bool
-	err := c.do(wire.OpContainsBatch, nil, keys, 0, func(body []byte) (err error) {
-		out, err = wire.DecodeBoolsInto(body, dst)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// InsertTTL inserts key with a per-key lifetime: against a windowed
-// daemon the key expires no earlier than ttl and no later than the
-// window span, at rotation granularity. A non-windowed daemon answers
-// with a *ServerError.
-func (c *Client) InsertTTL(key []byte, ttl time.Duration) error {
-	return c.do(wire.OpInsertTTL, key, nil, uint64(max(ttl, 0)), nil)
-}
-
-// InsertTTLBatch inserts keys sharing one TTL as a single request (one
-// WAL commit server-side). Windowed daemons only.
-func (c *Client) InsertTTLBatch(keys [][]byte, ttl time.Duration) error {
-	return c.do(wire.OpInsertTTLBatch, nil, keys, uint64(max(ttl, 0)), nil)
-}
-
-// WindowStats reports a windowed daemon's generation ring: size, head
-// slot, rotation count, span, and per-slot item counts.
-func (c *Client) WindowStats() (wire.WindowStats, error) {
-	var st wire.WindowStats
-	err := c.do(wire.OpWindowStats, nil, nil, 0, func(body []byte) (err error) {
-		st, err = wire.DecodeWindowStats(body)
-		return err
-	})
-	return st, err
-}
-
-// Dump fetches a consistent point-in-time binary encoding of the
-// daemon's filter (decode with repro.UnmarshalSharded, or
-// window.UnmarshalFilter when window.IsWindowed reports a windowed
-// daemon's encoding). The returned slice is the caller's to keep.
-func (c *Client) Dump() ([]byte, error) {
-	var blob []byte
-	err := c.do(wire.OpDump, nil, nil, 0, func(body []byte) error {
-		blob = append([]byte(nil), body...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return blob, nil
-}
-
-// Import hands the daemon a complete marshaled filter (Sharded or an
-// elastic chain's encoding) to absorb as frozen generation(s) of its
-// elastic filter — the snapshot-transfer half of resharding. The nil
-// return means every imported generation is durable on the daemon.
-func (c *Client) Import(blob []byte) error {
-	return c.do(wire.OpImport, blob, nil, 0, nil)
-}
-
-// ElasticStats reports an elastic daemon's chain shape: generation
-// count, growth/import counters, and per-generation fill and FPR
-// budget. Non-elastic daemons answer with a *ServerError.
-func (c *Client) ElasticStats() (wire.ElasticStats, error) {
-	var st wire.ElasticStats
-	err := c.do(wire.OpElasticStats, nil, nil, 0, func(body []byte) (err error) {
-		st, err = wire.DecodeElasticStats(body)
-		return err
-	})
-	return st, err
-}
-
 // RingSet pushes a cluster ring descriptor to the daemon, which adopts
 // it iff the epoch is newer than what it holds and answers OK either
 // way — pushing an old descriptor is harmless, so retries are safe.
@@ -585,92 +438,3 @@ func (c *Client) RingGet() (wire.Ring, error) {
 
 // scratch hands out the reused request buffer; callers hold c.mu.
 func (c *Client) scratch() []byte { return c.buf[:0] }
-
-// Traced returns a view of the client whose every request is wrapped in
-// the TRACE envelope carrying tc. The view shares the connection; it is
-// a cheap value, built per call site, so one Client can serve many
-// concurrent traces.
-func (c *Client) Traced(tc Trace) TracedClient { return TracedClient{c: c, tc: tc} }
-
-// TracedClient issues data operations inside a TRACE envelope,
-// optionally namespaced (see Namespace.Traced). It is a value-type
-// view: copying it is cheap and all copies share the connection.
-type TracedClient struct {
-	c  *Client
-	tc Trace
-	ns []byte
-}
-
-// Insert adds key, traced.
-func (t TracedClient) Insert(key []byte) error {
-	return t.c.doNS(wire.OpInsert, t.ns, key, nil, 0, wire.NsConfig{}, t.tc, nil)
-}
-
-// Delete removes a previously inserted key, traced.
-func (t TracedClient) Delete(key []byte) error {
-	return t.c.doNS(wire.OpDelete, t.ns, key, nil, 0, wire.NsConfig{}, t.tc, nil)
-}
-
-// Contains reports whether key may be in the set, traced.
-func (t TracedClient) Contains(key []byte) (bool, error) {
-	var ok bool
-	err := t.c.doNS(wire.OpContains, t.ns, key, nil, 0, wire.NsConfig{}, t.tc, func(body []byte) (err error) {
-		ok, err = wire.DecodeBool(body)
-		return err
-	})
-	return ok, err
-}
-
-// EstimateCount returns an upper bound on key's multiplicity, traced.
-func (t TracedClient) EstimateCount(key []byte) (int, error) {
-	var v uint64
-	err := t.c.doNS(wire.OpEstimate, t.ns, key, nil, 0, wire.NsConfig{}, t.tc, func(body []byte) (err error) {
-		v, err = wire.DecodeU64(body)
-		return err
-	})
-	return int(v), err
-}
-
-// InsertBatch inserts keys as one traced request.
-func (t TracedClient) InsertBatch(keys [][]byte) error {
-	return t.c.doNS(wire.OpInsertBatch, t.ns, nil, keys, 0, wire.NsConfig{}, t.tc, nil)
-}
-
-// DeleteBatch deletes keys as one traced request, returning
-// order-preserving removal flags.
-func (t TracedClient) DeleteBatch(keys [][]byte) ([]bool, error) {
-	var out []bool
-	err := t.c.doNS(wire.OpDeleteBatch, t.ns, nil, keys, 0, wire.NsConfig{}, t.tc, func(body []byte) (err error) {
-		out, err = wire.DecodeBoolsInto(body, nil)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ContainsBatch answers membership for keys, traced, order-preserving.
-func (t TracedClient) ContainsBatch(keys [][]byte) ([]bool, error) {
-	var out []bool
-	err := t.c.doNS(wire.OpContainsBatch, t.ns, nil, keys, 0, wire.NsConfig{}, t.tc, func(body []byte) (err error) {
-		out, err = wire.DecodeBoolsInto(body, nil)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// InsertTTL inserts key with a per-key lifetime, traced (windowed
-// daemons only).
-func (t TracedClient) InsertTTL(key []byte, ttl time.Duration) error {
-	return t.c.doNS(wire.OpInsertTTL, t.ns, key, nil, uint64(max(ttl, 0)), wire.NsConfig{}, t.tc, nil)
-}
-
-// InsertTTLBatch inserts keys sharing one TTL as a single traced
-// request (windowed daemons only).
-func (t TracedClient) InsertTTLBatch(keys [][]byte, ttl time.Duration) error {
-	return t.c.doNS(wire.OpInsertTTLBatch, t.ns, nil, keys, uint64(max(ttl, 0)), wire.NsConfig{}, t.tc, nil)
-}

@@ -34,6 +34,10 @@ import (
 // replaying a maybe-applied mutation on a counting filter would
 // double-count.
 type Pipeline struct {
+	// PipeHandle is the pipeline's view of the default filter: its
+	// queueing methods are the Pipeline's own.
+	PipeHandle
+
 	c       *Client
 	buf     []byte // queued frames: [u32 len][payload]...
 	reqs    []pipeReq
@@ -59,7 +63,11 @@ type PipeResult struct {
 }
 
 // Pipeline returns a new, empty request pipeline on this connection.
-func (c *Client) Pipeline() *Pipeline { return &Pipeline{c: c} }
+func (c *Client) Pipeline() *Pipeline {
+	p := &Pipeline{c: c}
+	p.PipeHandle = PipeHandle{p: p}
+	return p
+}
 
 // Pending returns the number of queued, unflushed requests.
 func (p *Pipeline) Pending() int { return len(p.reqs) }
@@ -69,11 +77,7 @@ func (p *Pipeline) Pending() int { return len(p.reqs) }
 // tracing back off. Requests already queued are unaffected.
 func (p *Pipeline) SetTrace(tc Trace) { p.tc = tc }
 
-func (p *Pipeline) add(op byte, ns, key []byte, keys [][]byte, ttl uint64) {
-	p.addCfg(op, ns, key, keys, ttl, wire.NsConfig{})
-}
-
-func (p *Pipeline) addCfg(op byte, ns, key []byte, keys [][]byte, ttl uint64, cfg wire.NsConfig) {
+func (p *Pipeline) queue(op byte, ns, key []byte, keys [][]byte, ttl uint64, cfg wire.NsConfig) {
 	if len(ns) > wire.MaxNamespaceLen {
 		// A queue method cannot return an error without breaking every
 		// call site; an over-long name is a programmer error, caught here
@@ -90,50 +94,16 @@ func (p *Pipeline) addCfg(op byte, ns, key []byte, keys [][]byte, ttl uint64, cf
 	p.reqs = append(p.reqs, pipeReq{op: op, start: start})
 }
 
-// Insert queues an insert of key.
-func (p *Pipeline) Insert(key []byte) { p.add(wire.OpInsert, nil, key, nil, 0) }
-
-// Delete queues a delete of key.
-func (p *Pipeline) Delete(key []byte) { p.add(wire.OpDelete, nil, key, nil, 0) }
-
-// Contains queues a membership probe; the answer lands in Bool.
-func (p *Pipeline) Contains(key []byte) { p.add(wire.OpContains, nil, key, nil, 0) }
-
-// EstimateCount queues a multiplicity estimate; the answer lands in U64.
-func (p *Pipeline) EstimateCount(key []byte) { p.add(wire.OpEstimate, nil, key, nil, 0) }
-
-// Len queues an element-count read; the answer lands in U64.
-func (p *Pipeline) Len() { p.add(wire.OpLen, nil, nil, nil, 0) }
-
-// InsertBatch queues a batch insert.
-func (p *Pipeline) InsertBatch(keys [][]byte) { p.add(wire.OpInsertBatch, nil, nil, keys, 0) }
-
-// DeleteBatch queues a batch delete; per-key flags land in Bools.
-func (p *Pipeline) DeleteBatch(keys [][]byte) { p.add(wire.OpDeleteBatch, nil, nil, keys, 0) }
-
-// ContainsBatch queues a batch probe; per-key answers land in Bools.
-func (p *Pipeline) ContainsBatch(keys [][]byte) { p.add(wire.OpContainsBatch, nil, nil, keys, 0) }
-
-// InsertTTL queues a TTL insert (windowed daemons only).
-func (p *Pipeline) InsertTTL(key []byte, ttl time.Duration) {
-	p.add(wire.OpInsertTTL, nil, key, nil, uint64(max(ttl, 0)))
-}
-
-// InsertTTLBatch queues a batch TTL insert (windowed daemons only).
-func (p *Pipeline) InsertTTLBatch(keys [][]byte, ttl time.Duration) {
-	p.add(wire.OpInsertTTLBatch, nil, nil, keys, uint64(max(ttl, 0)))
-}
-
 // CreateNamespace queues a CREATE_NS of name with cfg (zero-valued cfg
 // fields take the daemon's defaults). A name longer than
 // wire.MaxNamespaceLen panics — a programmer error, as in Namespace.
 func (p *Pipeline) CreateNamespace(name string, cfg wire.NsConfig) {
-	p.addCfg(wire.OpNsCreate, []byte(name), nil, nil, 0, cfg)
+	p.queue(wire.OpNsCreate, []byte(name), nil, nil, 0, cfg)
 }
 
 // DropNamespace queues a DROP_NS of name.
 func (p *Pipeline) DropNamespace(name string) {
-	p.add(wire.OpNsDrop, []byte(name), nil, nil, 0)
+	p.queue(wire.OpNsDrop, []byte(name), nil, nil, 0, wire.NsConfig{})
 }
 
 // Namespace returns a view of this pipeline that queues every data
@@ -141,50 +111,55 @@ func (p *Pipeline) DropNamespace(name string) {
 // envelope). The view shares the pipeline's queue and Flush; results
 // come back in overall queue order regardless of which view queued
 // them. A name longer than wire.MaxNamespaceLen panics at queue time.
-func (p *Pipeline) Namespace(name string) PipelineNS {
-	return PipelineNS{p: p, ns: []byte(name)}
+func (p *Pipeline) Namespace(name string) PipeHandle {
+	return PipeHandle{p: p, ns: []byte(name)}
 }
 
-// PipelineNS queues namespaced data operations on an underlying
-// Pipeline. It is a value-type view: copying it is cheap and all copies
-// share the same queue.
-type PipelineNS struct {
+// PipeHandle queues data operations against one filter on a Pipeline: a
+// namespace, or the default filter for the empty name. It is a
+// value-type view: copying it is cheap and all copies share the same
+// queue.
+type PipeHandle struct {
 	p  *Pipeline
 	ns []byte
 }
 
-// Insert queues an insert of key into the namespace.
-func (v PipelineNS) Insert(key []byte) { v.p.add(wire.OpInsert, v.ns, key, nil, 0) }
-
-// Delete queues a delete of key from the namespace.
-func (v PipelineNS) Delete(key []byte) { v.p.add(wire.OpDelete, v.ns, key, nil, 0) }
-
-// Contains queues a membership probe; the answer lands in Bool.
-func (v PipelineNS) Contains(key []byte) { v.p.add(wire.OpContains, v.ns, key, nil, 0) }
-
-// EstimateCount queues a multiplicity estimate; the answer lands in U64.
-func (v PipelineNS) EstimateCount(key []byte) { v.p.add(wire.OpEstimate, v.ns, key, nil, 0) }
-
-// Len queues an element-count read; the answer lands in U64.
-func (v PipelineNS) Len() { v.p.add(wire.OpLen, v.ns, nil, nil, 0) }
-
-// InsertBatch queues a batch insert into the namespace.
-func (v PipelineNS) InsertBatch(keys [][]byte) { v.p.add(wire.OpInsertBatch, v.ns, nil, keys, 0) }
-
-// DeleteBatch queues a batch delete; per-key flags land in Bools.
-func (v PipelineNS) DeleteBatch(keys [][]byte) { v.p.add(wire.OpDeleteBatch, v.ns, nil, keys, 0) }
-
-// ContainsBatch queues a batch probe; per-key answers land in Bools.
-func (v PipelineNS) ContainsBatch(keys [][]byte) { v.p.add(wire.OpContainsBatch, v.ns, nil, keys, 0) }
-
-// InsertTTL queues a TTL insert (windowed namespaces only).
-func (v PipelineNS) InsertTTL(key []byte, ttl time.Duration) {
-	v.p.add(wire.OpInsertTTL, v.ns, key, nil, uint64(max(ttl, 0)))
+func (v PipeHandle) add(op byte, key []byte, keys [][]byte, ttl uint64) {
+	v.p.queue(op, v.ns, key, keys, ttl, wire.NsConfig{})
 }
 
-// InsertTTLBatch queues a batch TTL insert (windowed namespaces only).
-func (v PipelineNS) InsertTTLBatch(keys [][]byte, ttl time.Duration) {
-	v.p.add(wire.OpInsertTTLBatch, v.ns, nil, keys, uint64(max(ttl, 0)))
+// Insert queues an insert of key.
+func (v PipeHandle) Insert(key []byte) { v.add(wire.OpInsert, key, nil, 0) }
+
+// Delete queues a delete of key.
+func (v PipeHandle) Delete(key []byte) { v.add(wire.OpDelete, key, nil, 0) }
+
+// Contains queues a membership probe; the answer lands in Bool.
+func (v PipeHandle) Contains(key []byte) { v.add(wire.OpContains, key, nil, 0) }
+
+// EstimateCount queues a multiplicity estimate; the answer lands in U64.
+func (v PipeHandle) EstimateCount(key []byte) { v.add(wire.OpEstimate, key, nil, 0) }
+
+// Len queues an element-count read; the answer lands in U64.
+func (v PipeHandle) Len() { v.add(wire.OpLen, nil, nil, 0) }
+
+// InsertBatch queues a batch insert.
+func (v PipeHandle) InsertBatch(keys [][]byte) { v.add(wire.OpInsertBatch, nil, keys, 0) }
+
+// DeleteBatch queues a batch delete; per-key flags land in Bools.
+func (v PipeHandle) DeleteBatch(keys [][]byte) { v.add(wire.OpDeleteBatch, nil, keys, 0) }
+
+// ContainsBatch queues a batch probe; per-key answers land in Bools.
+func (v PipeHandle) ContainsBatch(keys [][]byte) { v.add(wire.OpContainsBatch, nil, keys, 0) }
+
+// InsertTTL queues a TTL insert (windowed filters only).
+func (v PipeHandle) InsertTTL(key []byte, ttl time.Duration) {
+	v.add(wire.OpInsertTTL, key, nil, uint64(max(ttl, 0)))
+}
+
+// InsertTTLBatch queues a batch TTL insert (windowed filters only).
+func (v PipeHandle) InsertTTLBatch(keys [][]byte, ttl time.Duration) {
+	v.add(wire.OpInsertTTLBatch, nil, keys, uint64(max(ttl, 0)))
 }
 
 // Flush sends every queued request and reads every response, in order.

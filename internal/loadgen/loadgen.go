@@ -218,8 +218,9 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// target is the minimal op surface a worker drives; implemented by the
-// single-node client, a namespace view, and the cluster client. Every
+// target is the minimal op surface a worker drives; implemented by a
+// single-node client handle (default filter or namespace) and the
+// cluster client. Every
 // method takes the op's trace context (zero = untraced); a zero context
 // costs nothing on any implementation.
 type target interface {
@@ -232,59 +233,35 @@ type target interface {
 	containsBatch(tc client.Trace, keys [][]byte) error
 }
 
-type singleTarget struct{ c *client.Client }
+// handleTarget drives one filter of a single daemon: the default filter
+// (the client's zero handle) or a namespace.
+type handleTarget struct{ h client.Handle }
 
-func (t singleTarget) insert(tc client.Trace, k []byte) error { return t.c.Traced(tc).Insert(k) }
+func (t handleTarget) insert(tc client.Trace, k []byte) error { return t.h.Traced(tc).Insert(k) }
 
 // del goes through the flag-returning batch op: deleting a key that is
 // not (or no longer) present is a legitimate workload outcome, not an
 // error — the single-key DELETE wire op rejects it.
-func (t singleTarget) del(tc client.Trace, k []byte) error {
-	_, err := t.c.Traced(tc).DeleteBatch([][]byte{k})
+func (t handleTarget) del(tc client.Trace, k []byte) error {
+	_, err := t.h.Traced(tc).DeleteBatch([][]byte{k})
 	return err
 }
-func (t singleTarget) contains(tc client.Trace, k []byte) error {
-	_, err := t.c.Traced(tc).Contains(k)
+func (t handleTarget) contains(tc client.Trace, k []byte) error {
+	_, err := t.h.Traced(tc).Contains(k)
 	return err
 }
-func (t singleTarget) insertTTL(tc client.Trace, k []byte, ttl time.Duration) error {
-	return t.c.Traced(tc).InsertTTL(k, ttl)
+func (t handleTarget) insertTTL(tc client.Trace, k []byte, ttl time.Duration) error {
+	return t.h.Traced(tc).InsertTTL(k, ttl)
 }
-func (t singleTarget) insertBatch(tc client.Trace, ks [][]byte) error {
-	return t.c.Traced(tc).InsertBatch(ks)
+func (t handleTarget) insertBatch(tc client.Trace, ks [][]byte) error {
+	return t.h.Traced(tc).InsertBatch(ks)
 }
-func (t singleTarget) deleteBatch(tc client.Trace, ks [][]byte) error {
-	_, err := t.c.Traced(tc).DeleteBatch(ks)
+func (t handleTarget) deleteBatch(tc client.Trace, ks [][]byte) error {
+	_, err := t.h.Traced(tc).DeleteBatch(ks)
 	return err
 }
-func (t singleTarget) containsBatch(tc client.Trace, ks [][]byte) error {
-	_, err := t.c.Traced(tc).ContainsBatch(ks)
-	return err
-}
-
-type nsTarget struct{ ns client.Namespace }
-
-func (t nsTarget) insert(tc client.Trace, k []byte) error { return t.ns.Traced(tc).Insert(k) }
-func (t nsTarget) del(tc client.Trace, k []byte) error {
-	_, err := t.ns.Traced(tc).DeleteBatch([][]byte{k})
-	return err
-}
-func (t nsTarget) contains(tc client.Trace, k []byte) error {
-	_, err := t.ns.Traced(tc).Contains(k)
-	return err
-}
-func (t nsTarget) insertTTL(tc client.Trace, k []byte, ttl time.Duration) error {
-	return t.ns.Traced(tc).InsertTTL(k, ttl)
-}
-func (t nsTarget) insertBatch(tc client.Trace, ks [][]byte) error {
-	return t.ns.Traced(tc).InsertBatch(ks)
-}
-func (t nsTarget) deleteBatch(tc client.Trace, ks [][]byte) error {
-	_, err := t.ns.Traced(tc).DeleteBatch(ks)
-	return err
-}
-func (t nsTarget) containsBatch(tc client.Trace, ks [][]byte) error {
-	_, err := t.ns.Traced(tc).ContainsBatch(ks)
+func (t handleTarget) containsBatch(tc client.Trace, ks [][]byte) error {
+	_, err := t.h.Traced(tc).ContainsBatch(ks)
 	return err
 }
 
@@ -434,10 +411,10 @@ func (w *worker) dial() error {
 	if len(cfg.Namespaces) > 0 {
 		w.targets = make([]target, len(cfg.Namespaces))
 		for i, ns := range cfg.Namespaces {
-			w.targets[i] = nsTarget{c.Namespace(ns)}
+			w.targets[i] = handleTarget{c.Namespace(ns)}
 		}
 	} else {
-		w.targets = []target{singleTarget{c}}
+		w.targets = []target{handleTarget{c.Handle}}
 	}
 	if cfg.PipelineDepth > 0 {
 		w.pipe = c.Pipeline()

@@ -17,8 +17,9 @@ import (
 
 // TestDispatchZeroAllocs pins 0 allocs/op for single-key INSERT, DELETE
 // (both through a durable commit wait at SyncAlways), CONTAINS, and a
-// 72-key CONTAINS_BATCH on the default filter and on plain, windowed and
-// elastic namespaces, end-to-end through the server dispatch layer.
+// 72-key CONTAINS_BATCH on the default filter, on plain, windowed and
+// elastic namespaces, and on an unknown namespace, end-to-end through
+// the server dispatch layer.
 func TestDispatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under -race")
@@ -70,8 +71,8 @@ func TestDispatchZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	names := [][]byte{nil, []byte("alloc-ns"), []byte("alloc-win"), []byte("alloc-chain")}
-	for _, ns := range names[1:] {
+	names := [][]byte{nil, []byte("alloc-ns"), []byte("alloc-win"), []byte("alloc-chain"), []byte("alloc-unknown")}
+	for _, ns := range names[1:4] {
 		nsInsertBatch(t, st, string(ns), keys)
 	}
 	probe := append(keys[:len(keys):len(keys)], storeKeys("alloc-absent", 8)...)
@@ -90,8 +91,8 @@ func TestDispatchZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, ok := range flags[:len(keys)] {
-			if !ok && ns != nil {
-				t.Fatalf("ns %q batch read lost key %q", ns, keys[i])
+			if unknown := string(ns) == "alloc-unknown"; ok == unknown && ns != nil {
+				t.Fatalf("ns %q batch read answered %v for %q", ns, ok, keys[i])
 			}
 		}
 	}

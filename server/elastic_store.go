@@ -11,10 +11,11 @@ import (
 	"repro/window"
 )
 
-// Elastic mode: when StoreOptions.Elastic is set, the store's state is
+// Elastic mode: when StoreOptions.Elastic is set, the default filter is
 // an elastic.Filter — a chain of Sharded MPCBF generations that grows
-// when the head saturates — instead of a single fixed-capacity filter.
-// Two WAL-only record types make the chain's shape durable:
+// when the head saturates — instead of a single fixed-capacity filter,
+// and a namespace created elastic is one too. Two WAL-only record types
+// make the chain's shape durable:
 //
 //	ELASTIC_GROW:   body = [0xE5]         — a new head generation was appended
 //	ELASTIC_IMPORT: body = [0xE6][blob]   — blob (a Sharded encoding) spliced
@@ -41,19 +42,20 @@ const (
 	walOpElasticImport = 0xE6
 )
 
-// elf returns the elastic chain, nil when the store is not elastic; safe
-// without the mutation lock.
-func (s *Store) elf() *elastic.Filter { return s.el.Load() }
-
-// IsElastic reports whether the store runs in elastic (generational
-// growth) mode.
-func (s *Store) IsElastic() bool { return s.elf() != nil }
-
-// Elastic exposes the elastic chain for read-only inspection (nil when
-// not elastic).
-func (s *Store) Elastic() *elastic.Filter { return s.elf() }
+// Elastic exposes the default elastic chain for read-only inspection
+// (nil when the default filter is not elastic).
+func (s *Store) Elastic() *elastic.Filter { return s.reg.Default().Elastic() }
 
 var errNotElastic = errors.New("server: not an elastic store (start mpcbfd with -elastic)")
+
+// notElastic is the error for an elastic-only op on a filter that is not
+// an elastic chain.
+func notElastic(e *ns.Entry) error {
+	if e.Pinned() {
+		return errNotElastic
+	}
+	return fmt.Errorf("server: namespace %q is not elastic", e.Name())
+}
 
 func elasticOptionsFrom(opts StoreOptions) elastic.Options {
 	return elastic.Options{
@@ -63,37 +65,16 @@ func elasticOptionsFrom(opts StoreOptions) elastic.Options {
 	}
 }
 
-// growEnqLocked checks the default chain's growth trigger after an
-// insert has been applied and enqueued, and — when due — grows the chain
-// and logs the GROW record. It returns the grow ticket (0 when nothing
-// grew): the caller replaces its data ticket with it so the ack also
-// covers the growth event. Errors are logged, not returned: the
-// triggering insert already succeeded and must be acknowledged; a chain
-// that failed to grow keeps absorbing inserts into its head and retries
-// on the next one. Caller holds s.mu with walCtx == nil.
-func (s *Store) growEnqLocked() uint64 {
-	el := s.elf()
-	if el == nil || !el.NeedsGrow() {
-		return 0
-	}
-	if err := el.Grow(); err != nil {
-		s.opts.Log.Error("elastic grow failed", "error", err)
-		return 0
-	}
-	ticket, err := s.wal.Enqueue(walOpElasticGrow, nil, nil)
-	if err != nil {
-		s.opts.Log.Error("elastic grow log failed", "error", err)
-		return 0
-	}
-	s.opts.Log.Info("elastic growth", "generations", el.Generations())
-	return ticket
-}
-
-// nsGrowEnqLocked is growEnqLocked for a namespaced chain: the GROW
-// record rides the selection context the data record just established
-// (walCtx == e), and the registry's resident-byte accounting is rebased
-// to the grown chain before the quota re-check. Caller holds s.mu.
-func (s *Store) nsGrowEnqLocked(e *ns.Entry) uint64 {
+// growEnqLocked checks e's growth trigger after an insert has been
+// applied and enqueued, and — when due — grows the chain and logs the
+// GROW record, which rides the selection context the data record just
+// established. It returns the grow ticket (0 when nothing grew): the
+// caller replaces its data ticket with it so the ack also covers the
+// growth event. Errors are logged, not returned: the triggering insert
+// already succeeded and must be acknowledged; a chain that failed to
+// grow keeps absorbing inserts into its head and retries on the next
+// one. Caller holds s.mu.
+func (s *Store) growEnqLocked(e *ns.Entry) uint64 {
 	el := e.Elastic()
 	if el == nil || !el.NeedsGrow() {
 		return 0
@@ -107,35 +88,48 @@ func (s *Store) nsGrowEnqLocked(e *ns.Entry) uint64 {
 		s.opts.Log.Error("elastic grow log failed", "ns", e.Name(), "error", err)
 		return 0
 	}
-	s.reg.Rebase(e)
-	if err := s.reg.EnsureQuota(e); err != nil {
-		s.opts.Log.Warn("namespace quota after elastic growth", "ns", e.Name(), "error", err)
-	}
+	s.rebaseLocked(e, "elastic growth")
 	s.opts.Log.Info("elastic growth", "ns", e.Name(), "generations", el.Generations())
 	return ticket
+}
+
+// rebaseLocked folds a named chain's changed footprint into the
+// registry's resident-byte accounting, then re-enforces the quota around
+// it. The pinned default is outside both. Caller holds s.mu.
+func (s *Store) rebaseLocked(e *ns.Entry, after string) {
+	if e.Pinned() {
+		return
+	}
+	s.reg.Rebase(e)
+	if err := s.reg.EnsureQuota(e); err != nil {
+		s.opts.Log.Warn("namespace quota after "+after, "ns", e.Name(), "error", err)
+	}
+}
+
+// selectedChain returns the chain the WAL's selection context names,
+// recovered if evicted, for replaying a growth or import record.
+func (s *Store) selectedChain(record string) (*elastic.Filter, error) {
+	e := s.walCtx
+	if !e.IsElastic() {
+		return nil, fmt.Errorf("elastic %s record for non-elastic namespace %q", record, e.Name())
+	}
+	if err := s.residentLocked(e); err != nil {
+		return nil, err
+	}
+	return e.Elastic(), nil
 }
 
 // applyElasticGrow replays one ELASTIC_GROW record into the selected
 // chain (recovery and replication).
 func (s *Store) applyElasticGrow() error {
-	if e := s.walCtx; e != nil {
-		if !e.IsElastic() {
-			return fmt.Errorf("elastic grow record for non-elastic namespace %q", e.Name())
-		}
-		if err := s.nsResidentLocked(e); err != nil {
-			return err
-		}
-		if err := e.Elastic().Grow(); err != nil {
-			return err
-		}
-		s.reg.Rebase(e)
-		return nil
+	el, err := s.selectedChain("grow")
+	if err == nil {
+		err = el.Grow()
 	}
-	el := s.elf()
-	if el == nil {
-		return errors.New("elastic grow record in a non-elastic store")
+	if err == nil {
+		s.reg.Rebase(s.walCtx)
 	}
-	return el.Grow()
+	return err
 }
 
 // applyElasticImport replays one ELASTIC_IMPORT record: the body is the
@@ -146,22 +140,12 @@ func (s *Store) applyElasticImport(body []byte) error {
 	if err != nil {
 		return fmt.Errorf("elastic import record: %w", err)
 	}
-	if e := s.walCtx; e != nil {
-		if !e.IsElastic() {
-			return fmt.Errorf("elastic import record for non-elastic namespace %q", e.Name())
-		}
-		if err := s.nsResidentLocked(e); err != nil {
-			return err
-		}
-		e.Elastic().ImportGeneration(g)
-		s.reg.Rebase(e)
-		return nil
-	}
-	el := s.elf()
-	if el == nil {
-		return errors.New("elastic import record in a non-elastic store")
+	el, err := s.selectedChain("import")
+	if err != nil {
+		return err
 	}
 	el.ImportGeneration(g)
+	s.reg.Rebase(s.walCtx)
 	return nil
 }
 
@@ -236,66 +220,23 @@ func checkImportRecordSizes(gens []importGen) error {
 // frozen generation(s), durably. The ack is the reshard handoff
 // watermark: once Import returns nil, every imported key survives a
 // crash here.
-func (s *Store) Import(blob []byte) error { return s.importFilter(blob, nil) }
+func (s *Store) Import(blob []byte) error { return s.wait(s.importEnq(nil, blob, nil)) }
 
-func (s *Store) importFilter(blob []byte, tr *reqTrace) error {
-	ticket, err := s.importEnq(blob, tr)
-	if err != nil {
-		return err
-	}
-	return s.wal.WaitDurable(ticket, tr)
-}
-
-// importEnq applies an import and logs one ELASTIC_IMPORT record per
-// generation, returning the last record's commit ticket (0 when the
-// blob held no keys).
-func (s *Store) importEnq(blob []byte, tr *reqTrace) (uint64, error) {
+// importEnq applies an import to name's chain and logs one
+// ELASTIC_IMPORT record per generation, returning the last record's
+// commit ticket (0 when the blob held no keys). The target must already
+// exist and be elastic — an import must not lazily create a namespace
+// whose geometry the source never saw.
+func (s *Store) importEnq(name, blob []byte, tr *reqTrace) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el := s.elf()
-	if el == nil {
-		return 0, errNotElastic
-	}
-	gens, err := importGenerations(blob)
+	e, err := s.knownEntryLocked(name)
 	if err != nil {
 		return 0, err
-	}
-	if err := checkImportRecordSizes(gens); err != nil {
-		return 0, err
-	}
-	if err := s.selectLocked(nil); err != nil {
-		return 0, err
-	}
-	t0 := tr.now()
-	var ticket uint64
-	for _, g := range gens {
-		el.ImportGeneration(g.f)
-		tk, err := s.wal.Enqueue(walOpElasticImport, g.blob, tr)
-		if err != nil {
-			return 0, err
-		}
-		ticket = tk
-	}
-	tr.addFilter(t0)
-	return ticket, nil
-}
-
-// nsImportEnq is importEnq against a named namespace. The target must
-// already exist and be elastic — an import must not lazily create a
-// namespace whose geometry the source never saw.
-func (s *Store) nsImportEnq(name, blob []byte, tr *reqTrace) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, err := s.nsEntryLocked(name, false)
-	if err != nil {
-		return 0, err
-	}
-	if e == nil {
-		return 0, fmt.Errorf("server: unknown namespace %q", name)
 	}
 	el := e.Elastic()
 	if el == nil {
-		return 0, fmt.Errorf("server: namespace %q is not elastic", name)
+		return 0, notElastic(e)
 	}
 	gens, err := importGenerations(blob)
 	if err != nil {
@@ -318,10 +259,7 @@ func (s *Store) nsImportEnq(name, blob []byte, tr *reqTrace) (uint64, error) {
 		ticket = tk
 	}
 	tr.addFilter(t0)
-	s.reg.Rebase(e)
-	if err := s.reg.EnsureQuota(e); err != nil {
-		s.opts.Log.Warn("namespace quota after import", "ns", e.Name(), "error", err)
-	}
+	s.rebaseLocked(e, "import")
 	return ticket, nil
 }
 
@@ -348,24 +286,20 @@ func elasticWireStats(st elastic.Stats) wire.ElasticStats {
 	return out
 }
 
-// ElasticStats reports the default chain's shape. Elastic stores only.
-func (s *Store) ElasticStats() (wire.ElasticStats, error) {
-	el := s.elf()
+// elasticStats reports the chain shape of name's elastic filter
+// (ELASTIC_STATS). It reads lock-free, without recovering an evicted
+// namespace: that holds no chain in memory and answers as not elastic.
+func (s *Store) elasticStats(name []byte) (wire.ElasticStats, error) {
+	e := s.reg.Lookup(name)
+	if e == nil {
+		return wire.ElasticStats{}, errUnknownNS(name)
+	}
+	el := e.Elastic()
 	if el == nil {
-		return wire.ElasticStats{}, errNotElastic
+		return wire.ElasticStats{}, notElastic(e)
 	}
 	return elasticWireStats(el.Stats()), nil
 }
 
-// NsElasticStats reports a named elastic namespace's chain shape.
-func (s *Store) NsElasticStats(name []byte) (wire.ElasticStats, error) {
-	e := s.reg.Lookup(name)
-	if e == nil {
-		return wire.ElasticStats{}, fmt.Errorf("server: unknown namespace %q", name)
-	}
-	el := e.Elastic()
-	if el == nil {
-		return wire.ElasticStats{}, fmt.Errorf("server: namespace %q is not elastic", name)
-	}
-	return elasticWireStats(el.Stats()), nil
-}
+// ElasticStats reports the default chain's shape. Elastic stores only.
+func (s *Store) ElasticStats() (wire.ElasticStats, error) { return s.elasticStats(nil) }

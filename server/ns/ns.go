@@ -172,18 +172,22 @@ var (
 )
 
 // Entry is one namespace: its resolved configuration plus its filter
-// state, which is either resident (exactly one of the three pointers
-// non-nil) or evicted (all nil, state in the evict file). The pointers
-// are atomic so reads race-free against eviction; state transitions are
-// serialized by the registry's caller.
+// state, which is either resident or evicted (state in the evict file).
+// The state sits behind one atomic pointer, so every transition — evict,
+// recover, or a replica bootstrap replacing the default filter — is a
+// single store, and lock-free reads see the old state or the new one,
+// never neither. Transitions are serialized by the registry's caller.
+//
+// The registry's pinned entry, named "", is the store's default filter.
+// It has no configuration — its mode is whatever state it holds — is
+// never evicted, and stays outside the quota, the LRU and every listing.
 type Entry struct {
 	name     string
 	wireName []byte // [u8 len][name]: the WAL body of this namespace's SELECT/DROP records
 	cfg      Config
+	pinned   bool
 
-	filter atomic.Pointer[mpcbf.Sharded]
-	win    atomic.Pointer[window.Filter]
-	el     atomic.Pointer[elastic.Filter]
+	state atomic.Pointer[resident]
 
 	memBytes   int64        // resident footprint (set at attach; elastic growth updates it via Rebase)
 	lastTouch  atomic.Int64 // UnixNano of last access, the LRU key
@@ -200,35 +204,46 @@ func newEntry(name string, cfg Config) *Entry {
 	return &Entry{name: name, wireName: wn, cfg: cfg}
 }
 
-// Name returns the namespace name.
+// Name returns the namespace name ("" for the pinned default).
 func (e *Entry) Name() string { return e.name }
 
 // WALName returns the [u8 len][name] block used as the body of this
 // namespace's WAL records. Callers must not mutate it.
 func (e *Entry) WALName() []byte { return e.wireName }
 
-// Config returns the resolved configuration.
+// Config returns the resolved configuration (zero for the pinned
+// default).
 func (e *Entry) Config() Config { return e.cfg }
 
-// Windowed reports whether this is a sliding-window namespace.
-func (e *Entry) Windowed() bool { return e.cfg.Windowed() }
+// Pinned reports whether this is the registry's pinned default entry.
+func (e *Entry) Pinned() bool { return e.pinned }
+
+// Windowed reports whether this is a sliding-window namespace. A named
+// entry's mode is its configuration; the pinned default's is its state.
+func (e *Entry) Windowed() bool { return e.cfg.Windowed() || e.Window() != nil }
 
 // IsElastic reports whether this is an elastic-chain namespace.
-func (e *Entry) IsElastic() bool { return e.cfg.Elastic }
+func (e *Entry) IsElastic() bool { return e.cfg.Elastic || e.Elastic() != nil }
 
 // Resident reports whether filter state is in memory.
-func (e *Entry) Resident() bool {
-	return e.filter.Load() != nil || e.win.Load() != nil || e.el.Load() != nil
+func (e *Entry) Resident() bool { return e.state.Load() != nil }
+
+// State returns the resident state (the zero State when evicted).
+func (e *Entry) State() State {
+	if r := e.state.Load(); r != nil {
+		return r.State
+	}
+	return State{}
 }
 
 // Filter returns the resident plain filter, or nil.
-func (e *Entry) Filter() *mpcbf.Sharded { return e.filter.Load() }
+func (e *Entry) Filter() *mpcbf.Sharded { return e.State().Filter }
 
 // Window returns the resident window filter, or nil.
-func (e *Entry) Window() *window.Filter { return e.win.Load() }
+func (e *Entry) Window() *window.Filter { return e.State().Window }
 
 // Elastic returns the resident elastic chain, or nil.
-func (e *Entry) Elastic() *elastic.Filter { return e.el.Load() }
+func (e *Entry) Elastic() *elastic.Filter { return e.State().Elastic }
 
 // Touch records an access at now (UnixNano) for LRU/idle accounting.
 func (e *Entry) Touch(now int64) { e.lastTouch.Store(now) }
@@ -243,143 +258,76 @@ func (e *Entry) SetNextRotate(at int64) { e.nextRotate.Store(at) }
 // Insert adds key. The caller must hold the store lock (which excludes
 // eviction), so non-residency is a bug, not a race.
 func (e *Entry) Insert(key []byte) error {
-	if f := e.filter.Load(); f != nil {
-		return f.Insert(key)
+	r := e.state.Load()
+	if r == nil {
+		return ErrNotResident
 	}
-	if w := e.win.Load(); w != nil {
-		return w.Insert(key)
-	}
-	if el := e.el.Load(); el != nil {
-		return el.Insert(key)
-	}
-	return ErrNotResident
+	return r.f.Insert(key)
 }
 
 // Delete removes one occurrence of key.
 func (e *Entry) Delete(key []byte) error {
-	if f := e.filter.Load(); f != nil {
-		return f.Delete(key)
+	r := e.state.Load()
+	if r == nil {
+		return ErrNotResident
 	}
-	if w := e.win.Load(); w != nil {
-		return w.Delete(key)
-	}
-	if el := e.el.Load(); el != nil {
-		return el.Delete(key)
-	}
-	return ErrNotResident
+	return r.f.Delete(key)
 }
 
-// InsertBatch adds keys with the given fan-out (plain namespaces; a
-// windowed namespace uses its own configured workers).
-func (e *Entry) InsertBatch(keys [][]byte, workers int) error {
-	if f := e.filter.Load(); f != nil {
-		return f.InsertBatch(keys, workers)
+// InsertBatch adds keys, one goroutine per shard.
+func (e *Entry) InsertBatch(keys [][]byte) error {
+	r := e.state.Load()
+	switch {
+	case r == nil:
+		return ErrNotResident
+	case r.Window != nil:
+		return r.Window.InsertBatch(keys)
+	case r.Elastic != nil:
+		return r.Elastic.InsertBatch(keys, 0)
 	}
-	if w := e.win.Load(); w != nil {
-		return w.InsertBatch(keys)
-	}
-	if el := e.el.Load(); el != nil {
-		return el.InsertBatch(keys, workers)
-	}
-	return ErrNotResident
+	return r.Filter.InsertBatch(keys, 0)
 }
 
 // DeleteBatch removes keys, reporting per-key success.
-func (e *Entry) DeleteBatch(keys [][]byte, workers int) ([]bool, error) {
-	if f := e.filter.Load(); f != nil {
-		return f.DeleteBatch(keys, workers)
+func (e *Entry) DeleteBatch(keys [][]byte) ([]bool, error) {
+	r := e.state.Load()
+	switch {
+	case r == nil:
+		return nil, ErrNotResident
+	case r.Window != nil:
+		return r.Window.DeleteBatch(keys)
+	case r.Elastic != nil:
+		return r.Elastic.DeleteBatch(keys, 0)
 	}
-	if w := e.win.Load(); w != nil {
-		return w.DeleteBatch(keys)
-	}
-	if el := e.el.Load(); el != nil {
-		return el.DeleteBatch(keys, workers)
-	}
-	return nil, ErrNotResident
+	return r.Filter.DeleteBatch(keys, 0)
 }
 
-// Contains probes key. ok is false when the entry is evicted — the
-// caller must recover and retry; answering false here would be a false
-// negative.
-func (e *Entry) Contains(key []byte) (v, ok bool) {
-	if f := e.filter.Load(); f != nil {
-		return f.Contains(key), true
+// Live returns the resident filter for a lock-free read, or nil when
+// the entry is evicted: the caller must then recover it and retry —
+// answering from nothing would be a false negative.
+func (e *Entry) Live() Filter {
+	if r := e.state.Load(); r != nil {
+		return r.f
 	}
-	if w := e.win.Load(); w != nil {
-		return w.Contains(key), true
-	}
-	if el := e.el.Load(); el != nil {
-		return el.Contains(key), true
-	}
-	return false, false
-}
-
-// ContainsBatch probes keys on the calling goroutine into sc (nil: fresh
-// scratch; the result belongs to sc); ok as for Contains.
-func (e *Entry) ContainsBatch(keys [][]byte, sc *mpcbf.BatchScratch) (vs []bool, ok bool) {
-	if f := e.filter.Load(); f != nil {
-		return f.ContainsBatchInto(keys, sc), true
-	}
-	if w := e.win.Load(); w != nil {
-		return w.ContainsBatchInto(keys, sc), true
-	}
-	if el := e.el.Load(); el != nil {
-		return el.ContainsBatchInto(keys, sc), true
-	}
-	return nil, false
-}
-
-// EstimateCount estimates key's multiplicity; ok as for Contains.
-func (e *Entry) EstimateCount(key []byte) (n int, ok bool) {
-	if f := e.filter.Load(); f != nil {
-		return f.EstimateCount(key), true
-	}
-	if w := e.win.Load(); w != nil {
-		return w.EstimateCount(key), true
-	}
-	if el := e.el.Load(); el != nil {
-		return el.EstimateCount(key), true
-	}
-	return 0, false
+	return nil
 }
 
 // Len returns the element count: live when resident, the count at last
 // marshal when evicted (exact — an evicted namespace cannot mutate).
 func (e *Entry) Len() int {
-	if f := e.filter.Load(); f != nil {
-		return f.Len()
-	}
-	if w := e.win.Load(); w != nil {
-		return w.Len()
-	}
-	if el := e.el.Load(); el != nil {
-		return el.Len()
+	if r := e.state.Load(); r != nil {
+		return r.f.Len()
 	}
 	return int(e.items.Load())
 }
 
-// Rotate retires the oldest generation (windowed, resident).
-func (e *Entry) Rotate() error {
-	w := e.win.Load()
-	if w == nil {
-		return ErrNotResident
-	}
-	w.Rotate()
-	return nil
-}
-
 // Marshal serializes the resident filter state.
 func (e *Entry) Marshal() ([]byte, error) {
-	if f := e.filter.Load(); f != nil {
-		return f.MarshalBinary()
+	r := e.state.Load()
+	if r == nil {
+		return nil, ErrNotResident
 	}
-	if w := e.win.Load(); w != nil {
-		return w.MarshalBinary()
-	}
-	if el := e.el.Load(); el != nil {
-		return el.MarshalBinary()
-	}
-	return nil, ErrNotResident
+	return r.f.MarshalBinary()
 }
 
 // Stats summarizes the entry for NS_STATS.
@@ -389,12 +337,13 @@ func (e *Entry) Stats() wire.NsStats {
 		memBits *= uint64(e.cfg.Generations)
 	}
 	// An elastic chain's footprint is live state, not config: it grows.
-	if el := e.el.Load(); el != nil {
-		memBits = uint64(el.MemoryBits())
+	// The pinned default has no config, so its footprint is always live.
+	if r := e.state.Load(); r != nil && (r.Elastic != nil || e.pinned) {
+		memBits = uint64(r.f.MemoryBits())
 	}
 	return wire.NsStats{
 		Resident:   e.Resident(),
-		Windowed:   e.cfg.Windowed(),
+		Windowed:   e.Windowed(),
 		Items:      uint64(e.Len()),
 		MemoryBits: memBits,
 		Evictions:  e.evictions.Load(),
@@ -408,6 +357,38 @@ type State struct {
 	Filter  *mpcbf.Sharded
 	Window  *window.Filter
 	Elastic *elastic.Filter
+}
+
+// Filter is the method set the three kinds of state share.
+type Filter interface {
+	Insert(key []byte) error
+	Delete(key []byte) error
+	Contains(key []byte) bool
+	ContainsBatchInto(keys [][]byte, sc *mpcbf.BatchScratch) []bool
+	EstimateCount(key []byte) int
+	Len() int
+	MarshalBinary() ([]byte, error)
+	MemoryBits() int
+}
+
+// resident is a published state together with its filter behind the
+// shared method set, resolved once when the state is published.
+type resident struct {
+	State
+	f Filter
+}
+
+func newResident(st State) *resident {
+	r := &resident{State: st}
+	switch {
+	case st.Filter != nil:
+		r.f = st.Filter
+	case st.Window != nil:
+		r.f = st.Window
+	default:
+		r.f = st.Elastic
+	}
+	return r
 }
 
 // DecodeState decodes exactly n bytes of r as whichever state its leading
@@ -429,21 +410,8 @@ func DecodeState(r io.Reader, n int64) (State, error) {
 	return st, err
 }
 
-// MemoryBits returns the state's filter footprint.
-func (st State) MemoryBits() int {
-	switch {
-	case st.Window != nil:
-		return st.Window.MemoryBits()
-	case st.Elastic != nil:
-		return st.Elastic.MemoryBits()
-	case st.Filter != nil:
-		return st.Filter.MemoryBits()
-	}
-	return 0
-}
-
 // attachFresh builds and attaches empty filter state.
-func (e *Entry) attachFresh(workers int) error {
+func (e *Entry) attachFresh() error {
 	var st State
 	var err error
 	switch {
@@ -455,7 +423,6 @@ func (e *Entry) attachFresh(workers int) error {
 			Generations: e.cfg.Generations,
 			Filter:      e.cfg.filterOptions(),
 			Shards:      e.cfg.Shards,
-			Workers:     workers,
 		})
 	default:
 		st.Filter, err = mpcbf.NewSharded(e.cfg.filterOptions(), e.cfg.Shards)
@@ -479,18 +446,15 @@ func (e *Entry) attach(st State) error {
 	case st.Window == nil && e.cfg.Windowed():
 		return fmt.Errorf("ns %q: non-windowed state for a windowed namespace", e.name)
 	}
-	e.memBytes = int64(st.MemoryBits() / 8)
-	e.filter.Store(st.Filter)
-	e.win.Store(st.Window)
-	e.el.Store(st.Elastic)
+	r := newResident(st)
+	e.memBytes = int64(r.f.MemoryBits() / 8)
+	e.state.Store(r)
 	return nil
 }
 
-func (e *Entry) detach() {
-	e.filter.Store(nil)
-	e.win.Store(nil)
-	e.el.Store(nil)
-}
+// Replace publishes st (exactly one field non-nil) as the pinned default
+// entry's state in one atomic store.
+func (e *Entry) Replace(st State) { e.state.Store(newResident(st)) }
 
 // Options configures a Registry.
 type Options struct {
@@ -499,14 +463,11 @@ type Options struct {
 	// paper's k=3 g=1 geometry, 4 shards).
 	Defaults Config
 	// Quota bounds the summed resident bytes of all named namespaces
-	// (the default namespace is outside the registry). <= 0: unlimited.
+	// (the pinned default is outside it). <= 0: unlimited.
 	Quota int64
 	// IdleAfter is the idle-eviction horizon surfaced via IdleCutoff;
 	// <= 0 disables idle eviction.
 	IdleAfter time.Duration
-	// Workers bounds batch insert fan-out inside windowed namespaces
-	// (window.Options.Workers).
-	Workers int
 	// Save persists an evicted namespace's marshaled state; Load streams
 	// it back into decode (an n-byte reader) and reports decode's error,
 	// or its own when the saved bytes fail their checksum; Remove deletes
@@ -520,11 +481,12 @@ type Options struct {
 	Now func() time.Time
 }
 
-// Registry is the namespace map plus quota accounting. See the package
-// comment for the concurrency contract.
+// Registry is the namespace map plus quota accounting, and the pinned
+// default entry. See the package comment for the concurrency contract.
 type Registry struct {
 	opts Options
 
+	pinned  *Entry
 	mu      sync.RWMutex // guards entries; transitions additionally serialized by the caller
 	entries map[string]*Entry
 
@@ -535,7 +497,8 @@ type Registry struct {
 	rotateKick chan struct{}
 }
 
-// NewRegistry builds an empty registry.
+// NewRegistry builds a registry holding only the pinned default entry,
+// which has no state until the caller Replaces it.
 func NewRegistry(opts Options) *Registry {
 	d := &opts.Defaults
 	if d.MemoryBits == 0 {
@@ -562,8 +525,11 @@ func NewRegistry(opts Options) *Registry {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
+	pinned := newEntry("", Config{})
+	pinned.pinned = true
 	return &Registry{
 		opts:       opts,
+		pinned:     pinned,
 		entries:    make(map[string]*Entry),
 		rotateKick: make(chan struct{}, 1),
 	}
@@ -593,15 +559,26 @@ func (r *Registry) IdleAfter() time.Duration { return r.opts.IdleAfter }
 // namespaces.
 func (r *Registry) ResidentBytes() int64 { return r.residentBytes.Load() }
 
-// Len returns the number of namespaces (resident or evicted).
+// Len returns the number of named namespaces (resident or evicted).
 func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.entries)
 }
 
-// Lookup returns the entry named by name, or nil. Safe anytime.
+// Default returns the pinned default entry.
+func (r *Registry) Default() *Entry { return r.pinned }
+
+// Lookup returns the entry named by name — the pinned default for the
+// empty name, without touching the map — or nil. Safe anytime.
 func (r *Registry) Lookup(name []byte) *Entry {
+	if len(name) == 0 {
+		return r.pinned
+	}
+	return r.named(name)
+}
+
+func (r *Registry) named(name []byte) *Entry {
 	r.mu.RLock()
 	e := r.entries[string(name)]
 	r.mu.RUnlock()
@@ -620,7 +597,7 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// Entries returns all entries, sorted by name.
+// Entries returns all named entries, sorted by name.
 func (r *Registry) Entries() []*Entry {
 	r.mu.RLock()
 	es := make([]*Entry, 0, len(r.entries))
@@ -647,7 +624,7 @@ func (r *Registry) Create(name string, cfg Config) (*Entry, error) {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	e := newEntry(name, cfg)
-	if err := e.attachFresh(r.opts.Workers); err != nil {
+	if err := e.attachFresh(); err != nil {
 		return nil, err
 	}
 	e.Touch(r.Now())
@@ -671,7 +648,7 @@ func (r *Registry) Drop(name []byte) *Entry {
 	}
 	if e.Resident() {
 		r.residentBytes.Add(-e.memBytes)
-		e.detach()
+		e.state.Store(nil)
 	}
 	if err := r.opts.Remove(e.name); err != nil {
 		r.opts.Log.Warn("ns evict file remove failed", "ns", e.name, "error", err)
@@ -692,7 +669,7 @@ func (r *Registry) Evict(e *Entry) error {
 	if err := r.opts.Save(e.name, data); err != nil {
 		return fmt.Errorf("ns %q: save for evict: %w", e.name, err)
 	}
-	e.detach()
+	e.state.Store(nil)
 	r.residentBytes.Add(-e.memBytes)
 	e.evictions.Add(1)
 	r.evictions.Add(1)
@@ -729,13 +706,14 @@ func (r *Registry) Recover(e *Entry) error {
 	return nil
 }
 
-// Rebase recomputes an elastic entry's resident footprint from its live
-// chain — called after growth or a generation import changed the chain's
-// memory — and folds the delta into the registry's resident-bytes
-// accounting. No-op for non-elastic or evicted entries.
+// Rebase recomputes a named elastic entry's resident footprint from its
+// live chain — called after growth or a generation import changed the
+// chain's memory — and folds the delta into the registry's
+// resident-bytes accounting. No-op for the pinned default and for
+// non-elastic or evicted entries.
 func (r *Registry) Rebase(e *Entry) {
-	el := e.el.Load()
-	if el == nil {
+	el := e.Elastic()
+	if el == nil || e.pinned {
 		return
 	}
 	nb := int64(el.MemoryBits() / 8)
@@ -833,7 +811,7 @@ func (r *Registry) InstallSnapshot(name string, cfg Config, st State, items uint
 	return nil
 }
 
-// Reset drops every entry without touching evict files (replica
+// Reset drops every named entry without touching evict files (replica
 // bootstrap wipes the files itself before reinstalling).
 func (r *Registry) Reset() {
 	r.mu.Lock()
@@ -846,13 +824,15 @@ func (r *Registry) Reset() {
 // recovered), so the rotation loop re-evaluates its earliest deadline.
 func (r *Registry) RotateKick() <-chan struct{} { return r.rotateKick }
 
-// KickRotate wakes the rotation loop if e is a resident windowed entry.
+// KickRotate wakes the rotation loop if e is a resident windowed entry,
+// first scheduling its next rotation one period out if it has none.
 func (r *Registry) KickRotate(e *Entry) {
-	if e == nil || !e.Windowed() || e.win.Load() == nil {
+	w := e.Window()
+	if w == nil {
 		return
 	}
 	if e.NextRotate() == 0 {
-		e.SetNextRotate(r.opts.Now().Add(e.Window().RotateEvery()).UnixNano())
+		e.SetNextRotate(r.opts.Now().Add(w.RotateEvery()).UnixNano())
 	}
 	select {
 	case r.rotateKick <- struct{}{}:
@@ -860,18 +840,23 @@ func (r *Registry) KickRotate(e *Entry) {
 	}
 }
 
-// NextRotation returns the resident windowed entry with the earliest
-// rotation deadline, or ok == false when there is none.
+// NextRotation returns the resident windowed entry — the pinned default
+// included — with the earliest rotation deadline, or ok == false when
+// there is none.
 func (r *Registry) NextRotation() (e *Entry, at int64, ok bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, c := range r.entries {
-		if !c.Windowed() || c.win.Load() == nil {
-			continue
+	consider := func(c *Entry) {
+		if c.Window() == nil {
+			return
 		}
 		if t := c.NextRotate(); !ok || t < at {
 			e, at, ok = c, t, true
 		}
+	}
+	consider(r.pinned)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, c := range r.entries {
+		consider(c)
 	}
 	return e, at, ok
 }
@@ -899,8 +884,8 @@ type EntrySnapshot struct {
 	Recoveries  uint64 `json:"recoveries"`
 }
 
-// Snapshot captures every entry plus the aggregate counters, sorted by
-// name.
+// Snapshot captures every named entry plus the aggregate counters,
+// sorted by name.
 func (r *Registry) Snapshot() ([]EntrySnapshot, Totals) {
 	es := r.Entries()
 	t := Totals{
@@ -912,29 +897,24 @@ func (r *Registry) Snapshot() ([]EntrySnapshot, Totals) {
 	}
 	out := make([]EntrySnapshot, 0, len(es))
 	for _, e := range es {
-		resident := e.Resident()
-		if resident {
+		st := e.Stats()
+		if st.Resident {
 			t.Resident++
 		}
-		memBits := uint64(e.cfg.MemoryBits)
-		if e.cfg.Windowed() {
-			memBits *= uint64(e.cfg.Generations)
-		}
 		gens := 0
-		if el := e.el.Load(); el != nil {
-			memBits = uint64(el.MemoryBits())
+		if el := e.Elastic(); el != nil {
 			gens = el.Generations()
 		}
 		out = append(out, EntrySnapshot{
 			Name:        e.name,
-			Items:       uint64(e.Len()),
-			MemoryBytes: memBits / 8,
-			Resident:    resident,
-			Windowed:    e.cfg.Windowed(),
+			Items:       st.Items,
+			MemoryBytes: st.MemoryBits / 8,
+			Resident:    st.Resident,
+			Windowed:    st.Windowed,
 			Elastic:     e.cfg.Elastic,
 			Generations: gens,
-			Evictions:   e.evictions.Load(),
-			Recoveries:  e.recoveries.Load(),
+			Evictions:   st.Evictions,
+			Recoveries:  st.Recoveries,
 		})
 	}
 	return out, t

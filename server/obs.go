@@ -176,10 +176,13 @@ func (s *Server) Snapshot() ServerSnapshot {
 		snap.OpsTotal += n
 	}
 
-	if w := s.store.Window(); w != nil {
+	// One load of the default filter's state: a replica bootstrap may swap
+	// its mode between any two reads.
+	if def := s.store.reg.Default().State(); def.Window != nil {
+		w := def.Window
 		st := w.Stats()
 		snap.Filter = FilterSnapshot{
-			Len:            s.store.Len(),
+			Len:            w.Len(),
 			FillRatio:      w.FillRatio(),
 			SaturatedWords: w.SaturatedWords(),
 			MemoryBits:     w.MemoryBits(),
@@ -198,7 +201,7 @@ func (s *Server) Snapshot() ServerSnapshot {
 			PendingExpiries: st.PendingExpiries,
 			RotationNs:      s.store.RotationHist(),
 		}
-	} else if el := s.store.Elastic(); el != nil {
+	} else if el := def.Elastic; el != nil {
 		st := el.Stats()
 		snap.Filter = FilterSnapshot{
 			Len:            el.Len(),
@@ -224,7 +227,7 @@ func (s *Server) Snapshot() ServerSnapshot {
 		}
 		snap.Elastic = es
 	} else {
-		f := s.store.Filter()
+		f := def.Filter
 		snap.Filter = FilterSnapshot{
 			Len:            f.Len(),
 			FillRatio:      f.FillRatio(),
@@ -244,7 +247,7 @@ func (s *Server) Snapshot() ServerSnapshot {
 		snap.Ring = rs
 	}
 
-	if reg := s.store.Namespaces(); reg != nil && reg.Len() > 0 {
+	if reg := s.store.Namespaces(); reg.Len() > 0 {
 		entries, totals := reg.Snapshot()
 		snap.Namespaces = &NamespacesSnapshot{Totals: totals, Entries: entries}
 	}

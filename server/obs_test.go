@@ -212,6 +212,7 @@ func TestExpvarMatchesProm(t *testing.T) {
 	if err := c.Namespace("drift-ns").InsertBatch(storeKeys("ns-drift", 50)); err != nil {
 		t.Fatal(err)
 	}
+	waitRequests(t, srv, 2)
 
 	ts := httptest.NewServer(srv.HTTPHandler())
 	defer ts.Close()
@@ -318,6 +319,10 @@ func TestDebugRequestsJSON(t *testing.T) {
 	}
 	if _, err := c.Contains([]byte("traced-key")); err != nil {
 		t.Fatal(err)
+	}
+	// The writer records a sampled trace after flushing its response.
+	for deadline := time.Now().Add(5 * time.Second); srv.Tracer().Report().Sampled < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 
 	ts := httptest.NewServer(srv.HTTPHandler())

@@ -75,15 +75,6 @@ func (s *Store) OldestSegment() uint64 {
 	return segs[0]
 }
 
-// MarshalFilter returns a consistent point-in-time encoding of the
-// store's state — sharded or windowed (the DUMP op). Mutations are
-// blocked for the marshal.
-func (s *Store) MarshalFilter() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.marshalLocked()
-}
-
 // ReplicationSnapshot produces a bootstrap payload for a subscriber: a
 // full snapshot is taken (rotating the WAL), and the marshaled filter is
 // returned together with the fresh segment the stream continues from and
@@ -120,7 +111,7 @@ func (s *Store) ReplicaApply(seq uint64, off int64, n uint32, raw []byte) error 
 			}
 			// Mirror the primary's per-segment selection reset: the new
 			// segment opens in the default context on both sides.
-			s.walCtx = nil
+			s.walCtx = s.reg.Default()
 			wsize = 0
 		} else {
 			return fmt.Errorf("server: replica desync: frame (%d, %d), mirror (%d, %d)", seq, off, wseq, wsize)
@@ -226,7 +217,7 @@ func (s *Store) ReplicaBootstrap(seq uint64, cumRecords, cumBytes uint64, data [
 	}
 	nw.setBaseline(cumRecords, cumBytes)
 	s.wal = nw
-	s.walCtx = nil
+	s.walCtx = s.reg.Default()
 	s.reg.Reset()
 	if err := s.installNamespaces(&snap); err != nil {
 		return fmt.Errorf("server: bootstrap: %w", err)
@@ -234,7 +225,7 @@ func (s *Store) ReplicaBootstrap(seq uint64, cumRecords, cumBytes uint64, data [
 	if err := s.reg.EnsureQuota(nil); err != nil {
 		return fmt.Errorf("server: bootstrap namespace quota: %w", err)
 	}
-	s.setState(snap.base)
+	s.reg.Default().Replace(snap.base)
 	s.snapshots.Add(1)
 	s.lastSnapshot.Store(time.Now().UnixNano())
 	return nil

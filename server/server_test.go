@@ -189,6 +189,7 @@ func TestServerHTTPSidecar(t *testing.T) {
 			t.Fatalf("Contains(%q) = %v, %v", k, ok, err)
 		}
 	}
+	waitRequests(t, srv, 26)
 
 	ts := httptest.NewServer(srv.HTTPHandler())
 	defer ts.Close()
@@ -339,6 +340,19 @@ func TestServerGracefulShutdown(t *testing.T) {
 	}
 	if err := store.Snapshot(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// waitRequests blocks until srv has counted n requests. A connection's
+// writer counts a request only after flushing its response, so a client
+// can hold the answer to its last request before that count lands.
+func waitRequests(t *testing.T, srv *Server, n uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); srv.Metrics().TotalOps() < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("server counted %d requests, want %d", srv.Metrics().TotalOps(), n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

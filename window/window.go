@@ -62,9 +62,6 @@ type Options struct {
 	Filter mpcbf.Options
 	// Shards is the per-generation shard count (default 16).
 	Shards int
-	// Workers bounds InsertBatch fan-out inside each generation (0 = one
-	// goroutine per shard). Batch reads run on the calling goroutine.
-	Workers int
 	// Precise enables per-key TTL deletes via the expiry heap.
 	Precise bool
 }
@@ -219,12 +216,12 @@ func (f *Filter) InsertBatch(keys [][]byte) error {
 }
 
 // InsertRotationsBatch adds keys into the generation retired exactly r
-// rotations from now.
+// rotations from now, one goroutine per shard.
 func (f *Filter) InsertRotationsBatch(keys [][]byte, r int) error {
 	r = f.clampRotations(r)
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return f.gens[f.slotFor(r)].InsertBatch(keys, f.opts.Workers)
+	return f.gens[f.slotFor(r)].InsertBatch(keys, 0)
 }
 
 func (f *Filter) clampRotations(r int) int {
