@@ -1,7 +1,7 @@
 // Package ns is mpcbfd's multi-tenant namespace registry: thousands of
-// independently configured MPCBF filters (plain or sliding-window)
-// keyed by name, sharing one daemon, one WAL, and one replication
-// stream.
+// independently configured MPCBF filters (plain, sliding-window or
+// elastic) keyed by name, sharing one daemon, one WAL, and one
+// replication stream.
 //
 // A Registry maps names to Entries. Each Entry owns one filter with its
 // own geometry (memory, k, g, shards, seed) and optional window config,
@@ -10,6 +10,11 @@
 // the namespace and is what the store records in the WAL, so crash
 // recovery and replicas rebuild identical geometry regardless of local
 // defaults.
+//
+// Beside the named entries the registry holds one pinned Entry named
+// "": the store's default filter. Lookup answers it without the map; it
+// has no configuration (its mode is whatever state it holds), is never
+// evicted or touched, and stays outside the quota and every listing.
 //
 // Entries move between two states:
 //
