@@ -35,12 +35,14 @@ race:
 	$(GO) test -race ./...
 
 # race-serving focuses the race detector on the concurrent serving stack
-# (server, replication, clients) without the -short gating CI applies to
-# the full tree, and compiles every CLI (including mpcbf-trace) under
-# the race detector so instrumented builds stay green.
+# (server, replication, clients) and the sharded filter and elastic chain
+# under it, whose batch ops plan on several goroutines while readers hold
+# shard locks (TestBatchInsertConcurrentWithQueries), without the -short
+# gating CI applies to the full tree, and compiles every CLI (including
+# mpcbf-trace) under the race detector so instrumented builds stay green.
 race-serving:
 	$(GO) build -race ./cmd/...
-	$(GO) test -race -count=1 ./server/... ./cluster/... ./client/... ./window/...
+	$(GO) test -race -count=1 . ./elastic ./server/... ./cluster/... ./client/... ./window/...
 
 bench:
 	$(GO) test -run '^$$' -bench 'Ops' -benchtime $(BENCHTIME) .
@@ -102,12 +104,14 @@ bench-saturation:
 	MPCBF_SATURATION_OUT=$(SATURATION_OUT) $(GO) test -run 'TestSaturationReport' -count=1 -v ./server
 	@cat $(SATURATION_OUT)
 
-# fuzz-kernel gives the kernel/generic differential fuzzers a short budget
+# fuzz-kernel gives the kernel/generic differential fuzzers, and the
+# batch-vs-per-key one over kernel and fallback geometries, a short budget
 # each; raise FUZZTIME for longer campaigns.
 FUZZTIME ?= 10s
 fuzz-kernel:
 	$(GO) test -run '^$$' -fuzz FuzzWordKernelVsGeneric -fuzztime $(FUZZTIME) ./internal/hcbf
 	$(GO) test -run '^$$' -fuzz FuzzKernelVsGeneric -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzBatchVsSequential -fuzztime $(FUZZTIME) .
 
 # fuzz-wire hardens the network protocol decoders: malformed request,
 # status, and replication frames must error, never panic.

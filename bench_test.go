@@ -12,13 +12,17 @@ package mpcbf
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/hcbf"
 	"repro/internal/sim"
 )
@@ -429,6 +433,122 @@ func BenchmarkShardedBatchQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.ContainsBatch(keys[:10000], 0)
 	}
+}
+
+// BenchmarkShardedBatchInsertDelete4 is ingest's batch shape: a 4-key
+// InsertBatch and DeleteBatch pair on 16 shards.
+func BenchmarkShardedBatchInsertDelete4(b *testing.B) {
+	keys := microKeys(microN)
+	s, err := NewSharded(Options{MemoryBits: microMem, ExpectedItems: microN}, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := 4 * (i % (microN / 4))
+		batch := keys[lo : lo+4]
+		if err := s.InsertBatch(batch, 0); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.DeleteBatch(batch, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// Beyond L3: lookup's geometry, a 2^30-bit (128 MiB) filter over 16
+// shards loaded with 2^24 keys. Almost every word access misses the
+// caches here, which the 8 MiB benchmarks above never do, so these two
+// measure what batches gain by overlapping their misses. Both report
+// ns/key timed around the filter calls alone (key generation excluded)
+// and are skipped under -short.
+const (
+	beyondL3Mem    = 1 << 30
+	beyondL3Keys   = 1 << 24
+	beyondL3Shards = 16
+	beyondL3Chunk  = 1 << 16 // keys per InsertBatch, as perfbench's preload
+	beyondL3Batch  = 256     // keys per ContainsBatchInto, as lookup's
+)
+
+func newBeyondL3(b *testing.B) (*Sharded, *dataset.Keyspace) {
+	if testing.Short() {
+		b.Skip("128 MiB filter and 2^24 keys")
+	}
+	s, err := NewSharded(Options{MemoryBits: beyondL3Mem, ExpectedItems: beyondL3Keys, Seed: 1}, beyondL3Shards)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ks, err := dataset.NewKeyspace(dataset.KeyspaceConfig{N: 1, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s, ks
+}
+
+// loadBeyondL3 inserts ranks [0, beyondL3Keys) of ks into s and returns
+// the time spent inside InsertBatch.
+func loadBeyondL3(b *testing.B, s *Sharded, ks *dataset.Keyspace) time.Duration {
+	arena := make([]byte, 0, beyondL3Chunk*32)
+	keys := make([][]byte, 0, beyondL3Chunk)
+	var in time.Duration
+	for lo := 0; lo < beyondL3Keys; lo += beyondL3Chunk {
+		arena, keys = arena[:0], keys[:0]
+		for r := lo; r < lo+beyondL3Chunk; r++ {
+			start := len(arena)
+			arena = ks.AppendKey(arena, r)
+			keys = append(keys, arena[start:len(arena):len(arena)])
+		}
+		t0 := time.Now()
+		if err := s.InsertBatch(keys, runtime.GOMAXPROCS(0)); err != nil {
+			b.Fatal(err)
+		}
+		in += time.Since(t0)
+	}
+	return in
+}
+
+func BenchmarkShardedBatchInsertBeyondL3(b *testing.B) {
+	var in time.Duration
+	for i := 0; i < b.N; i++ {
+		s, ks := newBeyondL3(b)
+		in += loadBeyondL3(b, s, ks)
+	}
+	b.ReportMetric(float64(in.Nanoseconds())/float64(b.N)/beyondL3Keys, "ns/key")
+}
+
+func BenchmarkShardedBatchQueryBeyondL3(b *testing.B) {
+	s, ks := newBeyondL3(b)
+	loadBeyondL3(b, s, ks)
+	// Random ranks, half inserted and half never, drawn afresh for every
+	// batch so that no probe pool settles into the caches.
+	rng := rand.New(rand.NewSource(1))
+	arena := make([]byte, 0, beyondL3Batch*32)
+	keys := make([][]byte, beyondL3Batch)
+	var sc BatchScratch
+	var in time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arena = arena[:0]
+		for j := range keys {
+			r := rng.Intn(beyondL3Keys)
+			if j%2 == 1 {
+				r += beyondL3Keys
+			}
+			start := len(arena)
+			arena = ks.AppendKey(arena, r)
+			keys[j] = arena[start:len(arena):len(arena)]
+		}
+		t0 := time.Now()
+		got := s.ContainsBatchInto(keys, &sc)
+		in += time.Since(t0)
+		for j := 0; j < len(got); j += 2 {
+			if !got[j] {
+				b.Fatalf("false negative for %q", keys[j])
+			}
+		}
+	}
+	b.ReportMetric(float64(in.Nanoseconds())/float64(b.N)/beyondL3Batch, "ns/key")
 }
 
 func BenchmarkShardedScalarQueryParallel(b *testing.B) {

@@ -3,9 +3,11 @@ package mpcbf
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/hashing"
 )
 
@@ -227,72 +229,31 @@ func (s *Sharded) FillRatio() float64 {
 	return usedBits / totalBits
 }
 
-// InsertBatch inserts keys in parallel: keys are grouped by shard and the
-// shard groups are processed concurrently (bounded by workers; 0 means one
-// goroutine per shard), so each shard's lock is taken once per batch
-// instead of once per key. Errors are joined; successfully inserted keys
-// stay inserted.
+// InsertBatch inserts keys. The batch is planned outside the shard locks
+// on up to workers goroutines (0 means GOMAXPROCS; a batch smaller than
+// minRunnerKeys per goroutine stays on the caller): every key is hashed
+// to its shard, word and slots, and grouped by shard. The same goroutines
+// then apply it shard by shard, each shard that owns keys taking its lock
+// once and inserting them in batch order. Errors are joined; a shard stops
+// at its first error, and successfully inserted keys stay inserted.
 func (s *Sharded) InsertBatch(keys [][]byte, workers int) error {
-	var g batchGroups
-	g.group(s, keys)
-	errs := make([]error, len(s.shards))
-	s.parallel(workers, func(i int) {
-		idx := g.shard(i)
-		if len(idx) == 0 {
-			return
-		}
-		sh := &s.shards[i]
-		sh.inserts.Add(uint64(len(idx)))
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		inserted := int64(0)
-		for _, ki := range idx {
-			if err := sh.f.Insert(keys[ki]); err != nil {
-				errs[i] = fmt.Errorf("mpcbf: shard %d: %w", i, err)
-				break
-			}
-			inserted++
-		}
-		s.count.Add(inserted)
-	})
-	return errors.Join(errs...)
+	b := &batch{s: s, keys: keys, op: opInsert, errs: make([]error, len(s.shards))}
+	b.run(workers)
+	return errors.Join(b.errs...)
 }
 
-// DeleteBatch removes keys in parallel with the same shard-grouped locking
-// as InsertBatch. Unlike InsertBatch it attempts every key even after a
-// failure: deleting an absent key is a per-key condition, not a filter
-// fault. It returns an order-preserving slice flagging which keys were
-// actually removed plus the joined per-key errors, so callers that must
-// know the durable outcome (the server's write-ahead log) can record
-// exactly the deletes that happened.
+// DeleteBatch removes keys, planned and applied like InsertBatch. Unlike
+// InsertBatch it attempts every key even after a failure: deleting an
+// absent key is a per-key condition, not a filter fault. It returns an
+// order-preserving slice flagging which keys were actually removed plus
+// the joined per-key errors, so callers that must know the durable
+// outcome (the server's write-ahead log) can record exactly the deletes
+// that happened.
 func (s *Sharded) DeleteBatch(keys [][]byte, workers int) ([]bool, error) {
-	var g batchGroups
-	g.group(s, keys)
 	ok := make([]bool, len(keys))
-	errs := make([]error, len(s.shards))
-	s.parallel(workers, func(i int) {
-		idx := g.shard(i)
-		if len(idx) == 0 {
-			return
-		}
-		sh := &s.shards[i]
-		sh.deletes.Add(uint64(len(idx)))
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		deleted := int64(0)
-		var shardErrs []error
-		for _, ki := range idx {
-			if err := sh.f.Delete(keys[ki]); err != nil {
-				shardErrs = append(shardErrs, fmt.Errorf("mpcbf: shard %d key %d: %w", i, ki, err))
-				continue
-			}
-			ok[ki] = true
-			deleted++
-		}
-		errs[i] = errors.Join(shardErrs...)
-		s.count.Add(-deleted)
-	})
-	return ok, errors.Join(errs...)
+	b := &batch{s: s, keys: keys, op: opDelete, out: ok, errs: make([]error, len(s.shards))}
+	b.run(workers)
+	return ok, errors.Join(b.errs...)
 }
 
 // ContainsBatch answers membership for keys, preserving order, into a
@@ -304,12 +265,12 @@ func (s *Sharded) ContainsBatch(keys [][]byte, workers int) []bool {
 }
 
 // BatchScratch is reusable working memory for ContainsBatchInto and
-// ContainsChainInto: the shard grouping of the last batch, its answers,
-// and a chain read's carried keys. The zero value is ready to use; a
-// BatchScratch must not be shared between goroutines.
+// ContainsChainInto: the plan of the last batch, its answers, and a chain
+// read's carried keys. The zero value is ready to use; a BatchScratch
+// must not be shared between goroutines.
 type BatchScratch struct {
-	groups batchGroups
-	out    []bool
+	plan batchPlan
+	out  []bool
 
 	chain   []bool   // ContainsChainInto's answers
 	pending []int    // batch indices a chain read still carries
@@ -317,31 +278,19 @@ type BatchScratch struct {
 }
 
 // ContainsBatchInto answers membership for keys, preserving order, on
-// the calling goroutine: keys are grouped by shard into sc and each
-// shard's read lock is taken once. The returned slice belongs to sc and
-// is overwritten by its next use; with a warmed-up sc the call allocates
-// nothing. A nil sc uses fresh scratch.
+// the calling goroutine: the batch is planned and grouped by shard into
+// sc, then each shard's read lock is taken once. The returned slice
+// belongs to sc and is overwritten by its next use; with a warmed-up sc
+// the call allocates nothing. A nil sc uses fresh scratch.
 func (s *Sharded) ContainsBatchInto(keys [][]byte, sc *BatchScratch) []bool {
 	if sc == nil {
 		sc = new(BatchScratch)
 	}
-	sc.groups.group(s, keys)
-	out := grow(sc.out, len(keys))
-	sc.out = out
-	for i := range s.shards {
-		idx := sc.groups.shard(i)
-		if len(idx) == 0 {
-			continue
-		}
-		sh := &s.shards[i]
-		sh.queries.Add(uint64(len(idx)))
-		sh.mu.RLock()
-		for _, ki := range idx {
-			out[ki] = sh.f.Contains(keys[ki])
-		}
-		sh.mu.RUnlock()
-	}
-	return out
+	sc.out = grow(sc.out, len(keys))
+	b := batch{s: s, keys: keys, op: opContains, p: sc.plan, out: sc.out}
+	b.serial()
+	sc.plan = b.p
+	return sc.out
 }
 
 // ContainsChainInto answers membership for keys, preserving order,
@@ -378,47 +327,198 @@ func ContainsChainInto(n int, gen func(i int) *Sharded, keys [][]byte, sc *Batch
 	return out
 }
 
-// batchGroups is a batch grouped by owning shard with one stable
-// counting sort: shard i owns keys[idx[end[i-1]:end[i]]] (end[-1] = 0),
-// in batch order, so per-shard application order matches the batch.
-type batchGroups struct {
-	owner []int // owner[k]: shard of keys[k]
-	idx   []int
+// minRunnerKeys is the smallest share of a batch worth a goroutine of its
+// own: below it, starting and joining the goroutine costs more than the
+// share's hashing and applying (measured in DESIGN.md §8, "Batch kernel").
+const minRunnerKeys = 1024
+
+type batchOp uint8
+
+const (
+	opInsert batchOp = iota
+	opDelete
+	opContains
+)
+
+// batch is one batch op on s in flight: its keys, their plan, and what
+// applying them reports — per-key delete flags or answers in out, in
+// batch order, and each shard's error in errs.
+type batch struct {
+	s       *Sharded
+	keys    [][]byte
+	op      batchOp
+	p       batchPlan
+	out     []bool
+	errs    []error
+	claimed atomic.Int64 // shards claimed for applying so far
+}
+
+// batchPlan is the working memory of a planned batch. Every key's plan
+// is tagged with its batch index and grouped by shard with one stable
+// counting sort, so shard i applies plans[end[i-1]:end[i]] (end[-1] = 0)
+// in batch order.
+type batchPlan struct {
+	owner []int32 // owner[k]: shard of keys[k]
+	plans []core.Plan
+	ints  []int
+	count []int // count[r*shards+i]: keys of runner r's share in shard i
+	next  []int // next[r*shards+i]: where runner r places its next key of shard i
 	end   []int
 }
 
-func (g *batchGroups) group(s *Sharded, keys [][]byte) {
-	s.ensureInit()
-	n := len(s.shards)
-	g.owner = grow(g.owner, len(keys))
-	g.idx = grow(g.idx, len(keys))
-	g.end = grow(g.end, n)
-	clear(g.end)
-	for k, key := range keys {
-		o := s.pick.NewIndexStream(key).Word(0, n)
-		g.owner[k] = o
-		g.end[o]++
+func (p *batchPlan) size(keys, shards, runners int) {
+	p.owner = grow(p.owner, keys)
+	p.plans = grow(p.plans, keys)
+	rs := runners * shards
+	p.ints = grow(p.ints, 2*rs+shards)
+	p.count, p.next, p.end = p.ints[:rs], p.ints[rs:2*rs], p.ints[2*rs:]
+}
+
+// run plans and applies b on up to workers goroutines, the caller
+// running one share. Every runner hashes its contiguous share of the
+// keys to shards, places their plans once all shares are counted, and
+// then claims whole shards to apply until none is left.
+func (b *batch) run(workers int) {
+	r := len(b.keys) / minRunnerKeys
+	if r > 1 {
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		r = min(r, workers)
 	}
-	// end[i] becomes the start of shard i, then advances to its end as
-	// the shard's keys are placed.
-	at := 0
-	for i, c := range g.end {
-		g.end[i] = at
-		at += c
+	if r <= 1 {
+		b.serial()
+		return
 	}
-	for k, o := range g.owner {
-		g.idx[g.end[o]] = k
-		g.end[o]++
+	b.s.ensureInit()
+	b.p.size(len(b.keys), len(b.s.shards), r)
+	var counted, placed, done sync.WaitGroup
+	counted.Add(r)
+	placed.Add(r)
+	done.Add(r - 1)
+	work := func(q int) {
+		b.tally(q, r)
+		counted.Done()
+		counted.Wait()
+		b.place(q, r)
+		placed.Done()
+		placed.Wait()
+		for i := int(b.claimed.Add(1)) - 1; i < len(b.s.shards); i = int(b.claimed.Add(1)) - 1 {
+			b.apply(i)
+		}
+	}
+	for q := 1; q < r; q++ {
+		go func() {
+			defer done.Done()
+			work(q)
+		}()
+	}
+	work(0)
+	done.Wait()
+}
+
+// serial plans and applies b on the calling goroutine.
+func (b *batch) serial() {
+	b.s.ensureInit()
+	b.p.size(len(b.keys), len(b.s.shards), 1)
+	b.tally(0, 1)
+	b.place(0, 1)
+	for i := range b.s.shards {
+		b.apply(i)
 	}
 }
 
-// shard returns the indices of shard i's keys.
-func (g *batchGroups) shard(i int) []int {
+// share returns the bounds of runner r's share of n keys.
+func share(r, runners, n int) (lo, hi int) {
+	return r * n / runners, (r + 1) * n / runners
+}
+
+// tally hashes runner r's share of the keys to their shards and counts
+// them per shard.
+func (b *batch) tally(r, runners int) {
+	n := len(b.s.shards)
+	count := b.p.count[r*n : (r+1)*n]
+	clear(count)
+	lo, hi := share(r, runners, len(b.keys))
+	for k := lo; k < hi; k++ {
+		o := b.s.pick.NewIndexStream(b.keys[k]).Word(0, n)
+		b.p.owner[k] = int32(o)
+		count[o]++
+	}
+}
+
+// place plans runner r's share of the keys into their shards' ranges
+// once every share is counted: shard i's range starts after the shards
+// before it, and runner r's keys of shard i after those of the runners
+// before r, so each shard's plans stay in batch order.
+func (b *batch) place(r, runners int) {
+	n, p := len(b.s.shards), &b.p
+	next := p.next[r*n : (r+1)*n]
+	at := 0
+	for i := range next {
+		next[i] = at
+		for q := 0; q < runners; q++ {
+			if q < r {
+				next[i] += p.count[q*n+i]
+			}
+			at += p.count[q*n+i]
+		}
+		if r == 0 {
+			p.end[i] = at
+		}
+	}
+	lo, hi := share(r, runners, len(b.keys))
+	for k := lo; k < hi; k++ {
+		o := p.owner[k]
+		p.plans[next[o]] = b.s.shards[o].f.f.Plan(b.keys[k], k)
+		next[o]++
+	}
+}
+
+// apply applies shard i's plans under its lock, once.
+func (b *batch) apply(i int) {
 	lo := 0
 	if i > 0 {
-		lo = g.end[i-1]
+		lo = b.p.end[i-1]
 	}
-	return g.idx[lo:g.end[i]]
+	ps := b.p.plans[lo:b.p.end[i]]
+	if len(ps) == 0 {
+		return
+	}
+	sh := &b.s.shards[i]
+	f := sh.f.f
+	switch b.op {
+	case opInsert:
+		sh.inserts.Add(uint64(len(ps)))
+		sh.mu.Lock()
+		n, err := f.InsertPlans(ps, b.keys)
+		sh.mu.Unlock()
+		b.s.count.Add(int64(n))
+		if err != nil {
+			b.errs[i] = fmt.Errorf("mpcbf: shard %d: %w", i, err)
+		}
+	case opDelete:
+		sh.deletes.Add(uint64(len(ps)))
+		sh.mu.Lock()
+		n := f.DeletePlans(ps, b.keys, b.out)
+		sh.mu.Unlock()
+		b.s.count.Add(-int64(n))
+		if n == len(ps) {
+			return
+		}
+		var errs []error
+		for _, p := range ps {
+			if !b.out[p.Tag] {
+				errs = append(errs, fmt.Errorf("mpcbf: shard %d key %d: %w", i, p.Tag, core.ErrUnderflow))
+			}
+		}
+		b.errs[i] = errors.Join(errs...)
+	case opContains:
+		sh.queries.Add(uint64(len(ps)))
+		sh.mu.RLock()
+		f.ContainsPlans(ps, b.keys, b.out)
+		sh.mu.RUnlock()
+	}
 }
 
 // grow returns b resized to n elements, reusing its array when it fits.
@@ -427,25 +527,6 @@ func grow[T any](b []T, n int) []T {
 		return make([]T, n)
 	}
 	return b[:n]
-}
-
-// parallel runs fn(i) for every shard index with bounded concurrency.
-func (s *Sharded) parallel(workers int, fn func(i int)) {
-	if workers <= 0 || workers > len(s.shards) {
-		workers = len(s.shards)
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
 }
 
 // Reset clears every shard.

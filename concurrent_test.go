@@ -209,7 +209,8 @@ func TestBatchInsertConcurrentWithQueries(t *testing.T) {
 			s.ContainsBatch(in[:200], 2)
 		}
 	}()
-	if err := s.InsertBatch(in, 0); err != nil {
+	// Four workers plan and apply in parallel whatever GOMAXPROCS is.
+	if err := s.InsertBatch(in, 4); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -392,6 +393,35 @@ func TestContainsBatchInto(t *testing.T) {
 	}
 	if got := s.ContainsBatchInto(probe, nil); len(got) != len(probe) {
 		t.Fatal("nil scratch")
+	}
+}
+
+// TestSmallBatchAllocs pins what a small mutation batch costs: ingest
+// sends a 4-key DELETE_BATCH with every request. Such a batch is planned
+// and applied on the calling goroutine, so its only allocations are its
+// working memory (and DeleteBatch's flags); a goroutine per shard would
+// add at least 16.
+func TestSmallBatchAllocs(t *testing.T) {
+	s, err := NewSharded(Options{MemoryBits: 1 << 20, ExpectedItems: 10000, Seed: 3}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := apiKeys("small", 4)
+	ins := testing.AllocsPerRun(100, func() {
+		if err := s.InsertBatch(keys, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	del := testing.AllocsPerRun(100, func() {
+		if _, err := s.DeleteBatch(keys, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if ins > 5 || del > 6 {
+		t.Fatalf("4-key InsertBatch %.0f allocs, DeleteBatch %.0f; want at most 5 and 6", ins, del)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d after balanced batches", s.Len())
 	}
 }
 

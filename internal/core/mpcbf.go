@@ -529,17 +529,22 @@ func (f *Filter) Contains(key []byte) bool {
 }
 
 // ContainsBatch answers membership for every key of keys, writing the
-// results into dst (grown when too small) and returning it. Batching
-// amortizes per-call overhead — geometry and saturation state stay hot
-// across keys, and a reused dst keeps the loop allocation-free — which is
-// the single-threaded counterpart of Sharded.ContainsBatch.
+// results into dst (grown when too small) and returning it; a reused dst
+// keeps the loop allocation-free. It plans eight keys at a time and
+// probes them through ContainsPlans, so on the kernel geometry their word
+// loads overlap — the single-threaded counterpart of Sharded.ContainsBatch.
 func (f *Filter) ContainsBatch(keys [][]byte, dst []bool) []bool {
 	if cap(dst) < len(keys) {
 		dst = make([]bool, len(keys))
 	}
 	dst = dst[:len(keys)]
-	for i, k := range keys {
-		dst[i] = f.Contains(k)
+	var ps [planBlock]Plan
+	for lo := 0; lo < len(keys); lo += planBlock {
+		blk := keys[lo:min(lo+planBlock, len(keys))]
+		for i, k := range blk {
+			ps[i] = f.Plan(k, i)
+		}
+		f.ContainsPlans(ps[:len(blk)], blk, dst[lo:])
 	}
 	return dst
 }

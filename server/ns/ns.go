@@ -274,7 +274,8 @@ func (e *Entry) Delete(key []byte) error {
 	return r.f.Delete(key)
 }
 
-// InsertBatch adds keys, one goroutine per shard.
+// InsertBatch adds keys: planned outside the shard locks, then applied
+// taking each shard's lock once (mpcbf.Sharded.InsertBatch).
 func (e *Entry) InsertBatch(keys [][]byte) error {
 	r := e.state.Load()
 	switch {

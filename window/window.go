@@ -216,7 +216,8 @@ func (f *Filter) InsertBatch(keys [][]byte) error {
 }
 
 // InsertRotationsBatch adds keys into the generation retired exactly r
-// rotations from now, one goroutine per shard.
+// rotations from now, taking each of its shard locks once
+// (mpcbf.Sharded.InsertBatch).
 func (f *Filter) InsertRotationsBatch(keys [][]byte, r int) error {
 	r = f.clampRotations(r)
 	f.mu.RLock()
