@@ -121,11 +121,13 @@ fuzz-wire:
 	$(GO) test -run '^$$' -fuzz FuzzRepFrameRoundTrip -fuzztime $(FUZZTIME) ./server/wire
 
 # fuzz-snapshot hardens the snapshot decoders (reached over the network
-# by IMPORT and replica bootstrap): malformed filter and elastic-chain
-# encodings must error, never panic or allocate past their input.
+# by IMPORT, replica bootstrap and namespace containers): malformed
+# filter, elastic-chain and window encodings must error, never panic or
+# allocate past their input.
 fuzz-snapshot:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalFilter$$' -fuzztime $(FUZZTIME) ./elastic
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalFilter$$' -fuzztime $(FUZZTIME) ./window
 
 # serve runs the mpcbfd daemon with a local data dir; MPCBFD_FLAGS adds
 # extra flags (e.g. MPCBFD_FLAGS='-fsync interval -shards 32').

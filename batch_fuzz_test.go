@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -67,23 +68,57 @@ func errText(err error) string {
 	return err.Error()
 }
 
+// batchFuzzChain is the chain layout: three generations, oldest first,
+// of the kernel, g=2 and generic layouts of batchFuzzGeometries.
+var batchFuzzChain = []int{0, 3, 5}
+
+// errFuzzAbsent is the fuzzed chains' absent-key error.
+var errFuzzAbsent = errors.New("fuzz: delete of key absent from every generation")
+
+// fuzzFilter is the op set FuzzBatchVsSequential drives, on a Sharded or
+// a Chain.
+type fuzzFilter interface {
+	InsertBatch(keys [][]byte, workers int) error
+	DeleteBatch(keys [][]byte, workers int) ([]bool, error)
+	ContainsBatchInto(keys [][]byte, sc *BatchScratch) []bool
+	Insert(key []byte) error
+	Delete(key []byte) error
+	Contains(key []byte) bool
+}
+
+// generations returns f's generations, oldest first: f itself for a
+// Sharded.
+func generations(f fuzzFilter) []*Sharded {
+	if s, ok := f.(*Sharded); ok {
+		return []*Sharded{s}
+	}
+	var gens []*Sharded
+	f.(*Chain).View(func(g []*Sharded) { gens = append(gens, g...) })
+	return gens
+}
+
 // FuzzBatchVsSequential decodes a tape into batches and applies each one
 // three ways: through InsertBatch, DeleteBatch and ContainsBatchInto on
-// one filter; through per-key Insert, Delete and Contains in shard order
-// on a twin; and, for reads, through ContainsChainInto behind an empty
-// generation. Every path must agree on MarshalBinary bytes, Len,
-// SaturatedWords, OverflowEvents, errors and flags after every batch.
+// one filter; through per-key Insert, Delete and Contains on a twin; and,
+// as write-ahead-log replay does, through the same insert batches but
+// only the deletes that succeeded on a replay twin. A filter is one of
+// batchFuzzGeometries or a chain of three (batchFuzzChain). The filter
+// and both twins must agree on every generation's MarshalBinary bytes,
+// Len, SaturatedWords and OverflowEvents after every batch, and the batch
+// ops with the per-key ones on errors and flags. Reads of a plain layout
+// also run through a chain, behind an empty generation.
 //
-// Tape: geom picks a layout from batchFuzzGeometries and an overflow
-// policy. Each batch is a header byte — op in bits 7-6 (0 and 3 insert, 1
-// delete, 2 contains), bit 5 repeats the batch to 3*minRunnerKeys keys or
-// more so that it fans out over three goroutines (at most
-// maxFanOutBatches times a tape), bits 4-0 the key count — then one byte
-// per key, of which the low six bits name it. Tapes are cut at
-// maxBatchTape bytes to keep every run short.
+// Tape: geom picks a layout and an overflow policy. Each batch is a
+// header byte — op in bits 7-6 (0 insert, 1 delete, 2 contains, 3 insert
+// or, on a chain, rotate it: its oldest generation becomes the newest),
+// bit 5 repeats the batch to 3*minRunnerKeys keys or more so that it fans
+// out over three goroutines (at most maxFanOutBatches times a tape), bits
+// 4-0 the key count — then one byte per key, of which the low six bits
+// name it. Tapes are cut at maxBatchTape bytes to keep every run short.
 func FuzzBatchVsSequential(f *testing.F) {
+	layouts := len(batchFuzzGeometries) + 1
 	rng := rand.New(rand.NewSource(1))
-	for g := 0; g < 2*len(batchFuzzGeometries); g++ {
+	for g := 0; g < 2*layouts; g++ {
 		for i := 0; i < 3; i++ {
 			tape := make([]byte, 64+rng.Intn(192))
 			rng.Read(tape)
@@ -91,13 +126,33 @@ func FuzzBatchVsSequential(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, geom uint8, tape []byte) {
-		cfg := batchFuzzGeometries[int(geom)%len(batchFuzzGeometries)]
-		cfg.Seed = uint32(geom)
-		if int(geom)/len(batchFuzzGeometries)%2 == 0 {
-			cfg.Overflow = core.OverflowSaturate
+		layout := int(geom) % layouts
+		build := func() fuzzFilter {
+			// cfg is layout g's configuration for generation i.
+			cfg := func(g, i int) core.Config {
+				c := batchFuzzGeometries[g]
+				c.Seed = uint32(geom) + uint32(i)
+				if int(geom)/layouts%2 == 0 {
+					c.Overflow = core.OverflowSaturate
+				}
+				return c
+			}
+			if layout < len(batchFuzzGeometries) {
+				return newFuzzSharded(t, cfg(layout, 0))
+			}
+			gens := make([]*Sharded, len(batchFuzzChain))
+			for i, g := range batchFuzzChain {
+				gens[i] = newFuzzSharded(t, cfg(g, i))
+			}
+			return NewChain(errFuzzAbsent, gens...)
 		}
-		batched, seq, empty := newFuzzSharded(t, cfg), newFuzzSharded(t, cfg), newFuzzSharded(t, cfg)
+		batched, seq, replay := build(), build(), build()
+		plain, isPlain := batched.(*Sharded)
 		var sc, chainSc BatchScratch
+		var readChain *Chain
+		if isPlain {
+			readChain = NewChain(errFuzzAbsent, plain, newFuzzSharded(t, batchFuzzGeometries[layout]))
+		}
 		tape = tape[:min(len(tape), maxBatchTape)]
 		fanOuts := 0
 		for step := 0; len(tape) > 0; step++ {
@@ -116,9 +171,14 @@ func FuzzBatchVsSequential(f *testing.F) {
 				}
 				workers = 3
 			}
-			idx, owner := shardOrder(seq, keys)
-			switch h >> 6 {
-			case 0, 3:
+			gens := generations(seq)
+			idx, owner := shardOrder(gens[len(gens)-1], keys)
+			switch op := h >> 6; {
+			case op == 3 && !isPlain:
+				for _, c := range []fuzzFilter{batched, seq, replay} {
+					c.(*Chain).Update(func(g []*Sharded) []*Sharded { return append(g[1:], g[0]) })
+				}
+			case op == 0 || op == 3:
 				got := batched.InsertBatch(keys, workers)
 				var errs []error
 				stopped := -1
@@ -134,44 +194,77 @@ func FuzzBatchVsSequential(f *testing.F) {
 				if want := errors.Join(errs...); errText(got) != errText(want) {
 					t.Fatalf("step %d: InsertBatch error %q, key by key %q", step, errText(got), errText(want))
 				}
-			case 1:
+				if err := replay.InsertBatch(keys, workers); errText(err) != errText(got) {
+					t.Fatalf("step %d: replayed InsertBatch error %q, live %q", step, errText(err), errText(got))
+				}
+			case op == 1:
 				gotOK, got := batched.DeleteBatch(keys, workers)
 				wantOK := make([]bool, len(keys))
-				var errs, shardErrs []error
-				for j, k := range idx {
-					if err := seq.Delete(keys[k]); err != nil {
-						shardErrs = append(shardErrs, fmt.Errorf("mpcbf: shard %d key %d: %w", owner[j], k, err))
-					} else {
-						wantOK[k] = true
+				var want error
+				if isPlain {
+					var errs, shardErrs []error
+					for j, k := range idx {
+						if err := seq.Delete(keys[k]); err != nil {
+							shardErrs = append(shardErrs, fmt.Errorf("mpcbf: shard %d key %d: %w", owner[j], k, err))
+						} else {
+							wantOK[k] = true
+						}
+						if j == len(idx)-1 || owner[j+1] != owner[j] {
+							errs = append(errs, errors.Join(shardErrs...))
+							shardErrs = nil
+						}
 					}
-					if j == len(idx)-1 || owner[j+1] != owner[j] {
-						errs = append(errs, errors.Join(shardErrs...))
-						shardErrs = nil
+					want = errors.Join(errs...)
+				} else {
+					for k, key := range keys {
+						err := seq.Delete(key)
+						if err != nil && !errors.Is(err, errFuzzAbsent) {
+							t.Fatalf("step %d: chain Delete of key %d: %v", step, k, err)
+						}
+						wantOK[k] = err == nil
 					}
 				}
-				if want := errors.Join(errs...); errText(got) != errText(want) {
+				if errText(got) != errText(want) {
 					t.Fatalf("step %d: DeleteBatch error %q, key by key %q", step, errText(got), errText(want))
 				}
+				var logged [][]byte
 				for k := range keys {
 					if gotOK[k] != wantOK[k] {
 						t.Fatalf("step %d: DeleteBatch flag %d = %v, key by key %v", step, k, gotOK[k], wantOK[k])
 					}
+					if gotOK[k] {
+						logged = append(logged, keys[k])
+					}
 				}
-			case 2:
+				ok, _ := replay.DeleteBatch(logged, 0)
+				if i := slices.Index(ok, false); i >= 0 {
+					t.Fatalf("step %d: replayed delete of logged key %d failed", step, i)
+				}
+			case op == 2:
 				got := batched.ContainsBatchInto(keys, &sc)
-				chain := ContainsChainInto(2, func(i int) *Sharded { return []*Sharded{empty, batched}[i] }, keys, &chainSc)
-				single := batched.shards[0].f.ContainsBatch(keys, nil)
+				var chain []bool
+				if isPlain {
+					chain = readChain.ContainsBatchInto(keys, &chainSc)
+				}
 				for k, key := range keys {
 					want := seq.Contains(key)
-					if got[k] != want || chain[k] != want {
-						t.Fatalf("step %d: key %d: ContainsBatchInto %v, ContainsChainInto %v, Contains %v", step, k, got[k], chain[k], want)
+					if got[k] != want || (isPlain && chain[k] != want) {
+						t.Fatalf("step %d: key %d: ContainsBatchInto %v, chain %v, Contains %v", step, k, got[k], chain, want)
 					}
-					if w := batched.shards[0].f.Contains(key); single[k] != w {
-						t.Fatalf("step %d: key %d: MPCBF.ContainsBatch %v, Contains %v", step, k, single[k], w)
+				}
+				if isPlain {
+					single := plain.shards[0].f.ContainsBatch(keys, nil)
+					for k, key := range keys {
+						if w := plain.shards[0].f.Contains(key); single[k] != w {
+							t.Fatalf("step %d: key %d: MPCBF.ContainsBatch %v, Contains %v", step, k, single[k], w)
+						}
 					}
 				}
 			}
-			checkTwinSharded(t, fmt.Sprintf("step %d", step), batched, seq)
+			for i, g := range generations(batched) {
+				checkTwinSharded(t, fmt.Sprintf("step %d: generation %d: per key", step, i), g, generations(seq)[i])
+				checkTwinSharded(t, fmt.Sprintf("step %d: generation %d: replayed", step, i), g, generations(replay)[i])
+			}
 		}
 	})
 }

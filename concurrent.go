@@ -264,15 +264,15 @@ func (s *Sharded) ContainsBatch(keys [][]byte, workers int) []bool {
 	return s.ContainsBatchInto(keys, nil)
 }
 
-// BatchScratch is reusable working memory for ContainsBatchInto and
-// ContainsChainInto: the plan of the last batch, its answers, and a chain
+// BatchScratch is reusable working memory for the ContainsBatchInto of
+// Sharded and Chain: the plan of the last batch, its answers, and a chain
 // read's carried keys. The zero value is ready to use; a BatchScratch
 // must not be shared between goroutines.
 type BatchScratch struct {
 	plan batchPlan
 	out  []bool
 
-	chain   []bool   // ContainsChainInto's answers
+	chain   []bool   // a chain read's answers
 	pending []int    // batch indices a chain read still carries
 	sub     [][]byte // their keys
 }
@@ -291,40 +291,6 @@ func (s *Sharded) ContainsBatchInto(keys [][]byte, sc *BatchScratch) []bool {
 	b.serial()
 	sc.plan = b.p
 	return sc.out
-}
-
-// ContainsChainInto answers membership for keys, preserving order,
-// against a chain of n filters probed gen(0) first: a key is present
-// when any filter holds it, and only keys not yet found carry over to
-// the next filter, so a batch of recent keys costs one pass over a
-// newest-first chain. Windowed and elastic filters read through it. The
-// result belongs to sc, as for ContainsBatchInto.
-func ContainsChainInto(n int, gen func(i int) *Sharded, keys [][]byte, sc *BatchScratch) []bool {
-	if sc == nil {
-		sc = new(BatchScratch)
-	}
-	out := grow(sc.chain, len(keys))
-	clear(out)
-	pending := grow(sc.pending, len(keys))
-	for i := range pending {
-		pending[i] = i
-	}
-	sub := append(sc.sub[:0], keys...)
-	sc.chain, sc.pending, sc.sub = out, pending, sub
-	for i := 0; i < n && len(sub) > 0; i++ {
-		m := 0
-		for j, ok := range gen(i).ContainsBatchInto(sub, sc) {
-			if ok {
-				out[pending[j]] = true
-			} else {
-				pending[m], sub[m] = pending[j], sub[j]
-				m++
-			}
-		}
-		pending, sub = pending[:m], sub[:m]
-	}
-	clear(sc.sub) // hold no references to the caller's keys
-	return out
 }
 
 // minRunnerKeys is the smallest share of a batch worth a goroutine of its

@@ -424,51 +424,3 @@ func TestSmallBatchAllocs(t *testing.T) {
 		t.Fatalf("Len = %d after balanced batches", s.Len())
 	}
 }
-
-// TestContainsChainInto checks a chain read against the OR of scalar
-// probes over batches resolved by the first filter, by a later one, or
-// by none, sharing one scratch; the scratch keeps no key references and,
-// warmed up, makes the call allocation-free.
-func TestContainsChainInto(t *testing.T) {
-	chain := make([]*Sharded, 3)
-	var probe [][]byte
-	for i := range chain {
-		s, err := NewSharded(Options{MemoryBits: 1 << 16, ExpectedItems: 500, Seed: uint32(20 + i)}, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := apiKeys(fmt.Sprintf("chain-%d", i), 500)
-		if err := s.InsertBatch(in, 0); err != nil {
-			t.Fatal(err)
-		}
-		chain[i] = s
-		probe = append(probe, in[:100]...)
-	}
-	probe = append(probe, apiKeys("chain-absent", 100)...)
-	gen := func(i int) *Sharded { return chain[i] }
-	var sc BatchScratch
-	for _, n := range []int{len(probe), 0, 150, len(probe)} {
-		batch := probe[len(probe)-n:]
-		got := ContainsChainInto(len(chain), gen, batch, &sc)
-		if len(got) != n {
-			t.Fatalf("batch %d: %d answers", n, len(got))
-		}
-		for i, k := range batch {
-			want := chain[0].Contains(k) || chain[1].Contains(k) || chain[2].Contains(k)
-			if got[i] != want {
-				t.Fatalf("batch %d: answer %d = %v, want %v", n, i, got[i], want)
-			}
-			if len(probe)-n+i < 300 && !got[i] {
-				t.Fatalf("batch %d: false negative at %d", n, i)
-			}
-		}
-		for _, k := range sc.sub[:cap(sc.sub)] {
-			if k != nil {
-				t.Fatal("scratch still references a key")
-			}
-		}
-	}
-	if avg := testing.AllocsPerRun(50, func() { ContainsChainInto(len(chain), gen, probe, &sc) }); avg != 0 {
-		t.Fatalf("ContainsChainInto with warm scratch: %.1f allocs/op, want 0", avg)
-	}
-}

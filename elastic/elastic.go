@@ -1,7 +1,8 @@
 // Package elastic implements generational capacity growth for the
-// sharded MPCBF: a Filter is a chain of fixed-geometry generations
-// where inserts always go to the newest generation (the head), lookups
-// OR the chain newest-first, and a fresh head with geometrically
+// sharded MPCBF: a Filter is an mpcbf.Chain of fixed-geometry
+// generations where inserts always go to the newest generation (the
+// head), lookups OR the chain newest-first, deletes go to the newest
+// generation where they succeed, and a fresh head with geometrically
 // scaled capacity is sealed on top whenever the current head fills.
 //
 // The chain keeps a bounded false positive rate the same way scalable
@@ -31,7 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	mpcbf "repro"
@@ -121,9 +122,8 @@ func analyticFPR(o mpcbf.Options, n int) float64 {
 	return d.FPR(n)
 }
 
-// generation is one link of the chain.
+// generation describes one link of the chain beside its filter.
 type generation struct {
-	f *mpcbf.Sharded
 	// capacity is the expected-item target that seals the generation
 	// when it is the head (0 for imported generations).
 	capacity int
@@ -144,16 +144,23 @@ type generation struct {
 
 const importedGrowIdx = ^uint32(0)
 
-// Filter is a growable chain of Sharded MPCBF generations. Safe for
-// concurrent use: the chain structure is guarded here, per-key
-// operations by each generation's own shard locks.
+// errAbsent is Delete's error for a key no generation holds.
+var errAbsent = errors.New("elastic: delete of absent key")
+
+// Filter is a growable chain of Sharded MPCBF generations: lookups,
+// deletes and batches are the embedded chain's, and Filter adds the
+// growth schedule. Safe for concurrent use: the chain's ops take its
+// read lock, per-key operations each generation's own shard locks; only
+// Grow, ImportGeneration and Reset take the write lock.
 type Filter struct {
+	*mpcbf.Chain
 	opts Options
 
-	mu    sync.RWMutex
-	gens  []*generation // gens[len-1] is the head (insert target)
-	grows uint32        // grown generations ever created (head growIdx+1)
-
+	// gens describes the chain's generations, oldest first; the last is
+	// the head (insert target). It, grows and imports change only under
+	// the chain's write lock.
+	gens    []*generation
+	grows   uint32 // grown generations ever created (head growIdx+1)
 	imports uint64 // ImportGeneration calls absorbed
 }
 
@@ -162,13 +169,13 @@ func New(opts Options) (*Filter, error) {
 	if err := opts.setDefaults(); err != nil {
 		return nil, err
 	}
-	f := &Filter{opts: opts}
-	g, err := f.buildGeneration(0)
+	f := &Filter{opts: opts, grows: 1}
+	s, g, err := f.buildGeneration(0)
 	if err != nil {
 		return nil, err
 	}
+	f.Chain = mpcbf.NewChain(errAbsent, s)
 	f.gens = []*generation{g}
-	f.grows = 1
 	return f, nil
 }
 
@@ -228,160 +235,19 @@ func (f *Filter) geometryFor(i uint32) (cfg mpcbf.Options, capacity int, budget 
 // maxHashFunctions caps the per-generation optimal-k search.
 const maxHashFunctions = 8
 
-func (f *Filter) buildGeneration(i uint32) (*generation, error) {
+func (f *Filter) buildGeneration(i uint32) (*mpcbf.Sharded, *generation, error) {
 	cfg, capacity, budget := f.geometryFor(i)
 	s, err := mpcbf.NewSharded(cfg, f.opts.Shards)
 	if err != nil {
-		return nil, fmt.Errorf("elastic: generation %d: %w", i, err)
+		return nil, nil, fmt.Errorf("elastic: generation %d: %w", i, err)
 	}
-	return &generation{f: s, capacity: capacity, budget: budget, growIdx: i}, nil
-}
-
-func (f *Filter) head() *generation { return f.gens[len(f.gens)-1] }
-
-// Insert adds key to the head generation. It never grows the chain;
-// check NeedsGrow and call Grow (logging it) afterwards.
-func (f *Filter) Insert(key []byte) error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.head().f.Insert(key)
-}
-
-// InsertBatch adds keys to the head generation using up to workers
-// goroutines.
-func (f *Filter) InsertBatch(keys [][]byte, workers int) error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.head().f.InsertBatch(keys, workers)
-}
-
-// Contains ORs the chain newest-first: the head holds the hottest keys,
-// so most positives resolve on the first probe.
-func (f *Filter) Contains(key []byte) bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	for i := len(f.gens) - 1; i >= 0; i-- {
-		if f.gens[i].f.Contains(key) {
-			return true
-		}
-	}
-	return false
-}
-
-// ContainsBatch answers membership for keys, order-preserving, into a
-// fresh slice (ContainsBatchInto with fresh scratch).
-func (f *Filter) ContainsBatch(keys [][]byte) []bool {
-	return f.ContainsBatchInto(keys, nil)
-}
-
-// ContainsBatchInto answers membership for keys, order-preserving, on
-// the calling goroutine, carrying only unresolved keys to older
-// generations. The result belongs to sc (see mpcbf.ContainsChainInto).
-func (f *Filter) ContainsBatchInto(keys [][]byte, sc *mpcbf.BatchScratch) []bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	last := len(f.gens) - 1
-	return mpcbf.ContainsChainInto(len(f.gens), func(i int) *mpcbf.Sharded { return f.gens[last-i].f }, keys, sc)
-}
-
-// Delete removes key from the newest generation that reports it — the
-// counting-filter ownership rule: the generation whose counters the
-// insert incremented is the only one a decrement is sound in, and
-// newest-first matches where re-inserted keys live.
-func (f *Filter) Delete(key []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.deleteLocked(key)
-}
-
-func (f *Filter) deleteLocked(key []byte) error {
-	for i := len(f.gens) - 1; i >= 0; i-- {
-		if f.gens[i].f.Contains(key) {
-			return f.gens[i].f.Delete(key)
-		}
-	}
-	return errors.New("elastic: delete of absent key")
-}
-
-// DeleteBatch deletes keys, returning order-preserving flags for which
-// keys were actually removed. Absent keys read as false, not errors.
-func (f *Filter) DeleteBatch(keys [][]byte, workers int) ([]bool, error) {
-	_ = workers // deletes scan the chain per key; batch parallelism buys nothing
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]bool, len(keys))
-	for i, k := range keys {
-		out[i] = f.deleteLocked(k) == nil
-	}
-	return out, nil
-}
-
-// EstimateCount returns an upper bound on key's multiplicity: the sum
-// of per-generation estimates (a key re-inserted after growth counts in
-// several generations).
-func (f *Filter) EstimateCount(key []byte) int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	n := 0
-	for _, g := range f.gens {
-		n += g.f.EstimateCount(key)
-	}
-	return n
-}
-
-// Len returns the element count across the chain.
-func (f *Filter) Len() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	n := 0
-	for _, g := range f.gens {
-		n += g.f.Len()
-	}
-	return n
-}
-
-// MemoryBits returns the aggregate footprint of every generation.
-func (f *Filter) MemoryBits() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	n := 0
-	for _, g := range f.gens {
-		n += g.f.MemoryBits()
-	}
-	return n
+	return s, &generation{capacity: capacity, budget: budget, growIdx: i}, nil
 }
 
 // FillRatio reports the head generation's fill — the growth signal.
-func (f *Filter) FillRatio() float64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.head().f.FillRatio()
-}
-
-// SaturatedWords sums frozen always-positive words across the chain.
-func (f *Filter) SaturatedWords() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	n := 0
-	for _, g := range f.gens {
-		n += g.f.SaturatedWords()
-	}
-	return n
-}
-
-// HeadShardStats reports the head generation's per-shard counters (the
-// live insert target, where load skew shows first).
-func (f *Filter) HeadShardStats() []mpcbf.ShardStats {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.head().f.ShardStats()
-}
-
-// Generations returns the chain length.
-func (f *Filter) Generations() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.gens)
+func (f *Filter) FillRatio() (fill float64) {
+	f.View(func(gens []*mpcbf.Sharded) { fill = gens[len(gens)-1].FillRatio() })
+	return fill
 }
 
 // TargetFPR returns the chain-wide false positive bound.
@@ -392,94 +258,89 @@ func (f *Filter) TargetFPR() float64 { return f.opts.TargetFPR }
 // MaxGenerations. The caller decides when to act (and records it) — the
 // filter itself never grows implicitly, so replayed logs reconstruct
 // the same chain.
-func (f *Filter) NeedsGrow() bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if len(f.gens) >= f.opts.MaxGenerations {
-		return false
-	}
-	h := f.head()
-	n := h.f.Len()
-	if n >= h.capacity {
-		return true
-	}
-	// The fill-ratio trigger needs an O(memory) word scan, so it is
-	// consulted only in the top quarter of the capacity schedule and at
-	// most once per capacity/256 inserts.
-	if n*4 < h.capacity*3 {
-		return false
-	}
-	last := h.lastFill.Load()
-	if int64(n)-last < int64(h.capacity/256)+1 {
-		return false
-	}
-	if !h.lastFill.CompareAndSwap(last, int64(n)) {
-		return false
-	}
-	return h.f.FillRatio() >= f.opts.GrowAt
+func (f *Filter) NeedsGrow() (grow bool) {
+	f.View(func(gens []*mpcbf.Sharded) {
+		if len(gens) >= f.opts.MaxGenerations {
+			return
+		}
+		head, h := gens[len(gens)-1], f.gens[len(gens)-1]
+		n := head.Len()
+		if n >= h.capacity {
+			grow = true
+			return
+		}
+		// The fill-ratio trigger needs an O(memory) word scan, so it is
+		// consulted only in the top quarter of the capacity schedule and
+		// at most once per capacity/256 inserts.
+		if n*4 < h.capacity*3 {
+			return
+		}
+		last := h.lastFill.Load()
+		if int64(n)-last < int64(h.capacity/256)+1 || !h.lastFill.CompareAndSwap(last, int64(n)) {
+			return
+		}
+		grow = head.FillRatio() >= f.opts.GrowAt
+	})
+	return grow
 }
 
 // Grow seals the current head and appends a fresh one with the next
 // geometry in the schedule. Idempotence is the caller's concern: every
 // call appends a generation, which is exactly what WAL replay needs.
-func (f *Filter) Grow() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	g, err := f.buildGeneration(f.grows)
-	if err != nil {
-		return err
-	}
-	f.gens = append(f.gens, g)
-	f.grows++
-	return nil
+func (f *Filter) Grow() (err error) {
+	f.Update(func(gens []*mpcbf.Sharded) []*mpcbf.Sharded {
+		s, g, e := f.buildGeneration(f.grows)
+		if err = e; err != nil {
+			return gens
+		}
+		f.gens = append(f.gens, g)
+		f.grows++
+		return append(gens, s)
+	})
+	return err
 }
 
 // Grows returns how many growth events the chain has absorbed — Grow
 // calls since creation, excluding the seed generation (imported
 // generations do not count either). A freshly created or Reset chain
 // reports 0.
-func (f *Filter) Grows() uint32 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.grows - 1
+func (f *Filter) Grows() (n uint32) {
+	f.View(func([]*mpcbf.Sharded) { n = f.grows - 1 })
+	return n
 }
 
 // Imports returns how many generations arrived via ImportGeneration.
-func (f *Filter) Imports() uint64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.imports
+func (f *Filter) Imports() (n uint64) {
+	f.View(func([]*mpcbf.Sharded) { n = f.imports })
+	return n
 }
 
 // ImportGeneration splices s into the chain as a frozen generation just
 // below the head: queries OR through it, deletes can decrement it, but
 // inserts never target it. The filter takes ownership of s.
 func (f *Filter) ImportGeneration(s *mpcbf.Sharded) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	g := &generation{f: s, growIdx: importedGrowIdx, imported: true}
-	f.gens = append(f.gens, nil)
-	copy(f.gens[len(f.gens)-1:], f.gens[len(f.gens)-2:])
-	f.gens[len(f.gens)-2] = g
-	f.imports++
+	f.Update(func(gens []*mpcbf.Sharded) []*mpcbf.Sharded {
+		f.gens = slices.Insert(f.gens, len(f.gens)-1, &generation{growIdx: importedGrowIdx, imported: true})
+		f.imports++
+		return slices.Insert(gens, len(gens)-1, s)
+	})
 }
 
 // ExportGenerations returns a marshaled snapshot of each generation's
 // filter, oldest first. Resharding uses it to flatten a dumped chain
 // into individual frozen generations the destination chain absorbs via
 // ImportGeneration.
-func (f *Filter) ExportGenerations() ([][]byte, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make([][]byte, len(f.gens))
-	for i, g := range f.gens {
-		b, err := g.f.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("elastic: export generation %d: %w", i, err)
+func (f *Filter) ExportGenerations() (out [][]byte, err error) {
+	f.View(func(gens []*mpcbf.Sharded) {
+		out = make([][]byte, len(gens))
+		for i, g := range gens {
+			if out[i], err = g.MarshalBinary(); err != nil {
+				out, err = nil, fmt.Errorf("elastic: export generation %d: %w", i, err)
+				return
+			}
 		}
-		out[i] = b
-	}
-	return out, nil
+	})
+	return out, err
 }
 
 // GenStats describes one generation for observability.
@@ -502,26 +363,27 @@ type Stats struct {
 }
 
 // Stats returns the chain's shape and per-generation occupancy.
-func (f *Filter) Stats() Stats {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	st := Stats{
-		Generations: len(f.gens),
-		Grows:       f.grows - 1,
-		Imports:     f.imports,
-		TargetFPR:   f.opts.TargetFPR,
-		Gens:        make([]GenStats, len(f.gens)),
-	}
-	for i, g := range f.gens {
-		st.Gens[i] = GenStats{
-			Items:      g.f.Len(),
-			Capacity:   g.capacity,
-			FillRatio:  g.f.FillRatio(),
-			Budget:     g.budget,
-			MemoryBits: g.f.MemoryBits(),
-			Imported:   g.imported,
+func (f *Filter) Stats() (st Stats) {
+	f.View(func(gens []*mpcbf.Sharded) {
+		st = Stats{
+			Generations: len(gens),
+			Grows:       f.grows - 1,
+			Imports:     f.imports,
+			TargetFPR:   f.opts.TargetFPR,
+			Gens:        make([]GenStats, len(gens)),
 		}
-	}
+		for i, s := range gens {
+			g := f.gens[i]
+			st.Gens[i] = GenStats{
+				Items:      s.Len(),
+				Capacity:   g.capacity,
+				FillRatio:  s.FillRatio(),
+				Budget:     g.budget,
+				MemoryBits: s.MemoryBits(),
+				Imported:   g.imported,
+			}
+		}
+	})
 	return st
 }
 
@@ -529,39 +391,32 @@ func (f *Filter) Stats() Stats {
 // generations at their current populations — what the chain believes
 // its false positive rate is right now. Imported generations are
 // evaluated at their populations against their own geometry.
-func (f *Filter) ExpectedFPR() float64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	total := 0.0
-	for _, g := range f.gens {
-		cfg, _, _ := f.geometryFor(0)
-		if !g.imported {
-			cfg, _, _ = f.geometryFor(g.growIdx)
-		} else {
-			cfg.MemoryBits = g.f.MemoryBits()
+func (f *Filter) ExpectedFPR() (total float64) {
+	f.View(func(gens []*mpcbf.Sharded) {
+		for i, s := range gens {
+			g := f.gens[i]
+			cfg, _, _ := f.geometryFor(0)
+			if !g.imported {
+				cfg, _, _ = f.geometryFor(g.growIdx)
+			} else {
+				cfg.MemoryBits = s.MemoryBits()
+			}
+			total += analyticFPR(cfg, max(s.Len(), 1))
 		}
-		total += analyticFPR(cfg, maxInt(g.f.Len(), 1))
-	}
+	})
 	return math.Min(total, 1)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Reset empties the chain back to a fresh seed generation.
 func (f *Filter) Reset() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	g, err := f.buildGeneration(0)
+	s, g, err := f.buildGeneration(0)
 	if err != nil {
 		// The seed geometry built once at New; it cannot fail now.
 		panic(fmt.Sprintf("elastic: rebuild seed generation: %v", err))
 	}
-	f.gens = []*generation{g}
-	f.grows = 1
-	f.imports = 0
+	f.Update(func([]*mpcbf.Sharded) []*mpcbf.Sharded {
+		f.gens = []*generation{g}
+		f.grows, f.imports = 1, 0
+		return []*mpcbf.Sharded{s}
+	})
 }

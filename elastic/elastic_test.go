@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	mpcbf "repro"
 )
@@ -105,7 +106,7 @@ func TestBatchOpsAcrossChain(t *testing.T) {
 		}
 	}
 	probe := append([][]byte{[]byte("absent-a"), []byte("absent-b")}, keys...)
-	flags := f.ContainsBatch(probe)
+	flags := f.ContainsBatchInto(probe, nil)
 	if flags[0] || flags[1] {
 		// Statistically possible but with this geometry effectively never.
 		t.Fatal("absent probe reported present")
@@ -118,7 +119,7 @@ func TestBatchOpsAcrossChain(t *testing.T) {
 	// The scratch path answers the same and, warmed up, allocates nothing.
 	var sc mpcbf.BatchScratch
 	if got := f.ContainsBatchInto(probe, &sc); !slices.Equal(got, flags) {
-		t.Fatal("ContainsBatchInto diverges from ContainsBatch")
+		t.Fatal("ContainsBatchInto with scratch diverges from fresh scratch")
 	}
 	if avg := testing.AllocsPerRun(20, func() { f.ContainsBatchInto(probe, &sc) }); avg != 0 {
 		t.Fatalf("ContainsBatchInto with warm scratch: %.1f allocs/op, want 0", avg)
@@ -134,6 +135,40 @@ func TestBatchOpsAcrossChain(t *testing.T) {
 		if !ok {
 			t.Fatalf("key %d not deleted", i)
 		}
+	}
+}
+
+// TestDeleteDoesNotBlockReaders requires Delete and DeleteBatch to
+// finish while a long reader holds the chain's read lock: deletes share
+// that lock with readers, so one DELETE never stalls a chain's lookups.
+func TestDeleteDoesNotBlockReaders(t *testing.T) {
+	f, err := New(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillAndGrow(t, f, 0, 3000)
+	held, release := make(chan struct{}), make(chan struct{})
+	go f.View(func([]*mpcbf.Sharded) {
+		close(held)
+		<-release
+	})
+	<-held
+	defer close(release)
+	done := make(chan error, 1)
+	go func() {
+		err := f.Delete(key(1))
+		if err == nil {
+			_, err = f.DeleteBatch([][]byte{key(2), key(3)}, 0)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Delete and DeleteBatch waited for a reader to release the chain")
 	}
 }
 

@@ -41,48 +41,49 @@ func IsElastic(data []byte) bool {
 }
 
 // MarshalBinary snapshots the whole chain into one buffer sized up front.
-func (f *Filter) MarshalBinary() ([]byte, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	size := headerSize
-	for _, g := range f.gens {
-		size += genHdrSize + g.f.MarshaledSize()
-	}
-	buf := make([]byte, 0, size)
-	o := f.opts
-	buf = binary.LittleEndian.AppendUint32(buf, elasticMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, elasticVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(o.Filter.MemoryBits))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(o.Filter.ExpectedItems))
-	buf = append(buf, byte(o.Filter.HashFunctions), byte(o.Filter.MemoryAccesses), byte(o.Filter.WordBits))
-	buf = binary.LittleEndian.AppendUint32(buf, o.Filter.Seed)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(o.Shards))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(o.TargetFPR))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(o.GrowthFactor))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(o.TighteningRatio))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(o.GrowAt))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(o.MaxGenerations))
-	buf = binary.LittleEndian.AppendUint32(buf, f.grows)
-	buf = binary.LittleEndian.AppendUint64(buf, f.imports)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.gens)))
-	for i, g := range f.gens {
-		var imp byte
-		if g.imported {
-			imp = 1
+func (f *Filter) MarshalBinary() (buf []byte, err error) {
+	f.View(func(gens []*mpcbf.Sharded) {
+		size := headerSize
+		for _, s := range gens {
+			size += genHdrSize + s.MarshaledSize()
 		}
-		buf = append(buf, imp)
-		buf = binary.LittleEndian.AppendUint32(buf, g.growIdx)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(g.capacity))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.budget))
-		at := len(buf)
-		buf = append(buf, 0, 0, 0, 0)
-		var err error
-		if buf, err = g.f.AppendBinary(buf); err != nil {
-			return nil, fmt.Errorf("elastic: marshal generation %d: %w", i, err)
+		buf = make([]byte, 0, size)
+		o := f.opts
+		buf = binary.LittleEndian.AppendUint32(buf, elasticMagic)
+		buf = binary.LittleEndian.AppendUint32(buf, elasticVersion)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(o.Filter.MemoryBits))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(o.Filter.ExpectedItems))
+		buf = append(buf, byte(o.Filter.HashFunctions), byte(o.Filter.MemoryAccesses), byte(o.Filter.WordBits))
+		buf = binary.LittleEndian.AppendUint32(buf, o.Filter.Seed)
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(o.Shards))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(o.TargetFPR))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(o.GrowthFactor))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(o.TighteningRatio))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(o.GrowAt))
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(o.MaxGenerations))
+		buf = binary.LittleEndian.AppendUint32(buf, f.grows)
+		buf = binary.LittleEndian.AppendUint64(buf, f.imports)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(gens)))
+		for i, s := range gens {
+			g := f.gens[i]
+			var imp byte
+			if g.imported {
+				imp = 1
+			}
+			buf = append(buf, imp)
+			buf = binary.LittleEndian.AppendUint32(buf, g.growIdx)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(g.capacity))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.budget))
+			at := len(buf)
+			buf = append(buf, 0, 0, 0, 0)
+			if buf, err = s.AppendBinary(buf); err != nil {
+				buf, err = nil, fmt.Errorf("elastic: marshal generation %d: %w", i, err)
+				return
+			}
+			binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
 		}
-		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
-	}
-	return buf, nil
+	})
+	return buf, err
 }
 
 // UnmarshalFilter reconstructs a chain from a MarshalBinary snapshot.
@@ -140,8 +141,8 @@ func ReadFilter(r io.Reader, n int64) (*Filter, error) {
 	if nGens == 0 || nGens > 1<<16 || int64(nGens) > left/genHdrSize {
 		return nil, fmt.Errorf("elastic: implausible generation count %d", nGens)
 	}
-	f := &Filter{opts: o, grows: grows, imports: imports}
-	f.gens = make([]*generation, 0, nGens)
+	f := &Filter{opts: o, grows: grows, imports: imports, gens: make([]*generation, 0, nGens)}
+	sharded := make([]*mpcbf.Sharded, 0, nGens)
 	for i := uint32(0); i < nGens; i++ {
 		if left < genHdrSize {
 			return nil, errors.New("elastic: truncated generation header")
@@ -170,9 +171,9 @@ func ReadFilter(r io.Reader, n int64) (*Filter, error) {
 		if err != nil {
 			return nil, fmt.Errorf("elastic: generation %d: %w", i, err)
 		}
-		g.f = s
 		left -= blobLen
 		f.gens = append(f.gens, g)
+		sharded = append(sharded, s)
 	}
 	if left != 0 {
 		return nil, fmt.Errorf("elastic: %d trailing bytes after chain", left)
@@ -180,5 +181,6 @@ func ReadFilter(r io.Reader, n int64) (*Filter, error) {
 	if f.gens[len(f.gens)-1].imported {
 		return nil, errors.New("elastic: head generation marked imported")
 	}
+	f.Chain = mpcbf.NewChain(errAbsent, sharded...)
 	return f, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -147,6 +148,53 @@ func TestDeleteAbsentKeyKeepsCount(t *testing.T) {
 		if f.Count() != 8 {
 			t.Fatalf("disable=%v: count drifted to %d after failed deletes, want 8",
 				disable, f.Count())
+		}
+	}
+}
+
+// TestFailedDeleteWritesNothing requires a delete that fails to leave
+// the filter's bytes as they were, on every path: the register kernel,
+// g=2, w=128, the generic arena, DeleteStats, and DeletePlans. The
+// filters are dense enough that absent keys share words, and slots,
+// with live ones.
+func TestFailedDeleteWritesNothing(t *testing.T) {
+	for _, cfg := range []Config{
+		{MemoryBits: 1 << 10, B1: 40, W: 64, K: 3},
+		{MemoryBits: 1 << 10, B1: 24, W: 64, K: 4, G: 2},
+		{MemoryBits: 1 << 11, B1: 80, W: 128, K: 3},
+		{MemoryBits: 1 << 10, B1: 40, W: 64, K: 3, DisableKernel: true},
+	} {
+		f := mustNew(t, cfg)
+		for _, k := range keys("live", 32) {
+			if err := f.Insert(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deletes := []struct {
+			name string
+			del  func(k []byte) bool
+		}{
+			{"Delete", func(k []byte) bool { return f.Delete(k) == nil }},
+			{"DeleteStats", func(k []byte) bool { _, err := f.DeleteStats(k); return err == nil }},
+			{"DeletePlans", func(k []byte) bool {
+				return f.DeletePlans([]Plan{f.Plan(k, 0)}, [][]byte{k}, make([]bool, 1)) == 1
+			}},
+		}
+		failed := 0
+		for _, d := range deletes {
+			for _, k := range keys("absent-"+d.name, 64) {
+				before, _ := f.MarshalBinary()
+				if d.del(k) {
+					continue // a false positive deletes; that is allowed
+				}
+				failed++
+				if after, _ := f.MarshalBinary(); !bytes.Equal(before, after) {
+					t.Fatalf("%+v: failed %s of %q changed the filter", cfg, d.name, k)
+				}
+			}
+		}
+		if failed == 0 {
+			t.Fatalf("%+v: no delete failed", cfg)
 		}
 	}
 }

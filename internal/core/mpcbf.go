@@ -400,9 +400,12 @@ func (f *Filter) insert(key []byte, withStats bool) (metrics.OpStats, error) {
 	return st, nil
 }
 
-// Delete removes key. Deleting a key that is not present returns
-// ErrUnderflow; as with the standard CBF, counters that could be
-// decremented have been, so deletions of unverified keys are hazardous.
+// Delete removes key. A delete fails with ErrUnderflow, and changes
+// nothing, when any of the key's counters is already zero: its words
+// are written only once every one of its decrements is known to apply.
+// As with the standard CBF, a key absent from the set but present by
+// false positive still deletes, taking counts from the keys it collides
+// with, so deletions of unverified keys stay hazardous.
 func (f *Filter) Delete(key []byte) error {
 	_, err := f.delete(key, false)
 	return err
@@ -417,8 +420,7 @@ func (f *Filter) delete(key []byte, withStats bool) (metrics.OpStats, error) {
 	var st metrics.OpStats
 	// Hot path: default geometry (g=1, w=64), no accounting — the mirror
 	// image of the insert hot path: one aligned load, k register
-	// decrements, one store. Underflowing slots are skipped and counted so
-	// a failed delete cannot corrupt neighboring chains.
+	// decrements, and one store only if none of them underflowed.
 	if !withStats && f.cfg.G == 1 && f.kmode == kmode64 {
 		s := f.hasher.NewIndexStream(key)
 		wIdx := s.Word(0, f.l)
@@ -429,17 +431,13 @@ func (f *Filter) delete(key []byte, withStats bool) (metrics.OpStats, error) {
 		base := wIdx << 6
 		b1, k := f.b1, f.cfg.K
 		x := f.arena.Uint64At(base)
-		underflows := 0
 		for i := 0; i < k; i++ {
 			var ok bool
 			if x, _, ok = hcbf.Dec64(x, b1, s.Slot(i, b1)); !ok {
-				underflows++
+				return st, ErrUnderflow
 			}
 		}
 		f.arena.SetUint64At(base, x)
-		if underflows > 0 {
-			return st, ErrUnderflow
-		}
 		f.count--
 		return st, nil
 	}
@@ -448,7 +446,11 @@ func (f *Filter) delete(key []byte, withStats bool) (metrics.OpStats, error) {
 		st.MemAccesses = f.cfg.G
 		st.HashBits = f.cfg.G * metrics.Log2Ceil(f.l)
 	}
-	underflows := 0
+	// With g words a failed delete must not write any of them, so every
+	// counter is checked before the first decrement.
+	if !f.deletable(ts) {
+		return st, ErrUnderflow
+	}
 	for _, t := range ts {
 		if len(f.saturated) != 0 && f.saturated[t.word] {
 			continue // frozen word: counters no longer tracked
@@ -456,16 +458,15 @@ func (f *Filter) delete(key []byte, withStats bool) (metrics.OpStats, error) {
 		w := f.word(t.word)
 		if !withStats {
 			// Fused per-word decrement: one load, one store on kernel
-			// geometries, with per-slot underflows skipped and counted.
-			underflows += w.DecBatch(t.slots)
+			// geometries.
+			w.DecBatch(t.slots)
 			continue
 		}
 		for _, slot := range t.slots {
 			levels := w.Levels()
 			depth, err := w.Dec(slot)
 			if err != nil {
-				underflows++
-				continue
+				panic("mpcbf: decrement failed after counter check: " + err.Error())
 			}
 			for j := 0; j < depth; j++ {
 				if j < len(levels) {
@@ -474,13 +475,44 @@ func (f *Filter) delete(key []byte, withStats bool) (metrics.OpStats, error) {
 			}
 		}
 	}
-	if underflows > 0 {
-		// The key was not (fully) present: the element count must not
-		// drift downward on failed deletes.
-		return st, ErrUnderflow
-	}
 	f.count--
 	return st, nil
+}
+
+// deletable reports whether every counter of the key's targets ts holds
+// at least as many increments as deleting the key removes from it. A
+// slot named twice, within one target or by two targets on the same
+// word, needs a count of two. Saturated words are skipped.
+func (f *Filter) deletable(ts []target) bool {
+	for i, t := range ts {
+		if len(f.saturated) != 0 && f.saturated[t.word] {
+			continue
+		}
+		w := f.word(t.word)
+		for j, s := range t.slots {
+			need := 1 + occurrences(t.slots[:j], s)
+			for _, u := range ts[:i] {
+				if u.word == t.word {
+					need += occurrences(u.slots, s)
+				}
+			}
+			if w.Count(s) < need {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// occurrences returns how many times s occurs in slots.
+func occurrences(slots []int, s int) int {
+	n := 0
+	for _, x := range slots {
+		if x == s {
+			n++
+		}
+	}
+	return n
 }
 
 // Contains reports whether key may be in the set. This is the hot path:

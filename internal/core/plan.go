@@ -121,8 +121,8 @@ func (f *Filter) InsertPlans(ps []Plan, keys [][]byte) (int, error) {
 
 // DeletePlans deletes the keys planned in ps, in order, exactly as Delete
 // would one after another, and sets out[p.Tag] to whether p's delete
-// succeeded: false means ErrUnderflow. keys[p.Tag] is p's key. It
-// returns how many succeeded.
+// succeeded: false means ErrUnderflow, and p's word was not written.
+// keys[p.Tag] is p's key. It returns how many succeeded.
 func (f *Filter) DeletePlans(ps []Plan, keys [][]byte, out []bool) int {
 	n := 0
 	if !f.planned() {
@@ -147,16 +147,13 @@ func (f *Filter) DeletePlans(ps []Plan, keys [][]byte, out []bool) int {
 				n++
 				continue
 			}
-			v, underflows := x[i], 0
-			for j, s := 0, p.slots; j < k; j, s = j+1, s>>6 {
-				var ok bool
-				if v, _, ok = hcbf.Dec64(v, b1, int(s&63)); !ok {
-					underflows++
-				}
+			v, ok := x[i], true
+			for j, s := 0, p.slots; j < k && ok; j, s = j+1, s>>6 {
+				v, _, ok = hcbf.Dec64(v, b1, int(s&63))
 			}
-			f.store(blk, &x, i, v)
-			out[p.Tag] = underflows == 0
-			if underflows == 0 {
+			out[p.Tag] = ok
+			if ok {
+				f.store(blk, &x, i, v)
 				f.count--
 				n++
 			}

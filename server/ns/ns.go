@@ -278,29 +278,19 @@ func (e *Entry) Delete(key []byte) error {
 // taking each shard's lock once (mpcbf.Sharded.InsertBatch).
 func (e *Entry) InsertBatch(keys [][]byte) error {
 	r := e.state.Load()
-	switch {
-	case r == nil:
+	if r == nil {
 		return ErrNotResident
-	case r.Window != nil:
-		return r.Window.InsertBatch(keys)
-	case r.Elastic != nil:
-		return r.Elastic.InsertBatch(keys, 0)
 	}
-	return r.Filter.InsertBatch(keys, 0)
+	return r.f.InsertBatch(keys, 0)
 }
 
 // DeleteBatch removes keys, reporting per-key success.
 func (e *Entry) DeleteBatch(keys [][]byte) ([]bool, error) {
 	r := e.state.Load()
-	switch {
-	case r == nil:
+	if r == nil {
 		return nil, ErrNotResident
-	case r.Window != nil:
-		return r.Window.DeleteBatch(keys)
-	case r.Elastic != nil:
-		return r.Elastic.DeleteBatch(keys, 0)
 	}
-	return r.Filter.DeleteBatch(keys, 0)
+	return r.f.DeleteBatch(keys, 0)
 }
 
 // Live returns the resident filter for a lock-free read, or nil when
@@ -364,6 +354,8 @@ type State struct {
 type Filter interface {
 	Insert(key []byte) error
 	Delete(key []byte) error
+	InsertBatch(keys [][]byte, workers int) error
+	DeleteBatch(keys [][]byte, workers int) ([]bool, error)
 	Contains(key []byte) bool
 	ContainsBatchInto(keys [][]byte, sc *mpcbf.BatchScratch) []bool
 	EstimateCount(key []byte) int

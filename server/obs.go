@@ -72,17 +72,26 @@ type FilterSnapshot struct {
 	Shards         int     `json:"shards"`
 }
 
+// chainFilter is what a ServerSnapshot reads of a window or an elastic
+// chain beyond its mode's own stats.
+type chainFilter interface {
+	Len() int
+	FillRatio() float64
+	SaturatedWords() int
+	MemoryBits() int
+	HeadShardStats() []mpcbf.ShardStats
+}
+
 // WindowSnapshot is the sliding-window slice of a ServerSnapshot: the
 // generation ring's shape, per-slot occupancy, and rotation latency.
 type WindowSnapshot struct {
-	SpanNs          int64        `json:"span_ns"`
-	RotateEveryNs   int64        `json:"rotate_every_ns"`
-	Generations     int          `json:"generations"`
-	Head            int          `json:"head"`
-	Rotations       uint64       `json:"rotations"`
-	GenItems        []int        `json:"gen_items"`
-	PendingExpiries int          `json:"pending_expiries"`
-	RotationNs      HistSnapshot `json:"rotation_ns"`
+	SpanNs        int64        `json:"span_ns"`
+	RotateEveryNs int64        `json:"rotate_every_ns"`
+	Generations   int          `json:"generations"`
+	Head          int          `json:"head"`
+	Rotations     uint64       `json:"rotations"`
+	GenItems      []int        `json:"gen_items"`
+	RotationNs    HistSnapshot `json:"rotation_ns"`
 }
 
 // ElasticSnapshot is the generational-growth slice of a ServerSnapshot:
@@ -178,39 +187,48 @@ func (s *Server) Snapshot() ServerSnapshot {
 
 	// One load of the default filter's state: a replica bootstrap may swap
 	// its mode between any two reads.
-	if def := s.store.reg.Default().State(); def.Window != nil {
-		w := def.Window
-		st := w.Stats()
+	def := s.store.reg.Default().State()
+	if f := def.Filter; f != nil {
 		snap.Filter = FilterSnapshot{
-			Len:            w.Len(),
-			FillRatio:      w.FillRatio(),
-			SaturatedWords: w.SaturatedWords(),
-			MemoryBits:     w.MemoryBits(),
-			Shards:         len(w.HeadShardStats()),
+			Len:            f.Len(),
+			FillRatio:      f.FillRatio(),
+			SaturatedWords: f.SaturatedWords(),
+			MemoryBits:     f.MemoryBits(),
+			Shards:         f.Shards(),
+		}
+		snap.Shards = f.ShardStats()
+	} else {
+		var c chainFilter = def.Elastic
+		if def.Window != nil {
+			c = def.Window
 		}
 		// Per-shard stats come from the head generation — the live insert
-		// target, where load skew shows first.
-		snap.Shards = w.HeadShardStats()
-		snap.Window = &WindowSnapshot{
-			SpanNs:          int64(st.Span),
-			RotateEveryNs:   int64(st.RotateEvery),
-			Generations:     st.Generations,
-			Head:            st.Head,
-			Rotations:       st.Rotations,
-			GenItems:        st.GenItems,
-			PendingExpiries: st.PendingExpiries,
-			RotationNs:      s.store.RotationHist(),
-		}
-	} else if el := def.Elastic; el != nil {
-		st := el.Stats()
+		// target, where load skew shows first. The fill ratio is the
+		// mode's own: the fullest generation of a window, the head of an
+		// elastic chain.
+		snap.Shards = c.HeadShardStats()
 		snap.Filter = FilterSnapshot{
-			Len:            el.Len(),
-			FillRatio:      el.FillRatio(), // head generation: the live insert target
-			SaturatedWords: el.SaturatedWords(),
-			MemoryBits:     el.MemoryBits(),
-			Shards:         len(el.HeadShardStats()),
+			Len:            c.Len(),
+			FillRatio:      c.FillRatio(),
+			SaturatedWords: c.SaturatedWords(),
+			MemoryBits:     c.MemoryBits(),
+			Shards:         len(snap.Shards),
 		}
-		snap.Shards = el.HeadShardStats()
+	}
+	if w := def.Window; w != nil {
+		st := w.Stats()
+		snap.Window = &WindowSnapshot{
+			SpanNs:        int64(st.Span),
+			RotateEveryNs: int64(st.RotateEvery),
+			Generations:   st.Generations,
+			Head:          st.Head,
+			Rotations:     st.Rotations,
+			GenItems:      st.GenItems,
+			RotationNs:    s.store.RotationHist(),
+		}
+	}
+	if el := def.Elastic; el != nil {
+		st := el.Stats()
 		es := &ElasticSnapshot{
 			Generations: st.Generations,
 			Grows:       st.Grows,
@@ -226,16 +244,6 @@ func (s *Server) Snapshot() ServerSnapshot {
 			}
 		}
 		snap.Elastic = es
-	} else {
-		f := def.Filter
-		snap.Filter = FilterSnapshot{
-			Len:            f.Len(),
-			FillRatio:      f.FillRatio(),
-			SaturatedWords: f.SaturatedWords(),
-			MemoryBits:     f.MemoryBits(),
-			Shards:         f.Shards(),
-		}
-		snap.Shards = f.ShardStats()
 	}
 	if r := s.ring.Load(); r != nil {
 		rs := &RingSnapshot{Epoch: r.Epoch, Joint: r.Joint, OldNodes: len(r.Old), NewNodes: len(r.New)}
@@ -356,7 +364,6 @@ func (snap ServerSnapshot) WriteProm(w io.Writer) {
 		promGaugeInt(w, "mpcbfd_window_generations", "Generation ring size G.", int64(win.Generations))
 		promGaugeInt(w, "mpcbfd_window_head", "Ring slot currently receiving inserts.", int64(win.Head))
 		promCounter(w, "mpcbfd_window_rotations_total", "Ring rotations since the window was created.", win.Rotations)
-		promGaugeInt(w, "mpcbfd_window_pending_expiries", "Precise-mode TTL entries awaiting expiry.", int64(win.PendingExpiries))
 		fmt.Fprintf(w, "# HELP mpcbfd_window_generation_items Elements per generation, by ring slot.\n# TYPE mpcbfd_window_generation_items gauge\n")
 		for i, n := range win.GenItems {
 			fmt.Fprintf(w, "mpcbfd_window_generation_items{gen=\"%d\"} %d\n", i, n)

@@ -636,7 +636,6 @@ func appendWindowStats(dst []byte, st window.Stats) []byte {
 		Rotations:        st.Rotations,
 		SpanNanos:        uint64(st.Span),
 		RotateEveryNanos: uint64(st.RotateEvery),
-		PendingExpiries:  uint64(st.PendingExpiries),
 		GenItems:         make([]uint64, len(st.GenItems)),
 	}
 	for i, n := range st.GenItems {

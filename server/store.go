@@ -730,6 +730,10 @@ func (s *Store) live(name []byte) (ns.Filter, error) {
 	return nil, nil
 }
 
+// noFilter answers for an unknown namespace: a chain of no generations,
+// which holds no key.
+var noFilter mpcbf.Chain
+
 // containsBatch answers membership for a batch, order-preserving, on the
 // calling goroutine into sc (nil: fresh scratch); the result belongs to
 // sc, for an unknown namespace too.
@@ -739,7 +743,7 @@ func (s *Store) containsBatch(name []byte, keys [][]byte, sc *mpcbf.BatchScratch
 	case err != nil:
 		return nil, err
 	case f == nil:
-		return mpcbf.ContainsChainInto(0, nil, keys, sc), nil
+		return noFilter.ContainsBatchInto(keys, sc), nil
 	}
 	return f.ContainsBatchInto(keys, sc), nil
 }

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
+	"path/filepath"
 	"testing"
 
 	mpcbf "repro"
@@ -354,6 +356,72 @@ func TestStoreDeleteBatchLogsOnlySuccesses(t *testing.T) {
 		if !r.Contains(k) {
 			t.Fatalf("false negative on surviving key %q", k)
 		}
+	}
+}
+
+// openFailedDeleteStore opens a one-shard store of 64 words seeded with
+// seed, inserts k0..k63, and deletes absent0..absent7, each of which
+// must fail, running check after each. The geometry is small enough that
+// absent keys share words with acked ones.
+func openFailedDeleteStore(t *testing.T, seed uint32, check func(*Store)) (*Store, StoreOptions) {
+	t.Helper()
+	opts := testStoreOptions(t.TempDir())
+	opts.Filter = mpcbf.Options{MemoryBits: 4096, ExpectedItems: 64, Seed: seed}
+	opts.Shards = 1
+	s, err := OpenStore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	for i := 0; i < 64; i++ {
+		if err := s.Insert([]byte(fmt.Sprintf("k%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		if err := s.Delete([]byte(fmt.Sprintf("absent%d", i))); err == nil {
+			t.Fatalf("DELETE absent%d succeeded", i)
+		}
+		check(s)
+	}
+	return s, opts
+}
+
+// TestStoreFailedDeleteKeepsAckedKeys: a DELETE that fails changes no
+// counter, so every acked key still reads present after it. (With seed
+// 1, absent3 shares a word with k49.)
+func TestStoreFailedDeleteKeepsAckedKeys(t *testing.T) {
+	openFailedDeleteStore(t, 1, func(s *Store) {
+		for i := 0; i < 64; i++ {
+			if k := fmt.Sprintf("k%d", i); !s.Contains([]byte(k)) {
+				t.Fatalf("acked key %s reads absent after a failed delete", k)
+			}
+		}
+	})
+}
+
+// TestStoreFailedDeleteReplaysIdentically: a failed DELETE logs nothing,
+// so it must change nothing either — a store replayed from a crash copy
+// of the data directory holds the live store's exact bytes.
+func TestStoreFailedDeleteReplaysIdentically(t *testing.T) {
+	s, opts := openFailedDeleteStore(t, 0, func(*Store) {})
+	opts.Dir = filepath.Join(t.TempDir(), "crash")
+	copyDir(t, s.opts.Dir, opts.Dir)
+	r, err := OpenStore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	live, err := s.MarshalFilter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := r.MarshalFilter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(live, replayed) {
+		t.Fatal("store replayed from a crash copy differs from the live store")
 	}
 }
 

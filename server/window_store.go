@@ -24,10 +24,9 @@ import (
 // count, not its wall-clock TTL. Logging r instead of a timestamp keeps
 // replay deterministic: a replica mirroring the primary's WAL bytes, or
 // a recovery replaying them hours later, lands every key in the same
-// ring slot the primary chose. For the same reason the serving layer
-// does not use the window package's precise mode — per-key wall-clock
-// deletes cannot be replayed deterministically; TTL granularity here is
-// the rotation period.
+// ring slot the primary chose. For the same reason TTL granularity is
+// the rotation period: per-key wall-clock deletes could not be replayed
+// deterministically.
 //
 // Rotation ordering: mutations and rotations both apply and enqueue
 // under the store mutation lock, so WAL order equals apply order and the

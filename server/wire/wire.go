@@ -1074,7 +1074,7 @@ type WindowStats struct {
 	Rotations        uint64   // rotations since the ring was created
 	SpanNanos        uint64   // configured window span
 	RotateEveryNanos uint64   // span / G
-	PendingExpiries  uint64   // precise-mode heap depth (0 unless -precise)
+	PendingExpiries  uint64   // always 0; kept so the response layout stays fixed
 	GenItems         []uint64 // per-slot item counts, ring-slot order
 }
 

@@ -40,7 +40,7 @@ func BenchmarkWindowContains(b *testing.B) {
 			keys := benchWindowKeys(50_000)
 			per := len(keys) / g
 			for gen := 0; gen < g; gen++ {
-				if err := f.InsertBatch(keys[gen*per : (gen+1)*per]); err != nil {
+				if err := f.InsertBatch(keys[gen*per:(gen+1)*per], 0); err != nil {
 					b.Fatal(err)
 				}
 				if gen != g-1 {
@@ -66,7 +66,7 @@ func BenchmarkWindowRotate(b *testing.B) {
 		b.Run(fmt.Sprintf("G=%d", g), func(b *testing.B) {
 			f := benchWindow(b, g)
 			keys := benchWindowKeys(20_000)
-			if err := f.InsertBatch(keys); err != nil {
+			if err := f.InsertBatch(keys, 0); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()

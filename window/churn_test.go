@@ -41,7 +41,7 @@ func TestWindowChurnFPR(t *testing.T) {
 		for i := range keys {
 			keys[i] = key(round, i)
 		}
-		if err := w.InsertBatch(keys); err != nil {
+		if err := w.InsertBatch(keys, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,10 +20,7 @@ import (
 //	G × [u32 len][Sharded.MarshalBinary bytes]
 //
 // The magic is distinct from the sharded filter's, so a snapshot loader
-// can dispatch on the leading bytes (see IsWindowed). Precise-mode
-// expiry heap state is intentionally not serialized: pending precise
-// deletes degrade to generation retirement after a restore, which is
-// the documented backstop semantics.
+// can dispatch on the leading bytes (see IsWindowed).
 const (
 	windowMagic   = 0x4D504357 // "WCPM" little-endian ("MPCW" read big-endian)
 	windowVersion = 1
@@ -38,35 +35,36 @@ func IsWindowed(data []byte) bool {
 }
 
 // MarshalBinary serializes the complete window state: ring shape,
-// rotation count, span, and every generation's filter, into one buffer
-// sized up front. Not safe to call concurrently with updates beyond the
-// internal read lock (the caller serializes against rotation, as the
-// store's mutation lock does).
-func (f *Filter) MarshalBinary() ([]byte, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	size := windowHdrLen
-	for _, g := range f.gens {
-		size += 4 + g.MarshaledSize()
-	}
-	le := binary.LittleEndian
-	out := make([]byte, windowHdrLen, size)
-	le.PutUint32(out[0:4], windowMagic)
-	le.PutUint32(out[4:8], windowVersion)
-	le.PutUint32(out[8:12], uint32(len(f.gens)))
-	le.PutUint32(out[12:16], uint32(f.head))
-	le.PutUint64(out[16:24], f.rotations)
-	le.PutUint64(out[24:32], uint64(f.opts.Span))
-	for i, g := range f.gens {
-		at := len(out)
-		out = append(out, 0, 0, 0, 0)
-		var err error
-		if out, err = g.AppendBinary(out); err != nil {
-			return nil, fmt.Errorf("window: generation %d: %w", i, err)
+// rotation count, span, and every generation's filter in slot order,
+// into one buffer sized up front. Not safe to call concurrently with
+// updates beyond the chain's read lock (the caller serializes against
+// rotation, as the store's mutation lock does).
+func (f *Filter) MarshalBinary() (out []byte, err error) {
+	f.View(func(gens []*mpcbf.Sharded) {
+		ring := f.ring(gens)
+		size := windowHdrLen
+		for _, g := range ring {
+			size += 4 + g.MarshaledSize()
 		}
-		le.PutUint32(out[at:], uint32(len(out)-at-4))
-	}
-	return out, nil
+		le := binary.LittleEndian
+		out = make([]byte, windowHdrLen, size)
+		le.PutUint32(out[0:4], windowMagic)
+		le.PutUint32(out[4:8], windowVersion)
+		le.PutUint32(out[8:12], uint32(len(ring)))
+		le.PutUint32(out[12:16], uint32(f.head))
+		le.PutUint64(out[16:24], f.rotations)
+		le.PutUint64(out[24:32], uint64(f.opts.Span))
+		for i, g := range ring {
+			at := len(out)
+			out = append(out, 0, 0, 0, 0)
+			if out, err = g.AppendBinary(out); err != nil {
+				out, err = nil, fmt.Errorf("window: generation %d: %w", i, err)
+				return
+			}
+			le.PutUint32(out[at:], uint32(len(out)-at-4))
+		}
+	})
+	return out, err
 }
 
 // UnmarshalFilter reconstructs a window serialized with MarshalBinary.
@@ -104,15 +102,8 @@ func ReadFilter(r io.Reader, n int64) (*Filter, error) {
 	if g < 1 || g > 1<<10 || head < 0 || head >= g || span <= 0 || int64(g) > left/(4+core.HeaderLen) {
 		return nil, errors.New("window: implausible windowed header")
 	}
-	f := &Filter{
-		opts:        Options{Span: span, Generations: g},
-		rotateEvery: span / time.Duration(g),
-		gens:        make([]*mpcbf.Sharded, g),
-		epochs:      make([]uint64, g),
-		head:        head,
-		rotations:   rotations,
-	}
-	for i := 0; i < g; i++ {
+	ring := make([]*mpcbf.Sharded, g)
+	for i := range ring {
 		if left < 4 {
 			return nil, fmt.Errorf("window: truncated at generation %d", i)
 		}
@@ -129,12 +120,11 @@ func ReadFilter(r io.Reader, n int64) (*Filter, error) {
 		if err != nil {
 			return nil, fmt.Errorf("window: generation %d: %w", i, err)
 		}
-		f.gens[i] = sf
+		ring[i] = sf
 		left -= size
 	}
 	if left != 0 {
 		return nil, errors.New("window: trailing bytes after generations")
 	}
-	f.opts.Shards = f.gens[0].Shards()
-	return f, nil
+	return newFilter(Options{Span: span, Generations: g, Shards: ring[0].Shards()}, ring, head, rotations), nil
 }

@@ -61,7 +61,7 @@ func TestWindowExpiry(t *testing.T) {
 	for i := range keys {
 		keys[i] = wkey("exp", i)
 	}
-	if err := f.InsertBatch(keys); err != nil {
+	if err := f.InsertBatch(keys, 0); err != nil {
 		t.Fatal(err)
 	}
 	for r := 1; r < 4; r++ {
@@ -161,8 +161,8 @@ func TestWindowSingleGeneration(t *testing.T) {
 	}
 }
 
-// TestWindowQueriesRacingRotation hammers Contains/Insert/batch paths
-// from many goroutines while another rotates continuously. Run under
+// TestWindowQueriesRacingRotation hammers Contains/Insert/Delete/batch
+// paths from many goroutines while another rotates continuously. Run under
 // -race (make race-serving covers this package); the assertion is the
 // in-window zero-false-negative contract for keys younger than one
 // rotation.
@@ -201,9 +201,11 @@ func TestWindowQueriesRacingRotation(t *testing.T) {
 						// spinning), so membership can be false — the point is
 						// the race detector and that nothing panics.
 						f.Contains(k)
-						f.ContainsBatch([][]byte{k, wkey("other", i)})
+						f.ContainsBatchInto([][]byte{k, wkey("other", i)}, nil)
 						f.Len()
 						f.Stats()
+						f.Delete(k)
+						f.DeleteBatch([][]byte{k, wkey("other", i)}, 0)
 					}
 				}(w)
 			}
@@ -220,19 +222,19 @@ func TestWindowContainsBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := [][]byte{wkey("old", 1), wkey("old", 2)}
-	if err := f.InsertBatch(old); err != nil {
+	if err := f.InsertBatch(old, 0); err != nil {
 		t.Fatal(err)
 	}
 	f.Rotate()
 	f.Rotate()
 	fresh := [][]byte{wkey("new", 1), wkey("new", 2)}
-	if err := f.InsertBatch(fresh); err != nil {
+	if err := f.InsertBatch(fresh, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Mixed batch: old keys (2 rotations deep), fresh keys, absent keys.
 	batch := [][]byte{old[0], fresh[0], wkey("absent", 1), old[1], fresh[1], wkey("absent", 2)}
 	want := []bool{true, true, false, true, true, false}
-	got := f.ContainsBatch(batch)
+	got := f.ContainsBatchInto(batch, nil)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("batch flag %d = %v, want %v (got %v)", i, got[i], want[i], got)
@@ -271,54 +273,9 @@ func TestWindowDelete(t *testing.T) {
 	if err := f.Insert(k); err != nil {
 		t.Fatal(err)
 	}
-	ok, _ := f.DeleteBatch([][]byte{k, []byte("still-not-there")})
+	ok, _ := f.DeleteBatch([][]byte{k, []byte("still-not-there")}, 0)
 	if !ok[0] || ok[1] {
 		t.Fatalf("DeleteBatch flags = %v, want [true false]", ok)
-	}
-}
-
-func TestWindowPreciseTTL(t *testing.T) {
-	opts := testOptions(4)
-	opts.Precise = true
-	f, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := []byte("precise-key")
-	if err := f.InsertTTL(k, 10*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if !f.Contains(k) {
-		t.Fatal("key missing before TTL")
-	}
-	if f.PendingExpiries() != 1 {
-		t.Fatalf("PendingExpiries = %d, want 1", f.PendingExpiries())
-	}
-	if n := f.ExpireDue(time.Now()); n != 0 {
-		t.Fatalf("premature expiry removed %d keys", n)
-	}
-	if n := f.ExpireDue(time.Now().Add(20 * time.Millisecond)); n != 1 {
-		t.Fatalf("due expiry removed %d keys, want 1", n)
-	}
-	if f.Contains(k) {
-		t.Fatal("key present after precise expiry")
-	}
-	// A rotated-out entry is skipped, not re-deleted from the fresh
-	// generation.
-	if err := f.InsertTTL(k, 10*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		f.Rotate()
-	}
-	if err := f.Insert(k); err != nil { // same key, fresh generation
-		t.Fatal(err)
-	}
-	if n := f.ExpireDue(time.Now().Add(time.Hour)); n != 0 {
-		t.Fatalf("stale-epoch expiry removed %d keys, want 0", n)
-	}
-	if !f.Contains(k) {
-		t.Fatal("fresh insert deleted by a stale expiry entry")
 	}
 }
 
