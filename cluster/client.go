@@ -39,20 +39,21 @@ type ClientConfig struct {
 }
 
 // Client routes single-key and batch operations across the cluster.
-// Batches are split per node, fanned out concurrently, and re-stitched
-// in input order. Reads prefer replicas (round-robin) and fail over to
-// the primary; writes always go to the primary. Safe for concurrent
-// use.
+// Its data operations are those of its zero Handle: the default
+// filter, untraced. Safe for concurrent use.
 //
 // Routing is governed by a ring descriptor (wire.Ring) the client
 // adopts whenever it sees a newer epoch — via UpdateRing, PollRing, or
 // StartRingPoll. The initial membership is the configured primaries at
-// epoch 0. During a joint (dual-write) epoch a mutation goes to the
-// key's owner under BOTH memberships and acks only when both succeed,
-// reads OR both owners, and deletes stay on the pre-change side (the
-// authoritative population until cutover) so a counting filter is never
-// decremented for a key one side never held.
+// epoch 0. During a joint (dual-write) epoch a default-filter mutation
+// goes to the key's owner under BOTH memberships and acks only when
+// both succeed, reads OR both owners, and deletes stay on the
+// pre-change side (the authoritative population until cutover) so a
+// counting filter is never decremented for a key one side never held;
+// namespaces stay on the pre-change side (see Handle.sides).
 type Client struct {
+	Handle
+
 	cfg ClientConfig
 
 	mu     sync.Mutex       // guards nodes/byAddr growth on ring adoption
@@ -113,6 +114,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		cfg.Timeout = 10 * time.Second
 	}
 	c := &Client{cfg: cfg, byAddr: map[string]*node{}}
+	c.Handle = Handle{c: c}
 	for _, n := range cfg.Nodes {
 		if n.Primary == "" {
 			return nil, errors.New("cluster: node with empty primary address")
@@ -142,17 +144,6 @@ func (c *Client) allNodes() []*node {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]*node(nil), c.nodes...)
-}
-
-// serving returns the membership authoritative for single-homed
-// operations: the stable membership, or the pre-change side during a
-// joint epoch (the incoming side is still being backfilled).
-func (c *Client) serving() []*node {
-	v := c.ring.Load()
-	if v.joint {
-		return v.old
-	}
-	return v.new
 }
 
 // members returns the union of both ring sides — the set admin
@@ -317,36 +308,15 @@ func routeIn(side []*node, nsH uint64, key []byte) int {
 	return best
 }
 
-// route returns the index of the node owning key within the serving
-// membership.
-func (c *Client) route(key []byte) int { return routeIn(c.serving(), 0, key) }
-
-// owners returns the node(s) a write to key must reach: its owner
-// under the serving membership and, during a joint epoch, its owner
-// under the incoming membership when that differs.
-func (c *Client) owners(key []byte) (primary, dual *node) {
-	v := c.ring.Load()
-	if !v.joint {
-		side := v.new
-		return side[routeIn(side, 0, key)], nil
-	}
-	o := v.old[routeIn(v.old, 0, key)]
-	n := v.new[routeIn(v.new, 0, key)]
-	if o == n {
-		return o, nil
-	}
-	return o, n
-}
-
-// mutate runs one mutation against the node's primary, tallying the
-// routing counters.
-func (n *node) mutate(fn func(*client.Client) error) error {
+// mutate runs one mutation against the node's primary through h's
+// filter and trace, tallying the routing counters.
+func (n *node) mutate(h Handle, fn func(client.Handle) error) error {
 	n.requests.Add(1)
 	cl, err := n.primaryClient()
 	if err != nil {
 		return err
 	}
-	err = fn(cl)
+	err = fn(h.on(cl))
 	n.noteMutation(err)
 	return err
 }
@@ -410,10 +380,10 @@ func (n *node) readClients() []*client.Client {
 	return out
 }
 
-// read runs op against the node's read set, failing over on transport
-// errors. Operation-level errors (ServerError) are authoritative and
-// returned as-is.
-func (n *node) read(op func(*client.Client) error) error {
+// read runs op against the node's read set through h's filter and
+// trace, failing over on transport errors. Operation-level errors
+// (ServerError) are authoritative and returned as-is.
+func (n *node) read(h Handle, op func(client.Handle) error) error {
 	n.requests.Add(1)
 	clients := n.readClients()
 	if len(clients) == 0 {
@@ -424,7 +394,7 @@ func (n *node) read(op func(*client.Client) error) error {
 		if i > 0 {
 			n.failovers.Add(1)
 		}
-		err := op(cl)
+		err := op(h.on(cl))
 		if err == nil {
 			return nil
 		}
@@ -437,316 +407,23 @@ func (n *node) read(op func(*client.Client) error) error {
 	return last
 }
 
-// Insert adds key on its owning primary — on both owners, ack-both,
-// during a joint epoch. A joint-window error means the insert may be
-// present on one side only; as with client.ErrMaybeApplied, blindly
-// retrying can double-count.
-func (c *Client) Insert(key []byte) error {
-	return c.insert(key, client.Trace{})
-}
-
-func (c *Client) insert(key []byte, tc client.Trace) error {
-	o, dual := c.owners(key)
-	if err := o.mutate(func(cl *client.Client) error { return cl.Traced(tc).Insert(key) }); err != nil {
-		return err
-	}
-	if dual == nil {
-		return nil
-	}
-	return dual.mutate(func(cl *client.Client) error { return cl.Traced(tc).Insert(key) })
-}
-
-// Delete removes key on its owning primary. During a joint epoch
-// deletes stay on the pre-change owner: it is the authoritative
-// population until cutover, and decrementing a counter the incoming
-// side never incremented would corrupt it. A key dual-written during
-// the window may leave a residual count on the incoming side — benign
-// Bloom residue (possible false positive, never a false negative).
-func (c *Client) Delete(key []byte) error {
-	return c.delete(key, client.Trace{})
-}
-
-func (c *Client) delete(key []byte, tc client.Trace) error {
-	side := c.serving()
-	n := side[routeIn(side, 0, key)]
-	return n.mutate(func(cl *client.Client) error { return cl.Traced(tc).Delete(key) })
-}
-
-// InsertTTL adds key on its owning primary with a time-to-live (on
-// both owners during a joint epoch). The node must be serving a
-// windowed store.
-func (c *Client) InsertTTL(key []byte, ttl time.Duration) error {
-	return c.insertTTL(key, ttl, client.Trace{})
-}
-
-func (c *Client) insertTTL(key []byte, ttl time.Duration, tc client.Trace) error {
-	o, dual := c.owners(key)
-	if err := o.mutate(func(cl *client.Client) error { return cl.Traced(tc).InsertTTL(key, ttl) }); err != nil {
-		return err
-	}
-	if dual == nil {
-		return nil
-	}
-	return dual.mutate(func(cl *client.Client) error { return cl.Traced(tc).InsertTTL(key, ttl) })
-}
-
-// Contains answers membership from the owning node's read set. During
-// a joint epoch both owners are consulted and the answers ORed: a key
-// written before the window lives only on the pre-change side, one
-// written during it on both.
-func (c *Client) Contains(key []byte) (bool, error) {
-	return c.contains(key, client.Trace{})
-}
-
-func (c *Client) contains(key []byte, tc client.Trace) (bool, error) {
-	o, dual := c.owners(key)
-	var ok bool
-	err := o.read(func(cl *client.Client) error {
-		var err error
-		ok, err = cl.Traced(tc).Contains(key)
-		return err
-	})
-	if err != nil || ok || dual == nil {
-		return ok, err
-	}
-	err = dual.read(func(cl *client.Client) error {
-		var err error
-		ok, err = cl.Traced(tc).Contains(key)
-		return err
-	})
-	return ok, err
-}
-
-// EstimateCount returns the multiplicity upper bound from the owning
-// node's read set — the max over both owners during a joint epoch
-// (dual-written keys count on both sides; max never double-counts).
-func (c *Client) EstimateCount(key []byte) (int, error) {
-	return c.estimateCount(key, client.Trace{})
-}
-
-func (c *Client) estimateCount(key []byte, tc client.Trace) (int, error) {
-	o, dual := c.owners(key)
-	var v int
-	err := o.read(func(cl *client.Client) error {
-		var err error
-		v, err = cl.Traced(tc).EstimateCount(key)
-		return err
-	})
-	if err != nil || dual == nil {
-		return v, err
-	}
-	var v2 int
-	err = dual.read(func(cl *client.Client) error {
-		var err error
-		v2, err = cl.Traced(tc).EstimateCount(key)
-		return err
-	})
-	return max(v, v2), err
-}
-
-// Len sums the element counts of the serving membership's primaries.
-// Keys are partitioned by the routing, so the sum is the cluster
-// population; the incoming side of a joint epoch is excluded because
-// its dual-written and imported keys would double-count.
-func (c *Client) Len() (int, error) {
-	total := 0
-	for _, n := range c.serving() {
-		var v int
-		err := n.read(func(cl *client.Client) error {
-			var err error
-			v, err = cl.Len()
-			return err
-		})
-		if err != nil {
-			return 0, err
-		}
-		total += v
-	}
-	return total, nil
-}
-
-// split partitions keys by owning node within side under the namespace
-// seed nsH, remembering each key's input position for re-stitching.
-func split(side []*node, nsH uint64, keys [][]byte) (perNode [][][]byte, perNodeIdx [][]int) {
-	perNode = make([][][]byte, len(side))
-	perNodeIdx = make([][]int, len(side))
-	for i, key := range keys {
-		n := routeIn(side, nsH, key)
-		perNode[n] = append(perNode[n], key)
-		perNodeIdx[n] = append(perNodeIdx[n], i)
-	}
-	return perNode, perNodeIdx
-}
-
-// fanOut runs fn once per side node that owns a non-empty slice of
-// keys, concurrently, and joins the errors. fn receives the node's
-// index within side so callers can reach the matching perNodeIdx
-// slice.
-func fanOut(side []*node, perNode [][][]byte, fn func(i int, n *node, keys [][]byte) error) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(side))
-	for i, keys := range perNode {
-		if len(keys) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, n *node, keys [][]byte) {
-			defer wg.Done()
-			errs[i] = fn(i, n, keys)
-		}(i, side[i], keys)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// sendBatch splits keys over side and fans each sub-batch out to its
-// owning primary with fn.
-func sendBatch(side []*node, keys [][]byte, fn func(cl *client.Client, sub [][]byte) error) error {
-	perNode, _ := split(side, 0, keys)
-	return fanOut(side, perNode, func(_ int, n *node, sub [][]byte) error {
-		n.requests.Add(1)
-		n.batches.Add(1)
-		n.batchKeys.Add(uint64(len(sub)))
-		cl, err := n.primaryClient()
-		if err != nil {
-			return err
-		}
-		err = fn(cl, sub)
-		n.noteMutation(err)
-		return err
-	})
-}
-
-// dualKeys returns the subset of keys whose owner under the incoming
-// membership differs from their owner under the pre-change one — the
-// keys a joint-epoch batch must write twice.
-func dualKeys(v *ringView, keys [][]byte) [][]byte {
-	var out [][]byte
-	for _, key := range keys {
-		if v.old[routeIn(v.old, 0, key)] != v.new[routeIn(v.new, 0, key)] {
-			out = append(out, key)
-		}
-	}
-	return out
-}
-
-// InsertBatch inserts keys, split per owning primary and fanned out
-// concurrently. On error some nodes' sub-batches may have been applied
-// and others not: each sub-batch is atomic per node, the whole batch is
-// not. During a joint epoch, keys whose ownership is moving are written
-// under both memberships and the batch acks only when both sides did.
-func (c *Client) InsertBatch(keys [][]byte) error {
-	return c.insertBatch(keys, client.Trace{})
-}
-
-func (c *Client) insertBatch(keys [][]byte, tc client.Trace) error {
-	v := c.ring.Load()
-	send := func(side []*node, ks [][]byte) error {
-		return sendBatch(side, ks, func(cl *client.Client, sub [][]byte) error {
-			return cl.Traced(tc).InsertBatch(sub)
-		})
-	}
-	if !v.joint {
-		return send(v.new, keys)
-	}
-	if err := send(v.old, keys); err != nil {
-		return err
-	}
-	if dual := dualKeys(v, keys); len(dual) > 0 {
-		return send(v.new, dual)
-	}
-	return nil
-}
-
-// InsertTTLBatch inserts keys with a shared time-to-live, split per
-// owning primary like InsertBatch (including joint-epoch dual-write).
-// The same partial-application caveat applies: each node's sub-batch is
-// atomic, the whole batch is not.
-func (c *Client) InsertTTLBatch(keys [][]byte, ttl time.Duration) error {
-	return c.insertTTLBatch(keys, ttl, client.Trace{})
-}
-
-func (c *Client) insertTTLBatch(keys [][]byte, ttl time.Duration, tc client.Trace) error {
-	v := c.ring.Load()
-	send := func(side []*node, ks [][]byte) error {
-		return sendBatch(side, ks, func(cl *client.Client, sub [][]byte) error {
-			return cl.Traced(tc).InsertTTLBatch(sub, ttl)
-		})
-	}
-	if !v.joint {
-		return send(v.new, keys)
-	}
-	if err := send(v.old, keys); err != nil {
-		return err
-	}
-	if dual := dualKeys(v, keys); len(dual) > 0 {
-		return send(v.new, dual)
-	}
-	return nil
-}
-
 // WindowStats collects the sliding-window state of every node's
 // primary, keyed by primary address. Fails if any node is unreachable
 // or not serving a windowed store, so callers never mistake a partial
 // view for the whole cluster.
 func (c *Client) WindowStats() (map[string]wire.WindowStats, error) {
-	nodes := c.serving()
+	nodes, _ := c.sides()
 	var mu sync.Mutex
 	out := make(map[string]wire.WindowStats, len(nodes))
-	var wg sync.WaitGroup
-	errs := make([]error, len(nodes))
-	for i, n := range nodes {
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			n.requests.Add(1)
-			cl, err := n.primaryClient()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			st, err := cl.WindowStats()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			mu.Lock()
-			out[n.primary] = st
-			mu.Unlock()
-		}(i, n)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DeleteBatch deletes keys across the cluster and re-stitches the
-// per-key removal flags in input order. During a joint epoch deletes
-// stay on the pre-change membership; see Delete.
-func (c *Client) DeleteBatch(keys [][]byte) ([]bool, error) {
-	return c.deleteBatch(keys, client.Trace{})
-}
-
-func (c *Client) deleteBatch(keys [][]byte, tc client.Trace) ([]bool, error) {
-	side := c.serving()
-	perNode, perNodeIdx := split(side, 0, keys)
-	out := make([]bool, len(keys))
-	err := fanOut(side, perNode, func(i int, n *node, sub [][]byte) error {
-		n.requests.Add(1)
-		n.batches.Add(1)
-		n.batchKeys.Add(uint64(len(sub)))
-		cl, err := n.primaryClient()
+	err := c.eachPrimary(nodes, func(n *node, cl *client.Client) error {
+		st, err := cl.WindowStats()
 		if err != nil {
 			return err
 		}
-		flags, err := cl.Traced(tc).DeleteBatch(sub)
-		if err != nil {
-			n.noteMutation(err)
-			return err
-		}
-		return stitch(out, perNodeIdx[i], flags, n.primary, false)
+		mu.Lock()
+		out[n.primary] = st
+		mu.Unlock()
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -754,70 +431,8 @@ func (c *Client) deleteBatch(keys [][]byte, tc client.Trace) ([]bool, error) {
 	return out, nil
 }
 
-// ContainsBatch answers membership for keys across the cluster,
-// re-stitched in input order. Each node's sub-batch goes to its read
-// set with failover. During a joint epoch, keys whose ownership is
-// moving are also asked of their incoming owner and the flags ORed.
-func (c *Client) ContainsBatch(keys [][]byte) ([]bool, error) {
-	return c.containsBatch(keys, client.Trace{})
-}
-
-func (c *Client) containsBatch(keys [][]byte, tc client.Trace) ([]bool, error) {
-	v := c.ring.Load()
-	out := make([]bool, len(keys))
-	ask := func(side []*node, ks [][]byte, positions []int) error {
-		perNode, perNodeIdx := split(side, 0, ks)
-		return fanOut(side, perNode, func(i int, n *node, sub [][]byte) error {
-			n.batches.Add(1)
-			n.batchKeys.Add(uint64(len(sub)))
-			var flags []bool
-			rerr := n.read(func(cl *client.Client) error {
-				var err error
-				flags, err = cl.Traced(tc).ContainsBatch(sub)
-				return err
-			})
-			if rerr != nil {
-				return rerr
-			}
-			idx := perNodeIdx[i]
-			if positions != nil {
-				// ks is a subset; map subset positions back to the input's.
-				mapped := make([]int, len(idx))
-				for j, p := range idx {
-					mapped[j] = positions[p]
-				}
-				idx = mapped
-			}
-			return stitch(out, idx, flags, n.primary, positions != nil)
-		})
-	}
-	if !v.joint {
-		if err := ask(v.new, keys, nil); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	if err := ask(v.old, keys, nil); err != nil {
-		return nil, err
-	}
-	var dual [][]byte
-	var positions []int
-	for i, key := range keys {
-		if v.old[routeIn(v.old, 0, key)] != v.new[routeIn(v.new, 0, key)] {
-			dual = append(dual, key)
-			positions = append(positions, i)
-		}
-	}
-	if len(dual) > 0 {
-		if err := ask(v.new, dual, positions); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // stitch scatters one node's order-preserving flags back to the input
-// positions recorded by split. Disjoint index sets per pass-and-node
+// positions recorded by fanOut. Disjoint index sets per pass-and-node
 // make the concurrent writes race-free (the OR pass of a joint-epoch
 // ContainsBatch runs after the first pass completed).
 func stitch(out []bool, idx []int, flags []bool, primary string, or bool) error {
@@ -832,65 +447,6 @@ func stitch(out []bool, idx []int, flags []bool, primary string, or bool) error 
 		}
 	}
 	return nil
-}
-
-// Traced returns a view whose operations all carry the trace context
-// tc. Every sub-batch of a fanned-out batch is sent inside a TRACE
-// envelope bearing the same trace id, so the /debug/traces rings of
-// every node that handled part of the batch hold spans with that id —
-// the mpcbf-trace stitcher joins them back into one fan-out tree.
-// Create one context per logical operation with client.NewTrace.
-func (c *Client) Traced(tc client.Trace) TracedCluster {
-	return TracedCluster{c: c, tc: tc}
-}
-
-// TracedCluster is a view of a cluster Client whose operations carry a
-// trace context; see Client.Traced. It holds no state of its own and is
-// safe for concurrent use (though sharing one trace id across unrelated
-// operations makes stitched traces ambiguous).
-type TracedCluster struct {
-	c  *Client
-	tc client.Trace
-}
-
-// Context returns the trace context this view stamps on operations.
-func (t TracedCluster) Context() client.Trace { return t.tc }
-
-// Insert adds key on its owning primary, traced.
-func (t TracedCluster) Insert(key []byte) error { return t.c.insert(key, t.tc) }
-
-// Delete removes key on its owning primary, traced.
-func (t TracedCluster) Delete(key []byte) error { return t.c.delete(key, t.tc) }
-
-// InsertTTL adds key with a time-to-live on its owning primary, traced.
-func (t TracedCluster) InsertTTL(key []byte, ttl time.Duration) error {
-	return t.c.insertTTL(key, ttl, t.tc)
-}
-
-// Contains answers membership from the owning node's read set, traced.
-func (t TracedCluster) Contains(key []byte) (bool, error) { return t.c.contains(key, t.tc) }
-
-// EstimateCount returns the multiplicity upper bound, traced.
-func (t TracedCluster) EstimateCount(key []byte) (int, error) { return t.c.estimateCount(key, t.tc) }
-
-// InsertBatch inserts keys with every per-node sub-batch carrying the
-// view's trace id.
-func (t TracedCluster) InsertBatch(keys [][]byte) error { return t.c.insertBatch(keys, t.tc) }
-
-// InsertTTLBatch inserts keys sharing one TTL, every sub-batch traced.
-func (t TracedCluster) InsertTTLBatch(keys [][]byte, ttl time.Duration) error {
-	return t.c.insertTTLBatch(keys, ttl, t.tc)
-}
-
-// DeleteBatch deletes keys across the cluster, every sub-batch traced.
-func (t TracedCluster) DeleteBatch(keys [][]byte) ([]bool, error) {
-	return t.c.deleteBatch(keys, t.tc)
-}
-
-// ContainsBatch answers membership across the cluster, every sub-batch
-// traced.
-func (t TracedCluster) ContainsBatch(keys [][]byte) ([]bool, error) {
-	return t.c.containsBatch(keys, t.tc)
 }
 
 // NodeStats is a point-in-time view of one node's routing counters plus

@@ -329,8 +329,8 @@ func TestClusterClientRoutingAndBatches(t *testing.T) {
 	}
 	defer cc2.Close()
 	for _, k := range ks[:50] {
-		a := nodes[cc.route(k)].Primary
-		b := rev[cc2.route(k)].Primary
+		a := nodes[routeIn(cc.nodes, 0, k)].Primary
+		b := rev[routeIn(cc2.nodes, 0, k)].Primary
 		if a != b {
 			t.Fatalf("key %q routed to %s and %s under reordered topology", k, a, b)
 		}

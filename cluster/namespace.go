@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/client"
 	"repro/internal/hashing"
@@ -16,8 +15,8 @@ import (
 // name, so two tenants' identical keys can land on different nodes and
 // one tenant's keyspace spreads over the whole cluster independently of
 // every other's. The empty namespace hashes to 0 — an XOR identity —
-// making routeNS(0, key) bit-for-bit the same placement as route(key):
-// introducing namespaces moves no existing key.
+// so the default filter's placement is bit-for-bit the pre-namespace
+// router's: introducing namespaces moves no existing key.
 
 // nsRouteSalt seeds the namespace-name hash. Any fixed odd constant
 // works; what matters is that every cluster client derives the same
@@ -33,23 +32,13 @@ func nsSeed(ns []byte) uint64 {
 	return hashing.XXHash64(ns, nsRouteSalt)
 }
 
-// routeNS returns the index of the node owning key within the
-// namespace whose seed perturbation is nsH, over the serving
-// membership. Namespaces route single-homed even during a joint epoch:
-// resharding transfers only the default filter (importing a namespace
-// container is refused), so namespaced keyspaces move only with an
-// explicit per-tenant migration.
-func (c *Client) routeNS(nsH uint64, key []byte) int {
-	return routeIn(c.serving(), nsH, key)
-}
-
-// eachPrimary runs fn against every member node's primary concurrently
-// and joins the errors: all-or-error, so callers never mistake a
-// partial cluster answer for a complete one. During a joint epoch the
-// incoming membership is included — an admin op must reach a node that
-// is about to start owning keys.
-func (c *Client) eachPrimary(fn func(n *node, cl *client.Client) error) error {
-	nodes := c.members()
+// eachPrimary runs fn against the primary of every node in nodes
+// concurrently and joins the errors: all-or-error, so callers never
+// mistake a partial cluster answer for a complete one. Admin ops pass
+// c.members(): during a joint epoch the incoming membership is
+// included, since an admin op must reach a node that is about to start
+// owning keys.
+func (c *Client) eachPrimary(nodes []*node, fn func(n *node, cl *client.Client) error) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(nodes))
 	for i, n := range nodes {
@@ -76,7 +65,7 @@ func (c *Client) eachPrimary(fn func(n *node, cl *client.Client) error) error {
 // fails the call, and already-created nodes keep the namespace — retry
 // until clean.
 func (c *Client) CreateNamespace(name string, cfg wire.NsConfig) error {
-	return c.eachPrimary(func(n *node, cl *client.Client) error {
+	return c.eachPrimary(c.members(), func(n *node, cl *client.Client) error {
 		err := cl.CreateNamespace(name, cfg)
 		n.noteMutation(err)
 		return err
@@ -87,7 +76,7 @@ func (c *Client) CreateNamespace(name string, cfg wire.NsConfig) error {
 // an unknown name is a per-node no-op, so a partially failed drop can
 // be retried until every node agrees.
 func (c *Client) DropNamespace(name string) error {
-	return c.eachPrimary(func(n *node, cl *client.Client) error {
+	return c.eachPrimary(c.members(), func(n *node, cl *client.Client) error {
 		err := cl.DropNamespace(name)
 		n.noteMutation(err)
 		return err
@@ -100,7 +89,7 @@ func (c *Client) DropNamespace(name string) error {
 func (c *Client) ListNamespaces() ([]string, error) {
 	var mu sync.Mutex
 	seen := map[string]bool{}
-	err := c.eachPrimary(func(n *node, cl *client.Client) error {
+	err := c.eachPrimary(c.members(), func(n *node, cl *client.Client) error {
 		names, err := cl.ListNamespaces()
 		if err != nil {
 			return err
@@ -130,7 +119,7 @@ func (c *Client) ListNamespaces() ([]string, error) {
 func (c *Client) NamespaceStats(name string) (wire.NsStats, error) {
 	var mu sync.Mutex
 	var out wire.NsStats
-	err := c.eachPrimary(func(n *node, cl *client.Client) error {
+	err := c.eachPrimary(c.members(), func(n *node, cl *client.Client) error {
 		st, err := cl.NamespaceStats(name)
 		if err != nil {
 			return err
@@ -147,205 +136,6 @@ func (c *Client) NamespaceStats(name string) (wire.NsStats, error) {
 	})
 	if err != nil {
 		return wire.NsStats{}, err
-	}
-	return out, nil
-}
-
-// Namespace returns a view routing every data operation on
-// (namespace, key) across the cluster. Semantics per operation match
-// the cluster Client method of the same name.
-func (c *Client) Namespace(name string) Namespace {
-	ns := []byte(name)
-	return Namespace{c: c, name: name, h: nsSeed(ns)}
-}
-
-// Namespace is a per-namespace view of the cluster's data API; see
-// Client.Namespace. The value is cheap to copy and safe for concurrent
-// use.
-type Namespace struct {
-	c    *Client
-	name string
-	h    uint64
-}
-
-// Name returns the namespace name this view targets.
-func (v Namespace) Name() string { return v.name }
-
-func (v Namespace) owner(key []byte) *node {
-	side := v.c.serving()
-	return side[routeIn(side, v.h, key)]
-}
-
-// Insert adds key on its owning primary within the namespace.
-func (v Namespace) Insert(key []byte) error {
-	n := v.owner(key)
-	n.requests.Add(1)
-	cl, err := n.primaryClient()
-	if err != nil {
-		return err
-	}
-	err = cl.Namespace(v.name).Insert(key)
-	n.noteMutation(err)
-	return err
-}
-
-// Delete removes key on its owning primary within the namespace.
-func (v Namespace) Delete(key []byte) error {
-	n := v.owner(key)
-	n.requests.Add(1)
-	cl, err := n.primaryClient()
-	if err != nil {
-		return err
-	}
-	err = cl.Namespace(v.name).Delete(key)
-	n.noteMutation(err)
-	return err
-}
-
-// InsertTTL adds key with a time-to-live (windowed namespaces only).
-func (v Namespace) InsertTTL(key []byte, ttl time.Duration) error {
-	n := v.owner(key)
-	n.requests.Add(1)
-	cl, err := n.primaryClient()
-	if err != nil {
-		return err
-	}
-	err = cl.Namespace(v.name).InsertTTL(key, ttl)
-	n.noteMutation(err)
-	return err
-}
-
-// Contains answers membership from the owning node's read set.
-func (v Namespace) Contains(key []byte) (bool, error) {
-	var ok bool
-	err := v.owner(key).read(func(cl *client.Client) error {
-		var err error
-		ok, err = cl.Namespace(v.name).Contains(key)
-		return err
-	})
-	return ok, err
-}
-
-// EstimateCount returns the multiplicity upper bound from the owning
-// node's read set.
-func (v Namespace) EstimateCount(key []byte) (int, error) {
-	var est int
-	err := v.owner(key).read(func(cl *client.Client) error {
-		var err error
-		est, err = cl.Namespace(v.name).EstimateCount(key)
-		return err
-	})
-	return est, err
-}
-
-// Len sums the namespace's element counts across the serving
-// membership's primaries.
-func (v Namespace) Len() (int, error) {
-	total := 0
-	for _, n := range v.c.serving() {
-		var sub int
-		err := n.read(func(cl *client.Client) error {
-			var err error
-			sub, err = cl.Namespace(v.name).Len()
-			return err
-		})
-		if err != nil {
-			return 0, err
-		}
-		total += sub
-	}
-	return total, nil
-}
-
-// InsertBatch inserts keys into the namespace, split per owning primary
-// and fanned out concurrently. Each node's sub-batch is atomic; the
-// whole batch is not.
-func (v Namespace) InsertBatch(keys [][]byte) error {
-	side := v.c.serving()
-	perNode, _ := split(side, v.h, keys)
-	return fanOut(side, perNode, func(_ int, n *node, sub [][]byte) error {
-		n.requests.Add(1)
-		n.batches.Add(1)
-		n.batchKeys.Add(uint64(len(sub)))
-		cl, err := n.primaryClient()
-		if err != nil {
-			return err
-		}
-		err = cl.Namespace(v.name).InsertBatch(sub)
-		n.noteMutation(err)
-		return err
-	})
-}
-
-// InsertTTLBatch inserts keys sharing one TTL, split per owning primary
-// (windowed namespaces only).
-func (v Namespace) InsertTTLBatch(keys [][]byte, ttl time.Duration) error {
-	side := v.c.serving()
-	perNode, _ := split(side, v.h, keys)
-	return fanOut(side, perNode, func(_ int, n *node, sub [][]byte) error {
-		n.requests.Add(1)
-		n.batches.Add(1)
-		n.batchKeys.Add(uint64(len(sub)))
-		cl, err := n.primaryClient()
-		if err != nil {
-			return err
-		}
-		err = cl.Namespace(v.name).InsertTTLBatch(sub, ttl)
-		n.noteMutation(err)
-		return err
-	})
-}
-
-// DeleteBatch deletes keys from the namespace across the cluster and
-// re-stitches the per-key removal flags in input order.
-func (v Namespace) DeleteBatch(keys [][]byte) ([]bool, error) {
-	side := v.c.serving()
-	perNode, perNodeIdx := split(side, v.h, keys)
-	out := make([]bool, len(keys))
-	err := fanOut(side, perNode, func(i int, n *node, sub [][]byte) error {
-		n.requests.Add(1)
-		n.batches.Add(1)
-		n.batchKeys.Add(uint64(len(sub)))
-		cl, err := n.primaryClient()
-		if err != nil {
-			return err
-		}
-		flags, err := cl.Namespace(v.name).DeleteBatch(sub)
-		if err != nil {
-			n.noteMutation(err)
-			return err
-		}
-		return stitch(out, perNodeIdx[i], flags, n.primary, false)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ContainsBatch answers membership for keys in the namespace across the
-// cluster, re-stitched in input order; each node's sub-batch goes to
-// its read set with failover.
-func (v Namespace) ContainsBatch(keys [][]byte) ([]bool, error) {
-	side := v.c.serving()
-	perNode, perNodeIdx := split(side, v.h, keys)
-	out := make([]bool, len(keys))
-	err := fanOut(side, perNode, func(i int, n *node, sub [][]byte) error {
-		n.batches.Add(1)
-		n.batchKeys.Add(uint64(len(sub)))
-		var flags []bool
-		rerr := n.read(func(cl *client.Client) error {
-			var err error
-			flags, err = cl.Namespace(v.name).ContainsBatch(sub)
-			return err
-		})
-		if rerr != nil {
-			return rerr
-		}
-		return stitch(out, perNodeIdx[i], flags, n.primary, false)
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -22,10 +22,11 @@ func TestNamespaceRoutingIdentity(t *testing.T) {
 	if h != 0 {
 		t.Fatalf("nsSeed(default) = %#x, want 0", h)
 	}
+	def := c.Namespace("")
 	for i := 0; i < 10000; i++ {
 		key := []byte(fmt.Sprintf("key-%d", i))
-		if got, want := c.routeNS(h, key), c.route(key); got != want {
-			t.Fatalf("key %q: routeNS(default) = node %d, route = node %d", key, got, want)
+		if got, want := routeIn(c.nodes, def.nsH, key), routeIn(c.nodes, 0, key); got != want {
+			t.Fatalf("key %q: Namespace(\"\") routes to node %d, the default filter to node %d", key, got, want)
 		}
 	}
 }
@@ -50,7 +51,7 @@ func TestNamespaceRoutingSpreads(t *testing.T) {
 	moved := 0
 	for i := 0; i < 10000; i++ {
 		key := []byte(fmt.Sprintf("key-%d", i))
-		if c.routeNS(ha, key) != c.routeNS(hb, key) {
+		if routeIn(c.nodes, ha, key) != routeIn(c.nodes, hb, key) {
 			moved++
 		}
 	}

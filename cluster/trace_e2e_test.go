@@ -2,11 +2,13 @@ package cluster
 
 // Distributed-tracing end-to-end test against real mpcbfd binaries: two
 // primaries plus a replica of the first, a TRACE-enveloped batch fanned
-// out by the cluster client, then the acceptance bar — the same trace
-// id present in every owning primary's /debug/traces ring with WAL
-// position and commit-round attribution, the replica's apply span
-// joinable to the primary span by WAL-offset containment, and the
-// replication-lag-in-time gauge reading ≈ 0 on the quiesced pair.
+// out by the cluster client (and a second one in a namespace), then the
+// acceptance bar — the same trace id present in every owning primary's
+// /debug/traces ring with WAL position and commit-round attribution,
+// the namespaced trace's spans naming their namespace, the replica's
+// apply span joinable to the primary span by WAL-offset containment,
+// and the replication-lag-in-time gauge reading ≈ 0 on the quiesced
+// pair.
 
 import (
 	"encoding/json"
@@ -92,6 +94,16 @@ func TestClusterTraceE2E(t *testing.T) {
 	if _, err := cl.Traced(tc).ContainsBatch(keys); err != nil {
 		t.Fatal(err)
 	}
+	// A namespaced handle carries its own trace across the cluster the
+	// same way, routed on (namespace, key).
+	const traceNS = "trace-ns"
+	tc2 := client.NewTrace()
+	if err := cl.Namespace(traceNS).Traced(tc2).InsertBatch(keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Namespace(traceNS).Traced(tc2).ContainsBatch(keys); err != nil {
+		t.Fatal(err)
+	}
 
 	// The tentpole assertion: the ONE propagated trace id appears in
 	// every fanned-out node's ring, and each primary's mutation span
@@ -123,6 +135,16 @@ func TestClusterTraceE2E(t *testing.T) {
 		}
 		if !foundMutation {
 			t.Errorf("node %s: no insert_batch span under trace %s", httpAddr, tc)
+		}
+		nsOps := map[string]bool{}
+		for _, sp := range spansWithID(rep, tc2.String()) {
+			if sp.NS != traceNS {
+				t.Errorf("node %s: span under trace %s has ns %q, want %q: %+v", httpAddr, tc2, sp.NS, traceNS, sp)
+			}
+			nsOps[sp.Op] = true
+		}
+		if !nsOps["insert_batch"] || !nsOps["contains_batch"] {
+			t.Errorf("node %s: namespaced trace %s holds ops %v, want insert_batch and contains_batch", httpAddr, tc2, nsOps)
 		}
 		if httpAddr == p1http {
 			p1Spans = spans

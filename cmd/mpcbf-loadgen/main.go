@@ -10,7 +10,8 @@
 // send, so server stalls surface as queueing delay). Request shapes:
 // single-key (default), -batch N, or -pipeline D. Multiple -addrs
 // entries ("primary[/replica...]", comma-separated) run the rendezvous
-// cluster router; -ns fans ops across namespaces on a single node.
+// cluster router; -ns fans ops across namespaces, on one node or
+// across the cluster.
 //
 // The run manifest (seed, mix, topology, duration) is embedded in the
 // JSON result (-json), and -bench merges the result into a named entry
@@ -106,7 +107,7 @@ func main() {
 	}
 
 	if *nsCreate && len(cfg.Namespaces) > 0 {
-		if err := createNamespaces(cfg.Addrs[0], cfg.Namespaces, *nsBits, *nsItems); err != nil {
+		if err := createNamespaces(cfg.Addrs, cfg.Namespaces, *nsBits, *nsItems); err != nil {
 			fatal(err)
 		}
 	}
@@ -144,21 +145,25 @@ func main() {
 	}
 }
 
-// createNamespaces ensures each named namespace exists on the target
+// createNamespaces ensures each named namespace exists on every target
+// primary, since a cluster spreads each namespace over all of them
 // (CREATE_NS of an existing namespace with the same geometry is
 // rejected; a "exists" error is tolerated so reruns work).
-func createNamespaces(addr string, names []string, bits, items uint64) error {
-	primary := strings.Split(addr, "/")[0]
-	c, err := client.Dial(primary, client.WithTimeout(10*time.Second))
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	for _, name := range names {
-		err := c.CreateNamespace(name, wire.NsConfig{MemoryBits: bits, ExpectedItems: items})
-		if err != nil && !strings.Contains(err.Error(), "exists") {
-			return fmt.Errorf("create namespace %s: %w", name, err)
+func createNamespaces(addrs, names []string, bits, items uint64) error {
+	for _, addr := range addrs {
+		primary := strings.Split(addr, "/")[0]
+		c, err := client.Dial(primary, client.WithTimeout(10*time.Second))
+		if err != nil {
+			return err
 		}
+		for _, name := range names {
+			err := c.CreateNamespace(name, wire.NsConfig{MemoryBits: bits, ExpectedItems: items})
+			if err != nil && !strings.Contains(err.Error(), "exists") {
+				c.Close()
+				return fmt.Errorf("create namespace %s on %s: %w", name, primary, err)
+			}
+		}
+		c.Close()
 	}
 	return nil
 }

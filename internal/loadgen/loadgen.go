@@ -129,8 +129,8 @@ type Config struct {
 	// through repro/cluster. Each entry is "primary" or
 	// "primary/replica1/replica2..." (replicas serve reads).
 	Addrs []string
-	// Namespaces fans ops out across named tenants (single-node targets
-	// only); empty targets the default namespace.
+	// Namespaces fans ops out across named tenants, on one node or
+	// across the cluster; empty targets the default namespace.
 	Namespaces []string
 	// OpenLoop switches from closed-loop (Concurrency workers, next op
 	// when the previous returns) to open-loop (ops scheduled at Rate
@@ -204,9 +204,6 @@ func (c *Config) setDefaults() error {
 	if c.PipelineDepth > 0 && (routed || len(c.Namespaces) > 0 || c.Batch > 1) {
 		return errors.New("loadgen: pipeline mode is single-node, default-namespace, single-key only")
 	}
-	if len(c.Namespaces) > 0 && routed {
-		return errors.New("loadgen: namespace fan-out targets a single unreplicated node")
-	}
 	if c.Grow {
 		if c.GrowSteps <= 0 {
 			c.GrowSteps = 3
@@ -218,14 +215,11 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// target is the minimal op surface a worker drives; implemented by a
-// single-node client handle (default filter or namespace) and the
-// cluster client. Every
-// method takes the op's trace context (zero = untraced); a zero context
-// costs nothing on any implementation.
+// target is the minimal op surface a worker drives. Every method takes
+// the op's trace context (zero = untraced); a zero context costs
+// nothing on any implementation.
 type target interface {
 	insert(tc client.Trace, key []byte) error
-	del(tc client.Trace, key []byte) error
 	contains(tc client.Trace, key []byte) error
 	insertTTL(tc client.Trace, key []byte, ttl time.Duration) error
 	insertBatch(tc client.Trace, keys [][]byte) error
@@ -233,61 +227,53 @@ type target interface {
 	containsBatch(tc client.Trace, keys [][]byte) error
 }
 
-// handleTarget drives one filter of a single daemon: the default filter
-// (the client's zero handle) or a namespace.
-type handleTarget struct{ h client.Handle }
-
-func (t handleTarget) insert(tc client.Trace, k []byte) error { return t.h.Traced(tc).Insert(k) }
-
-// del goes through the flag-returning batch op: deleting a key that is
-// not (or no longer) present is a legitimate workload outcome, not an
-// error — the single-key DELETE wire op rejects it.
-func (t handleTarget) del(tc client.Trace, k []byte) error {
-	_, err := t.h.Traced(tc).DeleteBatch([][]byte{k})
-	return err
+// handle is the part of a data handle loadgen drives, shared by
+// client.Handle (one daemon) and cluster.Handle (a routed cluster).
+type handle[H any] interface {
+	Namespace(name string) H
+	Traced(tc client.Trace) H
+	Insert(key []byte) error
+	InsertTTL(key []byte, ttl time.Duration) error
+	Contains(key []byte) (bool, error)
+	InsertBatch(keys [][]byte) error
+	DeleteBatch(keys [][]byte) ([]bool, error)
+	ContainsBatch(keys [][]byte) ([]bool, error)
 }
-func (t handleTarget) contains(tc client.Trace, k []byte) error {
+
+// handleTarget drives one filter — the default filter or a namespace —
+// of a single daemon or of a cluster, holding its handle by value.
+type handleTarget[H handle[H]] struct{ h H }
+
+// targets returns a target per namespace in names on h, or h's own
+// filter's when names is empty.
+func targets[H handle[H]](h H, names []string) []target {
+	if len(names) == 0 {
+		return []target{handleTarget[H]{h}}
+	}
+	out := make([]target, len(names))
+	for i, name := range names {
+		out[i] = handleTarget[H]{h.Namespace(name)}
+	}
+	return out
+}
+
+func (t handleTarget[H]) insert(tc client.Trace, k []byte) error { return t.h.Traced(tc).Insert(k) }
+func (t handleTarget[H]) contains(tc client.Trace, k []byte) error {
 	_, err := t.h.Traced(tc).Contains(k)
 	return err
 }
-func (t handleTarget) insertTTL(tc client.Trace, k []byte, ttl time.Duration) error {
+func (t handleTarget[H]) insertTTL(tc client.Trace, k []byte, ttl time.Duration) error {
 	return t.h.Traced(tc).InsertTTL(k, ttl)
 }
-func (t handleTarget) insertBatch(tc client.Trace, ks [][]byte) error {
+func (t handleTarget[H]) insertBatch(tc client.Trace, ks [][]byte) error {
 	return t.h.Traced(tc).InsertBatch(ks)
 }
-func (t handleTarget) deleteBatch(tc client.Trace, ks [][]byte) error {
+func (t handleTarget[H]) deleteBatch(tc client.Trace, ks [][]byte) error {
 	_, err := t.h.Traced(tc).DeleteBatch(ks)
 	return err
 }
-func (t handleTarget) containsBatch(tc client.Trace, ks [][]byte) error {
+func (t handleTarget[H]) containsBatch(tc client.Trace, ks [][]byte) error {
 	_, err := t.h.Traced(tc).ContainsBatch(ks)
-	return err
-}
-
-type clusterTarget struct{ c *cluster.Client }
-
-func (t clusterTarget) insert(tc client.Trace, k []byte) error { return t.c.Traced(tc).Insert(k) }
-func (t clusterTarget) del(tc client.Trace, k []byte) error {
-	_, err := t.c.Traced(tc).DeleteBatch([][]byte{k})
-	return err
-}
-func (t clusterTarget) contains(tc client.Trace, k []byte) error {
-	_, err := t.c.Traced(tc).Contains(k)
-	return err
-}
-func (t clusterTarget) insertTTL(tc client.Trace, k []byte, ttl time.Duration) error {
-	return t.c.Traced(tc).InsertTTL(k, ttl)
-}
-func (t clusterTarget) insertBatch(tc client.Trace, ks [][]byte) error {
-	return t.c.Traced(tc).InsertBatch(ks)
-}
-func (t clusterTarget) deleteBatch(tc client.Trace, ks [][]byte) error {
-	_, err := t.c.Traced(tc).DeleteBatch(ks)
-	return err
-}
-func (t clusterTarget) containsBatch(tc client.Trace, ks [][]byte) error {
-	_, err := t.c.Traced(tc).ContainsBatch(ks)
 	return err
 }
 
@@ -398,7 +384,7 @@ func (w *worker) dial() error {
 		if err != nil {
 			return err
 		}
-		w.targets = []target{clusterTarget{c}}
+		w.targets = targets(c.Handle, cfg.Namespaces)
 		w.closeFn = func() { c.Close() }
 		return nil
 	}
@@ -407,15 +393,8 @@ func (w *worker) dial() error {
 	if err != nil {
 		return err
 	}
+	w.targets = targets(c.Handle, cfg.Namespaces)
 	w.closeFn = func() { c.Close() }
-	if len(cfg.Namespaces) > 0 {
-		w.targets = make([]target, len(cfg.Namespaces))
-		for i, ns := range cfg.Namespaces {
-			w.targets[i] = handleTarget{c.Namespace(ns)}
-		}
-	} else {
-		w.targets = []target{handleTarget{c.Handle}}
-	}
 	if cfg.PipelineDepth > 0 {
 		w.pipe = c.Pipeline()
 	}
@@ -511,23 +490,30 @@ func (w *worker) issue(rng *hashing.RNG, op Op, t target) {
 	}
 	w.keyBuf = w.drawKey(w.keyBuf[:0], rng)
 	start := time.Now()
-	var err error
-	switch op {
-	case OpInsert:
-		err = t.insert(tc, w.keyBuf)
-	case OpDelete:
-		err = t.del(tc, w.keyBuf)
-	case OpContains:
-		err = t.contains(tc, w.keyBuf)
-	case OpInsertTTL:
-		err = t.insertTTL(tc, w.keyBuf, cfg.TTL)
-	}
+	err := w.single(op, t, tc)
 	lat := time.Since(start)
 	w.observe(op, lat, 1, err)
 	w.noteSlow(op, tc, lat)
 	if cfg.OnMutation != nil && op.IsMutation() {
 		cfg.OnMutation(op, w.keyBuf, err)
 	}
+}
+
+// single runs op on t for the worker's current key. A delete goes
+// through the flag-returning batch op: deleting a key that is not (or
+// no longer) present is a legitimate workload outcome, not an error —
+// the single-key DELETE wire op rejects it.
+func (w *worker) single(op Op, t target, tc client.Trace) error {
+	switch op {
+	case OpInsert:
+		return t.insert(tc, w.keyBuf)
+	case OpDelete:
+		w.batchBuf = append(w.batchBuf[:0], w.keyBuf)
+		return t.deleteBatch(tc, w.batchBuf)
+	case OpContains:
+		return t.contains(tc, w.keyBuf)
+	}
+	return t.insertTTL(tc, w.keyBuf, w.cfg.TTL)
 }
 
 // runClosed is the closed loop: issue, wait, repeat until the deadline.
@@ -578,17 +564,7 @@ func (w *worker) issueTimed(rng *hashing.RNG, op Op, t target, sched time.Time) 
 	cfg := w.cfg
 	tc := w.sampleTrace()
 	w.keyBuf = w.drawKey(w.keyBuf[:0], rng)
-	var err error
-	switch op {
-	case OpInsert:
-		err = t.insert(tc, w.keyBuf)
-	case OpDelete:
-		err = t.del(tc, w.keyBuf)
-	case OpContains:
-		err = t.contains(tc, w.keyBuf)
-	case OpInsertTTL:
-		err = t.insertTTL(tc, w.keyBuf, cfg.TTL)
-	}
+	err := w.single(op, t, tc)
 	lat := time.Since(sched)
 	w.observe(op, lat, 1, err)
 	w.noteSlow(op, tc, lat)
@@ -624,7 +600,7 @@ func (w *worker) runPipelined(ctx context.Context, deadline time.Time) {
 				w.pipe.Insert(key)
 			case OpDelete:
 				// Flag-returning batch form: absent keys are a workload
-				// outcome, not an error (see target.del).
+				// outcome, not an error (see worker.single).
 				w.pipe.DeleteBatch([][]byte{key})
 			case OpContains:
 				w.pipe.Contains(key)

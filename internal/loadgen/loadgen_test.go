@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net"
@@ -14,7 +15,7 @@ import (
 	"time"
 
 	mpcbf "repro"
-	"repro/client"
+	"repro/cluster"
 	"repro/internal/dataset"
 	"repro/server"
 	"repro/server/wire"
@@ -166,41 +167,54 @@ func TestRunPipelined(t *testing.T) {
 	}
 }
 
+// TestRunNamespaces fans a run out over three windowed namespaces on
+// one node, and across a two-node cluster, where the namespaced keys
+// route on (namespace, key) over both primaries.
 func TestRunNamespaces(t *testing.T) {
-	addr := startServer(t)
-	admin, err := client.Dial(addr, client.WithTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
 	names := []string{"lg-a", "lg-b", "lg-c"}
-	for _, name := range names {
-		cfg := wire.NsConfig{MemoryBits: 1 << 18, ExpectedItems: 2000,
-			WindowNanos: uint64(time.Minute), Generations: 4}
-		if err := admin.CreateNamespace(name, cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
+	for _, nodes := range []int{1, 2} {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			var addrs []string
+			var topo []cluster.Node
+			for i := 0; i < nodes; i++ {
+				addrs = append(addrs, startServer(t))
+				topo = append(topo, cluster.Node{Primary: addrs[i]})
+			}
+			admin, err := cluster.NewClient(cluster.ClientConfig{Nodes: topo, Timeout: 5 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer admin.Close()
+			for _, name := range names {
+				nsCfg := wire.NsConfig{MemoryBits: 1 << 18, ExpectedItems: 2000,
+					WindowNanos: uint64(time.Minute), Generations: 4}
+				if err := admin.CreateNamespace(name, nsCfg); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	cfg := testConfig(addr)
-	cfg.Namespaces = names
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
+			cfg := testConfig(addrs[0])
+			cfg.Addrs = addrs
+			cfg.Namespaces = names
+			res, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.TotalOps == 0 || res.Errors != 0 {
+				t.Fatalf("namespace run: %+v", res)
+			}
+			// The fan-out must actually have touched each tenant.
+			for _, name := range names {
+				n, err := admin.Namespace(name).Len()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n == 0 {
+					t.Fatalf("namespace %s untouched by the run", name)
+				}
+			}
+		})
 	}
-	if res.TotalOps == 0 || res.Errors != 0 {
-		t.Fatalf("namespace run: %+v", res)
-	}
-	// The fan-out must actually have touched each tenant.
-	for _, name := range names {
-		n, err := admin.Namespace(name).Len()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			t.Fatalf("namespace %s untouched by the run", name)
-		}
-	}
-	admin.Close()
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -208,7 +222,6 @@ func TestConfigValidation(t *testing.T) {
 		{},                                     // no addrs
 		{Addrs: []string{"x"}, OpenLoop: true}, // open loop without rate
 		{Addrs: []string{"a", "b"}, PipelineDepth: 4, Mix: Mix{Insert: 1}}, // pipeline + cluster
-		{Addrs: []string{"a", "b"}, Namespaces: []string{"n"}, Mix: Mix{Insert: 1}},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(context.Background(), cfg); err == nil {
