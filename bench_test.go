@@ -551,6 +551,22 @@ func BenchmarkShardedBatchQueryBeyondL3(b *testing.B) {
 	b.ReportMetric(float64(in.Nanoseconds())/float64(b.N)/beyondL3Batch, "ns/key")
 }
 
+// BenchmarkShardedMarshalBeyondL3 times MarshalBinary at lookup's
+// geometry: the encode every snapshot runs under the store's mutation
+// lock, so it must stay one allocation of the encoding's size.
+func BenchmarkShardedMarshalBeyondL3(b *testing.B) {
+	s, ks := newBeyondL3(b)
+	loadBeyondL3(b, s, ks)
+	b.ReportAllocs()
+	b.SetBytes(int64(s.MarshaledSize()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.MarshalBinary(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkShardedScalarQueryParallel(b *testing.B) {
 	keys := microKeys(microN)
 	s, err := NewSharded(Options{MemoryBits: microMem, ExpectedItems: microN}, 16)

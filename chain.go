@@ -19,8 +19,8 @@ import "sync"
 // Every method takes the chain's read lock only, so reads, inserts and
 // deletes run side by side under the generations' own shard locks; only
 // Update excludes them. The zero Chain has no generations: it reads every
-// key as absent, and Insert, InsertBatch and HeadShardStats, which need a
-// head, must not be called on it.
+// key as absent, and Insert and InsertBatch, which need a head, must not
+// be called on it.
 type Chain struct {
 	mu     sync.RWMutex
 	gens   []*Sharded
@@ -188,13 +188,5 @@ func (c *Chain) MemoryBits() int { return c.sum((*Sharded).MemoryBits) }
 
 // SaturatedWords sums the overflow-frozen words of every generation.
 func (c *Chain) SaturatedWords() int { return c.sum((*Sharded).SaturatedWords) }
-
-// HeadShardStats returns the newest generation's per-shard statistics:
-// the live insert target, where load skew shows first.
-func (c *Chain) HeadShardStats() []ShardStats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.head().ShardStats()
-}
 
 var _ CountingFilter = (*Chain)(nil)

@@ -220,32 +220,16 @@ func main() {
 
 	srv := server.New(store, cfg, nil)
 
+	// Every listener binds before anything is served, so a taken port
+	// stops the daemon instead of leaving it up without /readyz, and each
+	// log line carries the bound address (the real port of a ":0" flag).
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
 	}
-
-	var httpSrv *http.Server
-	if *httpAddr != "" {
-		httpSrv = &http.Server{Addr: *httpAddr, Handler: srv.HTTPHandler()}
-		go func() {
-			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Error("http sidecar failed", "error", err)
-			}
-		}()
-		log.Info("http sidecar listening", "addr", *httpAddr)
-	}
-
-	var debugSrv *http.Server
-	if *debugAddr != "" {
-		debugSrv = &http.Server{Addr: *debugAddr, Handler: srv.DebugHandler()}
-		go func() {
-			if err := debugSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Error("debug listener failed", "error", err)
-			}
-		}()
-		log.Info("debug listener with pprof", "addr", *debugAddr)
-	}
+	httpLn, debugLn := listenHTTP(*httpAddr), listenHTTP(*debugAddr)
+	httpSrv := serveHTTP(httpLn, srv.HTTPHandler(), log, "http sidecar listening")
+	debugSrv := serveHTTP(debugLn, srv.DebugHandler(), log, "debug listener with pprof")
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
@@ -286,6 +270,36 @@ func main() {
 	} else {
 		log.Info("clean shutdown (final snapshot written)")
 	}
+}
+
+// listenHTTP binds an HTTP listener's addr, exiting the process when the
+// bind fails; it returns nil for an empty addr, which disables the
+// listener.
+func listenHTTP(addr string) net.Listener {
+	if addr == "" {
+		return nil
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fatal(err)
+	}
+	return ln
+}
+
+// serveHTTP serves h on ln and logs msg with the bound address; it
+// returns nil, serving nothing, for a nil ln.
+func serveHTTP(ln net.Listener, h http.Handler, log *slog.Logger, msg string) *http.Server {
+	if ln == nil {
+		return nil
+	}
+	hs := &http.Server{Handler: h}
+	go func() {
+		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
+			log.Error("http listener failed", "addr", ln.Addr().String(), "error", err)
+		}
+	}()
+	log.Info(msg, "addr", ln.Addr().String())
+	return hs
 }
 
 // buildLogger assembles the process logger from the -log-format and

@@ -184,27 +184,33 @@ type ShardStats struct {
 }
 
 // ShardStats returns per-shard load and capacity statistics, indexed by
-// shard number. Counters are read atomically; the filter gauges take
-// each shard's read lock briefly.
-func (s *Sharded) ShardStats() []ShardStats {
-	out := make([]ShardStats, len(s.shards))
+// shard number, and the filter's FillRatio, from one walk over the
+// words. Counters are read atomically; the filter gauges take each
+// shard's read lock briefly.
+func (s *Sharded) ShardStats() (shards []ShardStats, fill float64) {
+	shards = make([]ShardStats, len(s.shards))
+	var used, capacity float64
 	for i := range s.shards {
 		sh := &s.shards[i]
-		st := &out[i]
+		st := &shards[i]
 		st.Inserts = sh.inserts.Load()
 		st.Deletes = sh.deletes.Load()
 		st.Queries = sh.queries.Load()
 		sh.mu.RLock()
 		st.Items = sh.f.Len()
 		st.SaturatedWords = sh.f.SaturatedWords()
-		mean, _ := sh.f.FillStats()
-		g := sh.f.Geometry()
+		u, c := sh.fill()
 		sh.mu.RUnlock()
-		if denom := float64(g.WordBits - g.FirstLevelBits); denom > 0 {
-			st.FillRatio = (mean - float64(g.FirstLevelBits)) / denom
+		if c > 0 {
+			st.FillRatio = u / c
 		}
+		used += u
+		capacity += c
 	}
-	return out
+	if capacity == 0 {
+		return shards, 0
+	}
+	return shards, used / capacity
 }
 
 // FillRatio returns the fraction of increment capacity consumed across
@@ -213,20 +219,27 @@ func (s *Sharded) ShardStats() []ShardStats {
 // only the remaining w-b1 bits absorb increments, so the ratio counts
 // those: 0 when empty, 1 when every word is full.
 func (s *Sharded) FillRatio() float64 {
-	usedBits, totalBits := 0.0, 0.0
+	var used, capacity float64
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		mean, _ := sh.f.FillStats()
-		g := sh.f.Geometry()
+		u, c := sh.fill()
 		sh.mu.RUnlock()
-		usedBits += (mean - float64(g.FirstLevelBits)) * float64(g.Words)
-		totalBits += float64(g.Words * (g.WordBits - g.FirstLevelBits))
+		used += u
+		capacity += c
 	}
-	if totalBits == 0 {
+	if capacity == 0 {
 		return 0
 	}
-	return usedBits / totalBits
+	return used / capacity
+}
+
+// fill returns the shard's increment bits in use, summed over its words,
+// and their increment capacity (see FillRatio). The caller holds sh.mu.
+func (sh *shard) fill() (used, capacity float64) {
+	mean, _ := sh.f.FillStats()
+	g := sh.f.Geometry()
+	return (mean - float64(g.FirstLevelBits)) * float64(g.Words), float64(g.Words * (g.WordBits - g.FirstLevelBits))
 }
 
 // InsertBatch inserts keys. The batch is planned outside the shard locks

@@ -336,8 +336,8 @@ func TestShardedZeroValue(t *testing.T) {
 	if fr := s.FillRatio(); fr != 0 {
 		t.Fatalf("zero Sharded FillRatio = %v, want 0", fr)
 	}
-	if st := s.ShardStats(); len(st) != 0 {
-		t.Fatalf("zero Sharded ShardStats = %v, want empty", st)
+	if st, fill := s.ShardStats(); len(st) != 0 || fill != 0 {
+		t.Fatalf("zero Sharded ShardStats = %v, %v, want empty", st, fill)
 	}
 	s.Reset() // no-op, must not panic
 }
@@ -379,8 +379,12 @@ func TestContainsBatchInto(t *testing.T) {
 		}
 	}
 	queries := uint64(0)
-	for _, st := range s.ShardStats() {
+	shards, fill := s.ShardStats()
+	for _, st := range shards {
 		queries += st.Queries
+	}
+	if fill != s.FillRatio() || fill == 0 {
+		t.Fatalf("ShardStats fill %v, FillRatio %v", fill, s.FillRatio())
 	}
 	// Every key was asked twice: once in a batch, once by Contains.
 	if want := uint64(2 * (300 + 1 + 64 + 1000)); queries != want {

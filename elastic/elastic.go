@@ -244,12 +244,6 @@ func (f *Filter) buildGeneration(i uint32) (*mpcbf.Sharded, *generation, error) 
 	return s, &generation{capacity: capacity, budget: budget, growIdx: i}, nil
 }
 
-// FillRatio reports the head generation's fill — the growth signal.
-func (f *Filter) FillRatio() (fill float64) {
-	f.View(func(gens []*mpcbf.Sharded) { fill = gens[len(gens)-1].FillRatio() })
-	return fill
-}
-
 // TargetFPR returns the chain-wide false positive bound.
 func (f *Filter) TargetFPR() float64 { return f.opts.TargetFPR }
 
@@ -360,9 +354,13 @@ type Stats struct {
 	Imports     uint64     `json:"imports"`
 	TargetFPR   float64    `json:"target_fpr"`
 	Gens        []GenStats `json:"gens"` // oldest first; last is the head
+	// Shards is the head generation's per-shard statistics, read in the
+	// same walk over its words as its fill ratio.
+	Shards []mpcbf.ShardStats `json:"head_shards"`
 }
 
-// Stats returns the chain's shape and per-generation occupancy.
+// Stats returns the chain's shape and per-generation occupancy, walking
+// each word once.
 func (f *Filter) Stats() (st Stats) {
 	f.View(func(gens []*mpcbf.Sharded) {
 		st = Stats{
@@ -374,10 +372,16 @@ func (f *Filter) Stats() (st Stats) {
 		}
 		for i, s := range gens {
 			g := f.gens[i]
+			var fill float64
+			if i == len(gens)-1 {
+				st.Shards, fill = s.ShardStats()
+			} else {
+				fill = s.FillRatio()
+			}
 			st.Gens[i] = GenStats{
 				Items:      s.Len(),
 				Capacity:   g.capacity,
-				FillRatio:  s.FillRatio(),
+				FillRatio:  fill,
 				Budget:     g.budget,
 				MemoryBits: s.MemoryBits(),
 				Imported:   g.imported,

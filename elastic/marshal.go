@@ -41,49 +41,66 @@ func IsElastic(data []byte) bool {
 }
 
 // MarshalBinary snapshots the whole chain into one buffer sized up front.
-func (f *Filter) MarshalBinary() (buf []byte, err error) {
+func (f *Filter) MarshalBinary() (buf []byte, _ error) {
 	f.View(func(gens []*mpcbf.Sharded) {
-		size := headerSize
-		for _, s := range gens {
-			size += genHdrSize + s.MarshaledSize()
-		}
-		buf = make([]byte, 0, size)
-		o := f.opts
-		buf = binary.LittleEndian.AppendUint32(buf, elasticMagic)
-		buf = binary.LittleEndian.AppendUint32(buf, elasticVersion)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(o.Filter.MemoryBits))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(o.Filter.ExpectedItems))
-		buf = append(buf, byte(o.Filter.HashFunctions), byte(o.Filter.MemoryAccesses), byte(o.Filter.WordBits))
-		buf = binary.LittleEndian.AppendUint32(buf, o.Filter.Seed)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(o.Shards))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(o.TargetFPR))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(o.GrowthFactor))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(o.TighteningRatio))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(o.GrowAt))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(o.MaxGenerations))
-		buf = binary.LittleEndian.AppendUint32(buf, f.grows)
-		buf = binary.LittleEndian.AppendUint64(buf, f.imports)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(gens)))
-		for i, s := range gens {
-			g := f.gens[i]
-			var imp byte
-			if g.imported {
-				imp = 1
-			}
-			buf = append(buf, imp)
-			buf = binary.LittleEndian.AppendUint32(buf, g.growIdx)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(g.capacity))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.budget))
-			at := len(buf)
-			buf = append(buf, 0, 0, 0, 0)
-			if buf, err = s.AppendBinary(buf); err != nil {
-				buf, err = nil, fmt.Errorf("elastic: marshal generation %d: %w", i, err)
-				return
-			}
-			binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
-		}
+		w := snapio.Append(make([]byte, 0, marshaledSize(gens)))
+		f.encode(&w, gens)
+		buf = w.Bytes()
 	})
-	return buf, err
+	return buf, nil
+}
+
+// MarshaledSize returns the length of the chain's encoding.
+func (f *Filter) MarshaledSize() (n int) {
+	f.View(func(gens []*mpcbf.Sharded) { n = marshaledSize(gens) })
+	return n
+}
+
+func marshaledSize(gens []*mpcbf.Sharded) int {
+	n := headerSize
+	for _, s := range gens {
+		n += genHdrSize + s.MarshaledSize()
+	}
+	return n
+}
+
+// Encode writes the MarshalBinary encoding, MarshaledSize bytes, to w.
+func (f *Filter) Encode(w *snapio.Writer) {
+	f.View(func(gens []*mpcbf.Sharded) { f.encode(w, gens) })
+}
+
+func (f *Filter) encode(w *snapio.Writer, gens []*mpcbf.Sharded) {
+	o := f.opts
+	w.Uint32(elasticMagic)
+	w.Uint32(elasticVersion)
+	w.Uint64(uint64(o.Filter.MemoryBits))
+	w.Uint64(uint64(o.Filter.ExpectedItems))
+	w.Byte(byte(o.Filter.HashFunctions))
+	w.Byte(byte(o.Filter.MemoryAccesses))
+	w.Byte(byte(o.Filter.WordBits))
+	w.Uint32(o.Filter.Seed)
+	w.Uint16(uint16(o.Shards))
+	w.Uint64(math.Float64bits(o.TargetFPR))
+	w.Uint32(uint32(o.GrowthFactor))
+	w.Uint64(math.Float64bits(o.TighteningRatio))
+	w.Uint64(math.Float64bits(o.GrowAt))
+	w.Uint16(uint16(o.MaxGenerations))
+	w.Uint32(f.grows)
+	w.Uint64(f.imports)
+	w.Uint32(uint32(len(gens)))
+	for i, s := range gens {
+		g := f.gens[i]
+		var imp byte
+		if g.imported {
+			imp = 1
+		}
+		w.Byte(imp)
+		w.Uint32(g.growIdx)
+		w.Uint64(uint64(g.capacity))
+		w.Uint64(math.Float64bits(g.budget))
+		w.Uint32(uint32(s.MarshaledSize()))
+		s.Encode(w)
+	}
 }
 
 // UnmarshalFilter reconstructs a chain from a MarshalBinary snapshot.

@@ -40,6 +40,34 @@ func checkTwins(t *testing.T, step string, k, g *Filter) {
 	if len(k.saturated) != len(g.saturated) {
 		t.Fatalf("%s: saturated words %d vs %d", step, len(k.saturated), len(g.saturated))
 	}
+	km, kd := k.FillStats()
+	gm, gd := g.FillStats()
+	if km != gm || kd != gd {
+		t.Fatalf("%s: FillStats (%v, %d) vs (%v, %d)", step, km, kd, gm, gd)
+	}
+}
+
+// TestFillStatsZeroAllocs: on the kernel geometries FillStats reads the
+// words in registers, so a metrics scrape or growth check over a filter
+// of any size allocates nothing.
+func TestFillStatsZeroAllocs(t *testing.T) {
+	for _, w := range []int{64, 128} {
+		f, err := New(Config{MemoryBits: 1 << 16, ExpectedN: 800, W: w, Seed: 3, Overflow: OverflowSaturate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 800; i++ {
+			if err := f.Insert([]byte(fmt.Sprintf("fill-%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if mean, depth := f.FillStats(); mean <= float64(f.B1()) || depth < 2 {
+			t.Fatalf("w=%d: FillStats = %v, %d", w, mean, depth)
+		}
+		if n := testing.AllocsPerRun(10, func() { f.FillStats() }); n != 0 {
+			t.Fatalf("w=%d: FillStats made %.0f allocs, want 0", w, n)
+		}
+	}
 }
 
 // TestKernelVsGenericDifferential replays long random insert/delete/query

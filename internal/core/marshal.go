@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/snapio"
@@ -39,39 +40,35 @@ func (f *Filter) MarshalBinary() ([]byte, error) {
 // AppendBinary appends the filter's encoding to b, growing it at most
 // once.
 func (f *Filter) AppendBinary(b []byte) ([]byte, error) {
+	w := snapio.Append(slices.Grow(b, f.MarshaledSize()))
+	f.Encode(&w)
+	return w.Bytes(), nil
+}
+
+// Encode writes the filter's encoding, MarshaledSize bytes, to w: the
+// one encoder behind MarshalBinary, AppendBinary and streamed evict
+// files.
+func (f *Filter) Encode(w *snapio.Writer) {
 	sat := make([]int, 0, len(f.saturated))
-	for w := range f.saturated {
-		sat = append(sat, w)
+	for i := range f.saturated {
+		sat = append(sat, i)
 	}
 	sort.Ints(sat)
 	arena := f.arena.Words()
 
-	off := len(b)
-	size := HeaderLen + 8*len(sat) + 8*len(arena)
-	if cap(b)-off < size {
-		b = append(make([]byte, 0, off+size), b...)
-	}
-	b = b[:off+size]
-	out := b[off:]
-	le := binary.LittleEndian
-	le.PutUint32(out[0:4], marshalMagic)
-	le.PutUint32(out[4:8], marshalVersion)
-	for i, v := range [12]uint64{
+	w.Uint32(marshalMagic)
+	w.Uint32(marshalVersion)
+	for _, v := range [12]uint64{
 		uint64(f.cfg.MemoryBits), uint64(f.cfg.W), uint64(f.cfg.K), uint64(f.cfg.G),
 		uint64(f.b1), uint64(f.nmax), uint64(f.cfg.Seed), uint64(f.cfg.Overflow),
 		uint64(f.count), uint64(f.overflows), uint64(len(sat)), uint64(len(arena)),
 	} {
-		le.PutUint64(out[8+8*i:], v)
+		w.Uint64(v)
 	}
-	out = out[HeaderLen:]
-	for i, w := range sat {
-		le.PutUint64(out[8*i:], uint64(w))
+	for _, i := range sat {
+		w.Uint64(uint64(i))
 	}
-	out = out[8*len(sat):]
-	for i, w := range arena {
-		le.PutUint64(out[8*i:], w)
-	}
-	return b, nil
+	w.Words(arena)
 }
 
 // Unmarshal reconstructs a filter serialized with MarshalBinary.

@@ -14,6 +14,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/analytic"
 	"repro/internal/bitvec"
@@ -629,15 +630,32 @@ func (f *Filter) CountOf(key []byte) int {
 	return min
 }
 
-// FillStats summarizes word occupancy for experiments: the mean used bits
-// per word and the maximum hierarchy depth observed.
+// FillStats summarizes word occupancy: the mean used bits per word and
+// the maximum hierarchy depth observed. On the kernel geometries it reads
+// each word in registers and allocates nothing, so a metrics scrape or a
+// growth check costs one pass over the arena.
 func (f *Filter) FillStats() (meanUsed float64, maxDepth int) {
 	total := 0
-	for i := 0; i < f.l; i++ {
-		w := f.word(i)
-		total += w.Used()
-		if d := len(w.Levels()); d > maxDepth {
-			maxDepth = d
+	words := f.arena.Words()
+	switch f.kmode {
+	case kmode64:
+		for _, x := range words[:f.l] {
+			total += hcbf.Used64(x, f.b1)
+			if bits.OnesCount64(x) >= maxDepth { // else the depth cannot exceed maxDepth
+				maxDepth = max(maxDepth, hcbf.Depth64(x, f.b1))
+			}
+		}
+	case kmode128:
+		for i := 0; i < f.l; i++ {
+			lo, hi := words[2*i], words[2*i+1]
+			total += hcbf.Used128(lo, hi, f.b1)
+			maxDepth = max(maxDepth, hcbf.Depth128(lo, hi, f.b1))
+		}
+	default:
+		for i := 0; i < f.l; i++ {
+			w := f.word(i)
+			total += w.Used()
+			maxDepth = max(maxDepth, len(w.Levels()))
 		}
 	}
 	return float64(total) / float64(f.l), maxDepth

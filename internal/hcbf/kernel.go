@@ -113,6 +113,23 @@ func Dec64(x uint64, b1, slot int) (uint64, int, bool) {
 	}
 }
 
+// Depth64 returns the number of hierarchy levels in use: the length of
+// Levels64's result, walked in registers. A word's depth is at most one
+// more than its popcount, since every level past the first needs a 1 in
+// the level before it.
+func Depth64(x uint64, b1 int) int {
+	d, off, size := 1, 0, b1
+	for {
+		ones := bits.OnesCount64(x >> uint(off) & mask64(size))
+		if ones == 0 {
+			return d
+		}
+		off += size
+		size = ones
+		d++
+	}
+}
+
 // Levels64 appends the hierarchy level sizes (starting with b1) to dst.
 func Levels64(x uint64, b1 int, dst []int) []int {
 	dst = append(dst, b1)
@@ -256,6 +273,21 @@ func Dec128(lo, hi uint64, b1, slot int) (nlo, nhi uint64, depth int, ok bool) {
 		}
 		pos, off, size = childIdx, nextOff, nextSize
 		depth++
+	}
+}
+
+// Depth128 returns the number of hierarchy levels in use of the 128-bit
+// word; see Depth64.
+func Depth128(lo, hi uint64, b1 int) int {
+	d, off, size := 1, 0, b1
+	for {
+		ones := u128Ones(lo, hi, off, off+size)
+		if ones == 0 {
+			return d
+		}
+		off += size
+		size = ones
+		d++
 	}
 }
 

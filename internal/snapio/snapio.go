@@ -1,6 +1,8 @@
 // Package snapio is the streaming side of the filter codecs: a reader
 // over an input of known length that pulls bytes through one fixed
-// buffer and keeps a running CRC32 of everything it pulled.
+// buffer and keeps a running CRC32 of everything it pulled, and its
+// mirror, a writer that pushes an encoding through one fixed buffer and
+// keeps a running CRC32 of everything it flushed.
 //
 // Every decoder (core filter, Sharded, window, elastic, and the server's
 // namespace container) takes a *Reader plus the byte length of the
@@ -10,19 +12,25 @@
 // pass. Length fields are checked against Remaining before anything is
 // allocated, so a header cannot make a decoder allocate more than the
 // stream holds.
+//
+// Every encoder writes through a *Writer. A Writer over a destination
+// streams the encoding out in BufSize pieces, so writing a state of any
+// size to a file costs one buffer; an appending Writer (Append) grows
+// its buffer to hold the whole encoding, which is how MarshalBinary and
+// AppendBinary build the same bytes.
 package snapio
 
 import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"hash"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
-// BufSize is the read buffer size; shorter inputs get a buffer of their
-// own length (at least minBuf).
+// BufSize is the read and write buffer size; a Reader over a shorter
+// input gets a buffer of its input's length (at least minBuf).
 const BufSize = 64 << 10
 
 // minBuf bounds the largest fixed-size header a decoder may request with
@@ -34,11 +42,31 @@ const minBuf = 512
 var ErrTruncated = errors.New("snapio: truncated input")
 
 // Reader reads a stream of known length through a fixed buffer: a
-// bufio.Reader over the first n bytes of the source, teed into the CRC.
+// bufio.Reader over the first n bytes of the source, which are
+// checksummed as the buffer pulls them.
 type Reader struct {
 	br  *bufio.Reader
-	lr  *io.LimitedReader // lr.N: bytes still to pull from the source
-	crc hash.Hash32
+	src source
+}
+
+// source reads at most n more bytes of r, folding each into crc.
+type source struct {
+	r   io.Reader
+	n   int64
+	crc uint32
+}
+
+func (s *source) Read(p []byte) (int, error) {
+	if s.n <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > s.n {
+		p = p[:s.n]
+	}
+	n, err := s.r.Read(p)
+	s.n -= int64(n)
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, p[:n])
+	return n, err
 }
 
 // NewReader reads exactly n bytes of src.
@@ -47,9 +75,17 @@ func NewReader(src io.Reader, n int64) *Reader {
 	if n < size {
 		size = max(n, minBuf)
 	}
-	lr := &io.LimitedReader{R: src, N: n}
-	crc := crc32.NewIEEE()
-	return &Reader{br: bufio.NewReaderSize(io.TeeReader(lr, crc), int(size)), lr: lr, crc: crc}
+	r := &Reader{src: source{r: src, n: n}}
+	r.br = bufio.NewReaderSize(&r.src, int(size))
+	return r
+}
+
+// Reset makes r read exactly n bytes of src, from a zero checksum,
+// keeping its buffer: a pool of Readers from NewReader(nil, BufSize)
+// serves file after file without allocating.
+func (r *Reader) Reset(src io.Reader, n int64) {
+	r.src = source{r: src, n: n}
+	r.br.Reset(&r.src)
 }
 
 // From returns src itself when it already is a *Reader, so a nested
@@ -63,11 +99,11 @@ func From(src io.Reader, n int64) *Reader {
 }
 
 // Remaining reports the stream bytes not yet consumed.
-func (r *Reader) Remaining() int64 { return r.lr.N + int64(r.br.Buffered()) }
+func (r *Reader) Remaining() int64 { return r.src.n + int64(r.br.Buffered()) }
 
 // Sum32 returns the CRC32 (IEEE) of every byte pulled so far; once
 // Remaining is 0 that is the checksum of the whole stream.
-func (r *Reader) Sum32() uint32 { return r.crc.Sum32() }
+func (r *Reader) Sum32() uint32 { return r.src.crc }
 
 // Peek returns the next k bytes without consuming them, or fewer when
 // the stream holds fewer. The slice is valid until the next call.
@@ -91,7 +127,7 @@ func (r *Reader) Next(k int) ([]byte, error) {
 // io.ReadFull can take the bytes a decoder passes through undecoded.
 func (r *Reader) Read(p []byte) (int, error) {
 	n, err := r.br.Read(p)
-	if err == io.EOF && r.lr.N > 0 {
+	if err == io.EOF && r.src.n > 0 {
 		err = ErrTruncated // the source ended before the declared length
 	}
 	return n, err
@@ -120,4 +156,153 @@ func truncated(err error) error {
 		return ErrTruncated
 	}
 	return err
+}
+
+// Writer is the encoding side of the codecs, the mirror of Reader. A
+// streaming Writer (NewWriter) collects bytes in one BufSize buffer and
+// flushes it to its destination each time it fills, keeping a running
+// CRC32 of every byte flushed. An appending Writer (Append) has no
+// destination: its buffer grows to hold the whole encoding. The first
+// error from the destination sticks: later writes do nothing, and Flush
+// reports it.
+type Writer struct {
+	buf []byte
+	dst io.Writer // nil for an appending Writer
+	crc uint32
+	err error
+}
+
+// NewWriter returns a Writer that streams to dst through a BufSize
+// buffer.
+func NewWriter(dst io.Writer) *Writer {
+	return &Writer{buf: make([]byte, 0, BufSize), dst: dst}
+}
+
+// Append returns a Writer that appends to b, growing it as needed;
+// Bytes returns the result. With cap(b)-len(b) at least the encoding's
+// length, b is never reallocated.
+func Append(b []byte) Writer { return Writer{buf: b} }
+
+// Reset discards unflushed bytes, the checksum and any error, and
+// streams to dst, keeping the buffer.
+func (w *Writer) Reset(dst io.Writer) {
+	w.buf, w.dst, w.crc, w.err = w.buf[:0], dst, 0, nil
+}
+
+// Bytes returns an appending Writer's bytes.
+func (w *Writer) Bytes() []byte { return w.buf }
+
+// Sum32 returns the CRC32 (IEEE) of every byte flushed so far; after
+// Flush that is the checksum of everything written.
+func (w *Writer) Sum32() uint32 { return w.crc }
+
+// Flush writes any buffered bytes to the destination and reports the
+// first error the destination returned. It does nothing on an appending
+// Writer.
+func (w *Writer) Flush() error {
+	if w.dst != nil && len(w.buf) > 0 && w.err == nil {
+		w.crc = crc32.Update(w.crc, crc32.IEEETable, w.buf)
+		_, w.err = w.dst.Write(w.buf)
+		w.buf = w.buf[:0]
+	}
+	return w.err
+}
+
+// room makes space for k more bytes (k at most BufSize): a streaming
+// Writer flushes when its buffer has less left, an appending one grows.
+// It reports false once the Writer has failed.
+func (w *Writer) room(k int) bool {
+	if cap(w.buf)-len(w.buf) < k {
+		if w.dst == nil {
+			w.buf = slices.Grow(w.buf, k)
+		} else if w.Flush(); cap(w.buf) < k {
+			w.buf = make([]byte, 0, BufSize) // a zero Writer given a destination by Reset
+		}
+	}
+	return w.err == nil
+}
+
+// Write implements io.Writer. p is copied, never retained.
+func (w *Writer) Write(p []byte) (int, error) {
+	if w.dst == nil {
+		w.buf = append(w.buf, p...)
+		return len(p), nil
+	}
+	n := len(p)
+	for len(p) > 0 && w.room(1) {
+		c := copy(w.buf[len(w.buf):cap(w.buf)], p)
+		w.buf = w.buf[:len(w.buf)+c]
+		p = p[c:]
+	}
+	return n - len(p), w.err
+}
+
+// ReadFrom implements io.ReaderFrom, so io.Copy and io.CopyN into a
+// Writer read straight into its buffer. An appending Writer grows only
+// when a read into its full buffer returns neither bytes nor EOF, so one
+// sized for the input (with the input an io.LimitedReader, as io.CopyN
+// makes it) never grows.
+func (w *Writer) ReadFrom(r io.Reader) (n int64, err error) {
+	for w.err == nil {
+		if w.dst != nil && !w.room(1) {
+			break
+		}
+		m, err := r.Read(w.buf[len(w.buf):cap(w.buf)])
+		w.buf = w.buf[:len(w.buf)+m]
+		n += int64(m)
+		switch {
+		case err == io.EOF:
+			return n, nil
+		case err != nil:
+			return n, err
+		case m == 0 && w.dst == nil && len(w.buf) == cap(w.buf):
+			w.buf = slices.Grow(w.buf, minBuf)
+		}
+	}
+	return n, w.err
+}
+
+// Byte writes v.
+func (w *Writer) Byte(v byte) {
+	if w.room(1) {
+		w.buf = append(w.buf, v)
+	}
+}
+
+// Uint16 writes v little-endian.
+func (w *Writer) Uint16(v uint16) {
+	if w.room(2) {
+		w.buf = binary.LittleEndian.AppendUint16(w.buf, v)
+	}
+}
+
+// Uint32 writes v little-endian.
+func (w *Writer) Uint32(v uint32) {
+	if w.room(4) {
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
+	}
+}
+
+// Uint64 writes v little-endian.
+func (w *Writer) Uint64(v uint64) {
+	if w.room(8) {
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+	}
+}
+
+// Words writes src as little-endian 64-bit words, the mirror of
+// Reader.Words. An appending Writer grows at most once for them.
+func (w *Writer) Words(src []uint64) {
+	if w.dst == nil {
+		w.buf = slices.Grow(w.buf, 8*len(src))
+	}
+	for len(src) > 0 && w.room(8) {
+		n := min(len(src), (cap(w.buf)-len(w.buf))/8)
+		out := w.buf[len(w.buf) : len(w.buf)+8*n]
+		for i, x := range src[:n] {
+			binary.LittleEndian.PutUint64(out[8*i:], x)
+		}
+		w.buf = w.buf[:len(w.buf)+8*n]
+		src = src[n:]
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/snapio"
@@ -63,22 +64,24 @@ func (s *Sharded) MarshalBinary() ([]byte, error) {
 // AppendBinary appends the MarshalBinary encoding to b; with
 // cap(b)-len(b) >= MarshaledSize it never reallocates.
 func (s *Sharded) AppendBinary(b []byte) ([]byte, error) {
-	le := binary.LittleEndian
-	b = le.AppendUint32(b, shardedMagic)
-	b = le.AppendUint32(b, shardedVersion)
-	b = le.AppendUint32(b, s.seed)
-	b = le.AppendUint32(b, uint32(len(s.shards)))
-	b = le.AppendUint64(b, uint64(s.count.Load()))
+	w := snapio.Append(slices.Grow(b, s.MarshaledSize()))
+	s.Encode(&w)
+	return w.Bytes(), nil
+}
+
+// Encode writes the MarshalBinary encoding, MarshaledSize bytes, to w.
+// Like MarshalBinary it must not run concurrently with updates.
+func (s *Sharded) Encode(w *snapio.Writer) {
+	w.Uint32(shardedMagic)
+	w.Uint32(shardedVersion)
+	w.Uint32(s.seed)
+	w.Uint32(uint32(len(s.shards)))
+	w.Uint64(uint64(s.count.Load()))
 	for i := range s.shards {
-		at := len(b)
-		b = append(b, 0, 0, 0, 0)
-		var err error
-		if b, err = s.shards[i].f.f.AppendBinary(b); err != nil {
-			return nil, fmt.Errorf("mpcbf: shard %d: %w", i, err)
-		}
-		le.PutUint32(b[at:], uint32(len(b)-at-4))
+		f := s.shards[i].f.f
+		w.Uint32(uint32(f.MarshaledSize()))
+		f.Encode(w)
 	}
-	return b, nil
 }
 
 // UnmarshalSharded reconstructs a sharded filter serialized with

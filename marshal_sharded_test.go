@@ -271,3 +271,24 @@ func TestShardedDeleteBatch(t *testing.T) {
 		t.Fatalf("Len = %d, want %d (flags and count must agree)", s.Len(), got)
 	}
 }
+
+// TestShardedMarshalAllocs: MarshalBinary, which every snapshot runs
+// under the store's mutation lock, allocates its encoding and, per shard
+// with saturated words, their sorted list; the streaming encoder it is
+// built on writes into that buffer.
+func TestShardedMarshalAllocs(t *testing.T) {
+	s, err := NewSharded(Options{MemoryBits: 1 << 19, ExpectedItems: 4000, Seed: 3}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InsertBatch(apiKeys("marshal-allocs", 2000), 0); err != nil || s.SaturatedWords() != 0 {
+		t.Fatalf("insert: %v, %d saturated words", err, s.SaturatedWords())
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := s.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("MarshalBinary: %.0f allocs, want 1", n)
+	}
+}

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"io"
+	"runtime"
 	"testing"
 	"time"
 
 	mpcbf "repro"
+	"repro/internal/snapio"
 	"repro/server/wire"
 )
 
@@ -183,5 +186,106 @@ func TestWireCodecZeroAllocs(t *testing.T) {
 	decodeBools()
 	if avg := testing.AllocsPerRun(100, decodeBools); avg != 0 {
 		t.Errorf("decode bools: %.1f allocs/op, want 0", avg)
+	}
+}
+
+// TestScrapeAllocsIndependentOfFilterSize pins a /metrics scrape's
+// allocations to the server's shape, not its filter's size: Snapshot and
+// the Prometheus rendering allocate as often on a 2^24-bit default
+// filter as on a 2^20-bit one, in plain, windowed and elastic mode,
+// because the fill stats read the words in registers.
+func TestScrapeAllocsIndependentOfFilterSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are meaningless under -race")
+	}
+	modes := []struct {
+		name string
+		set  func(*StoreOptions)
+	}{
+		{"plain", func(*StoreOptions) {}},
+		{"window", func(o *StoreOptions) { o.Window, o.Generations = time.Hour, 3 }},
+		{"elastic", func(o *StoreOptions) { o.Elastic = true }},
+	}
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			var allocs [2][2]float64 // [size][Snapshot, WriteProm]
+			for i, bits := range []int{1 << 20, 1 << 24} {
+				opts := testStoreOptions(t.TempDir())
+				opts.Filter = mpcbf.Options{MemoryBits: bits, ExpectedItems: bits / 64, Seed: 42}
+				mode.set(&opts)
+				st, err := OpenStore(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.InsertBatch(storeKeys("scrape", 2000)); err != nil {
+					t.Fatal(err)
+				}
+				srv := New(st, Config{}, nil)
+				// A collection empties the pools fmt draws its printers
+				// from; settle the heap first so none runs mid-count.
+				runtime.GC()
+				allocs[i][0] = testing.AllocsPerRun(5, func() { srv.Snapshot() })
+				allocs[i][1] = testing.AllocsPerRun(5, func() { srv.WriteProm(io.Discard) })
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if allocs[0] != allocs[1] {
+				t.Errorf("Snapshot, WriteProm allocs: %v on 2^20 bits, %v on 2^24 bits; want equal", allocs[0], allocs[1])
+			}
+		})
+	}
+}
+
+// TestEvictRecoverAllocationBounded pins the memory of namespace churn:
+// an eviction streams the state into its evict file through a pooled
+// buffer, and a recovery reads it back through a pooled one, so a round
+// trip of a plain, a windowed and an elastic namespace allocates the
+// recovered state plus a fixed bound, measured as
+// TestOpenStoreAllocationBounded measures a load.
+func TestEvictRecoverAllocationBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation totals are distorted under -race")
+	}
+	s, err := OpenStore(testStoreOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// The fixed part: the two pooled snapio buffers, which a collection
+	// may have emptied, and the files', paths' and registry's small
+	// change. A second copy of the state, such as a marshal before the
+	// write, does not fit in it.
+	const bound = 2*snapio.BufSize + 32<<10
+	for name, cfg := range map[string]wire.NsConfig{
+		"churn-plain": {MemoryBits: 1 << 23, ExpectedItems: 1 << 16},
+		"churn-win":   {MemoryBits: 1 << 22, ExpectedItems: 1 << 15, WindowNanos: uint64(time.Hour), Generations: 2},
+		"churn-chain": {MemoryBits: 1 << 23, ExpectedItems: 1 << 16, Flags: wire.NsFlagElastic},
+	} {
+		if _, err := s.nsCreateEnq([]byte(name), cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		keys := storeKeys(name, 5000)
+		nsInsertBatch(t, s, name, keys)
+		e := s.reg.Lookup([]byte(name))
+		state := e.Stats().MemoryBits / 8
+		var evictErr, recoverErr error
+		roundTrip := func() {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if evictErr = s.reg.Evict(e); evictErr == nil && !e.Resident() {
+				recoverErr = s.residentLocked(e)
+			}
+		}
+		roundTrip() // the first round trip fills the buffer pools
+		n := allocatedBy(roundTrip)
+		if evictErr != nil || recoverErr != nil || !e.Resident() {
+			t.Fatalf("%s: evict %v, recover %v, resident %v", name, evictErr, recoverErr, e.Resident())
+		}
+		if n > state+bound {
+			t.Errorf("%s: evict+recover allocated %d bytes, want at most the %d-byte state + %d", name, n, state, bound)
+		}
+		t.Logf("%s: evict+recover: state + %d bytes", name, int64(n)-int64(state))
+		nsMustContain(t, s, name, keys)
 	}
 }

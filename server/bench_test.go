@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	mpcbf "repro"
@@ -128,5 +129,21 @@ func BenchmarkDispatchInsertDelete(b *testing.B) {
 		if err := st.waitDurable(tkt, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMetricsScrape times one /metrics rendering on the benchmark
+// store's 2^23-bit default filter: a snapshot that reads every word
+// once, in registers, plus the text exposition.
+func BenchmarkMetricsScrape(b *testing.B) {
+	st := benchStore(b)
+	if err := st.InsertBatch(benchKeys(100_000)); err != nil {
+		b.Fatal(err)
+	}
+	srv := New(st, Config{}, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv.WriteProm(io.Discard)
 	}
 }

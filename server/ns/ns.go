@@ -321,6 +321,25 @@ func (e *Entry) Marshal() ([]byte, error) {
 	return r.f.MarshalBinary()
 }
 
+// MarshaledSize returns the length of Marshal's encoding (0 when
+// evicted).
+func (e *Entry) MarshaledSize() int {
+	if r := e.state.Load(); r != nil {
+		return r.f.MarshaledSize()
+	}
+	return 0
+}
+
+// Encode writes Marshal's encoding of the resident state to w.
+func (e *Entry) Encode(w *snapio.Writer) error {
+	r := e.state.Load()
+	if r == nil {
+		return ErrNotResident
+	}
+	r.f.Encode(w)
+	return nil
+}
+
 // Stats summarizes the entry for NS_STATS.
 func (e *Entry) Stats() wire.NsStats {
 	memBits := uint64(e.cfg.MemoryBits)
@@ -361,6 +380,8 @@ type Filter interface {
 	EstimateCount(key []byte) int
 	Len() int
 	MarshalBinary() ([]byte, error)
+	MarshaledSize() int
+	Encode(w *snapio.Writer)
 	MemoryBits() int
 }
 
@@ -461,11 +482,12 @@ type Options struct {
 	// IdleAfter is the idle-eviction horizon surfaced via IdleCutoff;
 	// <= 0 disables idle eviction.
 	IdleAfter time.Duration
-	// Save persists an evicted namespace's marshaled state; Load streams
-	// it back into decode (an n-byte reader) and reports decode's error,
-	// or its own when the saved bytes fail their checksum; Remove deletes
-	// it (DROP_NS). All required.
-	Save   func(name string, data []byte) error
+	// Save persists an evicted namespace's state, which encode streams
+	// into the writer it is given, and reports encode's error or its own;
+	// Load streams it back into decode (an n-byte reader) and reports
+	// decode's error, or its own when the saved bytes fail their
+	// checksum; Remove deletes it (DROP_NS). All required.
+	Save   func(name string, encode func(w *snapio.Writer) error) error
 	Load   func(name string, decode func(r io.Reader, n int64) error) error
 	Remove func(name string) error
 	// Log receives eviction/recovery events. nil: slog.Default().
@@ -649,17 +671,15 @@ func (r *Registry) Drop(name []byte) *Entry {
 	return e
 }
 
-// Evict marshals e's state to its evict file and drops it from memory.
+// Evict streams e's state into its evict file and drops it from memory.
+// The evicted filter is left to the collector, never reused: a lock-free
+// reader may still hold it.
 func (r *Registry) Evict(e *Entry) error {
 	if !e.Resident() {
 		return nil
 	}
-	data, err := e.Marshal()
-	if err != nil {
-		return fmt.Errorf("ns %q: marshal for evict: %w", e.name, err)
-	}
 	e.items.Store(int64(e.Len()))
-	if err := r.opts.Save(e.name, data); err != nil {
+	if err := r.opts.Save(e.name, e.Encode); err != nil {
 		return fmt.Errorf("ns %q: save for evict: %w", e.name, err)
 	}
 	e.state.Store(nil)

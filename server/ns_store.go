@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/snapio"
 	"repro/server/ns"
 	"repro/server/wire"
 )
@@ -74,10 +75,10 @@ func (s *Store) nsRegistryOptions() ns.Options {
 		Quota:     s.opts.NsQuota,
 		IdleAfter: s.opts.NsIdleAfter,
 		Log:       s.opts.Log,
-		Save: func(name string, data []byte) error {
+		Save: func(name string, encode func(w *snapio.Writer) error) error {
 			final := nsSnapPath(dir, name)
 			tmp := final + ".tmp"
-			if err := writeSnapshotFile(tmp, data); err != nil {
+			if err := writeSnapFile(tmp, encode); err != nil {
 				return err
 			}
 			if err := os.Rename(tmp, final); err != nil {
@@ -318,40 +319,49 @@ func isNsContainer(data []byte) bool {
 	return len(data) >= 8 && binary.LittleEndian.Uint32(data[:4]) == nsContainerMagic
 }
 
-// encodeNsContainerLocked wraps the already-marshaled default state and
-// every namespace into a container. Caller holds s.mu.
-func (s *Store) encodeNsContainerLocked(base []byte) ([]byte, error) {
-	entries := s.reg.Entries()
-	out := make([]byte, 0, 16+len(base)+4)
-	out = binary.LittleEndian.AppendUint32(out, nsContainerMagic)
-	out = binary.LittleEndian.AppendUint32(out, nsContainerVersion)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(base)))
-	out = append(out, base...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(entries)))
+// marshalNsContainerLocked encodes the default state and every
+// namespace into a container, in one buffer sized up front: resident
+// states are encoded straight into it and evicted ones copied from their
+// evict files. Caller holds s.mu.
+func (s *Store) marshalNsContainerLocked() ([]byte, error) {
+	def, entries := s.reg.Default(), s.reg.Entries()
+	size := 16 + def.MarshaledSize() + 4
 	for _, e := range entries {
-		out = append(out, e.WALName()...)
-		out = wire.AppendNsConfig(out, e.Config().Wire())
+		size += len(e.WALName()) + wire.NsConfigSize + 1 + 8 + 8 + e.MarshaledSize()
+		if !e.Resident() {
+			if fi, err := os.Stat(nsSnapPath(s.opts.Dir, e.Name())); err == nil {
+				size += int(fi.Size()) - 8
+			}
+		}
+	}
+	w := snapio.Append(make([]byte, 0, size))
+	w.Uint32(nsContainerMagic)
+	w.Uint32(nsContainerVersion)
+	w.Uint64(uint64(def.MarshaledSize()))
+	if err := def.Encode(&w); err != nil {
+		return nil, err
+	}
+	w.Uint32(uint32(len(entries)))
+	var cfg [wire.NsConfigSize]byte
+	for _, e := range entries {
+		w.Write(e.WALName())
+		w.Write(wire.AppendNsConfig(cfg[:0], e.Config().Wire()))
 		resident := byte(0)
 		if e.Resident() {
 			resident = 1
 		}
-		out = append(out, resident)
-		out = binary.LittleEndian.AppendUint64(out, uint64(e.Len()))
+		w.Byte(resident)
+		w.Uint64(uint64(e.Len()))
 		var err error
 		if e.Resident() {
-			var data []byte
-			if data, err = e.Marshal(); err == nil {
-				out = binary.LittleEndian.AppendUint64(out, uint64(len(data)))
-				out = append(out, data...)
-			}
+			w.Uint64(uint64(e.MarshaledSize()))
+			err = e.Encode(&w)
 		} else {
 			// Evicted state cannot mutate: read it straight from the evict
 			// file into the container, checksum-verified on the way.
 			err = readSnapFile(nsSnapPath(s.opts.Dir, e.Name()), func(r io.Reader, n int64) error {
-				out = binary.LittleEndian.AppendUint64(out, uint64(n))
-				at := len(out)
-				out = append(out, make([]byte, n)...)
-				_, err := io.ReadFull(r, out[at:])
+				w.Uint64(uint64(n))
+				_, err := io.CopyN(&w, r, n)
 				return err
 			})
 		}
@@ -359,7 +369,7 @@ func (s *Store) encodeNsContainerLocked(base []byte) ([]byte, error) {
 			return nil, fmt.Errorf("server: snapshot ns %q: %w", e.Name(), err)
 		}
 	}
-	return out, nil
+	return w.Bytes(), nil
 }
 
 // nsIdleLoop evicts namespaces untouched past the idle horizon. Runs on

@@ -2,8 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -500,5 +503,53 @@ func TestNamespaceDefaultAliasCompat(t *testing.T) {
 	}
 	if names := s.NsList(); len(names) != 0 {
 		t.Fatalf("NsList with no named namespaces = %v, want empty", names)
+	}
+}
+
+// TestEvictFileMatchesMarshalEnvelope pins the streamed evict write to
+// the file evictions wrote when they marshalled the state first: the
+// [magic][crc32(data)][data] envelope around the namespace's
+// MarshalBinary encoding, for a plain, a windowed and an elastic
+// namespace.
+func TestEvictFileMatchesMarshalEnvelope(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(testStoreOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for name, cfg := range map[string]wire.NsConfig{
+		"env-plain": {MemoryBits: 1 << 18, ExpectedItems: 4000},
+		"env-win":   {MemoryBits: 1 << 17, ExpectedItems: 2000, WindowNanos: uint64(time.Hour), Generations: 3},
+		"env-chain": {MemoryBits: 1 << 14, ExpectedItems: 200, Flags: wire.NsFlagElastic},
+	} {
+		if _, err := s.nsCreateEnq([]byte(name), cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		nsInsertBatch(t, s, name, storeKeys(name, 1000)) // grows the chain
+		e := s.reg.Lookup([]byte(name))
+		if el := e.Elastic(); el != nil && el.Generations() < 2 {
+			t.Fatalf("%s: chain did not grow", name)
+		}
+		data, err := e.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := binary.LittleEndian.AppendUint32(nil, snapMagic)
+		want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(data))
+		want = append(want, data...)
+		s.mu.Lock()
+		err = s.reg.Evict(e)
+		s.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(nsSnapPath(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: evict file (%d bytes) differs from the marshalled envelope (%d bytes)", name, len(got), len(want))
+		}
 	}
 }

@@ -72,16 +72,6 @@ type FilterSnapshot struct {
 	Shards         int     `json:"shards"`
 }
 
-// chainFilter is what a ServerSnapshot reads of a window or an elastic
-// chain beyond its mode's own stats.
-type chainFilter interface {
-	Len() int
-	FillRatio() float64
-	SaturatedWords() int
-	MemoryBits() int
-	HeadShardStats() []mpcbf.ShardStats
-}
-
 // WindowSnapshot is the sliding-window slice of a ServerSnapshot: the
 // generation ring's shape, per-slot occupancy, and rotation latency.
 type WindowSnapshot struct {
@@ -164,8 +154,9 @@ type RuntimeSnapshot struct {
 }
 
 // Snapshot collects the full observability state. Counters are read
-// atomically; the filter gauges briefly take each shard's read lock;
-// runtime stats come from runtime.ReadMemStats.
+// atomically; the filter gauges briefly take each shard's read lock, and
+// read each word once, in registers, without allocating; runtime stats
+// come from runtime.ReadMemStats.
 func (s *Server) Snapshot() ServerSnapshot {
 	snap := ServerSnapshot{
 		Ops:      make(map[string]uint64, len(wire.OpNames())),
@@ -186,37 +177,25 @@ func (s *Server) Snapshot() ServerSnapshot {
 	}
 
 	// One load of the default filter's state: a replica bootstrap may swap
-	// its mode between any two reads.
+	// its mode between any two reads. Each mode reads its per-shard stats
+	// and its fill ratio in one walk over the words. A chain's per-shard
+	// stats come from its head generation, the live insert target, where
+	// load skew shows first; its fill ratio is the mode's own: the
+	// fullest generation of a window, the head of an elastic chain.
 	def := s.store.reg.Default().State()
-	if f := def.Filter; f != nil {
-		snap.Filter = FilterSnapshot{
-			Len:            f.Len(),
-			FillRatio:      f.FillRatio(),
-			SaturatedWords: f.SaturatedWords(),
-			MemoryBits:     f.MemoryBits(),
-			Shards:         f.Shards(),
-		}
-		snap.Shards = f.ShardStats()
-	} else {
-		var c chainFilter = def.Elastic
-		if def.Window != nil {
-			c = def.Window
-		}
-		// Per-shard stats come from the head generation — the live insert
-		// target, where load skew shows first. The fill ratio is the
-		// mode's own: the fullest generation of a window, the head of an
-		// elastic chain.
-		snap.Shards = c.HeadShardStats()
-		snap.Filter = FilterSnapshot{
-			Len:            c.Len(),
-			FillRatio:      c.FillRatio(),
-			SaturatedWords: c.SaturatedWords(),
-			MemoryBits:     c.MemoryBits(),
-			Shards:         len(snap.Shards),
-		}
+	var f interface {
+		Len() int
+		SaturatedWords() int
+		MemoryBits() int
 	}
-	if w := def.Window; w != nil {
-		st := w.Stats()
+	switch {
+	case def.Filter != nil:
+		f = def.Filter
+		snap.Shards, snap.Filter.FillRatio = def.Filter.ShardStats()
+	case def.Window != nil:
+		f = def.Window
+		snap.Shards, snap.Filter.FillRatio = def.Window.ShardStats()
+		st := def.Window.Stats()
 		snap.Window = &WindowSnapshot{
 			SpanNs:        int64(st.Span),
 			RotateEveryNs: int64(st.RotateEvery),
@@ -226,15 +205,16 @@ func (s *Server) Snapshot() ServerSnapshot {
 			GenItems:      st.GenItems,
 			RotationNs:    s.store.RotationHist(),
 		}
-	}
-	if el := def.Elastic; el != nil {
-		st := el.Stats()
+	default:
+		f = def.Elastic
+		st := def.Elastic.Stats()
+		snap.Shards, snap.Filter.FillRatio = st.Shards, st.Gens[len(st.Gens)-1].FillRatio
 		es := &ElasticSnapshot{
 			Generations: st.Generations,
 			Grows:       st.Grows,
 			Imports:     st.Imports,
 			TargetFPR:   st.TargetFPR,
-			ExpectedFPR: el.ExpectedFPR(),
+			ExpectedFPR: def.Elastic.ExpectedFPR(),
 			Gens:        st.Gens,
 		}
 		for _, g := range st.Gens {
@@ -245,6 +225,10 @@ func (s *Server) Snapshot() ServerSnapshot {
 		}
 		snap.Elastic = es
 	}
+	snap.Filter.Len = f.Len()
+	snap.Filter.SaturatedWords = f.SaturatedWords()
+	snap.Filter.MemoryBits = f.MemoryBits()
+	snap.Filter.Shards = len(snap.Shards)
 	if r := s.ring.Load(); r != nil {
 		rs := &RingSnapshot{Epoch: r.Epoch, Joint: r.Joint, OldNodes: len(r.Old), NewNodes: len(r.New)}
 		if r.Joint {

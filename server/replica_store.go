@@ -200,7 +200,7 @@ func (s *Store) ReplicaBootstrap(seq uint64, cumRecords, cumBytes uint64, data [
 
 	final := snapshotPath(s.opts.Dir, seq)
 	tmp := final + ".tmp"
-	if err := writeSnapshotFile(tmp, data); err != nil {
+	if err := writeSnapFile(tmp, writeBytes(data)); err != nil {
 		snap.discard()
 		return fmt.Errorf("server: bootstrap snapshot write: %w", err)
 	}

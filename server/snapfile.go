@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"strings"
+	"sync"
 
 	"repro/internal/snapio"
 	"repro/server/ns"
@@ -23,35 +23,60 @@ import (
 //
 // data is a store payload: a bare filter state (Sharded, windowed, or
 // elastic encoding, told apart by its leading magic) or a namespace
-// container. Loading streams the file through one snapio buffer that
-// decodes and checksums in the same pass, so a load holds the decoded
-// state plus 64 KiB, never the file's bytes.
+// container. Writing streams the payload through one pooled snapio
+// buffer that checksums what it flushes, and loading streams the file
+// through one pooled snapio buffer that decodes and checksums in the same
+// pass, so neither holds the file's bytes: a write costs what its
+// encoder holds, a load the decoded state.
 const snapMagic = 0x50414E53 // "SNAP" little-endian
 
-// writeSnapshotFile writes data in the CRC envelope and fsyncs it. The
-// 8-byte header and the payload go out as two writes, so the payload is
-// never copied into a second buffer.
-func writeSnapshotFile(path string, data []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], snapMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(data))
+// The snapio buffers of writeSnapFile and readSnapFile: every eviction,
+// recovery, verify and container read borrows one instead of allocating
+// 64 KiB.
+var (
+	snapWriters = sync.Pool{New: func() any { return snapio.NewWriter(nil) }}
+	snapReaders = sync.Pool{New: func() any { return snapio.NewReader(nil, snapio.BufSize) }}
+)
+
+// writeSnapFile streams the payload encode writes into path in the CRC
+// envelope and fsyncs it: the header is written last, once the payload's
+// checksum is known.
+func writeSnapFile(path string, encode func(w *snapio.Writer) error) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
+	w := snapWriters.Get().(*snapio.Writer)
+	defer snapWriters.Put(w)
+	defer w.Reset(nil)
+	var hdr [8]byte
+	_, err = f.Write(hdr[:])
+	if err == nil {
+		w.Reset(f)
+		if err = encode(w); err == nil {
+			err = w.Flush()
+		}
+	}
+	if err == nil {
+		binary.LittleEndian.PutUint32(hdr[0:4], snapMagic)
+		binary.LittleEndian.PutUint32(hdr[4:8], w.Sum32())
+		_, err = f.WriteAt(hdr[:], 0)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeBytes is the encode callback of a payload already in memory.
+func writeBytes(data []byte) func(w *snapio.Writer) error {
+	return func(w *snapio.Writer) error {
+		_, err := w.Write(data)
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // readSnapFile streams the payload of an enveloped file into decode,
@@ -79,7 +104,10 @@ func readSnapFile(path string, decode func(r io.Reader, n int64) error) error {
 		return errors.New("server: bad snapshot magic")
 	}
 	n := fi.Size() - int64(len(hdr))
-	rd := snapio.NewReader(f, n)
+	rd := snapReaders.Get().(*snapio.Reader)
+	defer snapReaders.Put(rd)
+	defer rd.Reset(nil, 0)
+	rd.Reset(f, n)
 	if err := decode(rd, n); err != nil {
 		return err
 	}
@@ -122,27 +150,10 @@ const stagedSuffix = ".load"
 // ns-<name>.snap.load in the evict-file envelope.
 func (s *Store) stageEvicted(name string, rd *snapio.Reader, n int64) (string, error) {
 	path := nsSnapPath(s.opts.Dir, name) + stagedSuffix
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
-	if err != nil {
-		return "", err
-	}
-	var hdr [8]byte
-	crc := crc32.NewIEEE()
-	_, err = f.Write(hdr[:])
-	if err == nil {
-		_, err = io.CopyN(io.MultiWriter(f, crc), rd, n)
-	}
-	if err == nil {
-		binary.LittleEndian.PutUint32(hdr[0:4], snapMagic)
-		binary.LittleEndian.PutUint32(hdr[4:8], crc.Sum32())
-		_, err = f.WriteAt(hdr[:], 0)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	err := writeSnapFile(path, func(w *snapio.Writer) error {
+		_, err := io.CopyN(w, rd, n)
+		return err
+	})
 	if err != nil {
 		os.Remove(path)
 		return "", err

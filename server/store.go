@@ -823,11 +823,10 @@ func (s *Store) MarshalFilter() ([]byte, error) { return s.marshal(nil) }
 // bare default-filter encoding old tooling understands. Caller holds
 // s.mu.
 func (s *Store) marshalLocked() ([]byte, error) {
-	base, err := s.reg.Default().Marshal()
-	if err != nil || s.reg.Len() == 0 {
-		return base, err
+	if s.reg.Len() == 0 {
+		return s.reg.Default().Marshal()
 	}
-	return s.encodeNsContainerLocked(base)
+	return s.marshalNsContainerLocked()
 }
 
 // StoreStats is a point-in-time durability report.
@@ -910,7 +909,7 @@ func (s *Store) snapshot() (data []byte, newSeq uint64, cumRecords, cumBytes uin
 
 	final := snapshotPath(s.opts.Dir, newSeq)
 	tmp := final + ".tmp"
-	if err := writeSnapshotFile(tmp, data); err != nil {
+	if err := writeSnapFile(tmp, writeBytes(data)); err != nil {
 		return nil, 0, 0, 0, fmt.Errorf("server: snapshot write: %w", err)
 	}
 	if err := os.Rename(tmp, final); err != nil {

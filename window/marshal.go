@@ -39,32 +39,47 @@ func IsWindowed(data []byte) bool {
 // into one buffer sized up front. Not safe to call concurrently with
 // updates beyond the chain's read lock (the caller serializes against
 // rotation, as the store's mutation lock does).
-func (f *Filter) MarshalBinary() (out []byte, err error) {
+func (f *Filter) MarshalBinary() (out []byte, _ error) {
 	f.View(func(gens []*mpcbf.Sharded) {
-		ring := f.ring(gens)
-		size := windowHdrLen
-		for _, g := range ring {
-			size += 4 + g.MarshaledSize()
-		}
-		le := binary.LittleEndian
-		out = make([]byte, windowHdrLen, size)
-		le.PutUint32(out[0:4], windowMagic)
-		le.PutUint32(out[4:8], windowVersion)
-		le.PutUint32(out[8:12], uint32(len(ring)))
-		le.PutUint32(out[12:16], uint32(f.head))
-		le.PutUint64(out[16:24], f.rotations)
-		le.PutUint64(out[24:32], uint64(f.opts.Span))
-		for i, g := range ring {
-			at := len(out)
-			out = append(out, 0, 0, 0, 0)
-			if out, err = g.AppendBinary(out); err != nil {
-				out, err = nil, fmt.Errorf("window: generation %d: %w", i, err)
-				return
-			}
-			le.PutUint32(out[at:], uint32(len(out)-at-4))
-		}
+		w := snapio.Append(make([]byte, 0, marshaledSize(gens)))
+		f.encode(&w, gens)
+		out = w.Bytes()
 	})
-	return out, err
+	return out, nil
+}
+
+// MarshaledSize returns the length of the window's encoding.
+func (f *Filter) MarshaledSize() (n int) {
+	f.View(func(gens []*mpcbf.Sharded) { n = marshaledSize(gens) })
+	return n
+}
+
+func marshaledSize(gens []*mpcbf.Sharded) int {
+	n := windowHdrLen
+	for _, g := range gens {
+		n += 4 + g.MarshaledSize()
+	}
+	return n
+}
+
+// Encode writes the MarshalBinary encoding, MarshaledSize bytes, to w,
+// under the same rules.
+func (f *Filter) Encode(w *snapio.Writer) {
+	f.View(func(gens []*mpcbf.Sharded) { f.encode(w, gens) })
+}
+
+func (f *Filter) encode(w *snapio.Writer, gens []*mpcbf.Sharded) {
+	ring := f.ring(gens)
+	w.Uint32(windowMagic)
+	w.Uint32(windowVersion)
+	w.Uint32(uint32(len(ring)))
+	w.Uint32(uint32(f.head))
+	w.Uint64(f.rotations)
+	w.Uint64(uint64(f.opts.Span))
+	for _, g := range ring {
+		w.Uint32(uint32(g.MarshaledSize()))
+		g.Encode(w)
+	}
 }
 
 // UnmarshalFilter reconstructs a window serialized with MarshalBinary.

@@ -240,14 +240,22 @@ func (f *Filter) Stats() (st Stats) {
 	return st
 }
 
-// FillRatio returns the load signal of the fullest generation: the
-// window is healthy while even its most loaded generation stays in the
-// sizing regime.
-func (f *Filter) FillRatio() (fill float64) {
+// ShardStats returns the head generation's per-shard statistics — the
+// live insert target, where load skew shows first — and the window's
+// fill ratio, the load signal of its fullest generation: the window is
+// healthy while even its most loaded generation stays in the sizing
+// regime. Each word is walked once.
+func (f *Filter) ShardStats() (head []mpcbf.ShardStats, fill float64) {
 	f.View(func(gens []*mpcbf.Sharded) {
-		for _, g := range gens {
-			fill = max(fill, g.FillRatio())
+		for i, g := range gens {
+			var gf float64
+			if i == len(gens)-1 {
+				head, gf = g.ShardStats()
+			} else {
+				gf = g.FillRatio()
+			}
+			fill = max(fill, gf)
 		}
 	})
-	return fill
+	return head, fill
 }

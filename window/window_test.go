@@ -418,9 +418,10 @@ func TestWindowStats(t *testing.T) {
 	if f.MemoryBits() != 3*(1<<19) {
 		t.Fatalf("MemoryBits = %d", f.MemoryBits())
 	}
-	if f.HeadShardStats() == nil {
-		t.Fatal("HeadShardStats nil")
+	// The head is the generation the rotation just emptied; the fill is
+	// the fullest generation's.
+	if head, fill := f.ShardStats(); len(head) == 0 || head[0].Items != 0 || fill <= 0 {
+		t.Fatalf("ShardStats = %+v, fill %v", head, fill)
 	}
-	_ = f.FillRatio()
 	_ = f.SaturatedWords()
 }
