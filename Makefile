@@ -40,9 +40,11 @@ race:
 # shard locks (TestBatchInsertConcurrentWithQueries), without the -short
 # gating CI applies to the full tree, and compiles every CLI (including
 # mpcbf-trace) under the race detector so instrumented builds stay green.
+# Tests run shuffled, so an order-dependent failure prints the seed that
+# reproduces it (go test -shuffle=<seed>).
 race-serving:
 	$(GO) build -race ./cmd/...
-	$(GO) test -race -count=1 . ./elastic ./server/... ./cluster/... ./client/... ./window/...
+	$(GO) test -race -shuffle=on -count=1 . ./elastic ./server/... ./cluster/... ./client/... ./window/...
 
 bench:
 	$(GO) test -run '^$$' -bench 'Ops' -benchtime $(BENCHTIME) .

@@ -66,8 +66,8 @@ func listNsSnapFiles(dir string) []string {
 }
 
 // nsRegistryOptions binds the registry's persistence callbacks to the
-// store's data directory using the same write-fsync-rename-syncdir
-// discipline as snapshots.
+// store's data directory, publishing evict files the way snapshots are
+// published.
 func (s *Store) nsRegistryOptions() ns.Options {
 	dir := s.opts.Dir
 	return ns.Options{
@@ -76,16 +76,7 @@ func (s *Store) nsRegistryOptions() ns.Options {
 		IdleAfter: s.opts.NsIdleAfter,
 		Log:       s.opts.Log,
 		Save: func(name string, encode func(w *snapio.Writer) error) error {
-			final := nsSnapPath(dir, name)
-			tmp := final + ".tmp"
-			if err := writeSnapFile(tmp, encode); err != nil {
-				return err
-			}
-			if err := os.Rename(tmp, final); err != nil {
-				return err
-			}
-			syncDir(dir)
-			return nil
+			return publishSnapFile(nsSnapPath(dir, name), encode)
 		},
 		Load: func(name string, decode func(r io.Reader, n int64) error) error {
 			return readSnapFile(nsSnapPath(dir, name), decode)

@@ -408,7 +408,7 @@ func (snap ServerSnapshot) WriteProm(w io.Writer) {
 	snap.WAL.CommitNs.WritePromSeconds(w, "mpcbfd_wal_commit_duration_seconds", "Commit round latency (buffer swap + write + fsync).")
 
 	promGaugeInt(w, "mpcbfd_connected_replicas", "Replication subscribers currently streaming.", int64(snap.Replication.Connected))
-	promGaugeInt(w, "mpcbfd_replication_max_lag_bytes", "WAL bytes the furthest-behind subscriber trails the live end.", snap.Replication.MaxLagBytes)
+	promGaugeInt(w, "mpcbfd_replication_max_lag_bytes", "WAL bytes the furthest-behind subscriber trails the WAL's logical end, pending bytes included.", snap.Replication.MaxLagBytes)
 
 	promCounter(w, "mpcbfd_trace_requests_total", "Request IDs assigned by the tracer.", snap.Trace.Requests)
 	promCounter(w, "mpcbfd_trace_sampled_total", "Requests sampled into the recent-trace ring.", snap.Trace.Sampled)

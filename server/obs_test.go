@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -199,6 +200,52 @@ func TestPromExpositionFormat(t *testing.T) {
 	}
 	if nsSeries != 2 {
 		t.Errorf("mpcbfd_ns_items series = %d, want 2", nsSeries)
+	}
+}
+
+// TestScrapeRunsNoCommitRound: a scrape reads the WAL's position
+// without running a commit round, so an INSERT dispatched but not yet
+// waited out stays pending through /metrics and /debug/vars, and
+// neither the commit count nor the segment file moves.
+func TestScrapeRunsNoCommitRound(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(testStoreOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv := New(st, Config{}, nil)
+	h := srv.HTTPHandler()
+
+	_, ticket, _ := srv.dispatch(wire.Request{Op: wire.OpInsert, Key: []byte("unscraped")}, nil, nil, nil)
+	if ticket == 0 {
+		t.Fatal("INSERT enqueued no WAL record")
+	}
+	seq, _ := st.ReplicationPos()
+	segSize := func() int64 {
+		fi, err := os.Stat(walPath(dir, seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	commits, _ := st.WALGroupStats()
+	size := segSize()
+	for _, path := range []string{"/metrics", "/debug/vars"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, rec.Code)
+		}
+		if c, _ := st.WALGroupStats(); c != commits {
+			t.Errorf("GET %s ran %d commit rounds", path, c-commits)
+		}
+		if s := segSize(); s != size {
+			t.Errorf("GET %s grew the WAL segment from %d to %d bytes", path, size, s)
+		}
+	}
+	if err := st.waitDurable(ticket, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

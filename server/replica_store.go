@@ -133,7 +133,7 @@ func (s *Store) ReplicaApply(seq uint64, off int64, n uint32, raw []byte) error 
 		return fmt.Errorf("server: replica frame corrupt: %d/%d bytes valid, %d/%d records", valid, len(raw), count, n)
 	}
 	a.flush()
-	if err := s.wal.AppendRaw(raw, count); err != nil {
+	if err := s.wait(s.wal.EnqueueRaw(raw, count)); err != nil {
 		return err
 	}
 	if s.onApply != nil {
@@ -198,17 +198,10 @@ func (s *Store) ReplicaBootstrap(seq uint64, cumRecords, cumBytes uint64, data [
 		}
 	}
 
-	final := snapshotPath(s.opts.Dir, seq)
-	tmp := final + ".tmp"
-	if err := writeSnapFile(tmp, writeBytes(data)); err != nil {
+	if err := publishSnapFile(snapshotPath(s.opts.Dir, seq), writeBytes(data)); err != nil {
 		snap.discard()
 		return fmt.Errorf("server: bootstrap snapshot write: %w", err)
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		snap.discard()
-		return fmt.Errorf("server: bootstrap snapshot rename: %w", err)
-	}
-	syncDir(s.opts.Dir)
 
 	nw, err := openWAL(s.opts.Dir, seq, s.opts.Sync, -1)
 	if err != nil {

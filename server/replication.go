@@ -45,15 +45,19 @@ type ReplicationStats struct {
 }
 
 // ReplicationStats reports the connected-subscriber count and the worst
-// subscriber lag, computed from positions and segment file sizes.
+// subscriber lag, computed from positions and segment file sizes. Lag
+// is measured against the WAL's logical end, pending bytes included, so
+// a scrape never runs a commit round; with no subscriber it reads
+// nothing.
 func (s *Server) ReplicationStats() ReplicationStats {
 	var st ReplicationStats
-	liveSeq, liveSize, err := s.store.WALFlushedPos()
-	if err != nil {
-		return st
-	}
+	var liveSeq uint64
+	var liveSize int64
 	s.subs.Range(func(k, _ any) bool {
 		sub := k.(*replSub)
+		if st.Connected == 0 {
+			liveSeq, liveSize = s.store.ReplicationPos()
+		}
 		st.Connected++
 		if lag := s.subLagBytes(sub, liveSeq, liveSize); lag > st.MaxLagBytes {
 			st.MaxLagBytes = lag
@@ -64,8 +68,8 @@ func (s *Server) ReplicationStats() ReplicationStats {
 }
 
 // subLagBytes computes how many WAL bytes a subscriber's shipped
-// position trails the live end: exact within one segment, and summed
-// over the intervening segment files otherwise.
+// position trails the WAL's logical end: exact within one segment, and
+// summed over the intervening segment files otherwise.
 func (s *Server) subLagBytes(sub *replSub, liveSeq uint64, liveSize int64) int64 {
 	seq, off := sub.seq.Load(), sub.off.Load()
 	if seq == 0 || seq > liveSeq {

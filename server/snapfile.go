@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 
@@ -69,6 +70,21 @@ func writeSnapFile(path string, encode func(w *snapio.Writer) error) error {
 		err = cerr
 	}
 	return err
+}
+
+// publishSnapFile writes the payload encode writes to path+".tmp" in the
+// CRC envelope, renames it over path and fsyncs the directory, so a
+// crash leaves either the old file or the whole new one.
+func publishSnapFile(path string, encode func(w *snapio.Writer) error) error {
+	tmp := path + ".tmp"
+	if err := writeSnapFile(tmp, encode); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	syncDir(filepath.Dir(path))
+	return nil
 }
 
 // writeBytes is the encode callback of a payload already in memory.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -574,27 +575,39 @@ func (s *Store) mutateEnq(op byte, name, key []byte, keys [][]byte, ttl time.Dur
 		return nil, 0, err
 	}
 	t0 := tr.now()
-	r := 0 // TTL placement: rotations the keys survive
+	// What the WAL logs: one record per key, the batch forms under their
+	// single-key op, and a TTL insert with its rotation count as prefix.
+	// A single key goes in as a one-element array, which stays on the
+	// stack where a slice literal would escape with keys into the apply.
+	walOp, walKeys, one := op, keys, [1][]byte{key}
+	var extra []byte
+	var rot [4]byte
 	switch op {
 	case wire.OpInsert:
 		err = e.Insert(key)
+		walKeys = one[:]
 	case wire.OpDelete:
 		err = e.Delete(key)
+		walKeys = one[:]
 	case wire.OpInsertBatch:
 		err = e.InsertBatch(keys)
+		walOp = wire.OpInsert
 	case wire.OpDeleteBatch:
 		ok, _ = e.DeleteBatch(keys)
+		walOp = wire.OpDelete
 	default:
 		w := e.Window()
-		r = w.Generations()
+		r := w.Generations()
 		if ttl >= 0 { // negative = overflowed u64 nanos: treat as full span
 			r = w.RotationsFor(ttl)
 		}
 		if op == wire.OpInsertTTL {
 			err = w.InsertRotations(key, r)
+			walKeys = one[:]
 		} else {
 			err = w.InsertRotationsBatch(keys, r)
 		}
+		walOp, extra = walOpInsertTTL, binary.LittleEndian.AppendUint32(rot[:0], uint32(r))
 	}
 	if err != nil {
 		return nil, 0, err
@@ -603,18 +616,7 @@ func (s *Store) mutateEnq(op byte, name, key []byte, keys [][]byte, ttl time.Dur
 	if err := s.selectLocked(e); err != nil {
 		return ok, 0, err
 	}
-	switch op {
-	case wire.OpInsert, wire.OpDelete:
-		ticket, err = s.wal.Enqueue(op, key, tr)
-	case wire.OpInsertBatch:
-		ticket, err = s.wal.EnqueueBatch(wire.OpInsert, keys, tr)
-	case wire.OpDeleteBatch:
-		ticket, err = s.wal.EnqueueBatchFlags(wire.OpDelete, keys, ok, tr)
-	case wire.OpInsertTTL:
-		ticket, err = s.wal.EnqueueTTL(walOpInsertTTL, uint32(r), key, tr)
-	default:
-		ticket, err = s.wal.EnqueueTTLBatch(walOpInsertTTL, uint32(r), keys, tr)
-	}
+	ticket, err = s.wal.EnqueueBatch(walOp, extra, walKeys, ok, tr)
 	if err != nil {
 		return ok, 0, err
 	}
@@ -635,8 +637,8 @@ func (s *Store) waitDurable(ticket uint64, tr *reqTrace) error {
 	return s.wal.WaitDurable(ticket, tr)
 }
 
-// wait completes a mutateEnq, importEnq or admin enqueue for the
-// exported, untraced wrappers: its error, else the commit wait.
+// wait completes a mutateEnq, importEnq, admin or replica enqueue for
+// the untraced callers: its error, else the commit wait.
 func (s *Store) wait(ticket uint64, err error) error {
 	if err != nil {
 		return err
@@ -908,14 +910,9 @@ func (s *Store) snapshot() (data []byte, newSeq uint64, cumRecords, cumBytes uin
 	}
 
 	final := snapshotPath(s.opts.Dir, newSeq)
-	tmp := final + ".tmp"
-	if err := writeSnapFile(tmp, writeBytes(data)); err != nil {
+	if err := publishSnapFile(final, writeBytes(data)); err != nil {
 		return nil, 0, 0, 0, fmt.Errorf("server: snapshot write: %w", err)
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		return nil, 0, 0, 0, fmt.Errorf("server: snapshot rename: %w", err)
-	}
-	syncDir(s.opts.Dir)
 
 	// Read the snapshot back before deleting anything it obsoletes: if
 	// what landed on disk does not load, the predecessors are still the

@@ -44,12 +44,19 @@ import (
 //     a commit ticket (a monotonic sequence number covering everything
 //     enqueued so far).
 //  2. WaitDurable — outside the store lock, the caller blocks until a
-//     commit round has made its ticket durable. Whoever arrives first
-//     elects itself leader (a TryLock on the commit IO lock), swaps the
-//     pending buffer out, performs ONE write + fsync for every record
-//     enqueued by then, advances the durable ticket, and broadcasts.
-//     Everyone else sleeps on a condition variable — no per-record
-//     channels, no allocation on the wait path.
+//     commit round has made its ticket durable. A caller that finds no
+//     round in flight leads one: it swaps the pending buffer out,
+//     performs ONE write + fsync for every record enqueued by then,
+//     advances the durable ticket, and broadcasts. Everyone else sleeps
+//     on a condition variable — no per-record channels, no allocation
+//     on the wait path.
+//
+// Every commit round — a WaitDurable leader's, the async committer's,
+// FlushedPos, Sync, rotation and Close — runs through roundLocked, and
+// one flag, committing, says whether a round is in flight. The flag is
+// set, cleared and broadcast only under mu, so a goroutine that saw a
+// round in flight is already parked on the condition variable when
+// that round ends, and the broadcast wakes it.
 //
 // Under SyncAlways no caller is released before its bytes are fsync'd —
 // the durability contract is unchanged — but N concurrent writers share
@@ -60,8 +67,8 @@ import (
 // single-record appends produced, so replica byte-mirroring and replay
 // are unaffected.
 //
-// Lock order: store.mu → wal.commitMu → wal.mu. WaitDurable acquires
-// commitMu only via TryLock while holding wal.mu, which cannot deadlock.
+// Lock order: store.mu → wal.mu. The WAL takes no other lock while it
+// holds mu.
 
 // SyncPolicy says when the WAL fsyncs.
 type SyncPolicy int
@@ -106,14 +113,16 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 const walRecordHeader = 8 // u32 len + u32 crc
 
 // walPendingCap is the soft bound on the pending buffer under the async
-// policies: an enqueuer that finds more than this unwritten waits for
-// the committer to drain before returning, so a slow disk back-pressures
-// producers instead of growing the heap without bound.
+// policies: a WaitDurable caller that finds more than this unwritten
+// drains it before returning, so a slow disk back-pressures producers
+// instead of growing the heap without bound.
 const walPendingCap = 1 << 20
 
 // walRecycleCap bounds the capacity of buffers kept on the swap
 // free-list; a rare giant batch does not pin its buffer forever.
 const walRecycleCap = 4 << 20
+
+var errWALClosed = errors.New("server: wal closed")
 
 // wal appends mutation records to the current segment file.
 type wal struct {
@@ -121,20 +130,22 @@ type wal struct {
 	policy SyncPolicy
 
 	// mu guards the enqueue state: the pending buffer, tickets, logical
-	// position, and counters. It is never held across disk IO.
-	mu        sync.Mutex
-	cond      sync.Cond // signaled when durTicket advances or pending drains
-	f         walFile   // segment file behind the failpoint seam (see failpoint.go)
-	pending   []byte    // framed records enqueued but not yet written
-	spare     []byte    // recycled swap buffer for pending
-	seq       uint64
-	size      int64 // logical bytes in the current segment, incl. pending
-	dirty     bool  // written or pending bytes not yet fsynced
-	records   uint64
-	syncs     uint64
-	enqTicket uint64 // ticket of the newest enqueued group
-	durTicket uint64 // tickets <= this are committed per policy
-	commitErr error  // sticky: first commit IO failure poisons the log
+	// position, counters, and whether a commit round is in flight. A
+	// round writes and fsyncs outside it.
+	mu         sync.Mutex
+	cond       sync.Cond // broadcast when a round ends or the log closes
+	f          walFile   // segment file behind the failpoint seam (see failpoint.go)
+	committing bool      // a round is in flight: only its owner touches f
+	pending    []byte    // framed records enqueued but not yet written
+	spare      []byte    // recycled swap buffer for pending
+	seq        uint64
+	size       int64 // logical bytes in the current segment, incl. pending
+	dirty      bool  // written or pending bytes not yet fsynced
+	records    uint64
+	syncs      uint64
+	enqTicket  uint64 // ticket of the newest enqueued group
+	durTicket  uint64 // tickets <= this are committed per policy
+	commitErr  error  // sticky: first commit IO failure poisons the log
 
 	// Commit-round attribution for tracing (guarded by mu): the sequence
 	// number (groupCommits value), record count, and covered ticket of
@@ -145,10 +156,6 @@ type wal struct {
 	lastRoundSeq    uint64
 	lastRoundRecs   int
 	lastRoundTicket uint64
-
-	// commitMu serializes commit IO (write+fsync) and rotation. Taken
-	// before mu; WaitDurable only TryLocks it while holding mu.
-	commitMu sync.Mutex
 
 	// Replication bookkeeping: cumulative counters monotonic across
 	// rotations (seeded at open from the retained segments, so they
@@ -169,7 +176,7 @@ type wal struct {
 	// per Enqueue group (the per-request batch size). groupHist: records
 	// per commit round (the group-commit amortization factor). commitHist:
 	// commit-round latency (ns). waiters: callers currently blocked in
-	// WaitDurable. groupCommits: commit rounds completed.
+	// WaitDurable. groupCommits: commit rounds that wrote bytes.
 	fsyncHist    Histogram
 	batchHist    Histogram
 	groupHist    Histogram
@@ -238,9 +245,9 @@ func (w *wal) drainLoop() {
 	for {
 		select {
 		case <-w.kick:
-			w.commitMu.Lock()
-			w.commitRound(false, nil)
-			w.commitMu.Unlock()
+			w.mu.Lock()
+			w.roundLocked(false, nil)
+			w.mu.Unlock()
 		case <-w.stopDrain:
 			return
 		}
@@ -296,52 +303,31 @@ func (w *wal) finishEnqueueLocked(n int, grew int, tr *reqTrace, t0 time.Time) u
 	return ticket
 }
 
-// Enqueue frames one record into the pending buffer and returns its
-// commit ticket. The record becomes durable per policy once a commit
-// round covering the ticket completes; pass the ticket to WaitDurable.
-// Callers serialize enqueues against state mutation (the store holds its
-// mutation lock), which is what makes WAL order equal apply order.
+// Enqueue frames one record, body [op][key], into the pending buffer and
+// returns its commit ticket. The record becomes durable per policy once
+// a commit round covering the ticket completes; pass the ticket to
+// WaitDurable. Callers serialize enqueues against state mutation (the
+// store holds its mutation lock), which is what makes WAL order equal
+// apply order.
 func (w *wal) Enqueue(op byte, key []byte, tr *reqTrace) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.enqueueOKLocked(); err != nil {
-		return 0, err
-	}
-	t0 := tr.now()
-	tr.setWALPos(w.seq, w.size)
-	before := len(w.pending)
-	w.frameRecordLocked(op, nil, key)
-	return w.finishEnqueueLocked(1, len(w.pending)-before, tr, t0), nil
+	keys := [1][]byte{key}
+	return w.EnqueueBatch(op, nil, keys[:], nil, tr)
 }
 
-// EnqueueBatch frames a group of same-op records as one ticket (their
-// durability is decided by a single commit round).
-func (w *wal) EnqueueBatch(op byte, keys [][]byte, tr *reqTrace) (uint64, error) {
-	if len(keys) == 0 {
-		return 0, nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.enqueueOKLocked(); err != nil {
-		return 0, err
-	}
-	t0 := tr.now()
-	tr.setWALPos(w.seq, w.size)
-	before := len(w.pending)
-	for _, k := range keys {
-		w.frameRecordLocked(op, nil, k)
-	}
-	return w.finishEnqueueLocked(len(keys), len(w.pending)-before, tr, t0), nil
-}
-
-// EnqueueBatchFlags frames only the keys whose flag is set — the
-// delete-batch path logging exactly the subset that succeeded, without
-// building an intermediate slice.
-func (w *wal) EnqueueBatchFlags(op byte, keys [][]byte, flags []bool, tr *reqTrace) (uint64, error) {
-	n := 0
-	for _, ok := range flags {
-		if ok {
-			n++
+// EnqueueBatch frames one record per key, body [op][extra][key], as one
+// ticket (their durability is decided by a single commit round). extra
+// is the windowed TTL rotation-count prefix, or nil. When flags is
+// non-nil only the keys whose flag is set are logged — the delete-batch
+// path logging exactly the subset that succeeded. A group with no
+// records returns ticket 0.
+func (w *wal) EnqueueBatch(op byte, extra []byte, keys [][]byte, flags []bool, tr *reqTrace) (uint64, error) {
+	n := len(keys)
+	if flags != nil {
+		n = 0
+		for _, ok := range flags {
+			if ok {
+				n++
+			}
 		}
 	}
 	if n == 0 {
@@ -356,50 +342,11 @@ func (w *wal) EnqueueBatchFlags(op byte, keys [][]byte, flags []bool, tr *reqTra
 	tr.setWALPos(w.seq, w.size)
 	before := len(w.pending)
 	for i, k := range keys {
-		if flags[i] {
-			w.frameRecordLocked(op, nil, k)
+		if flags == nil || flags[i] {
+			w.frameRecordLocked(op, extra, k)
 		}
 	}
 	return w.finishEnqueueLocked(n, len(w.pending)-before, tr, t0), nil
-}
-
-// EnqueueTTL frames one windowed TTL record ([op][u32 rot][key]) without
-// an intermediate body allocation.
-func (w *wal) EnqueueTTL(op byte, rot uint32, key []byte, tr *reqTrace) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.enqueueOKLocked(); err != nil {
-		return 0, err
-	}
-	t0 := tr.now()
-	tr.setWALPos(w.seq, w.size)
-	before := len(w.pending)
-	var rb [4]byte
-	binary.LittleEndian.PutUint32(rb[:], rot)
-	w.frameRecordLocked(op, rb[:], key)
-	return w.finishEnqueueLocked(1, len(w.pending)-before, tr, t0), nil
-}
-
-// EnqueueTTLBatch frames windowed TTL records ([op][u32 rot][key]) for a
-// batch sharing one rotation count, without per-key body allocation.
-func (w *wal) EnqueueTTLBatch(op byte, rot uint32, keys [][]byte, tr *reqTrace) (uint64, error) {
-	if len(keys) == 0 {
-		return 0, nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.enqueueOKLocked(); err != nil {
-		return 0, err
-	}
-	t0 := tr.now()
-	tr.setWALPos(w.seq, w.size)
-	before := len(w.pending)
-	var rb [4]byte
-	binary.LittleEndian.PutUint32(rb[:], rot)
-	for _, k := range keys {
-		w.frameRecordLocked(op, rb[:], k)
-	}
-	return w.finishEnqueueLocked(len(keys), len(w.pending)-before, tr, t0), nil
 }
 
 // EnqueueRaw appends pre-framed record bytes verbatim — the replica
@@ -421,7 +368,7 @@ func (w *wal) EnqueueRaw(raw []byte, n int) (uint64, error) {
 
 func (w *wal) enqueueOKLocked() error {
 	if w.f == nil {
-		return errors.New("server: wal closed")
+		return errWALClosed
 	}
 	return w.commitErr
 }
@@ -429,66 +376,60 @@ func (w *wal) enqueueOKLocked() error {
 // WaitDurable blocks until the given ticket's records are committed per
 // policy. Ticket 0 (nothing enqueued) returns immediately. Under
 // SyncAlways the caller returns only after a write+fsync covering the
-// ticket — the first waiter to arrive leads the commit round for
-// everyone pending. Under the async policies the caller returns as soon
-// as the pending buffer is within bounds; durability stays with the
-// sync ticker / the OS.
+// ticket, and leads that round itself when none is in flight. Under the
+// async policies the caller returns as soon as the pending buffer is
+// within bounds, draining it itself when it is not; durability stays
+// with the sync ticker / the OS.
 func (w *wal) WaitDurable(ticket uint64, tr *reqTrace) error {
 	if ticket == 0 {
 		return nil
 	}
-	if w.policy != SyncAlways {
-		return w.waitBackpressure()
-	}
 	t0 := tr.now()
+	sync := w.policy == SyncAlways
 	w.mu.Lock()
-	for w.durTicket < ticket && w.commitErr == nil && w.f != nil {
-		if w.commitMu.TryLock() {
-			// Leader: commit everything enqueued so far in one round.
-			w.mu.Unlock()
-			w.commitRound(true, tr)
-			w.commitMu.Unlock()
-			w.mu.Lock()
+	for w.f != nil && w.commitErr == nil &&
+		(sync && w.durTicket < ticket || !sync && len(w.pending) > walPendingCap) {
+		if !w.committing {
+			w.roundLocked(sync, tr)
 			continue
 		}
-		// A round is in flight; it (or its successor) will cover us.
+		// The round in flight ends with a broadcast under mu, which
+		// cannot happen before Wait has parked us.
 		w.waiters.Add(1)
 		w.cond.Wait()
 		w.waiters.Add(-1)
 	}
 	err := w.commitErr
 	if err == nil && w.f == nil && w.durTicket < ticket {
-		err = errors.New("server: wal closed")
+		err = errWALClosed
 	}
-	if err == nil && tr != nil && w.lastRoundTicket >= ticket {
+	if sync && err == nil && tr != nil && w.lastRoundTicket >= ticket {
 		tr.setRound(w.lastRoundSeq, w.lastRoundRecs)
 	}
 	w.mu.Unlock()
-	if tr != nil {
+	if sync && tr != nil {
 		tr.addFsync(time.Since(t0))
 	}
 	return err
 }
 
-// waitBackpressure bounds the pending buffer under the async policies:
-// producers stall only when the committer is more than walPendingCap
-// behind.
-func (w *wal) waitBackpressure() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for len(w.pending) > walPendingCap && w.commitErr == nil && w.f != nil {
-		w.waiters.Add(1)
+// roundLocked runs one commit round and returns the log's error. It
+// waits out a round in flight and claims the next, swaps the pending
+// buffer out, writes it with a single write outside mu, fsyncs when
+// sync is set (and the policy ever fsyncs), then advances the durable
+// ticket, releases the claim and broadcasts. Caller holds mu; it is
+// released for the IO and held again on return.
+func (w *wal) roundLocked(sync bool, tr *reqTrace) error {
+	for w.committing {
 		w.cond.Wait()
-		w.waiters.Add(-1)
 	}
-	return w.commitErr
-}
-
-// commitRound performs one commit: swap the pending buffer out under mu,
-// write it with a single pwrite outside mu, fsync when sync is set (and
-// the policy ever fsyncs), then advance the durable ticket and broadcast.
-// Caller holds commitMu and NOT mu.
-func (w *wal) commitRound(sync bool, tr *reqTrace) {
+	if w.f == nil {
+		return errWALClosed
+	}
+	if w.commitErr != nil {
+		return w.commitErr
+	}
+	w.committing = true
 	t0 := time.Now()
 	if sync {
 		// Let runnable writers enqueue before the batch is sealed. A
@@ -498,13 +439,9 @@ func (w *wal) commitRound(sync bool, tr *reqTrace) {
 		// run here; one yield lets them drain into this round instead of
 		// each forcing a round of their own. With no other runnable
 		// goroutine this is a few nanoseconds.
-		runtime.Gosched()
-	}
-	w.mu.Lock()
-	if w.f == nil || w.commitErr != nil {
-		w.cond.Broadcast()
 		w.mu.Unlock()
-		return
+		runtime.Gosched()
+		w.mu.Lock()
 	}
 	buf := w.pending
 	recs := 0 // frames in the swapped buffer, for the group-size histogram
@@ -547,10 +484,10 @@ func (w *wal) commitRound(sync bool, tr *reqTrace) {
 		// durTicket is the SyncAlways ack gate: WaitDurable releases a
 		// writer the moment durTicket covers its ticket, so under
 		// SyncAlways only a round that actually fsync'd may advance it —
-		// a non-sync round (a tailer's FlushedPos, a metrics scrape)
-		// writes bytes that are still only in the page cache. The async
-		// policies never gate acks on durTicket, so their non-sync drain
-		// rounds advance it freely.
+		// a non-sync round (a tailer's FlushedPos) writes bytes that are
+		// still only in the page cache. The async policies never gate
+		// acks on durTicket, so their non-sync drain rounds advance it
+		// freely.
 		if (synced || w.policy != SyncAlways) && ticket > w.durTicket {
 			w.durTicket = ticket
 		}
@@ -571,39 +508,24 @@ func (w *wal) commitRound(sync bool, tr *reqTrace) {
 		// The leader's own ticket is always covered by its round.
 		tr.setRound(round, recs)
 	}
+	w.committing = false
 	w.cond.Broadcast()
-	w.mu.Unlock()
+	return w.commitErr
 }
 
-// Append logs one mutation and, under SyncAlways, makes it durable before
-// returning — Enqueue + WaitDurable for callers without a pipeline. tr,
-// when non-nil, receives the append and fsync stage timings.
-func (w *wal) Append(op byte, key []byte, tr *reqTrace) error {
-	ticket, err := w.Enqueue(op, key, tr)
-	if err != nil {
-		return err
+// settleLocked runs sync rounds until every enqueued byte is written and
+// fsynced per policy. It returns holding mu with no round in flight, so
+// the caller can swap or close the segment file before anyone enqueues
+// again.
+func (w *wal) settleLocked() error {
+	for {
+		if err := w.roundLocked(true, nil); err != nil {
+			return err
+		}
+		if len(w.pending) == 0 && !w.dirty {
+			return nil
+		}
 	}
-	return w.WaitDurable(ticket, tr)
-}
-
-// AppendBatch logs a group of same-op mutations with a single fsync under
-// SyncAlways.
-func (w *wal) AppendBatch(op byte, keys [][]byte, tr *reqTrace) error {
-	ticket, err := w.EnqueueBatch(op, keys, tr)
-	if err != nil {
-		return err
-	}
-	return w.WaitDurable(ticket, tr)
-}
-
-// AppendRaw logs pre-framed record bytes verbatim (see EnqueueRaw),
-// synchronously per policy.
-func (w *wal) AppendRaw(raw []byte, n int) error {
-	ticket, err := w.EnqueueRaw(raw, n)
-	if err != nil {
-		return err
-	}
-	return w.WaitDurable(ticket, nil)
 }
 
 // notifyLocked wakes every tailer blocked on Changed. The channel is
@@ -643,16 +565,10 @@ func (w *wal) Pos() (seq uint64, size int64) {
 // Tailers call this before reading so every logical byte is visible on
 // disk.
 func (w *wal) FlushedPos() (seq uint64, size int64, err error) {
-	w.commitMu.Lock()
-	defer w.commitMu.Unlock()
-	w.commitRound(false, nil)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.f == nil {
-		return 0, 0, errors.New("server: wal closed")
-	}
-	if w.commitErr != nil {
-		return 0, 0, w.commitErr
+	if err := w.roundLocked(false, nil); err != nil {
+		return 0, 0, err
 	}
 	// Records enqueued after the commit round are not on disk yet; the
 	// readable prefix is the logical size minus what is still pending.
@@ -670,106 +586,46 @@ func (w *wal) CumPos() (records, bytes uint64) {
 // Sync drains pending records and fsyncs if anything changed since the
 // last sync. Safe to call from a background ticker.
 func (w *wal) Sync() error {
-	w.commitMu.Lock()
-	defer w.commitMu.Unlock()
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.f == nil {
-		w.mu.Unlock()
 		return nil
 	}
-	idle := len(w.pending) == 0 && !w.dirty
-	err := w.commitErr
-	w.mu.Unlock()
-	if idle || err != nil {
-		return err
-	}
-	w.commitRound(true, nil)
-	w.mu.Lock()
-	err = w.commitErr
-	w.mu.Unlock()
-	return err
-}
-
-// drainLocked writes any pending bytes directly; caller holds BOTH
-// commitMu and mu (rotation and close — no commit round can be in
-// flight, so touching the file under mu is safe and keeps the
-// swap atomic with what follows).
-func (w *wal) drainLocked(fsync bool) error {
-	wrote := len(w.pending) > 0
-	if wrote {
-		if _, err := w.f.Write(w.pending); err != nil {
-			if w.commitErr == nil {
-				w.commitErr = err
-			}
-			return err
-		}
-		if cap(w.pending) <= walRecycleCap {
-			w.pending = w.pending[:0]
-		} else {
-			w.pending = nil
-		}
-	}
-	if fsync && (wrote || w.dirty) {
-		if w.policy != SyncNever {
-			t0 := time.Now()
-			if err := w.f.Sync(); err != nil {
-				if w.commitErr == nil {
-					w.commitErr = err
-				}
-				return err
-			}
-			w.fsyncHist.ObserveDuration(time.Since(t0))
-		}
-		w.syncs++
-		w.dirty = false
-	}
-	w.durTicket = w.enqTicket
-	w.cond.Broadcast()
-	return nil
+	return w.roundLocked(true, nil)
 }
 
 // Rotate syncs and closes the current segment and starts seq+1. It
 // returns the new sequence number: a snapshot taken of the state at
-// rotation time covers every record in segments < newSeq. The commit
-// lock is held only for this drain-and-swap — the caller's snapshot
-// disk write happens entirely outside it, so concurrent group commits
-// resume as soon as the new segment is open.
+// rotation time covers every record in segments < newSeq. Commits wait
+// only for this drain-and-swap — the caller's snapshot disk write
+// happens entirely outside it, so concurrent group commits resume as
+// soon as the new segment is open.
 func (w *wal) Rotate() (newSeq uint64, err error) {
-	w.commitMu.Lock()
-	defer w.commitMu.Unlock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.rotateToLocked(w.seq+1, 0)
+	return w.rotate(0, 0)
 }
 
 // RotateTo jumps to an arbitrary higher segment number — the replica
 // apply path following the primary across a rotation (or a bootstrap
 // that lands past a gap of pruned segments).
 func (w *wal) RotateTo(seq uint64) error {
-	w.commitMu.Lock()
-	defer w.commitMu.Unlock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if seq <= w.seq {
-		return fmt.Errorf("server: wal rotate to %d, already at %d", seq, w.seq)
-	}
 	// O_TRUNC: the replica starts the new segment at offset 0, so any
 	// stale same-named file from an earlier life must not leak a prefix.
-	_, err := w.rotateToLocked(seq, os.O_TRUNC)
+	_, err := w.rotate(seq, os.O_TRUNC)
 	return err
 }
 
-// rotateToLocked drains, fsyncs, and swaps segment files; caller holds
-// both commitMu and mu.
-func (w *wal) rotateToLocked(seq uint64, extraFlag int) (uint64, error) {
-	if w.f == nil {
-		return 0, errors.New("server: wal closed")
-	}
-	if w.commitErr != nil {
-		return 0, w.commitErr
-	}
-	if err := w.drainLocked(true); err != nil {
+// rotate settles the current segment, then swaps it for segment seq (0:
+// the next one).
+func (w *wal) rotate(seq uint64, extraFlag int) (uint64, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.settleLocked(); err != nil {
 		return 0, err
+	}
+	if seq == 0 {
+		seq = w.seq + 1
+	} else if seq <= w.seq {
+		return 0, fmt.Errorf("server: wal rotate to %d, already at %d", seq, w.seq)
 	}
 	if err := w.f.Close(); err != nil {
 		return 0, err
@@ -807,14 +663,12 @@ func (w *wal) Close() error {
 		<-w.drainDone
 		w.stopDrain = nil
 	}
-	w.commitMu.Lock()
-	defer w.commitMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return nil
 	}
-	err := w.drainLocked(true)
+	err := w.settleLocked()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}

@@ -33,25 +33,30 @@ func replayAll(t *testing.T, path string) []walRec {
 	return out
 }
 
+// appendDurable logs keys as one group of op records and waits until
+// the group is durable per policy.
+func appendDurable(t *testing.T, w *wal, op byte, keys ...[]byte) {
+	t.Helper()
+	ticket, err := w.EnqueueBatch(op, nil, keys, nil, nil)
+	if err == nil {
+		err = w.WaitDurable(ticket, nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWALAppendReplay(t *testing.T) {
 	dir := t.TempDir()
 	w, err := openWAL(dir, 1, SyncAlways, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(wire.OpInsert, []byte("alpha"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendBatch(wire.OpInsert, [][]byte{[]byte("beta"), []byte("gamma")}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(wire.OpDelete, []byte("alpha"), nil); err != nil {
-		t.Fatal(err)
-	}
+	appendDurable(t, w, wire.OpInsert, []byte("alpha"))
+	appendDurable(t, w, wire.OpInsert, []byte("beta"), []byte("gamma"))
+	appendDurable(t, w, wire.OpDelete, []byte("alpha"))
 	// Empty key is legal (a zero-length key is a valid filter key).
-	if err := w.Append(wire.OpInsert, nil, nil); err != nil {
-		t.Fatal(err)
-	}
+	appendDurable(t, w, wire.OpInsert, nil)
 	records, syncs := w.Stats()
 	if records != 5 {
 		t.Fatalf("records = %d", records)
@@ -87,9 +92,7 @@ func TestWALTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := w.Append(wire.OpInsert, []byte(fmt.Sprintf("key-%d", i)), nil); err != nil {
-			t.Fatal(err)
-		}
+		appendDurable(t, w, wire.OpInsert, []byte(fmt.Sprintf("key-%d", i)))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -124,9 +127,7 @@ func TestWALOpenTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := w.Append(wire.OpInsert, []byte(fmt.Sprintf("key-%d", i)), nil); err != nil {
-			t.Fatal(err)
-		}
+		appendDurable(t, w, wire.OpInsert, []byte(fmt.Sprintf("key-%d", i)))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -161,9 +162,7 @@ func TestWALOpenTruncatesTornTail(t *testing.T) {
 	if fi.Size() != valid {
 		t.Fatalf("size after truncating open = %d, want %d", fi.Size(), valid)
 	}
-	if err := w.Append(wire.OpInsert, []byte("post-crash"), nil); err != nil {
-		t.Fatal(err)
-	}
+	appendDurable(t, w, wire.OpInsert, []byte("post-crash"))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +179,7 @@ func TestWALCorruptRecordStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := w.Append(wire.OpInsert, []byte(fmt.Sprintf("key-%d", i)), nil); err != nil {
-			t.Fatal(err)
-		}
+		appendDurable(t, w, wire.OpInsert, []byte(fmt.Sprintf("key-%d", i)))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -218,9 +215,7 @@ func TestWALRotate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(wire.OpInsert, []byte("before"), nil); err != nil {
-		t.Fatal(err)
-	}
+	appendDurable(t, w, wire.OpInsert, []byte("before"))
 	newSeq, err := w.Rotate()
 	if err != nil {
 		t.Fatal(err)
@@ -228,9 +223,7 @@ func TestWALRotate(t *testing.T) {
 	if newSeq != 8 {
 		t.Fatalf("newSeq = %d, want 8", newSeq)
 	}
-	if err := w.Append(wire.OpInsert, []byte("after"), nil); err != nil {
-		t.Fatal(err)
-	}
+	appendDurable(t, w, wire.OpInsert, []byte("after"))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -255,9 +248,7 @@ func TestWALSyncInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(wire.OpInsert, []byte("buffered"), nil); err != nil {
-		t.Fatal(err)
-	}
+	appendDurable(t, w, wire.OpInsert, []byte("buffered"))
 	// Nothing synced yet; an explicit Sync (what the background ticker
 	// calls) flushes and fsyncs.
 	if _, syncs := w.Stats(); syncs != 0 {

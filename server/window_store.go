@@ -38,7 +38,8 @@ const (
 )
 
 // decodeTTLBody splits a TTL record's key field back into its rotation
-// count and key: [u32 r][key bytes] (the wal's EnqueueTTL* framing).
+// count and key: [u32 r][key bytes] (the rotation count is the extra
+// prefix mutateEnq hands the wal's EnqueueBatch).
 func decodeTTLBody(b []byte) (r int, key []byte, err error) {
 	if len(b) < 4 {
 		return 0, nil, errors.New("server: truncated ttl wal record")
