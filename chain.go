@@ -76,6 +76,14 @@ func (c *Chain) InsertBatch(keys [][]byte, workers int) error {
 	return c.head().InsertBatch(keys, workers)
 }
 
+// InsertBatchInto adds keys to the newest generation, planned in sc
+// (Sharded.InsertBatchInto).
+func (c *Chain) InsertBatchInto(keys [][]byte, sc *BatchScratch) error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.head().InsertBatchInto(keys, sc)
+}
+
 // Contains reports whether any generation may hold key.
 func (c *Chain) Contains(key []byte) bool {
 	c.mu.RLock()
@@ -126,11 +134,23 @@ func (c *Chain) DeleteBatch(keys [][]byte, workers int) ([]bool, error) {
 	return c.carry(keys, new(BatchScratch), opDelete, workers), nil
 }
 
+// DeleteBatchInto is DeleteBatch in sc, as Sharded.DeleteBatchInto: the
+// flags belong to sc, and with a warmed-up sc the call allocates
+// nothing. A nil sc uses fresh scratch.
+func (c *Chain) DeleteBatchInto(keys [][]byte, sc *BatchScratch) ([]bool, error) {
+	if sc == nil {
+		sc = new(BatchScratch)
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.carry(keys, sc, opDelete, 0), nil
+}
+
 // carry runs op over the generations newest first, each generation
 // taking only the keys that no newer one resolved, and returns whether
 // some generation resolved each key: held it for opContains, removed it
-// for opDelete. The answers and carried keys live in sc. Callers hold
-// c.mu.
+// for opDelete. The answers and carried keys live in sc; a generation's
+// failed deletes build no errors. Callers hold c.mu.
 func (c *Chain) carry(keys [][]byte, sc *BatchScratch, op batchOp, workers int) []bool {
 	out := grow(sc.chain, len(keys))
 	clear(out)
@@ -141,12 +161,7 @@ func (c *Chain) carry(keys [][]byte, sc *BatchScratch, op batchOp, workers int) 
 	sub := append(sc.sub[:0], keys...)
 	sc.chain, sc.pending, sc.sub = out, pending, sub
 	for i := len(c.gens) - 1; i >= 0 && len(sub) > 0; i-- {
-		var hit []bool
-		if op == opDelete {
-			hit, _ = c.gens[i].DeleteBatch(sub, workers)
-		} else {
-			hit = c.gens[i].ContainsBatchInto(sub, sc)
-		}
+		hit := c.gens[i].batchInto(sub, op, sc, workers).out
 		m := 0
 		for j, ok := range hit {
 			if ok {

@@ -49,6 +49,32 @@ func scrapeTraces(t *testing.T, httpAddr string) server.TracesReport {
 	}
 }
 
+// awaitTraces scrapes a node's /debug/traces until every trace id in ids
+// holds a span of each op in ops, or a deadline passes, and returns the
+// last report. A node records a request's span after it has flushed the
+// response, so the client can hold its answer before the span exists.
+func awaitTraces(t *testing.T, httpAddr string, ids []string, ops ...string) server.TracesReport {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		rep := scrapeTraces(t, httpAddr)
+		complete := true
+		for _, id := range ids {
+			have := map[string]bool{}
+			for _, sp := range spansWithID(rep, id) {
+				have[sp.Op] = true
+			}
+			for _, op := range ops {
+				complete = complete && have[op]
+			}
+		}
+		if complete || time.Now().After(deadline) {
+			return rep
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
 // spansWithID returns the request spans carrying the given trace id.
 func spansWithID(rep server.TracesReport, id string) []server.TraceEntry {
 	var out []server.TraceEntry
@@ -110,7 +136,7 @@ func TestClusterTraceE2E(t *testing.T) {
 	// carries WAL position plus group-commit attribution.
 	var p1Spans []server.TraceEntry
 	for _, httpAddr := range []string{p1http, p2http} {
-		rep := scrapeTraces(t, httpAddr)
+		rep := awaitTraces(t, httpAddr, []string{tc.String(), tc2.String()}, "insert_batch", "contains_batch")
 		spans := spansWithID(rep, tc.String())
 		if len(spans) == 0 {
 			t.Fatalf("node %s has no span for trace %s (traced=%d)", httpAddr, tc, rep.Traced)

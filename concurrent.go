@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -250,9 +251,16 @@ func (sh *shard) fill() (used, capacity float64) {
 // once and inserting them in batch order. Errors are joined; a shard stops
 // at its first error, and successfully inserted keys stay inserted.
 func (s *Sharded) InsertBatch(keys [][]byte, workers int) error {
-	b := &batch{s: s, keys: keys, op: opInsert, errs: make([]error, len(s.shards))}
-	b.run(workers)
-	return errors.Join(b.errs...)
+	b := s.batchInto(keys, opInsert, nil, workers)
+	return b.err()
+}
+
+// InsertBatchInto is InsertBatch on up to GOMAXPROCS goroutines, planned
+// in sc (nil: fresh scratch). With a warmed-up sc, a batch that stays on
+// the calling goroutine allocates nothing unless a shard fails.
+func (s *Sharded) InsertBatchInto(keys [][]byte, sc *BatchScratch) error {
+	b := s.batchInto(keys, opInsert, sc, 0)
+	return b.err()
 }
 
 // DeleteBatch removes keys, planned and applied like InsertBatch. Unlike
@@ -263,10 +271,17 @@ func (s *Sharded) InsertBatch(keys [][]byte, workers int) error {
 // outcome (the server's write-ahead log) can record exactly the deletes
 // that happened.
 func (s *Sharded) DeleteBatch(keys [][]byte, workers int) ([]bool, error) {
-	ok := make([]bool, len(keys))
-	b := &batch{s: s, keys: keys, op: opDelete, out: ok, errs: make([]error, len(s.shards))}
-	b.run(workers)
-	return ok, errors.Join(b.errs...)
+	b := s.batchInto(keys, opDelete, nil, workers)
+	return b.out, b.err()
+}
+
+// DeleteBatchInto is DeleteBatch on up to GOMAXPROCS goroutines, planned
+// in sc like InsertBatchInto; the returned flags belong to sc and are
+// overwritten by its next use. Only a key it fails to remove allocates,
+// for its error.
+func (s *Sharded) DeleteBatchInto(keys [][]byte, sc *BatchScratch) ([]bool, error) {
+	b := s.batchInto(keys, opDelete, sc, 0)
+	return b.out, b.err()
 }
 
 // ContainsBatch answers membership for keys, preserving order, into a
@@ -277,16 +292,17 @@ func (s *Sharded) ContainsBatch(keys [][]byte, workers int) []bool {
 	return s.ContainsBatchInto(keys, nil)
 }
 
-// BatchScratch is reusable working memory for the ContainsBatchInto of
-// Sharded and Chain: the plan of the last batch, its answers, and a chain
-// read's carried keys. The zero value is ready to use; a BatchScratch
-// must not be shared between goroutines.
+// BatchScratch is reusable working memory for the batch ops of Sharded
+// and Chain that take one (the Into forms): the plan of the last batch,
+// its answers or delete flags, and a chain op's carried keys. The zero
+// value is ready to use; a BatchScratch must not be shared between
+// goroutines.
 type BatchScratch struct {
 	plan batchPlan
 	out  []bool
 
-	chain   []bool   // a chain read's answers
-	pending []int    // batch indices a chain read still carries
+	chain   []bool   // a chain op's answers
+	pending []int    // batch indices a chain op still carries
 	sub     [][]byte // their keys
 }
 
@@ -296,14 +312,7 @@ type BatchScratch struct {
 // belongs to sc and is overwritten by its next use; with a warmed-up sc
 // the call allocates nothing. A nil sc uses fresh scratch.
 func (s *Sharded) ContainsBatchInto(keys [][]byte, sc *BatchScratch) []bool {
-	if sc == nil {
-		sc = new(BatchScratch)
-	}
-	sc.out = grow(sc.out, len(keys))
-	b := batch{s: s, keys: keys, op: opContains, p: sc.plan, out: sc.out}
-	b.serial()
-	sc.plan = b.p
-	return sc.out
+	return s.batchInto(keys, opContains, sc, 0).out
 }
 
 // minRunnerKeys is the smallest share of a batch worth a goroutine of its
@@ -321,15 +330,15 @@ const (
 
 // batch is one batch op on s in flight: its keys, their plan, and what
 // applying them reports — per-key delete flags or answers in out, in
-// batch order, and each shard's error in errs.
+// batch order, and the shards' insert errors in errs (nil until one
+// fails).
 type batch struct {
-	s       *Sharded
-	keys    [][]byte
-	op      batchOp
-	p       batchPlan
-	out     []bool
-	errs    []error
-	claimed atomic.Int64 // shards claimed for applying so far
+	s    *Sharded
+	keys [][]byte
+	op   batchOp
+	p    batchPlan
+	out  []bool
+	errs []error
 }
 
 // batchPlan is the working memory of a planned batch. Every key's plan
@@ -353,25 +362,50 @@ func (p *batchPlan) size(keys, shards, runners int) {
 	p.count, p.next, p.end = p.ints[:rs], p.ints[rs:2*rs], p.ints[2*rs:]
 }
 
-// run plans and applies b on up to workers goroutines, the caller
-// running one share. Every runner hashes its contiguous share of the
-// keys to shards, places their plans once all shares are counted, and
-// then claims whole shards to apply until none is left.
-func (b *batch) run(workers int) {
-	r := len(b.keys) / minRunnerKeys
-	if r > 1 {
+// batchInto plans op over keys in sc (nil: fresh scratch) and applies
+// it, returning the applied batch, whose out belongs to sc. Reads, and
+// writes too small to give each of up to workers goroutines (0 means
+// GOMAXPROCS) minRunnerKeys, run on the calling goroutine with the batch
+// on its stack.
+func (s *Sharded) batchInto(keys [][]byte, op batchOp, sc *BatchScratch, workers int) batch {
+	if sc == nil {
+		sc = new(BatchScratch)
+	}
+	b := batch{s: s, keys: keys, op: op, p: sc.plan}
+	if op != opInsert {
+		sc.out = grow(sc.out, len(keys))
+		b.out = sc.out
+	}
+	r := 1
+	if op != opContains && len(keys) >= 2*minRunnerKeys {
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		r = min(r, workers)
+		r = min(len(keys)/minRunnerKeys, workers)
 	}
-	if r <= 1 {
+	if r > 1 {
+		b = b.parallel(r)
+	} else {
 		b.serial()
-		return
 	}
+	sc.plan = b.p
+	return b
+}
+
+// parallel plans and applies b on r goroutines, the caller running one
+// share, and returns it applied. Every runner hashes its contiguous
+// share of the keys to shards, places their plans once all shares are
+// counted, and then claims whole shards to apply until none is left.
+func (b batch) parallel(r int) batch {
 	b.s.ensureInit()
 	b.p.size(len(b.keys), len(b.s.shards), r)
-	var counted, placed, done sync.WaitGroup
+	if b.op == opInsert { // the runners' shards fail concurrently
+		b.errs = make([]error, len(b.s.shards))
+	}
+	var (
+		counted, placed, done sync.WaitGroup
+		claimed               atomic.Int64 // shards claimed for applying so far
+	)
 	counted.Add(r)
 	placed.Add(r)
 	done.Add(r - 1)
@@ -382,7 +416,7 @@ func (b *batch) run(workers int) {
 		b.place(q, r)
 		placed.Done()
 		placed.Wait()
-		for i := int(b.claimed.Add(1)) - 1; i < len(b.s.shards); i = int(b.claimed.Add(1)) - 1 {
+		for i := int(claimed.Add(1)) - 1; i < len(b.s.shards); i = int(claimed.Add(1)) - 1 {
 			b.apply(i)
 		}
 	}
@@ -394,6 +428,7 @@ func (b *batch) run(workers int) {
 	}
 	work(0)
 	done.Wait()
+	return b
 }
 
 // serial plans and applies b on the calling goroutine.
@@ -405,6 +440,24 @@ func (b *batch) serial() {
 	for i := range b.s.shards {
 		b.apply(i)
 	}
+}
+
+// err reports what an applied batch failed: the shards' insert errors,
+// or one error per key a delete did not remove, shard by shard in batch
+// order.
+func (b *batch) err() error {
+	if b.op != opDelete || !slices.Contains(b.out, false) {
+		return errors.Join(b.errs...)
+	}
+	var errs []error
+	for i := range b.s.shards {
+		for _, p := range b.shardPlans(i) {
+			if !b.out[p.Tag] {
+				errs = append(errs, fmt.Errorf("mpcbf: shard %d key %d: %w", i, p.Tag, core.ErrUnderflow))
+			}
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // share returns the bounds of runner r's share of n keys.
@@ -454,13 +507,18 @@ func (b *batch) place(r, runners int) {
 	}
 }
 
-// apply applies shard i's plans under its lock, once.
-func (b *batch) apply(i int) {
+// shardPlans returns shard i's plans, in batch order.
+func (b *batch) shardPlans(i int) []core.Plan {
 	lo := 0
 	if i > 0 {
 		lo = b.p.end[i-1]
 	}
-	ps := b.p.plans[lo:b.p.end[i]]
+	return b.p.plans[lo:b.p.end[i]]
+}
+
+// apply applies shard i's plans under its lock, once.
+func (b *batch) apply(i int) {
+	ps := b.shardPlans(i)
 	if len(ps) == 0 {
 		return
 	}
@@ -474,6 +532,9 @@ func (b *batch) apply(i int) {
 		sh.mu.Unlock()
 		b.s.count.Add(int64(n))
 		if err != nil {
+			if b.errs == nil { // a serial batch's first failure
+				b.errs = make([]error, len(b.s.shards))
+			}
 			b.errs[i] = fmt.Errorf("mpcbf: shard %d: %w", i, err)
 		}
 	case opDelete:
@@ -482,16 +543,6 @@ func (b *batch) apply(i int) {
 		n := f.DeletePlans(ps, b.keys, b.out)
 		sh.mu.Unlock()
 		b.s.count.Add(-int64(n))
-		if n == len(ps) {
-			return
-		}
-		var errs []error
-		for _, p := range ps {
-			if !b.out[p.Tag] {
-				errs = append(errs, fmt.Errorf("mpcbf: shard %d key %d: %w", i, p.Tag, core.ErrUnderflow))
-			}
-		}
-		b.errs[i] = errors.Join(errs...)
 	case opContains:
 		sh.queries.Add(uint64(len(ps)))
 		sh.mu.RLock()

@@ -1,7 +1,9 @@
 package mpcbf
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -404,7 +406,9 @@ func TestContainsBatchInto(t *testing.T) {
 // sends a 4-key DELETE_BATCH with every request. Such a batch is planned
 // and applied on the calling goroutine, so its only allocations are its
 // working memory (and DeleteBatch's flags); a goroutine per shard would
-// add at least 16.
+// add at least 16. The Into forms plan in reused scratch and allocate
+// nothing, on a Sharded and on a chain whose delete carries past a
+// generation that lacks the keys.
 func TestSmallBatchAllocs(t *testing.T) {
 	s, err := NewSharded(Options{MemoryBits: 1 << 20, ExpectedItems: 10000, Seed: 3}, 16)
 	if err != nil {
@@ -426,5 +430,38 @@ func TestSmallBatchAllocs(t *testing.T) {
 	}
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d after balanced batches", s.Len())
+	}
+
+	head, err := NewSharded(Options{MemoryBits: 1 << 20, ExpectedItems: 10000, Seed: 4}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewChain(errors.New("absent"), s, head)
+	var sc BatchScratch
+	for name, churn := range map[string]func(){
+		"Sharded": func() {
+			if err := s.InsertBatchInto(keys, &sc); err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := s.DeleteBatchInto(keys, &sc); err != nil || slices.Contains(ok, false) {
+				t.Fatalf("DeleteBatchInto: %v %v", ok, err)
+			}
+		},
+		"Chain": func() {
+			if err := s.InsertBatchInto(keys, &sc); err != nil { // the older generation
+				t.Fatal(err)
+			}
+			if ok, err := c.DeleteBatchInto(keys, &sc); err != nil || slices.Contains(ok, false) {
+				t.Fatalf("Chain.DeleteBatchInto: %v %v", ok, err)
+			}
+		},
+	} {
+		churn() // warm up the scratch
+		if avg := testing.AllocsPerRun(100, churn); avg != 0 {
+			t.Errorf("%s: 4-key InsertBatchInto+DeleteBatchInto with warm scratch: %.1f allocs/op, want 0", name, avg)
+		}
+	}
+	if s.Len() != 0 || head.Len() != 0 {
+		t.Fatalf("Len = %d, %d after balanced batches", s.Len(), head.Len())
 	}
 }

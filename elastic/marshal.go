@@ -110,7 +110,19 @@ func UnmarshalFilter(data []byte) (*Filter, error) {
 
 // ReadFilter is UnmarshalFilter over a stream: it decodes exactly n bytes
 // of r, holding one 64 KiB buffer besides the decoded chain.
-func ReadFilter(r io.Reader, n int64) (*Filter, error) {
+func ReadFilter(r io.Reader, n int64) (*Filter, error) { return readFilter(r, n, false) }
+
+// CheckFilter reads a chain encoding of exactly n bytes from r and fails
+// exactly when ReadFilter would, building nothing: each generation is
+// checked by mpcbf.CheckSharded.
+func CheckFilter(r io.Reader, n int64) error {
+	_, err := readFilter(r, n, true)
+	return err
+}
+
+// readFilter is ReadFilter, or with check set CheckFilter, which applies
+// the same checks and returns no chain.
+func readFilter(r io.Reader, n int64, check bool) (*Filter, error) {
 	rd := snapio.From(r, n)
 	if n < headerSize || n > rd.Remaining() {
 		return nil, errors.New("elastic: snapshot too short")
@@ -158,8 +170,15 @@ func ReadFilter(r io.Reader, n int64) (*Filter, error) {
 	if nGens == 0 || nGens > 1<<16 || int64(nGens) > left/genHdrSize {
 		return nil, fmt.Errorf("elastic: implausible generation count %d", nGens)
 	}
-	f := &Filter{opts: o, grows: grows, imports: imports, gens: make([]*generation, 0, nGens)}
-	sharded := make([]*mpcbf.Sharded, 0, nGens)
+	var (
+		f       *Filter
+		sharded []*mpcbf.Sharded
+	)
+	if !check {
+		f = &Filter{opts: o, grows: grows, imports: imports, gens: make([]*generation, 0, nGens)}
+		sharded = make([]*mpcbf.Sharded, 0, nGens)
+	}
+	imported := false // the newest generation read so far came in whole
 	for i := uint32(0); i < nGens; i++ {
 		if left < genHdrSize {
 			return nil, errors.New("elastic: truncated generation header")
@@ -173,30 +192,38 @@ func ReadFilter(r io.Reader, n int64) (*Filter, error) {
 		if h[0] > 1 {
 			return nil, fmt.Errorf("elastic: generation %d: bad imported flag %d", i, h[0])
 		}
-		g := &generation{
-			imported: h[0] == 1,
-			growIdx:  binary.LittleEndian.Uint32(h[1:]),
-			capacity: int(binary.LittleEndian.Uint64(h[5:])),
-			budget:   math.Float64frombits(binary.LittleEndian.Uint64(h[13:])),
-		}
+		imported = h[0] == 1
+		growIdx := binary.LittleEndian.Uint32(h[1:])
+		capacity := int(binary.LittleEndian.Uint64(h[5:]))
+		budget := math.Float64frombits(binary.LittleEndian.Uint64(h[13:]))
 		blobLen := int64(binary.LittleEndian.Uint32(h[21:]))
 		left -= genHdrSize
 		if blobLen > left {
 			return nil, errors.New("elastic: truncated generation blob")
 		}
-		s, err := mpcbf.ReadSharded(rd, blobLen)
+		var s *mpcbf.Sharded
+		if check {
+			err = mpcbf.CheckSharded(rd, blobLen)
+		} else {
+			s, err = mpcbf.ReadSharded(rd, blobLen)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("elastic: generation %d: %w", i, err)
 		}
 		left -= blobLen
-		f.gens = append(f.gens, g)
-		sharded = append(sharded, s)
+		if !check {
+			f.gens = append(f.gens, &generation{imported: imported, growIdx: growIdx, capacity: capacity, budget: budget})
+			sharded = append(sharded, s)
+		}
 	}
 	if left != 0 {
 		return nil, fmt.Errorf("elastic: %d trailing bytes after chain", left)
 	}
-	if f.gens[len(f.gens)-1].imported {
+	if imported {
 		return nil, errors.New("elastic: head generation marked imported")
+	}
+	if check {
+		return nil, nil
 	}
 	f.Chain = mpcbf.NewChain(errAbsent, sharded...)
 	return f, nil

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/bitvec"
+	"repro/internal/hcbf"
 	"repro/internal/snapio"
 )
 
@@ -78,7 +80,23 @@ func Unmarshal(data []byte) (*Filter, error) {
 
 // Decode reads one filter encoding of exactly n bytes from r. When r is
 // a *snapio.Reader the decode shares its buffer and running checksum.
-func Decode(r io.Reader, n int64) (*Filter, error) {
+func Decode(r io.Reader, n int64) (*Filter, error) { return read(r, n, false) }
+
+// Check reads one filter encoding of exactly n bytes from r and fails
+// exactly when Decode would, without building the filter: the arena
+// streams through a fixed buffer instead of into a new one, so checking
+// an encoding of any size allocates a fixed amount.
+func Check(r io.Reader, n int64) error {
+	_, err := read(r, n, true)
+	return err
+}
+
+// maxWordBits bounds the word width a decoded header may name.
+const maxWordBits = 1 << 16
+
+// read is Decode, or with check set Check, which applies the same
+// checks and returns no filter.
+func read(r io.Reader, n int64, check bool) (*Filter, error) {
 	rd := snapio.From(r, n)
 	if n < HeaderLen || n > rd.Remaining() {
 		return nil, errors.New("mpcbf: truncated filter data")
@@ -113,7 +131,6 @@ func Decode(r io.Reader, n int64) (*Filter, error) {
 	// Sanity-bound every header field before any allocation: the input is
 	// untrusted, and the arena size implied by the geometry must match the
 	// payload length exactly.
-	const maxWordBits = 1 << 16
 	if w < 1 || w > maxWordBits || k < 1 || k > 1024 || g < 1 || g > k ||
 		b1 < 1 || b1 > w || nmax < 0 || nmax > w ||
 		count < 0 || overflows < 0 || seedRaw > 1<<32-1 {
@@ -133,15 +150,19 @@ func Decode(r io.Reader, n int64) (*Filter, error) {
 		return nil, fmt.Errorf("mpcbf: arena size %d does not match geometry", nArena)
 	}
 
-	f, err := New(Config{
+	f, err := layout(Config{
 		MemoryBits: memBits, W: w, K: k, G: g, B1: b1,
 		Seed: seed, Overflow: overflow,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mpcbf: rebuilding geometry: %w", err)
 	}
-	// New derived b1 from the header's explicit B1, so nmax is zero; carry
-	// the original heuristic value for Geometry reporting.
+	if !check {
+		f.arena = bitvec.New(f.l * w)
+		f.saturated = make(map[int]bool)
+	}
+	// The header's explicit B1 left nmax zero; carry the original
+	// heuristic value for Geometry reporting.
 	f.nmax = nmax
 	f.count = count
 	f.overflows = overflows
@@ -158,13 +179,14 @@ func Decode(r io.Reader, n int64) (*Filter, error) {
 			return nil, fmt.Errorf("mpcbf: saturated word %d out of range or order", wIdx)
 		}
 		prev = wIdx
-		f.saturated[wIdx] = true
+		if !check {
+			f.saturated[wIdx] = true
+		}
 	}
-	arena := f.arena.Words()
-	if nArena != uint64(len(arena)) {
-		return nil, fmt.Errorf("mpcbf: arena size %d does not match geometry (%d)", nArena, len(arena))
+	if check {
+		return nil, f.checkArena(rd, int(nArena))
 	}
-	if err := rd.Words(arena); err != nil {
+	if err := rd.Words(f.arena.Words()); err != nil {
 		return nil, fmt.Errorf("mpcbf: arena: %w", err)
 	}
 	// Register-kernel words cannot be walked out of bounds; generic ones
@@ -172,9 +194,55 @@ func Decode(r io.Reader, n int64) (*Filter, error) {
 	if f.kmode == kmodeGeneric {
 		for i := 0; i < f.l; i++ {
 			if !f.word(i).Fits() {
-				return nil, fmt.Errorf("mpcbf: word %d hierarchy overruns the word", i)
+				return nil, errOverrun(i)
 			}
 		}
 	}
-	return f, nil
+	return &f, nil
+}
+
+// errOverrun reports a decoded word whose hierarchy does not end inside
+// it.
+func errOverrun(word int) error {
+	return fmt.Errorf("mpcbf: word %d hierarchy overruns the word", word)
+}
+
+// checkBufWords is checkArena's buffer: room for the widest word a
+// header may name, wherever its first bit falls, and then some.
+const checkBufWords = 2 * maxWordBits / 64
+
+// checkArena consumes an arena of nArena words from rd the way read
+// decodes one, through a fixed buffer: a generic-width word must hold
+// its hierarchy, and register-kernel words need no check.
+func (f *Filter) checkArena(rd *snapio.Reader, nArena int) error {
+	if f.kmode != kmodeGeneric {
+		if err := rd.Discard(8 * int64(nArena)); err != nil {
+			return fmt.Errorf("mpcbf: arena: %w", err)
+		}
+		return nil
+	}
+	w := f.cfg.W
+	arena := bitvec.New(64 * min(nArena, checkBufWords))
+	buf := arena.Words()
+	// buf[:have] holds arena words base onward; read words came in so far.
+	base, have, read := 0, 0, 0
+	for i := 0; i < f.l; {
+		// Keep the words from the one holding word i's first bit on.
+		if first := i * w / 64; first > base {
+			have = copy(buf, buf[first-base:have])
+			base = first
+		}
+		m := min(len(buf)-have, nArena-read)
+		if err := rd.Words(buf[have : have+m]); err != nil {
+			return fmt.Errorf("mpcbf: arena: %w", err)
+		}
+		have, read = have+m, read+m
+		for ; i < f.l && (i+1)*w <= (base+have)*64; i++ {
+			h, err := hcbf.NewWordGeneric(arena, i*w-base*64, w, f.b1)
+			if err != nil || !h.Fits() {
+				return errOverrun(i)
+			}
+		}
+	}
+	return nil
 }

@@ -120,34 +120,46 @@ type Filter struct {
 
 // New builds a filter from cfg.
 func New(cfg Config) (*Filter, error) {
+	f, err := layout(cfg)
+	if err != nil {
+		return nil, err
+	}
+	f.arena = bitvec.New(f.l * f.cfg.W)
+	f.saturated = make(map[int]bool)
+	return &f, nil
+}
+
+// layout validates cfg and derives the filter it describes, everything
+// but the storage: the arena and the saturated-word set stay nil.
+func layout(cfg Config) (Filter, error) {
 	cfg = cfg.withDefaults()
 	if cfg.MemoryBits < cfg.W {
-		return nil, fmt.Errorf("mpcbf: memory %d bits smaller than one word (w=%d)", cfg.MemoryBits, cfg.W)
+		return Filter{}, fmt.Errorf("mpcbf: memory %d bits smaller than one word (w=%d)", cfg.MemoryBits, cfg.W)
 	}
 	if cfg.K < 1 || cfg.G < 1 {
-		return nil, fmt.Errorf("mpcbf: k and g must be positive (k=%d, g=%d)", cfg.K, cfg.G)
+		return Filter{}, fmt.Errorf("mpcbf: k and g must be positive (k=%d, g=%d)", cfg.K, cfg.G)
 	}
 	if cfg.G > cfg.K {
-		return nil, fmt.Errorf("mpcbf: g=%d exceeds k=%d", cfg.G, cfg.K)
+		return Filter{}, fmt.Errorf("mpcbf: g=%d exceeds k=%d", cfg.G, cfg.K)
 	}
 	l := cfg.MemoryBits / cfg.W
 	if cfg.G > l {
-		return nil, fmt.Errorf("mpcbf: g=%d exceeds word count l=%d", cfg.G, l)
+		return Filter{}, fmt.Errorf("mpcbf: g=%d exceeds word count l=%d", cfg.G, l)
 	}
 	b1 := cfg.B1
 	nmax := 0
 	if b1 == 0 {
 		if cfg.ExpectedN <= 0 {
-			return nil, errors.New("mpcbf: ExpectedN required to derive the improved layout (or set B1)")
+			return Filter{}, errors.New("mpcbf: ExpectedN required to derive the improved layout (or set B1)")
 		}
 		d, err := analytic.Design(cfg.ExpectedN, cfg.MemoryBits, cfg.W, cfg.K, cfg.G)
 		if err != nil {
-			return nil, err
+			return Filter{}, err
 		}
 		b1, nmax = d.B1, d.Nmax
 	}
 	if b1 < 1 || b1 > cfg.W {
-		return nil, fmt.Errorf("mpcbf: first level b1=%d outside (0,%d]", b1, cfg.W)
+		return Filter{}, fmt.Errorf("mpcbf: first level b1=%d outside (0,%d]", b1, cfg.W)
 	}
 	kmode := kmodeGeneric
 	if !cfg.DisableKernel {
@@ -158,16 +170,14 @@ func New(cfg Config) (*Filter, error) {
 			kmode = kmode128
 		}
 	}
-	return &Filter{
-		arena:     bitvec.New(l * cfg.W),
-		cfg:       cfg,
-		l:         l,
-		b1:        b1,
-		nmax:      nmax,
-		kmode:     kmode,
-		split:     hashing.SplitKEven(cfg.K, cfg.G),
-		hasher:    hashing.NewHasher(cfg.Seed),
-		saturated: make(map[int]bool),
+	return Filter{
+		cfg:    cfg,
+		l:      l,
+		b1:     b1,
+		nmax:   nmax,
+		kmode:  kmode,
+		split:  hashing.SplitKEven(cfg.K, cfg.G),
+		hasher: hashing.NewHasher(cfg.Seed),
 	}, nil
 }
 

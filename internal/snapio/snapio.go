@@ -123,6 +123,19 @@ func (r *Reader) Next(k int) ([]byte, error) {
 	return b, nil
 }
 
+// Discard consumes the next k bytes without returning them; they are
+// checksummed like every other byte pulled.
+func (r *Reader) Discard(k int64) error {
+	for k > 0 {
+		d, err := r.br.Discard(int(min(k, int64(r.br.Size()))))
+		k -= int64(d)
+		if err != nil {
+			return truncated(err)
+		}
+	}
+	return nil
+}
+
 // Read implements io.Reader over the unconsumed stream, so io.CopyN and
 // io.ReadFull can take the bytes a decoder passes through undecoded.
 func (r *Reader) Read(p []byte) (int, error) {

@@ -97,6 +97,21 @@ func UnmarshalSharded(data []byte, legacySeed ...uint32) (*Sharded, error) {
 // ReadSharded is UnmarshalSharded over a stream: it decodes exactly n
 // bytes of r, holding one 64 KiB buffer besides the decoded filter.
 func ReadSharded(r io.Reader, n int64, legacySeed ...uint32) (*Sharded, error) {
+	return readSharded(r, n, false, legacySeed...)
+}
+
+// CheckSharded reads a current-format sharded filter of exactly n bytes
+// from r and fails exactly when ReadSharded would, building nothing:
+// each shard is checked by core.Check, so a filter of any size costs a
+// fixed amount of memory.
+func CheckSharded(r io.Reader, n int64) error {
+	_, err := readSharded(r, n, true)
+	return err
+}
+
+// readSharded is ReadSharded, or with check set CheckSharded, which
+// applies the same checks and returns no filter.
+func readSharded(r io.Reader, n int64, check bool, legacySeed ...uint32) (*Sharded, error) {
 	rd := snapio.From(r, n)
 	if n > rd.Remaining() {
 		return nil, errors.New("mpcbf: truncated sharded filter")
@@ -141,12 +156,15 @@ func ReadSharded(r io.Reader, n int64, legacySeed ...uint32) (*Sharded, error) {
 	if nShards < 1 || nShards > 1<<20 || count < 0 || nShards > left/(4+core.HeaderLen) {
 		return nil, errors.New("mpcbf: implausible sharded header")
 	}
-	s := &Sharded{
-		shards: make([]shard, nShards),
-		pick:   pickHasher(seed),
-		seed:   seed,
+	var s *Sharded
+	if !check {
+		s = &Sharded{
+			shards: make([]shard, nShards),
+			pick:   pickHasher(seed),
+			seed:   seed,
+		}
 	}
-	for i := range s.shards {
+	for i := 0; i < int(nShards); i++ {
 		if left < 4 {
 			return nil, fmt.Errorf("mpcbf: truncated at shard %d", i)
 		}
@@ -159,15 +177,23 @@ func ReadSharded(r io.Reader, n int64, legacySeed ...uint32) (*Sharded, error) {
 		if size > left {
 			return nil, fmt.Errorf("mpcbf: bad shard %d size %d", i, size)
 		}
-		f, err := core.Decode(rd, size)
+		if check {
+			err = core.Check(rd, size)
+		} else {
+			var f *core.Filter
+			f, err = core.Decode(rd, size)
+			s.shards[i].f = &MPCBF{f: f}
+		}
 		if err != nil {
 			return nil, fmt.Errorf("mpcbf: shard %d: %w", i, err)
 		}
-		s.shards[i].f = &MPCBF{f: f}
 		left -= size
 	}
 	if left != 0 {
 		return nil, errors.New("mpcbf: trailing bytes after shards")
+	}
+	if check {
+		return nil, nil
 	}
 	s.count.Store(count)
 	return s, nil

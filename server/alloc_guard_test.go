@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -19,10 +20,12 @@ import (
 // allocates and would make the counts meaningless.
 
 // TestDispatchZeroAllocs pins 0 allocs/op for single-key INSERT, DELETE
-// (both through a durable commit wait at SyncAlways), CONTAINS, and a
-// 72-key CONTAINS_BATCH on the default filter, on plain, windowed and
-// elastic namespaces, and on an unknown namespace, end-to-end through
-// the server dispatch layer.
+// (both through a durable commit wait at SyncAlways), CONTAINS, a 72-key
+// CONTAINS_BATCH on the default filter, on plain, windowed and elastic
+// namespaces, and on an unknown namespace, and INSERT_BATCH plus
+// DELETE_BATCH of 4 and of 256 keys, each through its durable wait, on
+// the default filter and the three kinds of namespace, end-to-end
+// through the server dispatch layer.
 func TestDispatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under -race")
@@ -96,6 +99,37 @@ func TestDispatchZeroAllocs(t *testing.T) {
 		for i, ok := range flags[:len(keys)] {
 			if unknown := string(ns) == "alloc-unknown"; ok == unknown && ns != nil {
 				t.Fatalf("ns %q batch read answered %v for %q", ns, ok, keys[i])
+			}
+		}
+	}
+
+	// Batch mutations plan in the same scratch and log into the WAL's
+	// pending buffer: a batch inserted and then deleted again, each
+	// acknowledged only after its commit, allocates nothing.
+	for _, n := range []int{4, 256} {
+		mkeys := storeKeys(fmt.Sprintf("alloc-mut%d", n), n)
+		for _, ns := range names[:4] {
+			churn := func() {
+				for _, op := range []byte{wire.OpInsertBatch, wire.OpDeleteBatch} {
+					var tkt uint64
+					resp, tkt, _ = srv.dispatch(wire.Request{Op: op, NS: ns, Keys: mkeys}, resp[:0], nil, &batch)
+					if err := st.waitDurable(tkt, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			churn() // warm up: size the scratch, the WAL buffer and the response
+			if avg := testing.AllocsPerRun(10, churn); avg != 0 {
+				t.Errorf("insert_batch+delete_batch dispatch (%d keys, ns %q): %.1f allocs/op, want 0", n, ns, avg)
+			}
+			flags, err := wire.DecodeBools(resp[1:])
+			if err != nil || resp[0] != wire.StatusOK || len(flags) != n {
+				t.Fatalf("ns %q delete_batch answered %x: %v", ns, resp, err)
+			}
+			for i, ok := range flags {
+				if !ok {
+					t.Fatalf("ns %q delete_batch did not remove %q", ns, mkeys[i])
+				}
 			}
 		}
 	}

@@ -147,3 +147,48 @@ func BenchmarkMetricsScrape(b *testing.B) {
 		srv.WriteProm(io.Discard)
 	}
 }
+
+// BenchmarkStoreSnapshotHold times how long a snapshot holds s.mu, the
+// lock every mutation takes: the WAL rotation and the state's streamed
+// write into the snapshot's temp file (Store.cut). The fsync, rename
+// and cleanup that follow outside the lock are excluded. It runs on a
+// 1 MiB default filter and, without -short, on a 2^30-bit (128 MiB) one.
+func BenchmarkStoreSnapshotHold(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		bits int
+	}{{"1MiB", 1 << 23}, {"128MiB", 1 << 30}} {
+		b.Run(size.name, func(b *testing.B) {
+			if size.bits > 1<<23 && testing.Short() {
+				b.Skip("the 128 MiB filter runs without -short")
+			}
+			st, err := OpenStore(StoreOptions{
+				Dir:    b.TempDir(),
+				Filter: mpcbf.Options{MemoryBits: size.bits, ExpectedItems: size.bits / 64},
+				Shards: 16,
+				Sync:   SyncNever,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { st.Close() })
+			if err := st.InsertBatch(benchKeys(min(size.bits/256, 1<<16))); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tmp, seq, _, _, err := st.cut()
+				b.StopTimer()
+				if err == nil {
+					err = finishSnapFile(tmp, snapshotPath(st.opts.Dir, seq))
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				st.cleanup(seq)
+				b.StartTimer()
+			}
+		})
+	}
+}

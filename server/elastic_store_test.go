@@ -308,7 +308,7 @@ func TestElasticNamespaceGrowsEvictsRecovers(t *testing.T) {
 	}
 	keys := storeKeys("ns-grow", 1500)
 	for i, k := range keys {
-		if _, _, err := s.mutateEnq(wire.OpInsert, []byte("tenant"), k, nil, 0, nil); err != nil {
+		if _, _, err := s.mutateEnq(wire.OpInsert, []byte("tenant"), k, nil, 0, nil, nil); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}

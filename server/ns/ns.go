@@ -274,23 +274,24 @@ func (e *Entry) Delete(key []byte) error {
 	return r.f.Delete(key)
 }
 
-// InsertBatch adds keys: planned outside the shard locks, then applied
-// taking each shard's lock once (mpcbf.Sharded.InsertBatch).
-func (e *Entry) InsertBatch(keys [][]byte) error {
+// InsertBatch adds keys: planned in sc outside the shard locks, then
+// applied taking each shard's lock once (mpcbf.Sharded.InsertBatchInto).
+func (e *Entry) InsertBatch(keys [][]byte, sc *mpcbf.BatchScratch) error {
 	r := e.state.Load()
 	if r == nil {
 		return ErrNotResident
 	}
-	return r.f.InsertBatch(keys, 0)
+	return r.f.InsertBatchInto(keys, sc)
 }
 
-// DeleteBatch removes keys, reporting per-key success.
-func (e *Entry) DeleteBatch(keys [][]byte) ([]bool, error) {
+// DeleteBatch removes keys, planned in sc, reporting per-key success in
+// flags that belong to sc.
+func (e *Entry) DeleteBatch(keys [][]byte, sc *mpcbf.BatchScratch) ([]bool, error) {
 	r := e.state.Load()
 	if r == nil {
 		return nil, ErrNotResident
 	}
-	return r.f.DeleteBatch(keys, 0)
+	return r.f.DeleteBatchInto(keys, sc)
 }
 
 // Live returns the resident filter for a lock-free read, or nil when
@@ -373,8 +374,8 @@ type State struct {
 type Filter interface {
 	Insert(key []byte) error
 	Delete(key []byte) error
-	InsertBatch(keys [][]byte, workers int) error
-	DeleteBatch(keys [][]byte, workers int) ([]bool, error)
+	InsertBatchInto(keys [][]byte, sc *mpcbf.BatchScratch) error
+	DeleteBatchInto(keys [][]byte, sc *mpcbf.BatchScratch) ([]bool, error)
 	Contains(key []byte) bool
 	ContainsBatchInto(keys [][]byte, sc *mpcbf.BatchScratch) []bool
 	EstimateCount(key []byte) int
@@ -408,16 +409,34 @@ func newResident(st State) *resident {
 // DecodeState decodes exactly n bytes of r as whichever state its leading
 // magic names: a windowed ring, an elastic chain, or a plain sharded
 // filter.
-func DecodeState(r io.Reader, n int64) (State, error) {
+func DecodeState(r io.Reader, n int64) (State, error) { return readState(r, n, false) }
+
+// CheckState reads a state of exactly n bytes from r and fails exactly
+// when DecodeState would, building nothing, so checking a state of any
+// size costs a fixed amount of memory.
+func CheckState(r io.Reader, n int64) error {
+	_, err := readState(r, n, true)
+	return err
+}
+
+// readState is DecodeState, or with check set CheckState, which returns
+// the zero State.
+func readState(r io.Reader, n int64, check bool) (State, error) {
 	rd := snapio.From(r, n)
 	magic := rd.Peek(4)
 	var st State
 	var err error
 	switch {
+	case window.IsWindowed(magic) && check:
+		err = window.CheckFilter(rd, n)
 	case window.IsWindowed(magic):
 		st.Window, err = window.ReadFilter(rd, n)
+	case elastic.IsElastic(magic) && check:
+		err = elastic.CheckFilter(rd, n)
 	case elastic.IsElastic(magic):
 		st.Elastic, err = elastic.ReadFilter(rd, n)
+	case check:
+		err = mpcbf.CheckSharded(rd, n)
 	default:
 		st.Filter, err = mpcbf.ReadSharded(rd, n)
 	}

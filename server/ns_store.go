@@ -310,14 +310,12 @@ func isNsContainer(data []byte) bool {
 	return len(data) >= 8 && binary.LittleEndian.Uint32(data[:4]) == nsContainerMagic
 }
 
-// marshalNsContainerLocked encodes the default state and every
-// namespace into a container, in one buffer sized up front: resident
-// states are encoded straight into it and evicted ones copied from their
-// evict files. Caller holds s.mu.
-func (s *Store) marshalNsContainerLocked() ([]byte, error) {
-	def, entries := s.reg.Default(), s.reg.Entries()
-	size := 16 + def.MarshaledSize() + 4
-	for _, e := range entries {
+// nsContainerSizeLocked returns the length of the container encoding:
+// resident states at their encoded size, evicted ones at their evict
+// file's payload. Caller holds s.mu.
+func (s *Store) nsContainerSizeLocked() int {
+	size := 16 + s.reg.Default().MarshaledSize() + 4
+	for _, e := range s.reg.Entries() {
 		size += len(e.WALName()) + wire.NsConfigSize + 1 + 8 + 8 + e.MarshaledSize()
 		if !e.Resident() {
 			if fi, err := os.Stat(nsSnapPath(s.opts.Dir, e.Name())); err == nil {
@@ -325,12 +323,19 @@ func (s *Store) marshalNsContainerLocked() ([]byte, error) {
 			}
 		}
 	}
-	w := snapio.Append(make([]byte, 0, size))
+	return size
+}
+
+// encodeNsContainerLocked writes the default state and every namespace
+// as a container to w: resident states through their encoders, evicted
+// ones copied from their evict files. Caller holds s.mu.
+func (s *Store) encodeNsContainerLocked(w *snapio.Writer) error {
+	def, entries := s.reg.Default(), s.reg.Entries()
 	w.Uint32(nsContainerMagic)
 	w.Uint32(nsContainerVersion)
 	w.Uint64(uint64(def.MarshaledSize()))
-	if err := def.Encode(&w); err != nil {
-		return nil, err
+	if err := def.Encode(w); err != nil {
+		return err
 	}
 	w.Uint32(uint32(len(entries)))
 	var cfg [wire.NsConfigSize]byte
@@ -346,21 +351,21 @@ func (s *Store) marshalNsContainerLocked() ([]byte, error) {
 		var err error
 		if e.Resident() {
 			w.Uint64(uint64(e.MarshaledSize()))
-			err = e.Encode(&w)
+			err = e.Encode(w)
 		} else {
-			// Evicted state cannot mutate: read it straight from the evict
-			// file into the container, checksum-verified on the way.
+			// Evicted state cannot mutate: copy it straight from the evict
+			// file, checksum-verified on the way.
 			err = readSnapFile(nsSnapPath(s.opts.Dir, e.Name()), func(r io.Reader, n int64) error {
 				w.Uint64(uint64(n))
-				_, err := io.CopyN(&w, r, n)
+				_, err := io.CopyN(w, r, n)
 				return err
 			})
 		}
 		if err != nil {
-			return nil, fmt.Errorf("server: snapshot ns %q: %w", e.Name(), err)
+			return fmt.Errorf("server: snapshot ns %q: %w", e.Name(), err)
 		}
 	}
-	return w.Bytes(), nil
+	return nil
 }
 
 // nsIdleLoop evicts namespaces untouched past the idle horizon. Runs on

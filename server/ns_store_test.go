@@ -19,7 +19,7 @@ import (
 // durable path, waiting out the WAL ticket like the dispatch layer does.
 func nsInsertBatch(t *testing.T, s *Store, name string, keys [][]byte) {
 	t.Helper()
-	_, ticket, err := s.mutateEnq(wire.OpInsertBatch, []byte(name), nil, keys, 0, nil)
+	_, ticket, err := s.mutateEnq(wire.OpInsertBatch, []byte(name), nil, keys, 0, nil, nil)
 	if err != nil {
 		t.Fatalf("ns %s insert batch: %v", name, err)
 	}
@@ -440,7 +440,7 @@ func TestNamespaceSnapshotContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, _, err := s.snapshot(); err != nil {
+	if _, _, _, err := s.snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

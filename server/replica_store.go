@@ -76,16 +76,22 @@ func (s *Store) OldestSegment() uint64 {
 }
 
 // ReplicationSnapshot produces a bootstrap payload for a subscriber: a
-// full snapshot is taken (rotating the WAL), and the marshaled filter is
-// returned together with the fresh segment the stream continues from and
-// the cumulative counters at that point. Rotation makes the snapshot
-// state correspond exactly to (seq, 0), so the subscriber can mirror
-// segment seq from its first byte.
+// full snapshot is taken (rotating the WAL), and its payload, read back
+// from the verified file, is returned together with the fresh segment
+// the stream continues from and the cumulative counters at that point.
+// Rotation makes the snapshot state correspond exactly to (seq, 0), so
+// the subscriber can mirror segment seq from its first byte.
 func (s *Store) ReplicationSnapshot() (data []byte, seq uint64, cumRecords, cumBytes uint64, err error) {
 	if s.opts.Replica {
 		return nil, 0, 0, 0, errors.New("server: replica store cannot source a replication snapshot")
 	}
-	return s.snapshot()
+	if seq, cumRecords, cumBytes, err = s.snapshot(); err != nil {
+		return nil, 0, 0, 0, err
+	}
+	if data, err = readSnapBytes(snapshotPath(s.opts.Dir, seq)); err != nil {
+		return nil, 0, 0, 0, fmt.Errorf("server: snapshot read back: %w", err)
+	}
+	return data, seq, cumRecords, cumBytes, nil
 }
 
 // ReplicaApply validates a shipped frame of raw WAL records against the

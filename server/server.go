@@ -341,7 +341,7 @@ func (s *Server) connReader(conn net.Conn, r *bufio.Reader, log *slog.Logger, it
 	var (
 		reqBuf     []byte
 		keyScratch [][]byte
-		batch      mpcbf.BatchScratch // batch-read grouping, reused per request
+		batch      mpcbf.BatchScratch // batch planning, reused per request
 	)
 	for {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
@@ -500,10 +500,10 @@ func (s *Server) dispatch(req wire.Request, dst []byte, tr *reqTrace, sc *mpcbf.
 	st := s.store
 	switch req.Op {
 	case wire.OpInsert, wire.OpDelete, wire.OpInsertBatch, wire.OpInsertTTL, wire.OpInsertTTLBatch:
-		_, ticket, err := st.mutateEnq(req.Op, req.NS, req.Key, req.Keys, durationFromNanos(req.TTL), tr)
+		_, ticket, err := st.mutateEnq(req.Op, req.NS, req.Key, req.Keys, durationFromNanos(req.TTL), sc, tr)
 		return ack(dst, ticket, err)
 	case wire.OpDeleteBatch:
-		ok, ticket, err := st.mutateEnq(req.Op, req.NS, nil, req.Keys, 0, tr)
+		ok, ticket, err := st.mutateEnq(req.Op, req.NS, nil, req.Keys, 0, sc, tr)
 		if err != nil {
 			// WAL failure: the durable outcome is unknown; fail loudly.
 			return errResp(dst, err)

@@ -39,13 +39,14 @@ var (
 	snapReaders = sync.Pool{New: func() any { return snapio.NewReader(nil, snapio.BufSize) }}
 )
 
-// writeSnapFile streams the payload encode writes into path in the CRC
-// envelope and fsyncs it: the header is written last, once the payload's
-// checksum is known.
-func writeSnapFile(path string, encode func(w *snapio.Writer) error) error {
+// createSnapFile writes the payload encode writes to path in the CRC
+// envelope, the header last once the payload's checksum is known, and
+// returns the file still open: every byte written, none yet fsynced. On
+// failure it removes the file it created.
+func createSnapFile(path string, encode func(w *snapio.Writer) error) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	w := snapWriters.Get().(*snapio.Writer)
 	defer snapWriters.Put(w)
@@ -63,28 +64,52 @@ func writeSnapFile(path string, encode func(w *snapio.Writer) error) error {
 		binary.LittleEndian.PutUint32(hdr[4:8], w.Sum32())
 		_, err = f.WriteAt(hdr[:], 0)
 	}
-	if err == nil {
-		err = f.Sync()
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, err
 	}
+	return f, nil
+}
+
+// finishSnapFile makes a file createSnapFile wrote durable at path: it
+// fsyncs and closes the file and, when path names another file, renames
+// it over path and fsyncs the directory, so a crash leaves either the
+// old file at path or the whole new one. On failure it removes the file.
+func finishSnapFile(f *os.File, path string) error {
+	err := f.Sync()
 	if cerr := f.Close(); err == nil {
 		err = cerr
+	}
+	if err == nil && f.Name() != path {
+		if err = os.Rename(f.Name(), path); err == nil {
+			syncDir(filepath.Dir(path))
+		}
+	}
+	if err != nil {
+		os.Remove(f.Name())
 	}
 	return err
 }
 
+// writeSnapFile streams the payload encode writes into path in the CRC
+// envelope and fsyncs it. On failure nothing is left at path.
+func writeSnapFile(path string, encode func(w *snapio.Writer) error) error {
+	f, err := createSnapFile(path, encode)
+	if err != nil {
+		return err
+	}
+	return finishSnapFile(f, path)
+}
+
 // publishSnapFile writes the payload encode writes to path+".tmp" in the
-// CRC envelope, renames it over path and fsyncs the directory, so a
-// crash leaves either the old file or the whole new one.
+// CRC envelope and renames it over path (finishSnapFile).
 func publishSnapFile(path string, encode func(w *snapio.Writer) error) error {
-	tmp := path + ".tmp"
-	if err := writeSnapFile(tmp, encode); err != nil {
+	f, err := createSnapFile(path+".tmp", encode)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	syncDir(filepath.Dir(path))
-	return nil
+	return finishSnapFile(f, path)
 }
 
 // writeBytes is the encode callback of a payload already in memory.
@@ -93,6 +118,17 @@ func writeBytes(data []byte) func(w *snapio.Writer) error {
 		_, err := w.Write(data)
 		return err
 	}
+}
+
+// readSnapBytes returns the payload of an enveloped file, checksum
+// verified: the bytes a replication bootstrap ships.
+func readSnapBytes(path string) (data []byte, err error) {
+	err = readSnapFile(path, func(r io.Reader, n int64) error {
+		data = make([]byte, n)
+		_, err := io.ReadFull(r, data)
+		return err
+	})
+	return data, err
 }
 
 // readSnapFile streams the payload of an enveloped file into decode,
@@ -171,17 +207,9 @@ func (s *Store) stageEvicted(name string, rd *snapio.Reader, n int64) (string, e
 		return err
 	})
 	if err != nil {
-		os.Remove(path)
 		return "", err
 	}
 	return path, nil
-}
-
-// verifyEvicted decodes and drops an evicted entry's state: verification
-// checks that every namespace in a snapshot loads, evicted or not.
-func verifyEvicted(_ string, rd *snapio.Reader, n int64) (string, error) {
-	_, err := ns.DecodeState(rd, n)
-	return "", err
 }
 
 // commit publishes the staged evict files under their final names.
@@ -225,25 +253,44 @@ func (st *snapState) discard() {
 // decodeSnapPayload decodes an n-byte store payload from rd. On error,
 // anything evicted already staged is removed again.
 func decodeSnapPayload(rd *snapio.Reader, n int64, evicted evictedFunc) (snapState, error) {
-	if !isNsContainer(rd.Peek(8)) {
-		st, err := ns.DecodeState(rd, n)
-		return snapState{base: st}, err
-	}
 	var st snapState
-	err := decodeNsContainer(rd, n, evicted, &st)
-	if err != nil {
+	if err := readSnapPayload(rd, n, &st, evicted, false); err != nil {
 		st.discard()
 		return snapState{}, err
 	}
 	return st, nil
 }
 
+// checkSnapPayload reads an n-byte store payload from rd and fails
+// exactly when decoding it, evicted namespaces' states included, would,
+// building and staging nothing: the default state and every namespace
+// is checked by ns.CheckState, so a payload of any size costs a fixed
+// amount of memory.
+func checkSnapPayload(rd *snapio.Reader, n int64) error {
+	return readSnapPayload(rd, n, nil, nil, true)
+}
+
+// readSnapPayload is decodeSnapPayload into st, or with check set
+// checkSnapPayload, which takes neither st nor evicted.
+func readSnapPayload(rd *snapio.Reader, n int64, st *snapState, evicted evictedFunc, check bool) error {
+	if isNsContainer(rd.Peek(8)) {
+		return readNsContainer(rd, n, st, evicted, check)
+	}
+	if check {
+		return ns.CheckState(rd, n)
+	}
+	var err error
+	st.base, err = ns.DecodeState(rd, n)
+	return err
+}
+
 var errBadNsContainer = errors.New("server: corrupt namespace snapshot container")
 
-// decodeNsContainer streams a namespace container (layout in
-// ns_store.go) into st. Every length is checked against the bytes the
-// container has left before anything is decoded or allocated.
-func decodeNsContainer(rd *snapio.Reader, n int64, evicted evictedFunc, st *snapState) error {
+// readNsContainer streams a namespace container (layout in ns_store.go)
+// into st, or with check set only checks it. Every length is checked
+// against the bytes the container has left before anything is decoded
+// or allocated.
+func readNsContainer(rd *snapio.Reader, n int64, st *snapState, evicted evictedFunc, check bool) error {
 	le := binary.LittleEndian
 	if n < 16 {
 		return errBadNsContainer
@@ -260,7 +307,12 @@ func decodeNsContainer(rd *snapio.Reader, n int64, evicted evictedFunc, st *snap
 	if left < 4 || baseLen > uint64(left-4) {
 		return errBadNsContainer
 	}
-	if st.base, err = ns.DecodeState(rd, int64(baseLen)); err != nil {
+	if check {
+		err = ns.CheckState(rd, int64(baseLen))
+	} else {
+		st.base, err = ns.DecodeState(rd, int64(baseLen))
+	}
+	if err != nil {
 		return err
 	}
 	left -= int64(baseLen)
@@ -273,7 +325,9 @@ func decodeNsContainer(rd *snapio.Reader, n int64, evicted evictedFunc, st *snap
 	if int64(count) > left { // each entry is > 1 byte
 		return errBadNsContainer
 	}
-	st.entries = make([]nsSnapEntry, 0, count)
+	if !check {
+		st.entries = make([]nsSnapEntry, 0, count)
+	}
 	for i := uint32(0); i < count; i++ {
 		if left < 1 {
 			return errBadNsContainer
@@ -308,16 +362,21 @@ func decodeNsContainer(rd *snapio.Reader, n int64, evicted evictedFunc, st *snap
 		if dataLen > uint64(left) {
 			return errBadNsContainer
 		}
-		if resident {
+		switch {
+		case check:
+			err = ns.CheckState(rd, int64(dataLen))
+		case resident:
 			e.state, err = ns.DecodeState(rd, int64(dataLen))
-		} else {
+		default:
 			e.staged, err = evicted(e.name, rd, int64(dataLen))
 		}
 		if err != nil {
 			return fmt.Errorf("ns %q: %w", e.name, err)
 		}
 		left -= int64(dataLen)
-		st.entries = append(st.entries, e)
+		if !check {
+			st.entries = append(st.entries, e)
+		}
 	}
 	if left != 0 {
 		return errBadNsContainer
@@ -343,10 +402,9 @@ func (s *Store) loadSnapshot(path string) (snapState, error) {
 
 // verifySnapshot confirms a just-written snapshot file loads cleanly —
 // the default state and, for a namespace container, every embedded
-// namespace; evicted ones are decoded one at a time and dropped.
+// namespace, resident or evicted — without building any of it.
 func verifySnapshot(path string) error {
 	return readSnapFile(path, func(r io.Reader, n int64) error {
-		_, err := decodeSnapPayload(snapio.From(r, n), n, verifyEvicted)
-		return err
+		return checkSnapPayload(snapio.From(r, n), n)
 	})
 }

@@ -14,6 +14,7 @@ import (
 
 	mpcbf "repro"
 	"repro/elastic"
+	"repro/internal/snapio"
 	"repro/server/ns"
 	"repro/server/wire"
 	"repro/window"
@@ -32,11 +33,11 @@ import (
 // delete — and a crash between apply and log can only lose an
 // *unacknowledged* mutation.
 //
-// Snapshot protocol: under the mutation lock the filter is marshalled
-// and the WAL rotated to a fresh segment; the marshalled state then
-// covers every record in segments below the new sequence number. The
-// snapshot bytes are written to a temp file, fsynced, atomically renamed
-// to snapshot-<seq>.snap, and read back to verify they load; only then
+// Snapshot protocol: under the mutation lock the WAL is rotated to a
+// fresh segment and the state streamed into a temp file; the written
+// state then covers every record in segments below the new sequence
+// number. Outside the lock the temp file is fsynced, atomically renamed
+// to snapshot-<seq>.snap, and read back to verify it loads; only then
 // are predecessors pruned — keeping one previous snapshot generation and
 // the segments that cover it as a fallback. Recovery loads the newest
 // snapshot that unmarshals cleanly, replays every surviving segment at
@@ -46,7 +47,7 @@ type Store struct {
 	opts StoreOptions
 
 	// mu serializes mutations against each other and against the
-	// marshal+rotate step of a snapshot. Reads go straight to the filter,
+	// rotate+write step of a snapshot. Reads go straight to the filter,
 	// which has its own per-shard locks; each filter's state sits behind
 	// one atomic pointer (see ns.Entry) because an eviction, a recovery
 	// or a replica bootstrap swaps it while reads are in flight.
@@ -60,6 +61,10 @@ type Store struct {
 	// the append path and by apply-path serialization during replay.
 	reg    *ns.Registry
 	walCtx *ns.Entry
+
+	// applySc is the batch scratch of WAL replay and replica apply, which
+	// s.mu and the apply path's serialization keep to one goroutine.
+	applySc mpcbf.BatchScratch
 
 	rotHist Histogram // window rotation latency (ns)
 
@@ -436,13 +441,14 @@ func (a *batchApplier) flush() {
 	e := a.s.walCtx
 	err := a.s.residentLocked(e)
 	if err == nil {
+		sc := &a.s.applySc
 		switch a.op {
 		case wire.OpInsert:
-			err = e.InsertBatch(a.keys)
+			err = e.InsertBatch(a.keys, sc)
 		case wire.OpDelete:
-			_, err = e.DeleteBatch(a.keys)
+			_, err = e.DeleteBatch(a.keys, sc)
 		case walOpInsertTTL:
-			err = e.Window().InsertRotationsBatch(a.keys, a.rot)
+			err = e.Window().InsertRotationsBatch(a.keys, a.rot, sc)
 		}
 	}
 	if err != nil {
@@ -554,14 +560,15 @@ func (s *Store) touch(e *ns.Entry) {
 // mutateEnq applies one data mutation — op is its wire opcode: INSERT,
 // DELETE, their batch forms, or the TTL inserts — to name's filter and
 // enqueues its WAL record, preceded by an NS_SELECT when the target
-// differs from the last record's. It returns DELETE_BATCH's per-key
-// flags and the commit ticket. The mutation lock is held only for
+// differs from the last record's. Batches are planned in sc (nil: fresh
+// scratch). It returns DELETE_BATCH's per-key flags, which belong to sc,
+// and the commit ticket. The mutation lock is held only for
 // apply+enqueue — never across the fsync — which is what lets concurrent
 // mutations share commit rounds; the caller owes a waitDurable(ticket)
 // before acknowledging. Records describe only what succeeded: a failed
 // apply logs nothing, and a batch delete logs exactly the keys it
 // removed.
-func (s *Store) mutateEnq(op byte, name, key []byte, keys [][]byte, ttl time.Duration, tr *reqTrace) (ok []bool, ticket uint64, err error) {
+func (s *Store) mutateEnq(op byte, name, key []byte, keys [][]byte, ttl time.Duration, sc *mpcbf.BatchScratch, tr *reqTrace) (ok []bool, ticket uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ttlOp := op == wire.OpInsertTTL || op == wire.OpInsertTTLBatch
@@ -590,10 +597,10 @@ func (s *Store) mutateEnq(op byte, name, key []byte, keys [][]byte, ttl time.Dur
 		err = e.Delete(key)
 		walKeys = one[:]
 	case wire.OpInsertBatch:
-		err = e.InsertBatch(keys)
+		err = e.InsertBatch(keys, sc)
 		walOp = wire.OpInsert
 	case wire.OpDeleteBatch:
-		ok, _ = e.DeleteBatch(keys)
+		ok, _ = e.DeleteBatch(keys, sc)
 		walOp = wire.OpDelete
 	default:
 		w := e.Window()
@@ -605,7 +612,7 @@ func (s *Store) mutateEnq(op byte, name, key []byte, keys [][]byte, ttl time.Dur
 			err = w.InsertRotations(key, r)
 			walKeys = one[:]
 		} else {
-			err = w.InsertRotationsBatch(keys, r)
+			err = w.InsertRotationsBatch(keys, r, sc)
 		}
 		walOp, extra = walOpInsertTTL, binary.LittleEndian.AppendUint32(rot[:0], uint32(r))
 	}
@@ -648,14 +655,14 @@ func (s *Store) wait(ticket uint64, err error) error {
 
 // Insert applies and logs one insert to the default filter.
 func (s *Store) Insert(key []byte) error {
-	_, ticket, err := s.mutateEnq(wire.OpInsert, nil, key, nil, 0, nil)
+	_, ticket, err := s.mutateEnq(wire.OpInsert, nil, key, nil, 0, nil, nil)
 	return s.wait(ticket, err)
 }
 
 // Delete applies and logs one delete from the default filter. Deleting
 // an absent key fails without a WAL record.
 func (s *Store) Delete(key []byte) error {
-	_, ticket, err := s.mutateEnq(wire.OpDelete, nil, key, nil, 0, nil)
+	_, ticket, err := s.mutateEnq(wire.OpDelete, nil, key, nil, 0, nil, nil)
 	return s.wait(ticket, err)
 }
 
@@ -664,7 +671,7 @@ func (s *Store) Delete(key []byte) error {
 // logged and the error is returned; the partially applied batch is
 // unacknowledged and carries no durability promise.
 func (s *Store) InsertBatch(keys [][]byte) error {
-	_, ticket, err := s.mutateEnq(wire.OpInsertBatch, nil, nil, keys, 0, nil)
+	_, ticket, err := s.mutateEnq(wire.OpInsertBatch, nil, nil, keys, 0, nil, nil)
 	return s.wait(ticket, err)
 }
 
@@ -672,7 +679,7 @@ func (s *Store) InsertBatch(keys [][]byte) error {
 // that succeeded, with a single fsync. The returned flags are
 // order-preserving.
 func (s *Store) DeleteBatch(keys [][]byte) ([]bool, error) {
-	ok, ticket, err := s.mutateEnq(wire.OpDeleteBatch, nil, nil, keys, 0, nil)
+	ok, ticket, err := s.mutateEnq(wire.OpDeleteBatch, nil, nil, keys, 0, nil, nil)
 	return ok, s.wait(ticket, err)
 }
 
@@ -680,14 +687,14 @@ func (s *Store) DeleteBatch(keys [][]byte) ([]bool, error) {
 // lifetime: the key expires no earlier than ttl from now and no later
 // than the window span, at rotation granularity. Windowed stores only.
 func (s *Store) InsertTTL(key []byte, ttl time.Duration) error {
-	_, ticket, err := s.mutateEnq(wire.OpInsertTTL, nil, key, nil, ttl, nil)
+	_, ticket, err := s.mutateEnq(wire.OpInsertTTL, nil, key, nil, ttl, nil, nil)
 	return s.wait(ticket, err)
 }
 
 // InsertTTLBatch inserts a batch of keys sharing one TTL, with a single
 // fsync. Windowed stores only.
 func (s *Store) InsertTTLBatch(keys [][]byte, ttl time.Duration) error {
-	_, ticket, err := s.mutateEnq(wire.OpInsertTTLBatch, nil, nil, keys, ttl, nil)
+	_, ticket, err := s.mutateEnq(wire.OpInsertTTLBatch, nil, nil, keys, ttl, nil, nil)
 	return s.wait(ticket, err)
 }
 
@@ -819,16 +826,30 @@ func (s *Store) marshal(name []byte) ([]byte, error) {
 // marshal.
 func (s *Store) MarshalFilter() ([]byte, error) { return s.marshal(nil) }
 
-// marshalLocked encodes the store's state for snapshots, DUMP, and
-// replication bootstrap. With namespaces present the encoding is the
-// self-contained container of ns_store.go; without them it stays the
-// bare default-filter encoding old tooling understands. Caller holds
+// encodeLocked writes the store's state, the payload of snapshots, DUMP
+// and replication bootstrap, to w. With namespaces present the encoding
+// is the self-contained container of ns_store.go; without them it stays
+// the bare default-filter encoding old tooling understands. Caller holds
 // s.mu.
-func (s *Store) marshalLocked() ([]byte, error) {
+func (s *Store) encodeLocked(w *snapio.Writer) error {
 	if s.reg.Len() == 0 {
-		return s.reg.Default().Marshal()
+		return s.reg.Default().Encode(w)
 	}
-	return s.marshalNsContainerLocked()
+	return s.encodeNsContainerLocked(w)
+}
+
+// marshalLocked returns encodeLocked's bytes (DUMP) in one buffer sized
+// up front. Caller holds s.mu.
+func (s *Store) marshalLocked() ([]byte, error) {
+	size := s.reg.Default().MarshaledSize()
+	if s.reg.Len() > 0 {
+		size = s.nsContainerSizeLocked()
+	}
+	w := snapio.Append(make([]byte, 0, size))
+	if err := s.encodeLocked(&w); err != nil {
+		return nil, err
+	}
+	return w.Bytes(), nil
 }
 
 // StoreStats is a point-in-time durability report.
@@ -874,57 +895,67 @@ func (s *Store) WALGroupStats() (commits uint64, waiters int64) {
 }
 
 // Snapshot writes a point-in-time snapshot and truncates the WAL behind
-// it. Mutations are blocked only for the in-memory marshal and segment
-// rotation; the disk write happens outside the lock. Refused on a
-// replica: its WAL mirrors the primary's segments, and a local rotation
-// would desynchronize the mirror.
+// it. Mutations are blocked only while the WAL rotates and the state
+// streams into the snapshot's temp file; the fsync, rename, verify and
+// cleanup happen outside the lock. Refused on a replica: its WAL mirrors
+// the primary's segments, and a local rotation would desynchronize the
+// mirror.
 func (s *Store) Snapshot() error {
 	if s.opts.Replica {
 		return errors.New("server: replica store does not snapshot (its WAL mirrors the primary)")
 	}
-	_, _, _, _, err := s.snapshot()
+	_, _, _, err := s.snapshot()
 	return err
 }
 
-// snapshot is the shared snapshot core: it returns the marshaled filter
-// data, the new live segment the stream continues into, and the WAL's
-// cumulative counters at the rotation point — everything a replication
+// snapshot is the shared snapshot core: it returns the new live segment
+// the stream continues into and the WAL's cumulative counters at the
+// rotation point — with the snapshot file, everything a replication
 // bootstrap frame needs.
-func (s *Store) snapshot() (data []byte, newSeq uint64, cumRecords, cumBytes uint64, err error) {
-	s.mu.Lock()
-	data, err = s.marshalLocked()
+func (s *Store) snapshot() (newSeq uint64, cumRecords, cumBytes uint64, err error) {
+	tmp, newSeq, cumRecords, cumBytes, err := s.cut()
 	if err != nil {
-		s.mu.Unlock()
-		return nil, 0, 0, 0, fmt.Errorf("server: snapshot marshal: %w", err)
+		return 0, 0, 0, err
 	}
-	newSeq, err = s.wal.Rotate()
-	if err == nil {
-		cumRecords, cumBytes = s.wal.CumPos()
-		// A fresh segment opens in the default selection context; the next
-		// namespaced mutation re-emits its SELECT.
-		s.walCtx = s.reg.Default()
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return nil, 0, 0, 0, fmt.Errorf("server: snapshot rotate: %w", err)
-	}
-
 	final := snapshotPath(s.opts.Dir, newSeq)
-	if err := publishSnapFile(final, writeBytes(data)); err != nil {
-		return nil, 0, 0, 0, fmt.Errorf("server: snapshot write: %w", err)
+	if err := finishSnapFile(tmp, final); err != nil {
+		return 0, 0, 0, fmt.Errorf("server: snapshot write: %w", err)
 	}
 
 	// Read the snapshot back before deleting anything it obsoletes: if
 	// what landed on disk does not load, the predecessors are still the
 	// only recoverable state and must survive.
 	if err := verifySnapshot(final); err != nil {
-		return nil, 0, 0, 0, fmt.Errorf("server: snapshot verify: %w", err)
+		return 0, 0, 0, fmt.Errorf("server: snapshot verify: %w", err)
 	}
 
 	s.snapshots.Add(1)
 	s.lastSnapshot.Store(time.Now().UnixNano())
 	s.cleanup(newSeq)
-	return data, newSeq, cumRecords, cumBytes, nil
+	return newSeq, cumRecords, cumBytes, nil
+}
+
+// cut is the part of a snapshot that blocks mutations: under s.mu it
+// rotates the WAL, so the state covers every record in the segments
+// below the new one, and streams the state into the new snapshot's temp
+// file. It returns that file, every byte written but none yet fsynced,
+// the new live segment, and the WAL's cumulative counters at the
+// rotation. A failed write leaves the WAL rotated, which costs recovery
+// nothing: it replays every segment above the snapshot it loads.
+func (s *Store) cut() (tmp *os.File, seq uint64, cumRecords, cumBytes uint64, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if seq, err = s.wal.Rotate(); err != nil {
+		return nil, 0, 0, 0, fmt.Errorf("server: snapshot rotate: %w", err)
+	}
+	cumRecords, cumBytes = s.wal.CumPos()
+	// A fresh segment opens in the default selection context; the next
+	// namespaced mutation re-emits its SELECT.
+	s.walCtx = s.reg.Default()
+	if tmp, err = createSnapFile(snapshotPath(s.opts.Dir, seq)+".tmp", s.encodeLocked); err != nil {
+		return nil, 0, 0, 0, fmt.Errorf("server: snapshot write: %w", err)
+	}
+	return tmp, seq, cumRecords, cumBytes, nil
 }
 
 // cleanup removes WAL segments and snapshots made obsolete by

@@ -91,7 +91,19 @@ func UnmarshalFilter(data []byte) (*Filter, error) {
 
 // ReadFilter is UnmarshalFilter over a stream: it decodes exactly n bytes
 // of r, holding one 64 KiB buffer besides the decoded window.
-func ReadFilter(r io.Reader, n int64) (*Filter, error) {
+func ReadFilter(r io.Reader, n int64) (*Filter, error) { return readFilter(r, n, false) }
+
+// CheckFilter reads a window encoding of exactly n bytes from r and
+// fails exactly when ReadFilter would, building nothing: each generation
+// is checked by mpcbf.CheckSharded.
+func CheckFilter(r io.Reader, n int64) error {
+	_, err := readFilter(r, n, true)
+	return err
+}
+
+// readFilter is ReadFilter, or with check set CheckFilter, which applies
+// the same checks and returns no window.
+func readFilter(r io.Reader, n int64, check bool) (*Filter, error) {
 	rd := snapio.From(r, n)
 	if n < windowHdrLen || n > rd.Remaining() {
 		return nil, errors.New("window: truncated windowed filter")
@@ -117,8 +129,11 @@ func ReadFilter(r io.Reader, n int64) (*Filter, error) {
 	if g < 1 || g > 1<<10 || head < 0 || head >= g || span <= 0 || int64(g) > left/(4+core.HeaderLen) {
 		return nil, errors.New("window: implausible windowed header")
 	}
-	ring := make([]*mpcbf.Sharded, g)
-	for i := range ring {
+	var ring []*mpcbf.Sharded
+	if !check {
+		ring = make([]*mpcbf.Sharded, g)
+	}
+	for i := 0; i < g; i++ {
 		if left < 4 {
 			return nil, fmt.Errorf("window: truncated at generation %d", i)
 		}
@@ -131,15 +146,21 @@ func ReadFilter(r io.Reader, n int64) (*Filter, error) {
 		if size > left {
 			return nil, fmt.Errorf("window: bad generation %d size %d", i, size)
 		}
-		sf, err := mpcbf.ReadSharded(rd, size)
+		if check {
+			err = mpcbf.CheckSharded(rd, size)
+		} else {
+			ring[i], err = mpcbf.ReadSharded(rd, size)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("window: generation %d: %w", i, err)
 		}
-		ring[i] = sf
 		left -= size
 	}
 	if left != 0 {
 		return nil, errors.New("window: trailing bytes after generations")
+	}
+	if check {
+		return nil, nil
 	}
 	return newFilter(Options{Span: span, Generations: g, Shards: ring[0].Shards()}, ring, head, rotations), nil
 }

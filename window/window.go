@@ -183,10 +183,10 @@ func (f *Filter) InsertRotations(key []byte, r int) (err error) {
 }
 
 // InsertRotationsBatch adds keys into the generation retired exactly r
-// rotations from now, taking each of its shard locks once
-// (mpcbf.Sharded.InsertBatch).
-func (f *Filter) InsertRotationsBatch(keys [][]byte, r int) (err error) {
-	f.View(func(gens []*mpcbf.Sharded) { err = gens[clamp(r, len(gens))-1].InsertBatch(keys, 0) })
+// rotations from now, planned in sc and taking each of its shard locks
+// once (mpcbf.Sharded.InsertBatchInto).
+func (f *Filter) InsertRotationsBatch(keys [][]byte, r int, sc *mpcbf.BatchScratch) (err error) {
+	f.View(func(gens []*mpcbf.Sharded) { err = gens[clamp(r, len(gens))-1].InsertBatchInto(keys, sc) })
 	return err
 }
 
