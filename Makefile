@@ -125,14 +125,16 @@ fuzz-wire:
 # fuzz-snapshot hardens the snapshot decoders (reached over the network
 # by IMPORT, replica bootstrap and namespace containers): malformed
 # filter, elastic-chain and window encodings must error, never panic or
-# allocate past their input, and the snapshot verify path, which checks
-# an encoding without building it, must accept exactly what the
-# decoders accept.
+# allocate past their input, the snapshot verify path, which checks an
+# encoding without building it, must accept exactly what the decoders
+# accept, and a decode into another filter's arenas full of random words
+# must build the same state as a fresh one.
 fuzz-snapshot:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalFilter$$' -fuzztime $(FUZZTIME) ./elastic
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalFilter$$' -fuzztime $(FUZZTIME) ./window
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckVsDecode$$' -fuzztime $(FUZZTIME) ./server
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIntoDirtyArenas$$' -fuzztime $(FUZZTIME) ./server
 
 # serve runs the mpcbfd daemon with a local data dir; MPCBFD_FLAGS adds
 # extra flags (e.g. MPCBFD_FLAGS='-fsync interval -shards 32').

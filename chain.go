@@ -52,6 +52,16 @@ func (c *Chain) Update(fn func(gens []*Sharded) []*Sharded) {
 	c.gens = fn(c.gens)
 }
 
+// ReleaseArenas hands the arena words of every generation to put (see
+// Sharded.ReleaseArenas). c must not be used again.
+func (c *Chain) ReleaseArenas(put func(words []uint64)) {
+	c.View(func(gens []*Sharded) {
+		for _, g := range gens {
+			g.ReleaseArenas(put)
+		}
+	})
+}
+
 // Generations returns the chain's length.
 func (c *Chain) Generations() int {
 	c.mu.RLock()

@@ -124,6 +124,21 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// caughtUp reports whether every replica's WAL position equals the
+// primary's. A replica applies a frame before it logs it, so an equal
+// position means every write the primary logged is applied — where an
+// equal Len can also pass on the way, as when 500 inserts and then 100
+// deletes pass through 400.
+func caughtUp(primary *server.Store, replicas ...*server.Store) bool {
+	seq, off := primary.ReplicationPos()
+	for _, r := range replicas {
+		if rseq, roff := r.ReplicationPos(); rseq != seq || roff != off {
+			return false
+		}
+	}
+	return true
+}
+
 func keys(prefix string, n int) [][]byte {
 	out := make([][]byte, n)
 	for i := range out {
@@ -156,10 +171,7 @@ func TestReplicaConvergesToIdenticalFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := pstore.Len()
-	waitFor(t, "replicas to converge", func() bool {
-		return r1store.Len() == want && r2store.Len() == want
-	})
+	waitFor(t, "replicas to converge", func() bool { return caughtUp(pstore, r1store, r2store) })
 
 	pdump, err := pstore.MarshalFilter()
 	if err != nil {
@@ -188,7 +200,7 @@ func TestReplicaServesReadsAndRejectsWrites(t *testing.T) {
 	if err := pc.InsertBatch(keys("ro", 100)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "replica to catch up", func() bool { return rstore.Len() == pstore.Len() })
+	waitFor(t, "replica to catch up", func() bool { return caughtUp(pstore, rstore) })
 
 	rc, err := client.Dial(raddr, client.WithTimeout(5*time.Second))
 	if err != nil {
@@ -248,7 +260,7 @@ func TestReplicaBootstrapsWhenHistoryIsPruned(t *testing.T) {
 
 	rstore, rep, _, _ := startReplica(t, paddr)
 	waitFor(t, "bootstrap and catch-up", func() bool {
-		return rep.Stats().Bootstraps >= 1 && rstore.Len() == pstore.Len()
+		return rep.Stats().Bootstraps >= 1 && caughtUp(pstore, rstore)
 	})
 
 	pdump, err := pstore.MarshalFilter()
@@ -267,7 +279,7 @@ func TestReplicaBootstrapsWhenHistoryIsPruned(t *testing.T) {
 	if err := pc.Insert([]byte("post-bootstrap")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "post-bootstrap record", func() bool { return rstore.Len() == pstore.Len() })
+	waitFor(t, "post-bootstrap record", func() bool { return caughtUp(pstore, rstore) })
 }
 
 func TestClusterClientRoutingAndBatches(t *testing.T) {
@@ -376,7 +388,7 @@ func TestClusterReadsFromReplicaAndFailsOver(t *testing.T) {
 	if err := cc.InsertBatch(ks); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "replica to catch up", func() bool { return rstore.Len() == pstore.Len() })
+	waitFor(t, "replica to catch up", func() bool { return caughtUp(pstore, rstore) })
 
 	for i := 0; i < 10; i++ {
 		if ok, err := cc.Contains(ks[i]); err != nil || !ok {

@@ -110,19 +110,25 @@ func UnmarshalFilter(data []byte) (*Filter, error) {
 
 // ReadFilter is UnmarshalFilter over a stream: it decodes exactly n bytes
 // of r, holding one 64 KiB buffer besides the decoded chain.
-func ReadFilter(r io.Reader, n int64) (*Filter, error) { return readFilter(r, n, false) }
+func ReadFilter(r io.Reader, n int64) (*Filter, error) { return readFilter(r, n, false, nil) }
+
+// ReadFilterReusing is ReadFilter building the generations' arenas in
+// words taken from a (see mpcbf.Arenas).
+func ReadFilterReusing(r io.Reader, n int64, a *mpcbf.Arenas) (*Filter, error) {
+	return readFilter(r, n, false, a)
+}
 
 // CheckFilter reads a chain encoding of exactly n bytes from r and fails
 // exactly when ReadFilter would, building nothing: each generation is
 // checked by mpcbf.CheckSharded.
 func CheckFilter(r io.Reader, n int64) error {
-	_, err := readFilter(r, n, true)
+	_, err := readFilter(r, n, true, nil)
 	return err
 }
 
-// readFilter is ReadFilter, or with check set CheckFilter, which applies
-// the same checks and returns no chain.
-func readFilter(r io.Reader, n int64, check bool) (*Filter, error) {
+// readFilter is ReadFilterReusing, or with check set CheckFilter, which
+// applies the same checks and returns no chain.
+func readFilter(r io.Reader, n int64, check bool, a *mpcbf.Arenas) (*Filter, error) {
 	rd := snapio.From(r, n)
 	if n < headerSize || n > rd.Remaining() {
 		return nil, errors.New("elastic: snapshot too short")
@@ -205,7 +211,7 @@ func readFilter(r io.Reader, n int64, check bool) (*Filter, error) {
 		if check {
 			err = mpcbf.CheckSharded(rd, blobLen)
 		} else {
-			s, err = mpcbf.ReadSharded(rd, blobLen)
+			s, err = mpcbf.ReadShardedReusing(rd, blobLen, a)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("elastic: generation %d: %w", i, err)

@@ -29,6 +29,16 @@ func New(n int) *Vector {
 	return &Vector{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// FromWords returns an n-bit vector over words, which must hold exactly
+// the (n+63)/64 words New would allocate. The vector keeps words as its
+// storage, whatever they hold.
+func FromWords(words []uint64, n int) *Vector {
+	if n < 0 || len(words) != (n+63)/64 {
+		panic(fmt.Sprintf("bitvec: %d words for %d bits", len(words), n))
+	}
+	return &Vector{words: words, n: n}
+}
+
 // Len returns the length of the vector in bits.
 func (v *Vector) Len() int { return v.n }
 

@@ -80,23 +80,27 @@ func Unmarshal(data []byte) (*Filter, error) {
 
 // Decode reads one filter encoding of exactly n bytes from r. When r is
 // a *snapio.Reader the decode shares its buffer and running checksum.
-func Decode(r io.Reader, n int64) (*Filter, error) { return read(r, n, false) }
+func Decode(r io.Reader, n int64) (*Filter, error) { return read(r, n, false, nil) }
+
+// DecodeReusing is Decode building the filter's arena in words taken
+// from a, when a holds a slice of the length the header names.
+func DecodeReusing(r io.Reader, n int64, a *Arenas) (*Filter, error) { return read(r, n, false, a) }
 
 // Check reads one filter encoding of exactly n bytes from r and fails
 // exactly when Decode would, without building the filter: the arena
 // streams through a fixed buffer instead of into a new one, so checking
 // an encoding of any size allocates a fixed amount.
 func Check(r io.Reader, n int64) error {
-	_, err := read(r, n, true)
+	_, err := read(r, n, true, nil)
 	return err
 }
 
 // maxWordBits bounds the word width a decoded header may name.
 const maxWordBits = 1 << 16
 
-// read is Decode, or with check set Check, which applies the same
+// read is DecodeReusing, or with check set Check, which applies the same
 // checks and returns no filter.
-func read(r io.Reader, n int64, check bool) (*Filter, error) {
+func read(r io.Reader, n int64, check bool, a *Arenas) (*Filter, error) {
 	rd := snapio.From(r, n)
 	if n < HeaderLen || n > rd.Remaining() {
 		return nil, errors.New("mpcbf: truncated filter data")
@@ -158,7 +162,7 @@ func read(r io.Reader, n int64, check bool) (*Filter, error) {
 		return nil, fmt.Errorf("mpcbf: rebuilding geometry: %w", err)
 	}
 	if !check {
-		f.arena = bitvec.New(f.l * w)
+		f.arena = bitvec.FromWords(a.take(int(nArena)), f.l*w)
 		f.saturated = make(map[int]bool)
 	}
 	// The header's explicit B1 left nmax zero; carry the original

@@ -623,18 +623,26 @@ func (f *Filter) Probe(key []byte) (bool, metrics.OpStats) {
 }
 
 // CountOf returns the minimum counter value across key's slots, an upper
-// bound on its multiplicity. Saturated words report a large value.
+// bound on its multiplicity. Saturated words report a large value. Like
+// Contains it is a read: it walks the key's index stream instead of the
+// update paths' scratch, so concurrent readers of one filter share
+// nothing they write.
 func (f *Filter) CountOf(key []byte) int {
 	min := int(^uint(0) >> 1)
-	for _, t := range f.targets(key) {
-		if f.saturated[t.word] {
+	s := f.hasher.NewIndexStream(key)
+	slot := 0
+	for wi := 0; wi < f.cfg.G; wi++ {
+		wIdx := s.Word(wi, f.l)
+		if f.saturated[wIdx] {
+			slot += f.split[wi]
 			continue
 		}
-		w := f.word(t.word)
-		for _, slot := range t.slots {
-			if c := w.Count(slot); c < min {
+		w := f.word(wIdx)
+		for j := 0; j < f.split[wi]; j++ {
+			if c := w.Count(s.Slot(slot, f.b1)); c < min {
 				min = c
 			}
+			slot++
 		}
 	}
 	return min

@@ -12,6 +12,23 @@ import (
 	"repro/internal/snapio"
 )
 
+// Arenas holds the arena words of filters that are gone, for a decode to
+// build its filter in (ReadShardedReusing, and the window and elastic
+// readers above it) instead of allocating. A decode takes a slice only at
+// exactly the word count a shard needs and overwrites every word of it.
+// The zero value holds nothing; a nil *Arenas makes every decode
+// allocate.
+type Arenas = core.Arenas
+
+// ReleaseArenas hands every shard's arena words to put, for a later
+// decode to take (Arenas.Put). s must not be used again: the caller
+// answers for it that no reader still holds s.
+func (s *Sharded) ReleaseArenas(put func(words []uint64)) {
+	for i := range s.shards {
+		s.shards[i].f.f.ReleaseArena(put)
+	}
+}
+
 // MarshalBinary implements encoding.BinaryMarshaler: the complete filter
 // state (geometry, counters, saturated words) in a deterministic
 // little-endian format. This is how Section V's reduce-side join ships a
@@ -97,7 +114,14 @@ func UnmarshalSharded(data []byte, legacySeed ...uint32) (*Sharded, error) {
 // ReadSharded is UnmarshalSharded over a stream: it decodes exactly n
 // bytes of r, holding one 64 KiB buffer besides the decoded filter.
 func ReadSharded(r io.Reader, n int64, legacySeed ...uint32) (*Sharded, error) {
-	return readSharded(r, n, false, legacySeed...)
+	return readSharded(r, n, false, nil, legacySeed...)
+}
+
+// ReadShardedReusing is ReadSharded for the current format, building
+// each shard's arena in words taken from a where a holds a slice of the
+// length that shard needs (see Arenas).
+func ReadShardedReusing(r io.Reader, n int64, a *Arenas) (*Sharded, error) {
+	return readSharded(r, n, false, a)
 }
 
 // CheckSharded reads a current-format sharded filter of exactly n bytes
@@ -105,13 +129,13 @@ func ReadSharded(r io.Reader, n int64, legacySeed ...uint32) (*Sharded, error) {
 // each shard is checked by core.Check, so a filter of any size costs a
 // fixed amount of memory.
 func CheckSharded(r io.Reader, n int64) error {
-	_, err := readSharded(r, n, true)
+	_, err := readSharded(r, n, true, nil)
 	return err
 }
 
-// readSharded is ReadSharded, or with check set CheckSharded, which
-// applies the same checks and returns no filter.
-func readSharded(r io.Reader, n int64, check bool, legacySeed ...uint32) (*Sharded, error) {
+// readSharded is ReadSharded reusing a's arenas, or with check set
+// CheckSharded, which applies the same checks and returns no filter.
+func readSharded(r io.Reader, n int64, check bool, a *Arenas, legacySeed ...uint32) (*Sharded, error) {
 	rd := snapio.From(r, n)
 	if n > rd.Remaining() {
 		return nil, errors.New("mpcbf: truncated sharded filter")
@@ -181,7 +205,7 @@ func readSharded(r io.Reader, n int64, check bool, legacySeed ...uint32) (*Shard
 			err = core.Check(rd, size)
 		} else {
 			var f *core.Filter
-			f, err = core.Decode(rd, size)
+			f, err = core.DecodeReusing(rd, size, a)
 			s.shards[i].f = &MPCBF{f: f}
 		}
 		if err != nil {

@@ -22,10 +22,11 @@ import (
 // TestDispatchZeroAllocs pins 0 allocs/op for single-key INSERT, DELETE
 // (both through a durable commit wait at SyncAlways), CONTAINS, a 72-key
 // CONTAINS_BATCH on the default filter, on plain, windowed and elastic
-// namespaces, and on an unknown namespace, and INSERT_BATCH plus
-// DELETE_BATCH of 4 and of 256 keys, each through its durable wait, on
-// the default filter and the three kinds of namespace, end-to-end
-// through the server dispatch layer.
+// namespaces, and on an unknown namespace, single-key CONTAINS and
+// ESTIMATE on the three kinds of namespace, which hold its read pin, and
+// INSERT_BATCH plus DELETE_BATCH of 4 and of 256 keys, each through its
+// durable wait, on the default filter and the three kinds of namespace,
+// end-to-end through the server dispatch layer.
 func TestDispatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under -race")
@@ -99,6 +100,30 @@ func TestDispatchZeroAllocs(t *testing.T) {
 		for i, ok := range flags[:len(keys)] {
 			if unknown := string(ns) == "alloc-unknown"; ok == unknown && ns != nil {
 				t.Fatalf("ns %q batch read answered %v for %q", ns, ok, keys[i])
+			}
+		}
+	}
+
+	// A single-key read of a namespace takes and releases the entry's read
+	// pin around the probe, which allocates nothing either.
+	for _, ns := range names[1:4] {
+		for _, op := range []byte{wire.OpContains, wire.OpEstimate} {
+			req := wire.Request{Op: op, NS: ns, Key: keys[0]}
+			readOne := func() {
+				resp, _, _ = srv.dispatch(req, resp[:0], nil, nil)
+			}
+			readOne()
+			if avg := testing.AllocsPerRun(100, readOne); avg != 0 {
+				t.Errorf("%s dispatch (ns %q): %.1f allocs/op, want 0", wire.OpName(op), ns, avg)
+			}
+			present, err := wire.DecodeBool(resp[1:])
+			if op == wire.OpEstimate {
+				var n uint64
+				n, err = wire.DecodeU64(resp[1:])
+				present = n > 0
+			}
+			if resp[0] != wire.StatusOK || err != nil || !present {
+				t.Fatalf("ns %q %s answered %x for a present key", ns, wire.OpName(op), resp)
 			}
 		}
 	}
@@ -321,5 +346,72 @@ func TestEvictRecoverAllocationBounded(t *testing.T) {
 		}
 		t.Logf("%s: evict+recover: state + %d bytes", name, int64(n)-int64(state))
 		nsMustContain(t, s, name, keys)
+	}
+}
+
+// TestRecoverIntoVictimAllocationBounded pins namespace churn under a
+// quota to no filter memory: a recovery that has to evict a namespace of
+// its own geometry decodes into the arenas the victim frees, so it
+// allocates at most the fixed part of TestEvictRecoverAllocationBounded's
+// bound, with no term for the state's size, for plain, windowed and
+// elastic namespaces alike.
+func TestRecoverIntoVictimAllocationBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation totals are distorted under -race")
+	}
+	const bound = 2*snapio.BufSize + 32<<10
+	for mode, cfg := range map[string]wire.NsConfig{
+		"plain":   {MemoryBits: 1 << 23, ExpectedItems: 1 << 16},
+		"window":  {MemoryBits: 1 << 22, ExpectedItems: 1 << 15, WindowNanos: uint64(time.Hour), Generations: 2},
+		"elastic": {MemoryBits: 1 << 23, ExpectedItems: 1 << 16, Flags: wire.NsFlagElastic},
+	} {
+		t.Run(mode, func(t *testing.T) {
+			opts := testStoreOptions(t.TempDir())
+			opts.NsQuota = 3 << 19 // one 1 MiB namespace, not two
+			s, err := OpenStore(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			names := []string{mode + "-a", mode + "-b"}
+			keys := make(map[string][][]byte)
+			for _, name := range names {
+				if _, err := s.nsCreateEnq([]byte(name), cfg, nil); err != nil {
+					t.Fatal(err)
+				}
+				keys[name] = storeKeys(name, 5000)
+				nsInsertBatch(t, s, name, keys[name])
+			}
+			var recoverErr error
+			recoverNS := func(name string) func() {
+				return func() {
+					s.mu.Lock()
+					defer s.mu.Unlock()
+					recoverErr = s.residentLocked(s.reg.Lookup([]byte(name)))
+				}
+			}
+			recoverNS(names[0])() // the first recovery fills the buffer pools
+			a, b := s.reg.Lookup([]byte(names[0])), s.reg.Lookup([]byte(names[1]))
+			if recoverErr != nil || !a.Resident() || b.Resident() {
+				t.Fatalf("warm-up recovery: %v; resident %v, %v; want only %s", recoverErr, a.Resident(), b.Resident(), names[0])
+			}
+			_, before := s.reg.Snapshot()
+			n := allocatedBy(recoverNS(names[1]))
+			_, after := s.reg.Snapshot()
+			if recoverErr != nil || a.Resident() || !b.Resident() {
+				t.Fatalf("recovery: %v; resident %v, %v; want only %s", recoverErr, a.Resident(), b.Resident(), names[1])
+			}
+			if n > bound {
+				t.Errorf("recovery evicting a same-geometry victim allocated %d bytes, want at most %d", n, bound)
+			}
+			state := b.Stats().MemoryBits / 8
+			if reused := after.ReusedBytes - before.ReusedBytes; reused < state {
+				t.Errorf("recovery reused %d bytes of its victim's arenas, want the whole %d-byte state", reused, state)
+			}
+			t.Logf("recovery evicting a %d-byte victim allocated %d bytes", state, n)
+			for _, name := range names {
+				nsMustContain(t, s, name, keys[name])
+			}
+		})
 	}
 }

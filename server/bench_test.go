@@ -111,6 +111,30 @@ func BenchmarkDispatchContains(b *testing.B) {
 	}
 }
 
+// BenchmarkDispatchNsContains is BenchmarkDispatchContains on a named
+// namespace of the default filter's geometry: the difference is the
+// namespace lookup and the entry's read pin, held around the probe.
+func BenchmarkDispatchNsContains(b *testing.B) {
+	st := benchStore(b)
+	srv := New(st, Config{}, nil)
+	name := []byte("bench-ns")
+	if _, err := st.nsCreateEnq(name, wire.NsConfig{MemoryBits: 1 << 23, ExpectedItems: 200_000, Shards: 8}, nil); err != nil {
+		b.Fatal(err)
+	}
+	keys := benchKeys(4096)
+	_, ticket, err := st.mutateEnq(wire.OpInsertBatch, name, nil, keys[:2048], 0, nil, nil)
+	if err := st.wait(ticket, err); err != nil {
+		b.Fatal(err)
+	}
+	var resp []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := wire.Request{Op: wire.OpContains, NS: name, Key: keys[i%len(keys)]}
+		resp, _, _ = srv.dispatch(req, resp[:0], nil, nil)
+	}
+}
+
 func BenchmarkDispatchInsertDelete(b *testing.B) {
 	st := benchStore(b)
 	srv := New(st, Config{}, nil)

@@ -289,11 +289,17 @@ func elasticWireStats(st elastic.Stats) wire.ElasticStats {
 // elasticStats reports the chain shape of name's elastic filter
 // (ELASTIC_STATS). It reads lock-free, without recovering an evicted
 // namespace: that holds no chain in memory and answers as not elastic.
+// The fill ratios read the chain's words, so they are read under the
+// entry's read pin.
 func (s *Store) elasticStats(name []byte) (wire.ElasticStats, error) {
 	e := s.reg.Lookup(name)
 	if e == nil {
 		return wire.ElasticStats{}, errUnknownNS(name)
 	}
+	if e.PinRead() == nil {
+		return wire.ElasticStats{}, notElastic(e)
+	}
+	defer e.Unpin()
 	el := e.Elastic()
 	if el == nil {
 		return wire.ElasticStats{}, notElastic(e)

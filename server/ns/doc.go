@@ -30,10 +30,23 @@
 // mutation is a touch, which recovers it first) — so evict-file bytes
 // always equal the marshaled state at last evict.
 //
+// A recovery that has to evict to fit under the quota makes room first
+// and decodes into the arenas its victims free, so churn between
+// namespaces of one geometry allocates no filter memory. Creation keeps
+// fresh memory, and idle eviction and drop leave theirs to the
+// collector.
+//
 // Concurrency contract: Lookup and the read-side Entry methods are safe
 // anytime; every state transition (Create, Drop, Evict, Recover,
 // EnsureQuota, EvictIdle, InstallSnapshot) must be serialized by the
 // caller — the store runs them under its own mutex, the same lock that
 // orders WAL appends, so namespace lifecycle records interleave
-// correctly with data records.
+// correctly with data records. A read of a named entry's filter words
+// outside that mutex holds the entry's read pin (PinRead, released by
+// Unpin), because eviction may hand the filter's arenas to the next
+// recovery: it unpublishes the state under the pin's write side, which
+// waits out every pinned reader, and only then releases them. Lock
+// order is the caller's mutex, then a pin: a reader holding a pin must
+// not wait for that mutex. The pinned default entry is never evicted,
+// so its readers need no pin.
 package ns

@@ -178,9 +178,16 @@ var (
 // single store, and lock-free reads see the old state or the new one,
 // never neither. Transitions are serialized by the registry's caller.
 //
+// A read of a named entry's filter outside the caller's lock holds the
+// entry's read pin (PinRead), because eviction may hand the filter's
+// storage to the namespace a recovery decodes next: it unpublishes the
+// state under the pin's write side, which waits out every pinned reader,
+// and only then releases the storage.
+//
 // The registry's pinned entry, named "", is the store's default filter.
 // It has no configuration — its mode is whatever state it holds — is
-// never evicted, and stays outside the quota, the LRU and every listing.
+// never evicted, and stays outside the quota, the LRU and every listing;
+// its readers need no read pin.
 type Entry struct {
 	name     string
 	wireName []byte // [u8 len][name]: the WAL body of this namespace's SELECT/DROP records
@@ -188,6 +195,7 @@ type Entry struct {
 	pinned   bool
 
 	state atomic.Pointer[resident]
+	pin   sync.RWMutex // read side: a read of state outside the caller's lock; write side: eviction
 
 	memBytes   int64        // resident footprint (set at attach; elastic growth updates it via Rebase)
 	lastTouch  atomic.Int64 // UnixNano of last access, the LRU key
@@ -294,14 +302,38 @@ func (e *Entry) DeleteBatch(keys [][]byte, sc *mpcbf.BatchScratch) ([]bool, erro
 	return r.f.DeleteBatchInto(keys, sc)
 }
 
-// Live returns the resident filter for a lock-free read, or nil when
-// the entry is evicted: the caller must then recover it and retry —
-// answering from nothing would be a false negative.
+// Live returns the pinned default entry's filter for a lock-free read.
+// The default is never evicted, so its reads take no pin; a named
+// entry's reads go through PinRead.
 func (e *Entry) Live() Filter {
 	if r := e.state.Load(); r != nil {
 		return r.f
 	}
 	return nil
+}
+
+// PinRead returns the resident filter with e's read pin held, or nil,
+// holding nothing, when e is evicted: the caller must then recover it
+// and retry — answering from nothing would be a false negative. Until
+// the caller releases the pin with Unpin, eviction cannot hand the
+// filter's storage to another namespace. A pinned reader must not wait
+// for anything that evicts. The pinned default, never evicted, needs no
+// pin on its hot paths (Live), but taking one is harmless.
+func (e *Entry) PinRead() Filter {
+	e.pin.RLock()
+	if r := e.state.Load(); r != nil {
+		return r.f
+	}
+	e.pin.RUnlock()
+	return nil
+}
+
+// Unpin releases the read pin PinRead returned a filter under. A nil
+// entry holds no pin.
+func (e *Entry) Unpin() {
+	if e != nil {
+		e.pin.RUnlock()
+	}
 }
 
 // Len returns the element count: live when resident, the count at last
@@ -384,6 +416,7 @@ type Filter interface {
 	MarshaledSize() int
 	Encode(w *snapio.Writer)
 	MemoryBits() int
+	ReleaseArenas(put func(words []uint64))
 }
 
 // resident is a published state together with its filter behind the
@@ -409,19 +442,19 @@ func newResident(st State) *resident {
 // DecodeState decodes exactly n bytes of r as whichever state its leading
 // magic names: a windowed ring, an elastic chain, or a plain sharded
 // filter.
-func DecodeState(r io.Reader, n int64) (State, error) { return readState(r, n, false) }
+func DecodeState(r io.Reader, n int64) (State, error) { return readState(r, n, false, nil) }
 
 // CheckState reads a state of exactly n bytes from r and fails exactly
 // when DecodeState would, building nothing, so checking a state of any
 // size costs a fixed amount of memory.
 func CheckState(r io.Reader, n int64) error {
-	_, err := readState(r, n, true)
+	_, err := readState(r, n, true, nil)
 	return err
 }
 
-// readState is DecodeState, or with check set CheckState, which returns
-// the zero State.
-func readState(r io.Reader, n int64, check bool) (State, error) {
+// readState is DecodeState building the state's arenas in words taken
+// from a, or with check set CheckState, which returns the zero State.
+func readState(r io.Reader, n int64, check bool, a *mpcbf.Arenas) (State, error) {
 	rd := snapio.From(r, n)
 	magic := rd.Peek(4)
 	var st State
@@ -430,15 +463,15 @@ func readState(r io.Reader, n int64, check bool) (State, error) {
 	case window.IsWindowed(magic) && check:
 		err = window.CheckFilter(rd, n)
 	case window.IsWindowed(magic):
-		st.Window, err = window.ReadFilter(rd, n)
+		st.Window, err = window.ReadFilterReusing(rd, n, a)
 	case elastic.IsElastic(magic) && check:
 		err = elastic.CheckFilter(rd, n)
 	case elastic.IsElastic(magic):
-		st.Elastic, err = elastic.ReadFilter(rd, n)
+		st.Elastic, err = elastic.ReadFilterReusing(rd, n, a)
 	case check:
 		err = mpcbf.CheckSharded(rd, n)
 	default:
-		st.Filter, err = mpcbf.ReadSharded(rd, n)
+		st.Filter, err = mpcbf.ReadShardedReusing(rd, n, a)
 	}
 	return st, err
 }
@@ -527,6 +560,7 @@ type Registry struct {
 	residentBytes atomic.Int64
 	evictions     atomic.Uint64
 	recoveries    atomic.Uint64
+	reusedBytes   atomic.Uint64 // arena bytes recoveries took from their victims
 
 	rotateKick chan struct{}
 }
@@ -690,18 +724,29 @@ func (r *Registry) Drop(name []byte) *Entry {
 	return e
 }
 
-// Evict streams e's state into its evict file and drops it from memory.
-// The evicted filter is left to the collector, never reused: a lock-free
-// reader may still hold it.
-func (r *Registry) Evict(e *Entry) error {
-	if !e.Resident() {
+// Evict streams e's state into its evict file and drops it from memory,
+// leaving its storage to the collector.
+func (r *Registry) Evict(e *Entry) error { return r.evict(e, nil) }
+
+// evict is Evict handing the state's arenas to put instead, unless put is
+// nil. The state is unpublished under the write side of e's read pin,
+// which waits out every reader holding the pin, and only then are its
+// arenas released: no reader can see them overwritten.
+func (r *Registry) evict(e *Entry, put func(words []uint64)) error {
+	res := e.state.Load()
+	if res == nil {
 		return nil
 	}
-	e.items.Store(int64(e.Len()))
+	e.items.Store(int64(res.f.Len()))
 	if err := r.opts.Save(e.name, e.Encode); err != nil {
 		return fmt.Errorf("ns %q: save for evict: %w", e.name, err)
 	}
+	e.pin.Lock()
 	e.state.Store(nil)
+	e.pin.Unlock()
+	if put != nil {
+		res.f.ReleaseArenas(put)
+	}
 	r.residentBytes.Add(-e.memBytes)
 	e.evictions.Add(1)
 	r.evictions.Add(1)
@@ -709,15 +754,31 @@ func (r *Registry) Evict(e *Entry) error {
 	return nil
 }
 
-// Recover loads an evicted entry's state back into memory. The caller
-// runs EnsureQuota(e) afterwards.
+// Recover loads an evicted entry's state back into memory. Under a quota
+// it makes room first: it evicts least-recently-touched entries (never e)
+// until e's footprint fits, and decodes e's state into the arenas they
+// release, so churn between namespaces of one geometry allocates no
+// filter memory. Arenas the decode does not take are left to the
+// collector. A recovery that fails after evicting leaves its victims
+// evicted. The caller runs EnsureQuota(e) afterwards, for a footprint
+// that differs from the one made room for.
 func (r *Registry) Recover(e *Entry) error {
 	if e.Resident() {
 		return nil
 	}
+	var free mpcbf.Arenas
+	for need := e.footprint(); r.opts.Quota > 0 && r.residentBytes.Load()+need > r.opts.Quota; {
+		victim := r.oldestResident(e)
+		if victim == nil {
+			break
+		}
+		if err := r.evict(victim, free.Put); err != nil {
+			return err
+		}
+	}
 	var st State
 	err := r.opts.Load(e.name, func(rd io.Reader, n int64) (err error) {
-		st, err = DecodeState(rd, n)
+		st, err = readState(rd, n, false, &free)
 		return err
 	})
 	if err != nil {
@@ -727,6 +788,7 @@ func (r *Registry) Recover(e *Entry) error {
 		return err
 	}
 	r.residentBytes.Add(e.memBytes)
+	r.reusedBytes.Add(uint64(free.Reused()))
 	e.recoveries.Add(1)
 	r.recoveries.Add(1)
 	e.Touch(r.Now())
@@ -736,6 +798,20 @@ func (r *Registry) Recover(e *Entry) error {
 	r.KickRotate(e)
 	r.opts.Log.Debug("namespace recovered", "ns", e.name, "bytes", e.memBytes)
 	return nil
+}
+
+// footprint returns the bytes e takes once resident: what it took when
+// last resident or, if it never was in this process, what its
+// configuration sizes (for an elastic chain, the seed generation).
+func (e *Entry) footprint() int64 {
+	if e.memBytes > 0 {
+		return e.memBytes
+	}
+	n := int64(e.cfg.MemoryBits / 8)
+	if e.cfg.Windowed() {
+		n *= int64(e.cfg.Generations)
+	}
+	return n
 }
 
 // Rebase recomputes a named elastic entry's resident footprint from its
@@ -901,6 +977,9 @@ type Totals struct {
 	ResidentBytes int64  `json:"resident_bytes"`
 	Evictions     uint64 `json:"evictions"`
 	Recoveries    uint64 `json:"recoveries"`
+	// ReusedBytes counts the bytes recoveries took from the arenas of the
+	// namespaces they evicted instead of allocating.
+	ReusedBytes uint64 `json:"reused_bytes"`
 }
 
 // EntrySnapshot is one namespace's observable state.
@@ -926,6 +1005,7 @@ func (r *Registry) Snapshot() ([]EntrySnapshot, Totals) {
 		ResidentBytes: r.residentBytes.Load(),
 		Evictions:     r.evictions.Load(),
 		Recoveries:    r.recoveries.Load(),
+		ReusedBytes:   r.reusedBytes.Load(),
 	}
 	out := make([]EntrySnapshot, 0, len(es))
 	for _, e := range es {

@@ -31,8 +31,10 @@ func nsInsertBatch(t *testing.T, s *Store, name string, keys [][]byte) {
 // liveContains answers membership in the named namespace through the
 // read path CONTAINS takes, recovering an evicted namespace first.
 func liveContains(s *Store, name string, key []byte) (bool, error) {
-	f, err := s.live([]byte(name))
-	return f != nil && f.Contains(key), err
+	f, pin, err := s.live([]byte(name))
+	ok := f != nil && f.Contains(key)
+	pin.Unpin()
+	return ok, err
 }
 
 func nsMustContain(t *testing.T, s *Store, name string, keys [][]byte) {

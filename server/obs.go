@@ -436,6 +436,7 @@ func writeNamespaceProm(w io.Writer, n *NamespacesSnapshot) {
 	promGaugeInt(w, "mpcbfd_ns_resident_count", "Named namespaces currently resident in memory.", int64(n.Totals.Resident))
 	promGaugeInt(w, "mpcbfd_ns_quota_bytes", "Memory budget across all named namespaces (0: unlimited).", n.Totals.QuotaBytes)
 	promGaugeInt(w, "mpcbfd_ns_resident_bytes", "Summed filter bytes of resident named namespaces.", n.Totals.ResidentBytes)
+	promCounter(w, "mpcbfd_ns_reused_bytes_total", "Filter bytes recoveries took from the namespaces they evicted instead of allocating.", n.Totals.ReusedBytes)
 
 	emit := func(name, typ, help string, val func(e ns.EntrySnapshot) uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)

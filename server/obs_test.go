@@ -176,6 +176,7 @@ func TestPromExpositionFormat(t *testing.T) {
 		"mpcbfd_ns_resident",
 		"mpcbfd_ns_evictions_total",
 		"mpcbfd_ns_recoveries_total",
+		"mpcbfd_ns_reused_bytes_total",
 	} {
 		if _, ok := p.typeOf[family]; !ok {
 			t.Errorf("/metrics missing family %s", family)
@@ -300,6 +301,70 @@ func TestExpvarMatchesProm(t *testing.T) {
 	}
 	if !snap.Ready {
 		t.Error("expvar snapshot not ready on a live server")
+	}
+}
+
+// TestNsReusedBytesMetric churns two namespaces of one geometry under a
+// quota that holds one: every touch recovers one into the arenas of the
+// other, and mpcbfd_ns_reused_bytes_total rises by the state's size each
+// time, in a /metrics document that still parses and agrees with the
+// reused_bytes total of /debug/vars, rendered from the same snapshot.
+func TestNsReusedBytesMetric(t *testing.T) {
+	opts := testStoreOptions(t.TempDir())
+	opts.NsQuota = 3 << 10
+	srv, c := startTestServer(t, opts, Config{})
+	cfg := wire.NsConfig{MemoryBits: 1 << 14, ExpectedItems: 512, Shards: 2}
+	names := []string{"reuse-a", "reuse-b"}
+	for _, name := range names {
+		if err := c.CreateNamespace(name, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(srv.HTTPHandler())
+	defer ts.Close()
+	reused := func() uint64 {
+		t.Helper()
+		text := httpGet(t, ts.URL+"/metrics")
+		p := parseProm(t, text)
+		if typ := p.typeOf["mpcbfd_ns_reused_bytes_total"]; typ != "counter" {
+			t.Fatalf("mpcbfd_ns_reused_bytes_total has TYPE %q, want counter", typ)
+		}
+		for _, line := range strings.Split(text, "\n") {
+			if v, ok := strings.CutPrefix(line, "mpcbfd_ns_reused_bytes_total "); ok {
+				n, err := strconv.ParseUint(v, 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+		}
+		t.Fatal("/metrics has no mpcbfd_ns_reused_bytes_total sample")
+		return 0
+	}
+	last := reused()
+	const touches = 6
+	for i := 0; i < touches; i++ {
+		name := names[i%2]
+		if err := c.Namespace(name).Insert([]byte(fmt.Sprintf("%s-%d", name, i))); err != nil {
+			t.Fatal(err)
+		}
+		if now := reused(); now <= last {
+			t.Fatalf("touch %d of %s: reused bytes %d -> %d, want a rise", i, name, last, now)
+		} else {
+			last = now
+		}
+	}
+
+	var doc struct {
+		Mpcbfd struct {
+			Server ServerSnapshot `json:"server"`
+		} `json:"mpcbfd"`
+	}
+	if err := json.Unmarshal([]byte(httpGet(t, ts.URL+"/debug/vars")), &doc); err != nil {
+		t.Fatalf("/debug/vars unparseable: %v", err)
+	}
+	if ns := doc.Mpcbfd.Server.Namespaces; ns == nil || ns.Totals.ReusedBytes != last {
+		t.Fatalf("/debug/vars namespaces %+v, want reused_bytes %d as in /metrics", ns, last)
 	}
 }
 

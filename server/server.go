@@ -514,8 +514,9 @@ func (s *Server) dispatch(req wire.Request, dst []byte, tr *reqTrace, sc *mpcbf.
 		return ack(dst, ticket, err)
 	case wire.OpContains:
 		t0 := tr.now()
-		f, err := st.live(req.NS)
+		f, pin, err := st.live(req.NS)
 		ok := f != nil && f.Contains(req.Key)
+		pin.Unpin()
 		tr.addFilter(t0)
 		if err != nil {
 			return errResp(dst, err)
@@ -523,11 +524,12 @@ func (s *Server) dispatch(req wire.Request, dst []byte, tr *reqTrace, sc *mpcbf.
 		return wire.AppendBool(wire.AppendOK(dst), ok), 0, false
 	case wire.OpEstimate:
 		t0 := tr.now()
-		f, err := st.live(req.NS)
+		f, pin, err := st.live(req.NS)
 		n := 0
 		if f != nil {
 			n = f.EstimateCount(req.Key)
 		}
+		pin.Unpin()
 		tr.addFilter(t0)
 		if err != nil {
 			return errResp(dst, err)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -129,6 +130,131 @@ func FuzzCheckVsDecode(f *testing.F) {
 		}
 		if (decErr == nil) != (chkErr == nil) {
 			t.Fatalf("kind %d: decode says %v, check says %v", kind%fuzzKinds, decErr, chkErr)
+		}
+	})
+}
+
+// reusable is what FuzzDecodeIntoDirtyArenas needs of a decoded state.
+type reusable interface {
+	MarshalBinary() ([]byte, error)
+	ReleaseArenas(put func(words []uint64))
+}
+
+// Formats FuzzDecodeIntoDirtyArenas tells apart by its kind argument.
+const (
+	dirtySharded = iota
+	dirtyWindow
+	dirtyElastic
+	dirtyKinds
+)
+
+// FuzzDecodeIntoDirtyArenas holds the decoders to the reuse contract a
+// recovery relies on: a Sharded, window or elastic encoding decoded into
+// donor arenas full of random words re-encodes to the same bytes as the
+// encoding decoded fresh, taking every donor arena of the length it
+// needs. kind picks the format and seed the donors' words; the seeds
+// are valid encodings of each format, a generic word width among them.
+func FuzzDecodeIntoDirtyArenas(f *testing.F) {
+	must := func(data []byte, err error) []byte {
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	keys := storeKeys("dirty", 60)
+	for _, w := range []int{64, 48} {
+		sh, err := mpcbf.NewSharded(mpcbf.Options{MemoryBits: 1 << 11, ExpectedItems: 60, WordBits: w, Seed: 5}, 2)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := sh.InsertBatch(keys, 0); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(dirtySharded), uint64(w), must(sh.MarshalBinary()))
+	}
+	win, err := window.New(window.Options{Span: time.Hour, Generations: 3, Shards: 2,
+		Filter: mpcbf.Options{MemoryBits: 1 << 10, ExpectedItems: 40}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, k := range keys {
+		if i%20 == 0 {
+			win.Rotate()
+		}
+		if err := win.Insert(k); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(uint8(dirtyWindow), uint64(3), must(win.MarshalBinary()))
+	el, err := elastic.New(elastic.Options{Shards: 2, Filter: mpcbf.Options{MemoryBits: 1 << 10, ExpectedItems: 20}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, k := range keys {
+		if err := el.Insert(k); err != nil {
+			f.Fatal(err)
+		}
+		if el.NeedsGrow() {
+			if err := el.Grow(); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	if el.Generations() < 2 {
+		f.Fatalf("elastic seed has %d generations, want a grown chain", el.Generations())
+	}
+	f.Add(uint8(dirtyElastic), uint64(7), must(el.MarshalBinary()))
+
+	f.Fuzz(func(t *testing.T, kind uint8, seed uint64, data []byte) {
+		n := int64(len(data))
+		decode := func(a *mpcbf.Arenas) (st reusable, err error) {
+			rd := snapio.NewReader(bytes.NewReader(data), n)
+			switch kind % dirtyKinds {
+			case dirtySharded:
+				st, err = mpcbf.ReadShardedReusing(rd, n, a)
+			case dirtyWindow:
+				st, err = window.ReadFilterReusing(rd, n, a)
+			case dirtyElastic:
+				st, err = elastic.ReadFilterReusing(rd, n, a)
+			}
+			return st, err
+		}
+		fresh, err := decode(nil)
+		if err != nil {
+			return
+		}
+		want, err := fresh.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The donors are a second fresh decode's arenas, scrambled.
+		donor, err := decode(nil)
+		if err != nil {
+			t.Fatalf("second fresh decode: %v", err)
+		}
+		rng := rand.New(rand.NewPCG(seed, ^seed))
+		var a mpcbf.Arenas
+		var donated int64
+		donor.ReleaseArenas(func(words []uint64) {
+			for i := range words {
+				words[i] = rng.Uint64()
+			}
+			donated += 8 * int64(len(words))
+			a.Put(words)
+		})
+		reused, err := decode(&a)
+		if err != nil {
+			t.Fatalf("kind %d: decode into donor arenas: %v (a fresh decode succeeded)", kind%dirtyKinds, err)
+		}
+		got, err := reused.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("kind %d: decoded into donor arenas, the state re-encodes differently from a fresh decode", kind%dirtyKinds)
+		}
+		if a.Reused() != donated {
+			t.Fatalf("kind %d: the decode took %d of %d donor bytes", kind%dirtyKinds, a.Reused(), donated)
 		}
 	})
 }

@@ -535,9 +535,10 @@ func (s *Store) windowEntryLocked(name []byte) (*ns.Entry, error) {
 	return s.entryLocked(name, true)
 }
 
-// residentLocked recovers an evicted entry and re-enforces the quota so
-// the recovery itself cannot push resident bytes over it. The pinned
-// default is always resident.
+// residentLocked recovers an evicted entry — into the storage of the
+// namespaces it evicts to make room, when their geometry matches — and
+// re-enforces the quota, for a footprint that changed since the entry
+// was last resident. The pinned default is always resident.
 func (s *Store) residentLocked(e *ns.Entry) error {
 	if e.Resident() {
 		return nil
@@ -701,10 +702,13 @@ func (s *Store) InsertTTLBatch(keys [][]byte, ttl time.Duration) error {
 // --- reads ------------------------------------------------------------------
 //
 // Reads are lock-free while the filter is resident: the default costs
-// one atomic load plus the filter. An evicted namespace answers ok=false
-// from its entry, and the read recovers it under s.mu and retries —
-// answering from nothing would be a false negative, which the filter
-// contract forbids. An unknown namespace is empty.
+// one atomic load plus the filter, and a named namespace adds its read
+// pin, held until the read is done, because eviction may hand its
+// storage to the next recovery. An evicted namespace pins nothing, and
+// the read recovers it under s.mu and retries — answering from nothing
+// would be a false negative, which the filter contract forbids. Lock
+// order is s.mu, then a pin: a pinned reader never takes s.mu. An
+// unknown namespace is empty.
 
 // recoverForRead recovers e for a read that found it evicted. It
 // re-checks the registry under the lock: a concurrently dropped (or
@@ -719,24 +723,26 @@ func (s *Store) recoverForRead(name []byte, e *ns.Entry) (*ns.Entry, error) {
 }
 
 // live returns name's filter for a lock-free read, or nil for an unknown
-// namespace. The pinned default is always resident and never touched,
-// so it answers straight from its entry; a named namespace found evicted
-// is recovered under s.mu first.
-func (s *Store) live(name []byte) (ns.Filter, error) {
+// namespace, with the entry whose read pin the caller holds until it has
+// read and then releases with Unpin, which a nil entry ignores. The
+// pinned default is always resident and never touched, so it answers
+// straight from its entry and takes no pin; a named namespace found
+// evicted is recovered under s.mu first.
+func (s *Store) live(name []byte) (ns.Filter, *ns.Entry, error) {
 	if len(name) == 0 {
-		return s.reg.Default().Live(), nil
+		return s.reg.Default().Live(), nil, nil
 	}
 	for e := s.reg.Lookup(name); e != nil; {
-		if f := e.Live(); f != nil {
+		if f := e.PinRead(); f != nil {
 			s.touch(e)
-			return f, nil
+			return f, e, nil
 		}
 		var err error
 		if e, err = s.recoverForRead(name, e); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return nil, nil
+	return nil, nil, nil
 }
 
 // noFilter answers for an unknown namespace: a chain of no generations,
@@ -747,14 +753,16 @@ var noFilter mpcbf.Chain
 // calling goroutine into sc (nil: fresh scratch); the result belongs to
 // sc, for an unknown namespace too.
 func (s *Store) containsBatch(name []byte, keys [][]byte, sc *mpcbf.BatchScratch) ([]bool, error) {
-	f, err := s.live(name)
+	f, pin, err := s.live(name)
 	switch {
 	case err != nil:
 		return nil, err
 	case f == nil:
 		return noFilter.ContainsBatchInto(keys, sc), nil
 	}
-	return f.ContainsBatchInto(keys, sc), nil
+	flags := f.ContainsBatchInto(keys, sc)
+	pin.Unpin()
+	return flags, nil
 }
 
 // nsLen returns name's element count without forcing recovery: an
@@ -769,7 +777,7 @@ func (s *Store) nsLen(name []byte) int {
 
 // Contains answers membership in the default filter.
 func (s *Store) Contains(key []byte) bool {
-	f, _ := s.live(nil)
+	f, _, _ := s.live(nil)
 	return f != nil && f.Contains(key)
 }
 
@@ -789,7 +797,7 @@ func (s *Store) NsContainsBatch(name []byte, keys [][]byte) ([]bool, error) {
 // EstimateCount returns an upper bound on key's multiplicity in the
 // default filter.
 func (s *Store) EstimateCount(key []byte) int {
-	if f, _ := s.live(nil); f != nil {
+	if f, _, _ := s.live(nil); f != nil {
 		return f.EstimateCount(key)
 	}
 	return 0

@@ -91,19 +91,25 @@ func UnmarshalFilter(data []byte) (*Filter, error) {
 
 // ReadFilter is UnmarshalFilter over a stream: it decodes exactly n bytes
 // of r, holding one 64 KiB buffer besides the decoded window.
-func ReadFilter(r io.Reader, n int64) (*Filter, error) { return readFilter(r, n, false) }
+func ReadFilter(r io.Reader, n int64) (*Filter, error) { return readFilter(r, n, false, nil) }
+
+// ReadFilterReusing is ReadFilter building the generations' arenas in
+// words taken from a (see mpcbf.Arenas).
+func ReadFilterReusing(r io.Reader, n int64, a *mpcbf.Arenas) (*Filter, error) {
+	return readFilter(r, n, false, a)
+}
 
 // CheckFilter reads a window encoding of exactly n bytes from r and
 // fails exactly when ReadFilter would, building nothing: each generation
 // is checked by mpcbf.CheckSharded.
 func CheckFilter(r io.Reader, n int64) error {
-	_, err := readFilter(r, n, true)
+	_, err := readFilter(r, n, true, nil)
 	return err
 }
 
-// readFilter is ReadFilter, or with check set CheckFilter, which applies
-// the same checks and returns no window.
-func readFilter(r io.Reader, n int64, check bool) (*Filter, error) {
+// readFilter is ReadFilterReusing, or with check set CheckFilter, which
+// applies the same checks and returns no window.
+func readFilter(r io.Reader, n int64, check bool, a *mpcbf.Arenas) (*Filter, error) {
 	rd := snapio.From(r, n)
 	if n < windowHdrLen || n > rd.Remaining() {
 		return nil, errors.New("window: truncated windowed filter")
@@ -149,7 +155,7 @@ func readFilter(r io.Reader, n int64, check bool) (*Filter, error) {
 		if check {
 			err = mpcbf.CheckSharded(rd, size)
 		} else {
-			ring[i], err = mpcbf.ReadSharded(rd, size)
+			ring[i], err = mpcbf.ReadShardedReusing(rd, size, a)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("window: generation %d: %w", i, err)
