@@ -127,14 +127,17 @@ fuzz-wire:
 # filter, elastic-chain and window encodings must error, never panic or
 # allocate past their input, the snapshot verify path, which checks an
 # encoding without building it, must accept exactly what the decoders
-# accept, and a decode into another filter's arenas full of random words
-# must build the same state as a fresh one.
+# accept, a decode into another filter's released arenas must build the
+# same state as a fresh one (a multi-page seed makes the release hand
+# pages back and the decode skip all-zero pages), and the word reader
+# must decode any stream into any destination as an element-wise copy.
 fuzz-snapshot:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalFilter$$' -fuzztime $(FUZZTIME) ./elastic
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalFilter$$' -fuzztime $(FUZZTIME) ./window
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckVsDecode$$' -fuzztime $(FUZZTIME) ./server
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIntoDirtyArenas$$' -fuzztime $(FUZZTIME) ./server
+	$(GO) test -run '^$$' -fuzz '^FuzzWordsMatchesCopy$$' -fuzztime $(FUZZTIME) ./internal/snapio
 
 # serve runs the mpcbfd daemon with a local data dir; MPCBFD_FLAGS adds
 # extra flags (e.g. MPCBFD_FLAGS='-fsync interval -shards 32').

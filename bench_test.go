@@ -11,6 +11,7 @@ package mpcbf
 // calls out.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -564,6 +565,63 @@ func BenchmarkShardedMarshalBeyondL3(b *testing.B) {
 		if _, err := s.MarshalBinary(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkShardedUnmarshalBeyondL3 times UnmarshalSharded at lookup's
+// geometry: the decode a daemon start and a replica bootstrap run. With
+// 2^24 keys every page holds a non-zero word, so this is the dense case
+// of snapio.Reader.Words, which tests a page for zeros before copying it.
+func BenchmarkShardedUnmarshalBeyondL3(b *testing.B) {
+	data := func() []byte {
+		s, ks := newBeyondL3(b)
+		loadBeyondL3(b, s, ks)
+		data, err := s.MarshalBinary()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return data
+	}()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := UnmarshalSharded(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkShardedDecodeIntoReleased times what a namespace recovery
+// does to a victim of its geometry: release a 1 MiB filter's arenas
+// (Arenas.Put, which gives their pages back to the kernel) and decode
+// the next filter into them. A sparse filter (64 keys) writes a few
+// pages back; a dense one (2^16 keys) faults every page back in.
+func BenchmarkShardedDecodeIntoReleased(b *testing.B) {
+	for _, keys := range []int{64, 1 << 16} {
+		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
+			src, err := NewSharded(Options{MemoryBits: 1 << 23, ExpectedItems: 1 << 16, Seed: 3}, 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := src.InsertBatch(microKeys(keys), 0); err != nil {
+				b.Fatal(err)
+			}
+			data, err := src.MarshalBinary()
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := src
+			b.SetBytes(int64(len(data)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var a Arenas
+				s.ReleaseArenas(a.Put)
+				if s, err = ReadShardedReusing(bytes.NewReader(data), int64(len(data)), &a); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

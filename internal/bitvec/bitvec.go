@@ -10,8 +10,27 @@ package bitvec
 import (
 	"fmt"
 	"math/bits"
+	"os"
 	"strings"
+	"unsafe"
 )
+
+// pageWords is the system page size in 64-bit words.
+var pageWords = os.Getpagesize() / 8
+
+// pageOffset returns the index of words[0] within its page, in words; 0
+// for an empty slice.
+func pageOffset(words []uint64) int {
+	if len(words) == 0 {
+		return 0
+	}
+	return int(uintptr(unsafe.Pointer(&words[0])) / 8 % uintptr(pageWords))
+}
+
+// PageRun returns how many leading words of words share the page that
+// holds words[0], at most len(words). Cutting a slice into runs of
+// PageRun words, one after another, cuts it at page boundaries.
+func PageRun(words []uint64) int { return min(len(words), pageWords-pageOffset(words)) }
 
 // Vector is a fixed-length bit vector backed by a []uint64. Bit i of the
 // vector is bit (i%64) of word i/64. The zero value is an empty vector;
@@ -31,7 +50,8 @@ func New(n int) *Vector {
 
 // FromWords returns an n-bit vector over words, which must hold exactly
 // the (n+63)/64 words New would allocate. The vector keeps words as its
-// storage, whatever they hold.
+// storage, whatever they hold; since Reset hands them to Zero, they must
+// come from make.
 func FromWords(words []uint64, n int) *Vector {
 	if n < 0 || len(words) != (n+63)/64 {
 		panic(fmt.Sprintf("bitvec: %d words for %d bits", len(words), n))
@@ -207,12 +227,9 @@ func (v *Vector) RemoveBit(pos, windowEnd int) {
 	v.ShiftLeftOne(pos, windowEnd)
 }
 
-// Reset clears every bit.
-func (v *Vector) Reset() {
-	for i := range v.words {
-		v.words[i] = 0
-	}
-}
+// Reset clears every bit, handing the whole pages of the vector's
+// storage back to the kernel (Zero).
+func (v *Vector) Reset() { Zero(v.words) }
 
 // Clone returns a deep copy of the vector.
 func (v *Vector) Clone() *Vector {

@@ -286,6 +286,42 @@ func TestResetClearsAll(t *testing.T) {
 	}
 }
 
+// TestZeroKeepsNeighbours zeroes sub-slices of a multi-page slice that
+// start and end anywhere in a page, and none, one or several whole
+// pages: every word inside reads zero afterwards, every word outside
+// keeps its value, and PageRun cuts each at page boundaries.
+func TestZeroKeepsNeighbours(t *testing.T) {
+	words := make([]uint64, 5*pageWords+3)
+	for _, c := range []struct{ lo, hi int }{
+		{0, len(words)},
+		{1, len(words) - 1},
+		{pageWords - 1, 3*pageWords + 1},
+		{pageWords, 3 * pageWords},
+		{7, 9},
+		{2*pageWords + 5, 2*pageWords + 5},
+		{3, pageWords + 2},
+	} {
+		for i := range words {
+			words[i] = uint64(i) | 1<<63
+		}
+		part := words[c.lo:c.hi]
+		for rest, runs := part, 0; len(rest) > 0; runs++ {
+			n := PageRun(rest)
+			if n < 1 || runs > 0 && n != min(pageWords, len(rest)) {
+				t.Fatalf("[%d,%d): run %d is %d words", c.lo, c.hi, runs, n)
+			}
+			rest = rest[n:]
+		}
+		Zero(part)
+		for i, x := range words {
+			inside := i >= c.lo && i < c.hi
+			if inside && x != 0 || !inside && x != uint64(i)|1<<63 {
+				t.Fatalf("Zero of [%d,%d): word %d = %#x", c.lo, c.hi, i, x)
+			}
+		}
+	}
+}
+
 func TestEdgeRanges(t *testing.T) {
 	v := New(64)
 	v.Set(63, true)

@@ -83,11 +83,10 @@ func (c *Counters) Dec(i int) (underflow bool) {
 // Saturated returns how many counters are currently stuck at CounterMax.
 func (c *Counters) Saturated() int { return c.sticky }
 
-// Reset zeroes all counters.
+// Reset zeroes all counters, handing the whole pages of their storage
+// back to the kernel (Zero).
 func (c *Counters) Reset() {
-	for i := range c.words {
-		c.words[i] = 0
-	}
+	Zero(c.words)
 	c.sticky = 0
 }
 

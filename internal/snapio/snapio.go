@@ -27,6 +27,8 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
+
+	"repro/internal/bitvec"
 )
 
 // BufSize is the read and write buffer size; a Reader over a shorter
@@ -146,21 +148,51 @@ func (r *Reader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Words fills dst with little-endian 64-bit words.
+// Words fills dst with little-endian 64-bit words. It works through dst
+// a page at a time (bitvec.PageRun) and leaves a page's words unwritten
+// when they and the stream's words for them are all zero, so a sparse
+// filter decoded into fresh memory, or into arenas released with
+// bitvec.Zero, makes resident only the pages that hold a non-zero word.
+// dst ends up the same whatever it held.
 func (r *Reader) Words(dst []uint64) error {
 	for len(dst) > 0 {
-		b, err := r.br.Peek(min(8*len(dst), r.br.Size()&^7))
+		run := dst[:bitvec.PageRun(dst)]
+		b, err := r.br.Peek(min(8*len(run), r.br.Size()&^7))
 		if err != nil {
 			return truncated(err)
 		}
 		n := len(b) / 8
-		for i := range dst[:n] {
-			dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+		if n < len(run) || !zeroBytes(b) || !zeroWords(run) {
+			for i := range run[:n] {
+				run[i] = binary.LittleEndian.Uint64(b[8*i:])
+			}
 		}
 		r.br.Discard(8 * n)
 		dst = dst[n:]
 	}
 	return nil
+}
+
+// zeroBytes reports whether b, a whole number of words, is all zero. It
+// stops at the first non-zero word, so a dense encoding pays one load.
+func zeroBytes(b []byte) bool {
+	for i := 0; i < len(b); i += 8 {
+		if binary.LittleEndian.Uint64(b[i:]) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// zeroWords reports whether every word of w is zero, stopping at the
+// first that is not.
+func zeroWords(w []uint64) bool {
+	for _, x := range w {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // truncated reports a stream that ended early as ErrTruncated.

@@ -15,9 +15,11 @@ import (
 // Arenas holds the arena words of filters that are gone, for a decode to
 // build its filter in (ReadShardedReusing, and the window and elastic
 // readers above it) instead of allocating. A decode takes a slice only at
-// exactly the word count a shard needs and overwrites every word of it.
-// The zero value holds nothing; a nil *Arenas makes every decode
-// allocate.
+// exactly the word count a shard needs. Put zeroes what it is handed and
+// gives its whole pages back to the kernel, and a decode writes only the
+// pages that hold a non-zero word, so a sparse filter stays small in
+// memory however it was built. The zero value holds nothing; a nil
+// *Arenas makes every decode allocate.
 type Arenas = core.Arenas
 
 // ReleaseArenas hands every shard's arena words to put, for a later

@@ -32,9 +32,13 @@
 //
 // A recovery that has to evict to fit under the quota makes room first
 // and decodes into the arenas its victims free, so churn between
-// namespaces of one geometry allocates no filter memory. Creation keeps
-// fresh memory, and idle eviction and drop leave theirs to the
-// collector.
+// namespaces of one geometry allocates no filter memory. Every arena
+// given up — to a recovery, to idle or quota eviction, or to a drop —
+// is zeroed with its pages handed back to the kernel, and a decode
+// writes only the pages that hold a non-zero word, so a namespace's
+// resident memory follows the pages its filter has written: the quota
+// bounds configured bytes, not resident ones. Creation allocates new
+// arenas.
 //
 // Concurrency contract: Lookup and the read-side Entry methods are safe
 // anytime; every state transition (Create, Drop, Evict, Recover,

@@ -12,6 +12,7 @@ import (
 
 	mpcbf "repro"
 	"repro/elastic"
+	"repro/internal/bitvec"
 	"repro/internal/snapio"
 	"repro/server/wire"
 	"repro/window"
@@ -180,9 +181,10 @@ var (
 //
 // A read of a named entry's filter outside the caller's lock holds the
 // entry's read pin (PinRead), because eviction may hand the filter's
-// storage to the namespace a recovery decodes next: it unpublishes the
-// state under the pin's write side, which waits out every pinned reader,
-// and only then releases the storage.
+// storage to the namespace a recovery decodes next, and eviction and
+// drop zero it: both unpublish the state under the pin's write side,
+// which waits out every pinned reader, and only then release the
+// storage.
 //
 // The registry's pinned entry, named "", is the store's default filter.
 // It has no configuration — its mode is whatever state it holds — is
@@ -195,7 +197,7 @@ type Entry struct {
 	pinned   bool
 
 	state atomic.Pointer[resident]
-	pin   sync.RWMutex // read side: a read of state outside the caller's lock; write side: eviction
+	pin   sync.RWMutex // read side: a read of state outside the caller's lock; write side: eviction and drop
 
 	memBytes   int64        // resident footprint (set at attach; elastic growth updates it via Rebase)
 	lastTouch  atomic.Int64 // UnixNano of last access, the LRU key
@@ -315,10 +317,11 @@ func (e *Entry) Live() Filter {
 // PinRead returns the resident filter with e's read pin held, or nil,
 // holding nothing, when e is evicted: the caller must then recover it
 // and retry — answering from nothing would be a false negative. Until
-// the caller releases the pin with Unpin, eviction cannot hand the
-// filter's storage to another namespace. A pinned reader must not wait
-// for anything that evicts. The pinned default, never evicted, needs no
-// pin on its hot paths (Live), but taking one is harmless.
+// the caller releases the pin with Unpin, neither eviction nor drop can
+// zero the filter's storage or hand it to another namespace. A pinned
+// reader must not wait for anything that evicts or drops. The pinned
+// default, never evicted, needs no pin on its hot paths (Live), but
+// taking one is harmless.
 func (e *Entry) PinRead() Filter {
 	e.pin.RLock()
 	if r := e.state.Load(); r != nil {
@@ -518,6 +521,16 @@ func (e *Entry) attach(st State) error {
 	return nil
 }
 
+// unpublish stores e's nil state under the write side of its read pin,
+// which waits out every reader holding the pin, and returns the state it
+// replaced (nil if e was not resident): once it returns, nothing reads
+// that state's arenas.
+func (e *Entry) unpublish() *resident {
+	e.pin.Lock()
+	defer e.pin.Unlock()
+	return e.state.Swap(nil)
+}
+
 // Replace publishes st (exactly one field non-nil) as the pinned default
 // entry's state in one atomic store.
 func (e *Entry) Replace(st State) { e.state.Store(newResident(st)) }
@@ -704,8 +717,10 @@ func (r *Registry) Create(name string, cfg Config) (*Entry, error) {
 	return e, nil
 }
 
-// Drop removes a namespace and deletes its evict file. Returns the
-// removed entry, or nil if the name was unknown.
+// Drop removes a namespace and deletes its evict file. A resident
+// state is unpublished under the read pin, as eviction does, and its
+// arenas' pages go back to the kernel (bitvec.Zero). Returns the removed
+// entry, or nil if the name was unknown.
 func (r *Registry) Drop(name []byte) *Entry {
 	r.mu.Lock()
 	e := r.entries[string(name)]
@@ -714,9 +729,9 @@ func (r *Registry) Drop(name []byte) *Entry {
 	if e == nil {
 		return nil
 	}
-	if e.Resident() {
+	if res := e.unpublish(); res != nil {
 		r.residentBytes.Add(-e.memBytes)
-		e.state.Store(nil)
+		res.f.ReleaseArenas(bitvec.Zero)
 	}
 	if err := r.opts.Remove(e.name); err != nil {
 		r.opts.Log.Warn("ns evict file remove failed", "ns", e.name, "error", err)
@@ -725,13 +740,13 @@ func (r *Registry) Drop(name []byte) *Entry {
 }
 
 // Evict streams e's state into its evict file and drops it from memory,
-// leaving its storage to the collector.
-func (r *Registry) Evict(e *Entry) error { return r.evict(e, nil) }
+// giving the pages of its arenas back to the kernel (bitvec.Zero) and
+// the rest of its storage to the collector.
+func (r *Registry) Evict(e *Entry) error { return r.evict(e, bitvec.Zero) }
 
-// evict is Evict handing the state's arenas to put instead, unless put is
-// nil. The state is unpublished under the write side of e's read pin,
-// which waits out every reader holding the pin, and only then are its
-// arenas released: no reader can see them overwritten.
+// evict is Evict handing the state's arenas to put instead. The state is
+// unpublished first (unpublish), and only then are its arenas released:
+// no reader can see them zeroed or overwritten.
 func (r *Registry) evict(e *Entry, put func(words []uint64)) error {
 	res := e.state.Load()
 	if res == nil {
@@ -741,12 +756,8 @@ func (r *Registry) evict(e *Entry, put func(words []uint64)) error {
 	if err := r.opts.Save(e.name, e.Encode); err != nil {
 		return fmt.Errorf("ns %q: save for evict: %w", e.name, err)
 	}
-	e.pin.Lock()
-	e.state.Store(nil)
-	e.pin.Unlock()
-	if put != nil {
-		res.f.ReleaseArenas(put)
-	}
+	e.unpublish()
+	res.f.ReleaseArenas(put)
 	r.residentBytes.Add(-e.memBytes)
 	e.evictions.Add(1)
 	r.evictions.Add(1)
@@ -758,8 +769,10 @@ func (r *Registry) evict(e *Entry, put func(words []uint64)) error {
 // it makes room first: it evicts least-recently-touched entries (never e)
 // until e's footprint fits, and decodes e's state into the arenas they
 // release, so churn between namespaces of one geometry allocates no
-// filter memory. Arenas the decode does not take are left to the
-// collector. A recovery that fails after evicting leaves its victims
+// filter memory. The released arenas are zeroed with their pages given
+// back to the kernel (mpcbf.Arenas.Put), so the decode makes resident
+// only the pages e's state writes; arenas it does not take are left to
+// the collector. A recovery that fails after evicting leaves its victims
 // evicted. The caller runs EnsureQuota(e) afterwards, for a footprint
 // that differs from the one made room for.
 func (r *Registry) Recover(e *Entry) error {

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -47,7 +49,10 @@ type ServerSnapshot struct {
 	Replication ReplicationStats `json:"replication"`
 	Trace       TraceCounts      `json:"trace"`
 	Runtime     RuntimeSnapshot  `json:"runtime"`
-	Ready       bool             `json:"ready"`
+	// Resident is present only on Linux, whose /proc/self/status it
+	// reads.
+	Resident *ResidentSnapshot `json:"resident,omitempty"`
+	Ready    bool              `json:"ready"`
 }
 
 // NamespacesSnapshot is the multi-tenant slice of a ServerSnapshot.
@@ -153,10 +158,66 @@ type RuntimeSnapshot struct {
 	GCPauseTotalNs uint64 `json:"gc_pause_total_ns"`
 }
 
+// ResidentSnapshot is the process's resident set as Linux splits it in
+// /proc/self/status: anonymous pages (RssAnon: the heap, so the filter
+// arenas, and stacks) and file-backed pages (RssFile: the binary and the
+// libraries it maps).
+type ResidentSnapshot struct {
+	AnonBytes int64 `json:"anon_bytes"`
+	FileBytes int64 `json:"file_bytes"`
+}
+
+// readResident reads RssAnon and RssFile from /proc/self/status into a
+// fixed buffer, so a scrape allocates the same whatever the file says.
+// It returns nil where the file or either line is missing: off Linux.
+func readResident() *ResidentSnapshot {
+	f, err := os.Open("/proc/self/status")
+	if err != nil {
+		return nil
+	}
+	defer f.Close()
+	var buf [4096]byte
+	n, _ := io.ReadFull(f, buf[:])
+	anon, okAnon := statusBytes(buf[:n], "RssAnon:")
+	file, okFile := statusBytes(buf[:n], "RssFile:")
+	if !okAnon || !okFile {
+		return nil
+	}
+	return &ResidentSnapshot{AnonBytes: anon, FileBytes: file}
+}
+
+// statusBytes returns the value of the /proc status line that starts
+// with key, a count of kB, in bytes.
+func statusBytes(status []byte, key string) (int64, bool) {
+	for len(status) > 0 {
+		line := status
+		if i := bytes.IndexByte(status, '\n'); i >= 0 {
+			line, status = status[:i], status[i+1:]
+		} else {
+			status = nil
+		}
+		if len(line) < len(key) || string(line[:len(key)]) != key {
+			continue
+		}
+		kb, digits := int64(0), false
+		for _, c := range line[len(key):] {
+			switch {
+			case c >= '0' && c <= '9':
+				kb, digits = 10*kb+int64(c-'0'), true
+			case digits:
+				return kb << 10, true
+			}
+		}
+		return kb << 10, digits
+	}
+	return 0, false
+}
+
 // Snapshot collects the full observability state. Counters are read
 // atomically; the filter gauges briefly take each shard's read lock, and
 // read each word once, in registers, without allocating; runtime stats
-// come from runtime.ReadMemStats.
+// come from runtime.ReadMemStats, and the resident set from
+// /proc/self/status.
 func (s *Server) Snapshot() ServerSnapshot {
 	snap := ServerSnapshot{
 		Ops:      make(map[string]uint64, len(wire.OpNames())),
@@ -275,6 +336,7 @@ func (s *Server) Snapshot() ServerSnapshot {
 		GCCycles:       ms.NumGC,
 		GCPauseTotalNs: ms.PauseTotalNs,
 	}
+	snap.Resident = readResident()
 
 	snap.Ready = s.ready()
 	return snap
@@ -420,6 +482,10 @@ func (snap ServerSnapshot) WriteProm(w io.Writer) {
 	promGaugeInt(w, "mpcbfd_heap_objects", "Live heap objects.", int64(snap.Runtime.HeapObjects))
 	promCounter(w, "mpcbfd_gc_cycles_total", "Completed GC cycles.", uint64(snap.Runtime.GCCycles))
 	promGaugeFloat(w, "mpcbfd_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", float64(snap.Runtime.GCPauseTotalNs)/1e9)
+	if r := snap.Resident; r != nil {
+		promGaugeInt(w, "mpcbfd_resident_anon_bytes", "Anonymous resident memory (RssAnon): the heap, filter arenas included, and stacks.", r.AnonBytes)
+		promGaugeInt(w, "mpcbfd_resident_file_bytes", "File-backed resident memory (RssFile): the binary and the libraries it maps.", r.FileBytes)
+	}
 
 	ready := int64(0)
 	if snap.Ready {
@@ -435,7 +501,7 @@ func writeNamespaceProm(w io.Writer, n *NamespacesSnapshot) {
 	promGaugeInt(w, "mpcbfd_ns_count", "Named namespaces in the registry.", int64(n.Totals.Count))
 	promGaugeInt(w, "mpcbfd_ns_resident_count", "Named namespaces currently resident in memory.", int64(n.Totals.Resident))
 	promGaugeInt(w, "mpcbfd_ns_quota_bytes", "Memory budget across all named namespaces (0: unlimited).", n.Totals.QuotaBytes)
-	promGaugeInt(w, "mpcbfd_ns_resident_bytes", "Summed filter bytes of resident named namespaces.", n.Totals.ResidentBytes)
+	promGaugeInt(w, "mpcbfd_ns_resident_bytes", "Summed configured filter bytes of resident named namespaces (pages never written are not resident).", n.Totals.ResidentBytes)
 	promCounter(w, "mpcbfd_ns_reused_bytes_total", "Filter bytes recoveries took from the namespaces they evicted instead of allocating.", n.Totals.ReusedBytes)
 
 	emit := func(name, typ, help string, val func(e ns.EntrySnapshot) uint64) {

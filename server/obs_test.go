@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -365,6 +366,73 @@ func TestNsReusedBytesMetric(t *testing.T) {
 	}
 	if ns := doc.Mpcbfd.Server.Namespaces; ns == nil || ns.Totals.ReusedBytes != last {
 		t.Fatalf("/debug/vars namespaces %+v, want reused_bytes %d as in /metrics", ns, last)
+	}
+}
+
+// TestRSSGauges: the resident-set gauges read RssAnon and RssFile out
+// of /proc/self/status. On Linux /metrics renders both as positive
+// gauges in an exposition that still parses, and /debug/vars carries the
+// same snapshot field; elsewhere both leave them out.
+func TestRSSGauges(t *testing.T) {
+	status := []byte("Name:\tmpcbfd\nRssAnon:\t    9876 kB\nRssFile:\t7 kB\nRssShmem:\t0 kB\n")
+	for key, want := range map[string]int64{"RssAnon:": 9876 << 10, "RssFile:": 7 << 10, "RssShmem:": 0} {
+		if got, ok := statusBytes(status, key); !ok || got != want {
+			t.Errorf("statusBytes(%q) = %d, %v; want %d", key, got, ok, want)
+		}
+	}
+	if _, ok := statusBytes(status, "VmRSS:"); ok {
+		t.Error("statusBytes found a line the status does not have")
+	}
+
+	srv, c := startTestServer(t, testStoreOptions(t.TempDir()), Config{})
+	if err := c.InsertBatch(storeKeys("rss", 100)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.HTTPHandler())
+	defer ts.Close()
+	text := httpGet(t, ts.URL+"/metrics")
+	p := parseProm(t, text)
+	var doc struct {
+		Mpcbfd struct {
+			Server ServerSnapshot `json:"server"`
+		} `json:"mpcbfd"`
+	}
+	if err := json.Unmarshal([]byte(httpGet(t, ts.URL+"/debug/vars")), &doc); err != nil {
+		t.Fatalf("/debug/vars unparseable: %v", err)
+	}
+	res := doc.Mpcbfd.Server.Resident
+	families := []string{"mpcbfd_resident_anon_bytes", "mpcbfd_resident_file_bytes"}
+	if runtime.GOOS != "linux" {
+		for _, family := range families {
+			if _, ok := p.typeOf[family]; ok {
+				t.Errorf("/metrics has %s off Linux", family)
+			}
+		}
+		if res != nil {
+			t.Errorf("/debug/vars resident = %+v off Linux", res)
+		}
+		return
+	}
+	for _, family := range families {
+		if typ := p.typeOf[family]; typ != "gauge" {
+			t.Errorf("%s has TYPE %q, want gauge", family, typ)
+		}
+		found := false
+		for _, line := range strings.Split(text, "\n") {
+			if v, ok := strings.CutPrefix(line, family+" "); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil || n <= 0 {
+					t.Errorf("%s sample %q, want a positive byte count", family, v)
+				}
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("/metrics has no %s sample", family)
+		}
+	}
+	if res == nil || res.AnonBytes <= 0 || res.FileBytes <= 0 {
+		t.Errorf("/debug/vars resident = %+v, want positive anon and file bytes", res)
 	}
 }
 

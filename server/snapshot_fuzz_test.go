@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
+	"os"
 	"testing"
 	"time"
 
@@ -148,12 +150,61 @@ const (
 	dirtyKinds
 )
 
+// pageEdgeSharded returns a Sharded whose two shard arenas are several
+// pages long and not a page multiple, holding a few keys, among them one
+// whose word is the first of a page and one whose word is the last, so
+// most of its pages hold only zeros. Each key's word is found by
+// inserting it alone into an empty filter of the same geometry.
+func pageEdgeSharded(tb testing.TB) *mpcbf.Sharded {
+	pageWords := os.Getpagesize() / 8
+	opts := mpcbf.Options{MemoryBits: 2 * 64 * (9*pageWords + pageWords/3), ExpectedItems: 64, Seed: 9}
+	newSharded := func() *mpcbf.Sharded {
+		s, err := mpcbf.NewSharded(opts, 2)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return s
+	}
+	sh := newSharded()
+	first, last := false, false
+	for i := 0; !first || !last; i++ {
+		key := []byte(fmt.Sprintf("page-edge-%d", i))
+		probe := newSharded()
+		if err := probe.Insert(key); err != nil {
+			tb.Fatal(err)
+		}
+		at := -1 // the key's word index in its shard's arena
+		probe.ReleaseArenas(func(words []uint64) {
+			for j, x := range words {
+				if x != 0 {
+					at = j
+				}
+			}
+		})
+		switch {
+		case at%pageWords == 0 && !first:
+			first = true
+		case at%pageWords == pageWords-1 && !last:
+			last = true
+		case i >= 4:
+			continue
+		}
+		if err := sh.Insert(key); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return sh
+}
+
 // FuzzDecodeIntoDirtyArenas holds the decoders to the reuse contract a
 // recovery relies on: a Sharded, window or elastic encoding decoded into
-// donor arenas full of random words re-encodes to the same bytes as the
-// encoding decoded fresh, taking every donor arena of the length it
-// needs. kind picks the format and seed the donors' words; the seeds
-// are valid encodings of each format, a generic word width among them.
+// donor arenas that held random words re-encodes to the same bytes as
+// the encoding decoded fresh, taking every donor arena of the length it
+// needs, and every donor word reads zero once released (Arenas.Put).
+// kind picks the format and seed the donors' words; the seeds are valid
+// encodings of each format, a generic word width among them, and one
+// Sharded whose arenas span several pages, most of them all zero, so
+// Put hands pages back and the decode skips them.
 func FuzzDecodeIntoDirtyArenas(f *testing.F) {
 	must := func(data []byte, err error) []byte {
 		if err != nil {
@@ -204,6 +255,7 @@ func FuzzDecodeIntoDirtyArenas(f *testing.F) {
 		f.Fatalf("elastic seed has %d generations, want a grown chain", el.Generations())
 	}
 	f.Add(uint8(dirtyElastic), uint64(7), must(el.MarshalBinary()))
+	f.Add(uint8(dirtySharded), uint64(11), must(pageEdgeSharded(f).MarshalBinary()))
 
 	f.Fuzz(func(t *testing.T, kind uint8, seed uint64, data []byte) {
 		n := int64(len(data))
@@ -241,6 +293,11 @@ func FuzzDecodeIntoDirtyArenas(f *testing.F) {
 			}
 			donated += 8 * int64(len(words))
 			a.Put(words)
+			for i, x := range words {
+				if x != 0 {
+					t.Fatalf("kind %d: word %d of a released arena reads %#x", kind%dirtyKinds, i, x)
+				}
+			}
 		})
 		reused, err := decode(&a)
 		if err != nil {
