@@ -116,9 +116,12 @@ fuzz-kernel:
 	$(GO) test -run '^$$' -fuzz FuzzBatchVsSequential -fuzztime $(FUZZTIME) .
 
 # fuzz-wire hardens the network protocol decoders: malformed request,
-# status, and replication frames must error, never panic.
+# status, and replication frames must error, never panic, and the
+# request and replication codecs must round-trip (AppendRequest and
+# DecodeRequestInto are inverses, from either side).
 fuzz-wire:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./server/wire
+	$(GO) test -run '^$$' -fuzz FuzzRequestRoundTrip -fuzztime $(FUZZTIME) ./server/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStatus -fuzztime $(FUZZTIME) ./server/wire
 	$(GO) test -run '^$$' -fuzz FuzzRepFrameRoundTrip -fuzztime $(FUZZTIME) ./server/wire
 
@@ -277,7 +280,7 @@ obs-smoke:
 		-dir $$dir/p1 >$$dir/p1.log 2>&1 & p1=$$!; \
 	/tmp/mpcbfd-obs -addr 127.0.0.1:46532 -http 127.0.0.1:46542 \
 		-dir $$dir/p2 >$$dir/p2.log 2>&1 & p2=$$!; \
-	trap "kill $$p1 $$p2 $$r1 2>/dev/null || true; rm -rf $$dir" EXIT; \
+	trap 'kill $$p1 $$p2 $$r1 2>/dev/null || true; wait; rm -rf $$dir' EXIT; \
 	sleep 1; \
 	/tmp/mpcbfd-obs -addr 127.0.0.1:46533 -http 127.0.0.1:46543 \
 		-dir $$dir/r1 -replicate-from 127.0.0.1:46531 >$$dir/r1.log 2>&1 & r1=$$!; \

@@ -10,9 +10,11 @@ import (
 )
 
 // TestClientEncodeZeroAllocs pins 0 allocs/op for the client's request
-// encoding (the closure-free encodeRequest path) and batch-response
-// decoding into a caller-reused slice. Skipped under -race: its
-// instrumentation allocates and would make the counts meaningless.
+// encoding (a handle addresses a wire.Request to its namespace and
+// trace, and wire.AppendRequest encodes it into the reused buffer) and
+// batch-response decoding into a caller-reused slice. Skipped under
+// -race: its instrumentation allocates and would make the counts
+// meaningless.
 func TestClientEncodeZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under -race")
@@ -23,47 +25,27 @@ func TestClientEncodeZeroAllocs(t *testing.T) {
 		keys[i] = key
 	}
 	dst := make([]byte, 0, 2048)
-
-	single := func() {
-		dst = encodeRequest(dst[:0], wire.OpInsert, nil, key, nil, 0, wire.NsConfig{}, Trace{})
-	}
-	single()
-	if avg := testing.AllocsPerRun(100, single); avg != 0 {
-		t.Errorf("encode single-key: %.1f allocs/op, want 0", avg)
-	}
-
-	ns := []byte("tenant-a")
-	namespaced := func() {
-		dst = encodeRequest(dst[:0], wire.OpInsert, ns, key, nil, 0, wire.NsConfig{}, Trace{})
-	}
-	namespaced()
-	if avg := testing.AllocsPerRun(100, namespaced); avg != 0 {
-		t.Errorf("encode namespaced single-key: %.1f allocs/op, want 0", avg)
-	}
-
-	batch := func() {
-		dst = encodeRequest(dst[:0], wire.OpContainsBatch, nil, nil, keys, 0, wire.NsConfig{}, Trace{})
-	}
-	batch()
-	if avg := testing.AllocsPerRun(100, batch); avg != 0 {
-		t.Errorf("encode batch: %.1f allocs/op, want 0", avg)
-	}
-
-	ttlBatch := func() {
-		dst = encodeRequest(dst[:0], wire.OpInsertTTLBatch, nil, nil, keys, 1e9, wire.NsConfig{}, Trace{})
-	}
-	ttlBatch()
-	if avg := testing.AllocsPerRun(100, ttlBatch); avg != 0 {
-		t.Errorf("encode ttl batch: %.1f allocs/op, want 0", avg)
-	}
-
+	var h Handle
 	tc := Trace{ID: [wire.TraceIDLen]byte{1, 2, 3}, Parent: 7}
-	traced := func() {
-		dst = encodeRequest(dst[:0], wire.OpInsert, ns, key, nil, 0, wire.NsConfig{}, tc)
-	}
-	traced()
-	if avg := testing.AllocsPerRun(100, traced); avg != 0 {
-		t.Errorf("encode traced namespaced: %.1f allocs/op, want 0", avg)
+	for _, c := range []struct {
+		name string
+		h    Handle
+		req  wire.Request
+	}{
+		{"single-key", h, wire.Request{Op: wire.OpInsert, Key: key}},
+		{"namespaced single-key", h.Namespace("tenant-a"), wire.Request{Op: wire.OpInsert, Key: key}},
+		{"batch", h, wire.Request{Op: wire.OpContainsBatch, Keys: keys}},
+		{"ttl batch", h, wire.Request{Op: wire.OpInsertTTLBatch, Keys: keys, TTL: 1e9}},
+		{"traced namespaced", h.Namespace("tenant-a").Traced(tc), wire.Request{Op: wire.OpInsert, Key: key}},
+	} {
+		encode := func() {
+			c.h.address(&c.req)
+			dst = wire.AppendRequest(dst[:0], &c.req)
+		}
+		encode()
+		if avg := testing.AllocsPerRun(100, encode); avg != 0 {
+			t.Errorf("encode %s: %.1f allocs/op, want 0", c.name, avg)
+		}
 	}
 
 	flags := make([]bool, len(keys))

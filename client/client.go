@@ -220,63 +220,27 @@ func (t Trace) Active() bool { return t.ID != [wire.TraceIDLen]byte{} }
 // mpcbf-trace use.
 func (t Trace) String() string { return hex.EncodeToString(t.ID[:]) }
 
-// encodeRequest encodes one request payload into dst from plain
-// arguments — no per-call closure, so the steady-state encode path does
-// not allocate. Exactly one of key/keys is meaningful per opcode; ttl is
-// read only by the TTL ops, cfg only by CREATE_NS. A non-empty ns wraps
-// data ops in the NAMESPACED envelope; the namespace admin ops carry
-// their name inline instead. An active tc prepends the TRACE envelope
-// outermost — before NAMESPACED and around the admin ops too.
-func encodeRequest(dst []byte, op byte, ns, key []byte, keys [][]byte, ttl uint64, cfg wire.NsConfig, tc Trace) []byte {
-	if tc.Active() {
-		dst = wire.AppendTrace(dst, tc.ID, tc.Parent)
-	}
-	switch op {
-	case wire.OpNsCreate:
-		return wire.AppendNsCreateRequest(dst, ns, cfg)
-	case wire.OpNsDrop:
-		return wire.AppendNsDropRequest(dst, ns)
-	case wire.OpNsList:
-		return wire.AppendNsListRequest(dst)
-	case wire.OpNsStats:
-		return wire.AppendNsStatsRequest(dst, ns)
-	}
-	if len(ns) > 0 {
-		dst = wire.AppendNamespaced(dst, ns)
-	}
-	switch op {
-	case wire.OpLen, wire.OpDump, wire.OpWindowStats, wire.OpElasticStats, wire.OpRingGet:
-		return append(dst, op)
-	case wire.OpRingSet, wire.OpImport:
-		// key carries the pre-encoded payload (ring descriptor / filter
-		// blob); both ops are op-byte-plus-raw-bytes on the wire.
-		return append(append(dst, op), key...)
-	case wire.OpInsertBatch, wire.OpDeleteBatch, wire.OpContainsBatch:
-		return wire.AppendBatchRequest(dst, op, keys)
-	case wire.OpInsertTTL:
-		return wire.AppendInsertTTLRequest(dst, key, ttl)
-	case wire.OpInsertTTLBatch:
-		return wire.AppendInsertTTLBatchRequest(dst, keys, ttl)
-	default:
-		return wire.AppendKeyRequest(dst, op, key)
-	}
+// stamp sets r's trace fields from t: an active Trace wraps the request
+// in the TRACE envelope, outermost, and the zero Trace leaves it
+// untraced.
+func (t Trace) stamp(r *wire.Request) {
+	r.TraceID, r.ParentSpan, r.Traced = t.ID, t.Parent, t.Active()
 }
 
-// doNS runs one operation, re-encoding the request from its arguments on
-// every attempt (the scratch buffer is shared, so a retry cannot reuse a
-// previous attempt's payload). Reconnect-enabled clients redial broken
-// connections; transport failures retry idempotent ops with backoff and
-// convert mutation interruptions to ErrMaybeApplied. Callers must not
-// hold c.mu.
+// exec runs one request, encoding it on every attempt (the scratch
+// buffer is shared, so a retry cannot reuse a previous attempt's
+// payload). Reconnect-enabled clients redial broken connections;
+// transport failures retry idempotent ops with backoff and convert
+// mutation interruptions to ErrMaybeApplied. Callers must not hold c.mu.
 //
 // dec, when non-nil, is invoked on the OK response body while the
 // connection lock is still held: the body aliases the client's reused
 // buffer, which the next request on this connection overwrites, so it
 // must be decoded (or copied) before the lock is released — never
 // retained.
-func (c *Client) doNS(op byte, ns, key []byte, keys [][]byte, ttl uint64, cfg wire.NsConfig, tc Trace, dec func([]byte) error) error {
-	if len(ns) > wire.MaxNamespaceLen {
-		return fmt.Errorf("mpcbfd: namespace name %d bytes long (max %d)", len(ns), wire.MaxNamespaceLen)
+func (c *Client) exec(req *wire.Request, dec func([]byte) error) error {
+	if len(req.NS) > wire.MaxNamespaceLen {
+		return fmt.Errorf("mpcbfd: namespace name %d bytes long (max %d)", len(req.NS), wire.MaxNamespaceLen)
 	}
 	c.stRequests.Add(1)
 	c.mu.Lock()
@@ -298,8 +262,8 @@ func (c *Client) doNS(op byte, ns, key []byte, keys [][]byte, ttl uint64, cfg wi
 				continue
 			}
 		}
-		payload := encodeRequest(c.scratch(), op, ns, key, keys, ttl, cfg, tc)
-		// Keep the grown buffer: encodeRequest appends into scratch, and
+		payload := wire.AppendRequest(c.scratch(), req)
+		// Keep the grown buffer: AppendRequest appends into scratch, and
 		// without writing the result back every call would regrow from the
 		// response-sized buffer and allocate forever.
 		c.buf = payload
@@ -318,7 +282,7 @@ func (c *Client) doNS(op byte, ns, key []byte, keys [][]byte, ttl uint64, cfg wi
 		if !c.reconnect {
 			return err
 		}
-		if wire.IsMutation(op) {
+		if wire.IsMutation(req.Op) {
 			// The request may have been applied before the connection
 			// died; retrying could double-count. The broken connection is
 			// left for the next call to redial.
@@ -411,14 +375,14 @@ func (c *Client) fail(err error) error {
 // it iff the epoch is newer than what it holds and answers OK either
 // way — pushing an old descriptor is harmless, so retries are safe.
 func (c *Client) RingSet(r wire.Ring) error {
-	return c.do(wire.OpRingSet, wire.AppendRing(nil, r), nil, 0, nil)
+	return c.do(wire.Request{Op: wire.OpRingSet, Ring: r}, nil)
 }
 
 // RingGet reads back the daemon's current ring descriptor. Epoch 0
 // means no ring has been installed.
 func (c *Client) RingGet() (wire.Ring, error) {
 	var r wire.Ring
-	err := c.do(wire.OpRingGet, nil, nil, 0, func(body []byte) error {
+	err := c.do(wire.Request{Op: wire.OpRingGet}, func(body []byte) error {
 		var rest []byte
 		var err error
 		r, rest, err = wire.DecodeRing(body)

@@ -22,19 +22,19 @@ import (
 // effective configuration succeeds idempotently; with a different
 // configuration it fails with *ServerError.
 func (c *Client) CreateNamespace(name string, cfg wire.NsConfig) error {
-	return c.doNS(wire.OpNsCreate, []byte(name), nil, nil, 0, cfg, Trace{}, nil)
+	return c.exec(&wire.Request{Op: wire.OpNsCreate, NS: []byte(name), NsCfg: cfg}, nil)
 }
 
 // DropNamespace deletes the named filter and everything in it.
 // Dropping a name that does not exist succeeds (idempotent).
 func (c *Client) DropNamespace(name string) error {
-	return c.doNS(wire.OpNsDrop, []byte(name), nil, nil, 0, wire.NsConfig{}, Trace{}, nil)
+	return c.exec(&wire.Request{Op: wire.OpNsDrop, NS: []byte(name)}, nil)
 }
 
 // ListNamespaces returns the daemon's namespace names, sorted.
 func (c *Client) ListNamespaces() ([]string, error) {
 	var names []string
-	err := c.do(wire.OpNsList, nil, nil, 0, func(body []byte) (err error) {
+	err := c.do(wire.Request{Op: wire.OpNsList}, func(body []byte) (err error) {
 		names, err = wire.DecodeNsList(body)
 		return err
 	})
@@ -49,7 +49,7 @@ func (c *Client) ListNamespaces() ([]string, error) {
 // filter.
 func (c *Client) NamespaceStats(name string) (wire.NsStats, error) {
 	var st wire.NsStats
-	err := c.doNS(wire.OpNsStats, []byte(name), nil, nil, 0, wire.NsConfig{}, Trace{}, func(body []byte) (err error) {
+	err := c.exec(&wire.Request{Op: wire.OpNsStats, NS: []byte(name)}, func(body []byte) (err error) {
 		st, err = wire.DecodeNsStats(body)
 		return err
 	})
@@ -85,26 +85,33 @@ func (h Handle) Traced(tc Trace) Handle {
 }
 
 // do runs one data operation in the handle's namespace and trace; see
-// Client.doNS.
-func (h Handle) do(op byte, key []byte, keys [][]byte, ttl uint64, dec func([]byte) error) error {
-	return h.c.doNS(op, h.ns, key, keys, ttl, wire.NsConfig{}, h.tc, dec)
+// Client.exec.
+func (h Handle) do(req wire.Request, dec func([]byte) error) error {
+	h.address(&req)
+	return h.c.exec(&req, dec)
+}
+
+// address points req at the handle's filter and trace.
+func (h Handle) address(req *wire.Request) {
+	req.NS = h.ns
+	h.tc.stamp(req)
 }
 
 // Insert adds key. A nil return means the daemon acknowledged the
 // mutation under its configured durability policy.
 func (h Handle) Insert(key []byte) error {
-	return h.do(wire.OpInsert, key, nil, 0, nil)
+	return h.do(wire.Request{Op: wire.OpInsert, Key: key}, nil)
 }
 
 // Delete removes a previously inserted key.
 func (h Handle) Delete(key []byte) error {
-	return h.do(wire.OpDelete, key, nil, 0, nil)
+	return h.do(wire.Request{Op: wire.OpDelete, Key: key}, nil)
 }
 
 // Contains reports whether key may be in the set.
 func (h Handle) Contains(key []byte) (bool, error) {
 	var ok bool
-	err := h.do(wire.OpContains, key, nil, 0, func(body []byte) (err error) {
+	err := h.do(wire.Request{Op: wire.OpContains, Key: key}, func(body []byte) (err error) {
 		ok, err = wire.DecodeBool(body)
 		return err
 	})
@@ -125,7 +132,7 @@ func (h Handle) Len() (int, error) {
 
 func (h Handle) u64(op byte, key []byte) (uint64, error) {
 	var v uint64
-	err := h.do(op, key, nil, 0, func(body []byte) (err error) {
+	err := h.do(wire.Request{Op: op, Key: key}, func(body []byte) (err error) {
 		v, err = wire.DecodeU64(body)
 		return err
 	})
@@ -134,7 +141,7 @@ func (h Handle) u64(op byte, key []byte) (uint64, error) {
 
 // InsertBatch inserts keys as one request (one WAL commit server-side).
 func (h Handle) InsertBatch(keys [][]byte) error {
-	return h.do(wire.OpInsertBatch, nil, keys, 0, nil)
+	return h.do(wire.Request{Op: wire.OpInsertBatch, Keys: keys}, nil)
 }
 
 // DeleteBatch deletes keys as one request, returning order-preserving
@@ -162,7 +169,7 @@ func (h Handle) ContainsBatchInto(keys [][]byte, dst []bool) ([]bool, error) {
 
 func (h Handle) bools(op byte, keys [][]byte, dst []bool) ([]bool, error) {
 	var out []bool
-	err := h.do(op, nil, keys, 0, func(body []byte) (err error) {
+	err := h.do(wire.Request{Op: op, Keys: keys}, func(body []byte) (err error) {
 		out, err = wire.DecodeBoolsInto(body, dst)
 		return err
 	})
@@ -177,20 +184,20 @@ func (h Handle) bools(op byte, keys [][]byte, dst []bool) ([]bool, error) {
 // at rotation granularity. A non-windowed filter answers with a
 // *ServerError.
 func (h Handle) InsertTTL(key []byte, ttl time.Duration) error {
-	return h.do(wire.OpInsertTTL, key, nil, uint64(max(ttl, 0)), nil)
+	return h.do(wire.Request{Op: wire.OpInsertTTL, Key: key, TTL: uint64(max(ttl, 0))}, nil)
 }
 
 // InsertTTLBatch inserts keys sharing one TTL as a single request (one
 // WAL commit server-side). Windowed filters only.
 func (h Handle) InsertTTLBatch(keys [][]byte, ttl time.Duration) error {
-	return h.do(wire.OpInsertTTLBatch, nil, keys, uint64(max(ttl, 0)), nil)
+	return h.do(wire.Request{Op: wire.OpInsertTTLBatch, Keys: keys, TTL: uint64(max(ttl, 0))}, nil)
 }
 
 // WindowStats reports a windowed filter's generation ring: size, head
 // slot, rotation count, span, and per-slot item counts.
 func (h Handle) WindowStats() (wire.WindowStats, error) {
 	var st wire.WindowStats
-	err := h.do(wire.OpWindowStats, nil, nil, 0, func(body []byte) (err error) {
+	err := h.do(wire.Request{Op: wire.OpWindowStats}, func(body []byte) (err error) {
 		st, err = wire.DecodeWindowStats(body)
 		return err
 	})
@@ -198,13 +205,15 @@ func (h Handle) WindowStats() (wire.WindowStats, error) {
 }
 
 // Dump fetches a consistent point-in-time binary encoding of the
-// filter (decode with repro.UnmarshalSharded, or window.UnmarshalFilter
-// when window.IsWindowed reports a windowed encoding). For the default
-// filter of a daemon holding namespaces it is the whole-store container.
+// filter: decode it with repro.UnmarshalSharded, with
+// window.UnmarshalFilter when window.IsWindowed reports a windowed
+// encoding, or with elastic.UnmarshalFilter when elastic.IsElastic
+// reports an elastic chain. For the default filter of a daemon holding
+// namespaces it is the whole-store container.
 // The returned slice is the caller's to keep.
 func (h Handle) Dump() ([]byte, error) {
 	var blob []byte
-	err := h.do(wire.OpDump, nil, nil, 0, func(body []byte) error {
+	err := h.do(wire.Request{Op: wire.OpDump}, func(body []byte) error {
 		blob = append([]byte(nil), body...)
 		return nil
 	})
@@ -219,7 +228,7 @@ func (h Handle) Dump() ([]byte, error) {
 // elastic filter — the snapshot-transfer half of resharding. The nil
 // return means every imported generation is durable on the daemon.
 func (h Handle) Import(blob []byte) error {
-	return h.do(wire.OpImport, blob, nil, 0, nil)
+	return h.do(wire.Request{Op: wire.OpImport, Blob: blob}, nil)
 }
 
 // ElasticStats reports an elastic filter's chain shape: generation
@@ -227,7 +236,7 @@ func (h Handle) Import(blob []byte) error {
 // budget. Non-elastic filters answer with a *ServerError.
 func (h Handle) ElasticStats() (wire.ElasticStats, error) {
 	var st wire.ElasticStats
-	err := h.do(wire.OpElasticStats, nil, nil, 0, func(body []byte) (err error) {
+	err := h.do(wire.Request{Op: wire.OpElasticStats}, func(body []byte) (err error) {
 		st, err = wire.DecodeElasticStats(body)
 		return err
 	})

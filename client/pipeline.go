@@ -77,33 +77,34 @@ func (p *Pipeline) Pending() int { return len(p.reqs) }
 // tracing back off. Requests already queued are unaffected.
 func (p *Pipeline) SetTrace(tc Trace) { p.tc = tc }
 
-func (p *Pipeline) queue(op byte, ns, key []byte, keys [][]byte, ttl uint64, cfg wire.NsConfig) {
-	if len(ns) > wire.MaxNamespaceLen {
+func (p *Pipeline) queue(req wire.Request) {
+	if len(req.NS) > wire.MaxNamespaceLen {
 		// A queue method cannot return an error without breaking every
 		// call site; an over-long name is a programmer error, caught here
 		// rather than desyncing the stream server-side.
-		panic(fmt.Sprintf("mpcbfd: namespace name %d bytes long (max %d)", len(ns), wire.MaxNamespaceLen))
+		panic(fmt.Sprintf("mpcbfd: namespace name %d bytes long (max %d)", len(req.NS), wire.MaxNamespaceLen))
 	}
+	p.tc.stamp(&req)
 	start := len(p.buf)
 	p.buf = append(p.buf, 0, 0, 0, 0)
-	p.buf = encodeRequest(p.buf, op, ns, key, keys, ttl, cfg, p.tc)
+	p.buf = wire.AppendRequest(p.buf, &req)
 	binary.LittleEndian.PutUint32(p.buf[start:], uint32(len(p.buf)-start-4))
 	// The recorded op is the INNER op even under a namespace envelope:
 	// Flush decodes responses and attributes transport failures by what
 	// the operation does (Contains vs Insert), not how it was framed.
-	p.reqs = append(p.reqs, pipeReq{op: op, start: start})
+	p.reqs = append(p.reqs, pipeReq{op: req.Op, start: start})
 }
 
 // CreateNamespace queues a CREATE_NS of name with cfg (zero-valued cfg
 // fields take the daemon's defaults). A name longer than
 // wire.MaxNamespaceLen panics — a programmer error, as in Namespace.
 func (p *Pipeline) CreateNamespace(name string, cfg wire.NsConfig) {
-	p.queue(wire.OpNsCreate, []byte(name), nil, nil, 0, cfg)
+	p.queue(wire.Request{Op: wire.OpNsCreate, NS: []byte(name), NsCfg: cfg})
 }
 
 // DropNamespace queues a DROP_NS of name.
 func (p *Pipeline) DropNamespace(name string) {
-	p.queue(wire.OpNsDrop, []byte(name), nil, nil, 0, wire.NsConfig{})
+	p.queue(wire.Request{Op: wire.OpNsDrop, NS: []byte(name)})
 }
 
 // Namespace returns a view of this pipeline that queues every data
@@ -124,42 +125,49 @@ type PipeHandle struct {
 	ns []byte
 }
 
-func (v PipeHandle) add(op byte, key []byte, keys [][]byte, ttl uint64) {
-	v.p.queue(op, v.ns, key, keys, ttl, wire.NsConfig{})
+func (v PipeHandle) add(req wire.Request) {
+	req.NS = v.ns
+	v.p.queue(req)
 }
 
 // Insert queues an insert of key.
-func (v PipeHandle) Insert(key []byte) { v.add(wire.OpInsert, key, nil, 0) }
+func (v PipeHandle) Insert(key []byte) { v.add(wire.Request{Op: wire.OpInsert, Key: key}) }
 
 // Delete queues a delete of key.
-func (v PipeHandle) Delete(key []byte) { v.add(wire.OpDelete, key, nil, 0) }
+func (v PipeHandle) Delete(key []byte) { v.add(wire.Request{Op: wire.OpDelete, Key: key}) }
 
 // Contains queues a membership probe; the answer lands in Bool.
-func (v PipeHandle) Contains(key []byte) { v.add(wire.OpContains, key, nil, 0) }
+func (v PipeHandle) Contains(key []byte) { v.add(wire.Request{Op: wire.OpContains, Key: key}) }
 
 // EstimateCount queues a multiplicity estimate; the answer lands in U64.
-func (v PipeHandle) EstimateCount(key []byte) { v.add(wire.OpEstimate, key, nil, 0) }
+func (v PipeHandle) EstimateCount(key []byte) { v.add(wire.Request{Op: wire.OpEstimate, Key: key}) }
 
 // Len queues an element-count read; the answer lands in U64.
-func (v PipeHandle) Len() { v.add(wire.OpLen, nil, nil, 0) }
+func (v PipeHandle) Len() { v.add(wire.Request{Op: wire.OpLen}) }
 
 // InsertBatch queues a batch insert.
-func (v PipeHandle) InsertBatch(keys [][]byte) { v.add(wire.OpInsertBatch, nil, keys, 0) }
+func (v PipeHandle) InsertBatch(keys [][]byte) {
+	v.add(wire.Request{Op: wire.OpInsertBatch, Keys: keys})
+}
 
 // DeleteBatch queues a batch delete; per-key flags land in Bools.
-func (v PipeHandle) DeleteBatch(keys [][]byte) { v.add(wire.OpDeleteBatch, nil, keys, 0) }
+func (v PipeHandle) DeleteBatch(keys [][]byte) {
+	v.add(wire.Request{Op: wire.OpDeleteBatch, Keys: keys})
+}
 
 // ContainsBatch queues a batch probe; per-key answers land in Bools.
-func (v PipeHandle) ContainsBatch(keys [][]byte) { v.add(wire.OpContainsBatch, nil, keys, 0) }
+func (v PipeHandle) ContainsBatch(keys [][]byte) {
+	v.add(wire.Request{Op: wire.OpContainsBatch, Keys: keys})
+}
 
 // InsertTTL queues a TTL insert (windowed filters only).
 func (v PipeHandle) InsertTTL(key []byte, ttl time.Duration) {
-	v.add(wire.OpInsertTTL, key, nil, uint64(max(ttl, 0)))
+	v.add(wire.Request{Op: wire.OpInsertTTL, Key: key, TTL: uint64(max(ttl, 0))})
 }
 
 // InsertTTLBatch queues a batch TTL insert (windowed filters only).
 func (v PipeHandle) InsertTTLBatch(keys [][]byte, ttl time.Duration) {
-	v.add(wire.OpInsertTTLBatch, nil, keys, uint64(max(ttl, 0)))
+	v.add(wire.Request{Op: wire.OpInsertTTLBatch, Keys: keys, TTL: uint64(max(ttl, 0))})
 }
 
 // Flush sends every queued request and reads every response, in order.

@@ -25,11 +25,9 @@ import (
 
 // startNode launches one daemon; replicateFrom == "" makes it a
 // primary.
-func startNode(t *testing.T, bin, dir, addr, replicateFrom string) *e2e.Daemon {
+func startNode(t *testing.T, bin, dir, replicateFrom string) *e2e.Daemon {
 	t.Helper()
-	return e2e.StartDaemon(t, e2e.DaemonConfig{
-		Bin: bin, Dir: dir, Addr: addr, ReplicateFrom: replicateFrom,
-	})
+	return e2e.StartDaemon(t, e2e.DaemonConfig{Bin: bin, Dir: dir, ReplicateFrom: replicateFrom})
 }
 
 func e2eKey(writer, i int) []byte {
@@ -80,19 +78,14 @@ func TestClusterE2E(t *testing.T) {
 	}
 	bin := e2e.BuildDaemon(t)
 
-	paddr := e2e.FreePort(t)
-	r1addr := e2e.FreePort(t)
-	r2addr := e2e.FreePort(t)
-	pdir := filepath.Join(t.TempDir(), "primary")
-	r1dir := filepath.Join(t.TempDir(), "replica1")
-	r2dir := filepath.Join(t.TempDir(), "replica2")
-
-	primary := startNode(t, bin, pdir, paddr, "")
+	primary := startNode(t, bin, filepath.Join(t.TempDir(), "primary"), "")
+	paddr := primary.Addr
 	pc := e2e.DialRetry(t, paddr)
 	defer pc.Close()
 
-	startNode(t, bin, r1dir, r1addr, paddr)
-	r2 := startNode(t, bin, r2dir, r2addr, paddr)
+	r1addr := startNode(t, bin, filepath.Join(t.TempDir(), "replica1"), paddr).Addr
+	r2 := startNode(t, bin, filepath.Join(t.TempDir(), "replica2"), paddr)
+	r2addr := r2.Addr
 	rc1 := e2e.DialRetry(t, r1addr)
 	defer rc1.Close()
 	e2e.DialRetry(t, r2addr).Close()
@@ -130,7 +123,7 @@ func TestClusterE2E(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	r2.Kill()
-	startNode(t, bin, r2dir, r2addr, paddr)
+	r2 = r2.Restart(t)
 	rc2 := e2e.DialRetry(t, r2addr)
 	defer rc2.Close()
 

@@ -152,7 +152,8 @@ func (r *Replica) stream(ctx context.Context) error {
 
 	seq, off := r.cfg.Store.ReplicationPos()
 	conn.SetWriteDeadline(time.Now().Add(r.cfg.DialTimeout))
-	if err := wire.WriteFrame(conn, wire.AppendReplicateRequest(nil, seq, uint64(off))); err != nil {
+	sub := wire.AppendRequest(nil, &wire.Request{Op: wire.OpReplicate, Seq: seq, Off: uint64(off)})
+	if err := wire.WriteFrame(conn, sub); err != nil {
 		return fmt.Errorf("subscribe: %w", err)
 	}
 	conn.SetWriteDeadline(time.Time{})

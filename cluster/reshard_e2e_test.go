@@ -37,13 +37,12 @@ func TestReshardE2E(t *testing.T) {
 	}
 	bin := e2e.BuildDaemon(t)
 
-	addrs := []string{e2e.FreePort(t), e2e.FreePort(t), e2e.FreePort(t)}
+	addrs := make([]string, 3)
 	dirs := make([]string, 3)
 	daemons := make([]*e2e.Daemon, 3)
 	start := func(i int) {
-		daemons[i] = e2e.StartDaemon(t, e2e.DaemonConfig{
-			Bin: bin, Dir: dirs[i], Addr: addrs[i], Extra: reshardArgs,
-		})
+		daemons[i] = e2e.StartDaemon(t, e2e.DaemonConfig{Bin: bin, Dir: dirs[i], Extra: reshardArgs})
+		addrs[i] = daemons[i].Addr
 	}
 	for i := 0; i < 2; i++ {
 		dirs[i] = filepath.Join(t.TempDir(), fmt.Sprintf("p%d", i))
@@ -237,7 +236,7 @@ func TestReshardE2E(t *testing.T) {
 			t.Fatal(err)
 		}
 		daemons[i].Kill()
-		start(i)
+		daemons[i] = daemons[i].Restart(t)
 		c = e2e.DialRetry(t, addrs[i])
 		after, err := c.Dump()
 		c.Close()

@@ -84,10 +84,8 @@ func simGenConfig(dur time.Duration) chaos.GenConfig {
 // Apply runs on the test goroutine (the chaos runner is driven there)
 // so it may use harness helpers that Fatal on failure.
 type simCluster struct {
-	t        *testing.T
-	cfg      e2e.DaemonConfig // primary; restart = StartDaemon again
-	httpAddr string
-	proxy    *chaos.Proxy // fronts the replica's -replicate-from link
+	t     *testing.T
+	proxy *chaos.Proxy // fronts the replica's -replicate-from link
 
 	primary   *e2e.Daemon
 	primaryUp bool
@@ -104,8 +102,8 @@ func (s *simCluster) apply(e chaos.Event) error {
 		s.primary.Kill()
 		s.primaryUp = false
 	case chaos.ActionRestart:
-		s.primary = e2e.StartDaemon(s.t, s.cfg)
-		e2e.DialRetry(s.t, s.cfg.Addr).Close()
+		s.primary = s.primary.Restart(s.t)
+		e2e.DialRetry(s.t, s.primary.Addr).Close()
 		s.primaryUp = true
 		if s.pendingFsync > 0 {
 			return s.slowFsync(s.pendingFsync)
@@ -139,7 +137,7 @@ func (s *simCluster) apply(e chaos.Event) error {
 func (s *simCluster) slowFsync(d time.Duration) error {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		err := chaos.SlowFsync(s.httpAddr, d)
+		err := chaos.SlowFsync(s.primary.HTTPAddr, d)
 		if err == nil || time.Now().After(deadline) {
 			return err
 		}
@@ -158,20 +156,13 @@ var simElasticArgs = []string{"-elastic", "-mem", "262144", "-n", "800"}
 // acked loss and replica convergence, and returns the event log.
 // elastic runs the pair as elastic chains under a growing keyspace.
 func runSim(t *testing.T, bin string, seed uint64, dur time.Duration, elastic bool) []byte {
-	paddr, haddr, raddr := e2e.FreePort(t), e2e.FreePort(t), e2e.FreePort(t)
 	var extra []string
 	if elastic {
 		extra = simElasticArgs
 	}
-	sim := &simCluster{
-		t:        t,
-		httpAddr: haddr,
-		cfg: e2e.DaemonConfig{
-			Bin: bin, Dir: t.TempDir(), Addr: paddr, HTTPAddr: haddr, Chaos: true,
-			Extra: extra,
-		},
-	}
-	sim.primary = e2e.StartDaemon(t, sim.cfg)
+	sim := &simCluster{t: t}
+	sim.primary = e2e.StartDaemon(t, e2e.DaemonConfig{Bin: bin, Dir: t.TempDir(), Chaos: true, Extra: extra})
+	paddr := sim.primary.Addr
 	e2e.DialRetry(t, paddr).Close()
 	sim.primaryUp = true
 
@@ -181,10 +172,10 @@ func runSim(t *testing.T, bin string, seed uint64, dur time.Duration, elastic bo
 	}
 	defer proxy.Close()
 	sim.proxy = proxy
-	e2e.StartDaemon(t, e2e.DaemonConfig{
-		Bin: bin, Dir: t.TempDir(), Addr: raddr, ReplicateFrom: proxy.Addr(),
+	raddr := e2e.StartDaemon(t, e2e.DaemonConfig{
+		Bin: bin, Dir: t.TempDir(), ReplicateFrom: proxy.Addr(),
 		Extra: extra,
-	})
+	}).Addr
 	rc := e2e.DialRetry(t, raddr, client.WithMaxFrame(dumpFrame))
 	defer rc.Close()
 

@@ -92,11 +92,10 @@ func TestClusterTraceE2E(t *testing.T) {
 	}
 	bin := e2e.BuildDaemon(t)
 
-	p1, p2, r1 := e2e.FreePort(t), e2e.FreePort(t), e2e.FreePort(t)
-	p1http, p2http, r1http := e2e.FreePort(t), e2e.FreePort(t), e2e.FreePort(t)
-	e2e.StartDaemon(t, e2e.DaemonConfig{Bin: bin, Dir: filepath.Join(t.TempDir(), "p1"), Addr: p1, HTTPAddr: p1http})
-	e2e.StartDaemon(t, e2e.DaemonConfig{Bin: bin, Dir: filepath.Join(t.TempDir(), "p2"), Addr: p2, HTTPAddr: p2http})
-	e2e.StartDaemon(t, e2e.DaemonConfig{Bin: bin, Dir: filepath.Join(t.TempDir(), "r1"), Addr: r1, HTTPAddr: r1http, ReplicateFrom: p1})
+	d1 := e2e.StartDaemon(t, e2e.DaemonConfig{Bin: bin, Dir: filepath.Join(t.TempDir(), "p1")})
+	d2 := e2e.StartDaemon(t, e2e.DaemonConfig{Bin: bin, Dir: filepath.Join(t.TempDir(), "p2")})
+	p1, p2, p1http, p2http := d1.Addr, d2.Addr, d1.HTTPAddr, d2.HTTPAddr
+	r1http := e2e.StartDaemon(t, e2e.DaemonConfig{Bin: bin, Dir: filepath.Join(t.TempDir(), "r1"), ReplicateFrom: p1}).HTTPAddr
 	e2e.DialRetry(t, p1).Close()
 	e2e.DialRetry(t, p2).Close()
 

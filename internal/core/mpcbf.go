@@ -319,37 +319,19 @@ func (f *Filter) insert(key []byte, withStats bool) (metrics.OpStats, error) {
 		st.MemAccesses = f.cfg.G
 		st.HashBits = f.cfg.G * metrics.Log2Ceil(f.l)
 	}
-	// Fast path: single word, no accounting (the default g=1 geometry).
-	// The update is an atomic word transaction — on the w=64 kernel one
-	// aligned load, k register increments, one store — so no separate
-	// capacity pre-walk is needed: a full word fails before any bit
-	// changes. Slots come from the filter's own hash stream, so the raw
-	// kernel functions are called without per-slot range checks.
+	// Fast path: single word, no accounting (g=1 off the w=64 kernel,
+	// which took the hot path above). IncBatch is an atomic word
+	// transaction, so no separate capacity pre-walk is needed: a full
+	// word fails before any bit changes.
 	if !withStats && len(ts) == 1 {
 		t := ts[0]
 		if len(f.saturated) != 0 && f.saturated[t.word] {
 			f.count++
 			return st, nil
 		}
-		switch f.kmode {
-		case kmode64:
-			base := t.word << 6
-			x := f.arena.Uint64At(base)
-			if 64-hcbf.Used64(x, f.b1) < len(t.slots) {
-				if err := f.overflowWord(t.word); err != nil {
-					return st, err
-				}
-				break // word saturated: skip the increments
-			}
-			for _, s := range t.slots {
-				x, _ = hcbf.Inc64(x, f.b1, s)
-			}
-			f.arena.SetUint64At(base, x)
-		default:
-			if err := f.word(t.word).IncBatch(t.slots); err != nil {
-				if err := f.overflowWord(t.word); err != nil {
-					return st, err
-				}
+		if err := f.word(t.word).IncBatch(t.slots); err != nil {
+			if err := f.overflowWord(t.word); err != nil {
+				return st, err
 			}
 		}
 		f.count++

@@ -1,20 +1,22 @@
 // Package e2e is the shared daemon harness for end-to-end tests: build
 // the real mpcbfd binary (once per test process), spawn it on loopback
-// ports, wait for it to accept connections, and SIGKILL/restart it on
-// the same data directory. The crash-recovery, replication, windowing,
-// namespace, observability, and fault-simulation tests all drive real
-// processes through this package instead of each carrying its own copy
-// of the spawn/kill/wait-ready plumbing.
+// ports the kernel picks (read back from its log, so parallel test
+// packages never race for a port), wait for it to serve, and
+// SIGKILL/restart it on the same data directory and addresses. The
+// crash-recovery, replication, windowing, namespace, observability, and
+// fault-simulation tests all drive real processes through this package
+// instead of each carrying its own copy of the spawn/kill/wait-ready
+// plumbing.
 package e2e
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
@@ -80,19 +82,6 @@ func findRoot() (string, error) {
 	}
 }
 
-// FreePort reserves a loopback port and releases it for the daemon to
-// claim.
-func FreePort(t testing.TB) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
 // syncBuffer guards daemon output: exec's pipe goroutine writes while
 // the test reads for assertions and failure dumps.
 type syncBuffer struct {
@@ -120,10 +109,6 @@ type DaemonConfig struct {
 	Bin string
 	// Dir is the data directory.
 	Dir string
-	// Addr is the wire listen address (from FreePort).
-	Addr string
-	// HTTPAddr is the observability sidecar address; empty disables it.
-	HTTPAddr string
 	// ReplicateFrom makes the node a read replica of the given primary.
 	ReplicateFrom string
 	// Chaos exposes the /chaos failpoint endpoint on the HTTP sidecar.
@@ -135,8 +120,15 @@ type DaemonConfig struct {
 
 // Daemon is one live mpcbfd process.
 type Daemon struct {
-	cmd *exec.Cmd
-	out *syncBuffer
+	// Addr, HTTPAddr and DebugAddr are the loopback addresses the
+	// daemon's wire, HTTP sidecar and pprof debug listeners bound.
+	Addr, HTTPAddr, DebugAddr string
+
+	cfg  DaemonConfig
+	cmd  *exec.Cmd
+	out  *syncBuffer
+	done chan struct{} // closed once the process is reaped
+	err  error         // exit status, set before done closes
 }
 
 // Output returns everything the daemon has written to stdout/stderr.
@@ -149,22 +141,38 @@ func (d *Daemon) String() string { return d.out.String() }
 func (d *Daemon) Signal(sig os.Signal) error { return d.cmd.Process.Signal(sig) }
 
 // Wait blocks until the process exits and returns its exit error.
-func (d *Daemon) Wait() error { return d.cmd.Wait() }
+func (d *Daemon) Wait() error {
+	<-d.done
+	return d.err
+}
 
 // Kill SIGKILLs the daemon and reaps it — the crash half of every
 // crash-recovery test. Safe to call on an already-dead process.
 func (d *Daemon) Kill() {
 	d.cmd.Process.Kill()
-	d.cmd.Wait()
+	<-d.done
 }
 
-// StartDaemon launches one mpcbfd with the shared defaults plus cfg
-// and registers a kill-and-reap cleanup. Restart after a crash is
-// simply StartDaemon again with the same config.
+// StartDaemon launches one mpcbfd with the shared defaults plus cfg on
+// loopback ports the kernel picks, and returns once it serves, with the
+// addresses it bound. A kill-and-reap cleanup is registered.
 func StartDaemon(t testing.TB, cfg DaemonConfig) *Daemon {
 	t.Helper()
+	const loopback = "127.0.0.1:0"
+	return start(t, cfg, loopback, loopback, loopback)
+}
+
+// Restart launches a new daemon with d's configuration on the addresses
+// d bound — the recovery half of every crash-recovery test.
+func (d *Daemon) Restart(t testing.TB) *Daemon {
+	t.Helper()
+	return start(t, d.cfg, d.Addr, d.HTTPAddr, d.DebugAddr)
+}
+
+func start(t testing.TB, cfg DaemonConfig, addr, httpAddr, debugAddr string) *Daemon {
+	t.Helper()
 	args := []string{
-		"-addr", cfg.Addr, "-http", cfg.HTTPAddr, "-dir", cfg.Dir,
+		"-addr", addr, "-http", httpAddr, "-debug-addr", debugAddr, "-dir", cfg.Dir,
 		"-mem", "2097152", "-n", "20000", "-shards", "4",
 		"-fsync", "always", "-snapshot-interval", "0",
 		"-drain-timeout", "5s",
@@ -183,14 +191,41 @@ func StartDaemon(t testing.TB, cfg DaemonConfig) *Daemon {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	d := &Daemon{cmd: cmd, out: out}
-	t.Cleanup(func() {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-			cmd.Wait()
+	d := &Daemon{cfg: cfg, cmd: cmd, out: out, done: make(chan struct{})}
+	go func() {
+		d.err = cmd.Wait()
+		close(d.done)
+	}()
+	t.Cleanup(d.Kill)
+
+	// mpcbfd binds every listener before it logs "serving", and logs
+	// each bound address first on its line.
+	deadline := time.After(30 * time.Second)
+	for d.Addr == "" {
+		select {
+		case <-d.done:
+			t.Fatalf("mpcbfd exited before serving: %v\n%s", d.err, d)
+		case <-deadline:
+			t.Fatalf("mpcbfd did not log serving within 30s\n%s", d)
+		case <-time.After(10 * time.Millisecond):
 		}
-	})
+		log := d.Output()
+		d.Addr = boundAddr(log, "serving")
+		d.HTTPAddr = boundAddr(log, "http sidecar listening")
+		d.DebugAddr = boundAddr(log, "debug listener with pprof")
+	}
 	return d
+}
+
+// boundAddr returns the addr attribute of mpcbfd's log line with message
+// msg, in the text (msg="..." addr=...) or JSON ("msg":"...","addr":"...")
+// log format, or "" when no such line has been written yet.
+func boundAddr(log, msg string) string {
+	re := regexp.MustCompile(`msg"?[=:]"?` + regexp.QuoteMeta(msg) + `"?[ ,]"?addr"?[=:]"?([^"\s]+)`)
+	if m := re.FindStringSubmatch(log); m != nil {
+		return m[1]
+	}
+	return ""
 }
 
 // DialRetry waits for the daemon to accept connections, then returns a

@@ -172,23 +172,25 @@ func TestBeginFrameZeroAllocs(t *testing.T) {
 	inner := wire.AppendKeyRequest(nil, wire.OpContains, []byte("k"))
 	for name, payload := range map[string][]byte{
 		"plain":             inner,
-		"untraced envelope": append(wire.AppendTraceUntraced(nil), inner...),
+		"untraced envelope": append([]byte{wire.OpTrace, 0}, inner...),
 	} {
 		var tr *reqTrace
 		if avg := testing.AllocsPerRun(100, func() { _, tr = tc.beginFrame(payload) }); avg != 0 || tr != nil {
 			t.Errorf("%s: %.1f allocs/op, traced %v; want 0 and untraced", name, avg, tr != nil)
 		}
 	}
-	traced := append(wire.AppendTrace(nil, [wire.TraceIDLen]byte{1}, 7), inner...)
+	traced := wire.AppendRequest(nil, &wire.Request{Op: wire.OpContains, Key: []byte("k"),
+		TraceID: [wire.TraceIDLen]byte{1}, ParentSpan: 7, Traced: true})
 	if _, tr := tc.beginFrame(traced); tr == nil {
 		t.Error("traced envelope: no trace before decoding")
 	}
 }
 
 // TestWireCodecZeroAllocs pins 0 allocs/op for the request/response
-// codec itself: encoding single-key and batch requests into reused
-// buffers, decoding them with a reused key-scratch, and decoding bool
-// vectors into a reused result slice.
+// codec itself: encoding single-key and batch requests, and a traced,
+// namespaced batch through AppendRequest, into reused buffers, decoding
+// them with a reused key-scratch, and decoding bool vectors into a
+// reused result slice.
 func TestWireCodecZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under -race")
@@ -212,6 +214,16 @@ func TestWireCodecZeroAllocs(t *testing.T) {
 	encodeBatch()
 	if avg := testing.AllocsPerRun(100, encodeBatch); avg != 0 {
 		t.Errorf("encode batch request: %.1f allocs/op, want 0", avg)
+	}
+
+	dressed := wire.Request{Op: wire.OpInsertBatch, Keys: keys, NS: []byte("tenant-a"),
+		TraceID: [wire.TraceIDLen]byte{1, 2, 3}, ParentSpan: 7, Traced: true}
+	encodeDressed := func() {
+		dst = wire.AppendRequest(dst[:0], &dressed)
+	}
+	encodeDressed()
+	if avg := testing.AllocsPerRun(100, encodeDressed); avg != 0 {
+		t.Errorf("encode traced namespaced batch request: %.1f allocs/op, want 0", avg)
 	}
 
 	payload := wire.AppendBatchRequest(nil, wire.OpInsertBatch, keys)

@@ -30,14 +30,13 @@ func TestIntegrationElasticCrashMidGrowth(t *testing.T) {
 	}
 	bin := e2e.BuildDaemon(t)
 	dir := t.TempDir()
-	addr := e2e.FreePort(t)
-	cfg := e2e.DaemonConfig{
-		Bin: bin, Dir: dir, Addr: addr,
+	d1 := e2e.StartDaemon(t, e2e.DaemonConfig{
+		Bin: bin, Dir: dir,
 		// Small seed geometry: a few thousand keys force several growth
 		// events on the default chain.
 		Extra: []string{"-elastic", "-mem", "262144", "-n", "800"},
-	}
-	d1 := e2e.StartDaemon(t, cfg)
+	})
+	addr := d1.Addr
 	admin := e2e.DialRetry(t, addr)
 	defer admin.Close()
 
@@ -128,7 +127,7 @@ func TestIntegrationElasticCrashMidGrowth(t *testing.T) {
 		t.FailNow()
 	}
 
-	d2 := e2e.StartDaemon(t, cfg)
+	d2 := d1.Restart(t)
 	c2 := e2e.DialRetry(t, addr)
 	defer c2.Close()
 
@@ -178,7 +177,7 @@ func TestIntegrationElasticCrashMidGrowth(t *testing.T) {
 	}
 	c2.Close()
 	d2.Kill()
-	e2e.StartDaemon(t, cfg)
+	d2.Restart(t)
 	c3 := e2e.DialRetry(t, addr)
 	defer c3.Close()
 	dump2, err := c3.Dump()

@@ -32,10 +32,8 @@ func TestIntegrationCrashDuringGroupCommit(t *testing.T) {
 	}
 	bin := e2e.BuildDaemon(t)
 	dir := t.TempDir()
-	addr, httpAddr := e2e.FreePort(t), e2e.FreePort(t)
-	cfg := e2e.DaemonConfig{Bin: bin, Dir: dir, Addr: addr, HTTPAddr: httpAddr}
-
-	d1 := e2e.StartDaemon(t, cfg)
+	d1 := e2e.StartDaemon(t, e2e.DaemonConfig{Bin: bin, Dir: dir})
+	addr := d1.Addr
 	e2e.DialRetry(t, addr).Close() // wait for accept
 
 	const (
@@ -97,7 +95,7 @@ func TestIntegrationCrashDuringGroupCommit(t *testing.T) {
 	}
 	// Group commit must actually be engaging under this load: far fewer
 	// commit rounds than records. Scrape before the kill.
-	metrics := httpGet(t, "http://"+httpAddr+"/metrics")
+	metrics := httpGet(t, "http://"+d1.HTTPAddr+"/metrics")
 	commits, records := promValue(t, metrics, "mpcbfd_wal_group_commits_total"), promValue(t, metrics, "mpcbfd_wal_records_total")
 	if commits == 0 || commits >= records {
 		t.Errorf("group commit not coalescing: %d commits for %d records", commits, records)
@@ -117,7 +115,7 @@ func TestIntegrationCrashDuringGroupCommit(t *testing.T) {
 
 	// Recovery: every acked insert present, population bounded by the
 	// possibly-sent set.
-	d2 := e2e.StartDaemon(t, cfg)
+	d2 := d1.Restart(t)
 	c2 := e2e.DialRetry(t, addr)
 	defer c2.Close()
 

@@ -27,11 +27,10 @@ func TestIntegrationCrashRecovery(t *testing.T) {
 	}
 	bin := e2e.BuildDaemon(t)
 	dir := t.TempDir()
-	addr, httpAddr := e2e.FreePort(t), e2e.FreePort(t)
-	cfg := e2e.DaemonConfig{Bin: bin, Dir: dir, Addr: addr, HTTPAddr: httpAddr}
 
 	// Phase 1: serve, stream inserts, SIGKILL mid-stream.
-	d1 := e2e.StartDaemon(t, cfg)
+	d1 := e2e.StartDaemon(t, e2e.DaemonConfig{Bin: bin, Dir: dir})
+	addr := d1.Addr
 	c := e2e.DialRetry(t, addr)
 
 	var acked atomic.Int64
@@ -63,7 +62,7 @@ func TestIntegrationCrashRecovery(t *testing.T) {
 	// Phase 2: restart on the same directory; every acked insert must be
 	// present (zero false negatives — acked means fsync'd under
 	// -fsync always).
-	d2 := e2e.StartDaemon(t, cfg)
+	d2 := d1.Restart(t)
 	c2 := e2e.DialRetry(t, addr)
 	defer c2.Close()
 
@@ -99,7 +98,7 @@ func TestIntegrationCrashRecovery(t *testing.T) {
 
 	// The sidecar reports the post-restart workload: replayed records,
 	// ops, and a fill ratio matching the recovered population.
-	metrics := httpGet(t, "http://"+httpAddr+"/metrics")
+	metrics := httpGet(t, "http://"+d2.HTTPAddr+"/metrics")
 	for _, want := range []string{
 		fmt.Sprintf("mpcbfd_replayed_records %d", got),
 		fmt.Sprintf("mpcbfd_filter_len %d", got),
@@ -111,7 +110,7 @@ func TestIntegrationCrashRecovery(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	if !strings.Contains(httpGet(t, "http://"+httpAddr+"/healthz"), "ok") {
+	if !strings.Contains(httpGet(t, "http://"+d2.HTTPAddr+"/healthz"), "ok") {
 		t.Error("/healthz not ok")
 	}
 
@@ -131,7 +130,7 @@ func TestIntegrationCrashRecovery(t *testing.T) {
 		t.Fatalf("no final snapshot: %v %v", snaps, err)
 	}
 
-	d3 := e2e.StartDaemon(t, cfg)
+	d3 := d2.Restart(t)
 	c3 := e2e.DialRetry(t, addr)
 	defer c3.Close()
 	if got3, err := c3.Len(); err != nil || got3 != got {

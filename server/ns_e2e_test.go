@@ -58,15 +58,14 @@ func TestIntegrationNamespaces(t *testing.T) {
 	}
 	bin := e2e.BuildDaemon(t)
 	dir := t.TempDir()
-	addr, httpAddr := e2e.FreePort(t), e2e.FreePort(t)
-	cfg := e2e.DaemonConfig{Bin: bin, Dir: dir, Addr: addr, HTTPAddr: httpAddr,
-		Extra: []string{"-ns-quota", "67108864"}} // 64 MiB
+	cfg := e2e.DaemonConfig{Bin: bin, Dir: dir, Extra: []string{"-ns-quota", "67108864"}} // 64 MiB
 
 	// Phase 1: create 200 namespaces with mixed geometries. The summed
 	// footprint (≈116 MiB) exceeds the quota, so roughly half are
 	// resident at any moment and every workload phase exercises
 	// eviction and recover-on-touch.
 	d1 := e2e.StartDaemon(t, cfg)
+	addr := d1.Addr
 	admin := e2e.DialRetry(t, addr)
 	for i := 0; i < nsE2ECount; i++ {
 		cfg := wire.NsConfig{MemoryBits: 1 << (21 + uint(i%3)), ExpectedItems: 10000}
@@ -135,7 +134,7 @@ func TestIntegrationNamespaces(t *testing.T) {
 	t.Logf("killed daemon with %d acked batches (%d keys)", total, total*nsE2EBatch)
 
 	// Phase 3: restart and require every acked (namespace, key) back.
-	e2e.StartDaemon(t, cfg)
+	d2 := d1.Restart(t)
 	c2 := nsE2EDial(t, addr)
 	defer c2.Close()
 
@@ -167,7 +166,7 @@ func TestIntegrationNamespaces(t *testing.T) {
 	// The quota must have evicted namespaces during the workload; the
 	// recovered daemon re-runs the same pressure during replay, so the
 	// post-restart counters must show evictions AND recoveries.
-	metrics := httpGet(t, "http://"+httpAddr+"/metrics")
+	metrics := httpGet(t, "http://"+d2.HTTPAddr+"/metrics")
 	if sumPromFamily(t, metrics, "mpcbfd_ns_evictions_total{") == 0 {
 		t.Error("no namespace evictions under a 64 MiB quota for ~116 MiB of filters")
 	}
@@ -180,9 +179,8 @@ func TestIntegrationNamespaces(t *testing.T) {
 
 	// Phase 4: attach a byte-mirror replica and require per-namespace
 	// DUMPs to converge to byte equality, polled with a deadline.
-	raddr, rhttp := e2e.FreePort(t), e2e.FreePort(t)
-	e2e.StartDaemon(t, e2e.DaemonConfig{Bin: bin, Dir: t.TempDir(), Addr: raddr, HTTPAddr: rhttp,
-		ReplicateFrom: addr, Extra: cfg.Extra})
+	raddr := e2e.StartDaemon(t, e2e.DaemonConfig{Bin: bin, Dir: t.TempDir(),
+		ReplicateFrom: addr, Extra: cfg.Extra}).Addr
 	rc := nsE2EDial(t, raddr)
 	defer func() { rc.Close() }()
 

@@ -44,12 +44,11 @@ func TestObsSmoke(t *testing.T) {
 		t.Skip("smoke test builds and runs the daemon binary")
 	}
 	bin := e2e.BuildDaemon(t)
-	addr, httpAddr, debugAddr := e2e.FreePort(t), e2e.FreePort(t), e2e.FreePort(t)
-	d := e2e.StartDaemon(t, e2e.DaemonConfig{Bin: bin, Dir: t.TempDir(), Addr: addr, HTTPAddr: httpAddr,
+	d := e2e.StartDaemon(t, e2e.DaemonConfig{Bin: bin, Dir: t.TempDir(),
 		Extra: []string{
-			"-debug-addr", debugAddr,
 			"-trace-sample", "1", "-slow-op", "1ns",
 			"-log-format", "json", "-log-level", "debug"}})
+	addr, httpAddr, debugAddr := d.Addr, d.HTTPAddr, d.DebugAddr
 
 	c := e2e.DialRetry(t, addr)
 	defer c.Close()

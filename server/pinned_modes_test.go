@@ -49,15 +49,15 @@ func pinnedModeOptions(dir, mode string) StoreOptions {
 	return o
 }
 
-// pinSend dispatches one request payload, wrapped in the NAMESPACED
-// envelope when name is not empty, waits out its commit, and returns a
-// copy of the response.
-func pinSend(t *testing.T, srv *Server, name string, payload []byte) []byte {
+// pinSend encodes one request, addressed to namespace name when name is
+// not empty, decodes it as a connection would, dispatches it, waits out
+// its commit, and returns a copy of the response.
+func pinSend(t *testing.T, srv *Server, name string, req wire.Request) []byte {
 	t.Helper()
 	if name != "" {
-		payload = append(wire.AppendNamespaced(nil, []byte(name)), payload...)
+		req.NS = []byte(name)
 	}
-	req, err := wire.DecodeRequest(payload)
+	req, err := wire.DecodeRequest(wire.AppendRequest(nil, &req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +69,10 @@ func pinSend(t *testing.T, srv *Server, name string, payload []byte) []byte {
 }
 
 // pinOK is pinSend for a request that must succeed.
-func pinOK(t *testing.T, srv *Server, name string, payload []byte) {
+func pinOK(t *testing.T, srv *Server, name string, req wire.Request) {
 	t.Helper()
-	if resp := pinSend(t, srv, name, payload); resp[0] != wire.StatusOK {
-		t.Fatalf("ns %q op 0x%02x: %q", name, payload[0], resp)
+	if resp := pinSend(t, srv, name, req); resp[0] != wire.StatusOK {
+		t.Fatalf("ns %q %s: %q", name, wire.OpName(req.Op), resp)
 	}
 }
 
@@ -103,27 +103,27 @@ func pinBlob(t *testing.T, prefix string) []byte {
 func pinnedModeOps(t *testing.T, srv *Server, mode string) {
 	t.Helper()
 	keys := storeKeys("pin-post", 30)
-	pinOK(t, srv, "", wire.AppendBatchRequest(nil, wire.OpInsertBatch, keys))
-	pinOK(t, srv, "", wire.AppendBatchRequest(nil, wire.OpDeleteBatch, [][]byte{keys[0], []byte("pin-absent")}))
+	pinOK(t, srv, "", wire.Request{Op: wire.OpInsertBatch, Keys: keys})
+	pinOK(t, srv, "", wire.Request{Op: wire.OpDeleteBatch, Keys: [][]byte{keys[0], []byte("pin-absent")}})
 	switch mode {
 	case "window":
-		pinOK(t, srv, "", wire.AppendInsertTTLRequest(nil, []byte("pin-ttl"), uint64(20*time.Minute)))
+		pinOK(t, srv, "", wire.Request{Op: wire.OpInsertTTL, Key: []byte("pin-ttl"), TTL: uint64(20 * time.Minute)})
 		rotateForTest(t, srv.store, "")
-		pinOK(t, srv, "", wire.AppendInsertTTLBatchRequest(nil, storeKeys("pin-post-ttl", 10), uint64(40*time.Minute)))
+		pinOK(t, srv, "", wire.Request{Op: wire.OpInsertTTLBatch, Keys: storeKeys("pin-post-ttl", 10), TTL: uint64(40 * time.Minute)})
 		rotateForTest(t, srv.store, "n-win")
-		pinOK(t, srv, "n-win", wire.AppendInsertTTLRequest(nil, []byte("pin-ns-ttl"), uint64(time.Minute)))
+		pinOK(t, srv, "n-win", wire.Request{Op: wire.OpInsertTTL, Key: []byte("pin-ns-ttl"), TTL: uint64(time.Minute)})
 	case "elastic":
 		for _, k := range storeKeys("pin-post-grow", 300) {
-			pinOK(t, srv, "", wire.AppendKeyRequest(nil, wire.OpInsert, k))
+			pinOK(t, srv, "", wire.Request{Op: wire.OpInsert, Key: k})
 		}
-		pinOK(t, srv, "", wire.AppendImportRequest(nil, pinBlob(t, "pin-import")))
-		pinOK(t, srv, "n-el", wire.AppendImportRequest(nil, pinBlob(t, "pin-ns-import")))
+		pinOK(t, srv, "", wire.Request{Op: wire.OpImport, Blob: pinBlob(t, "pin-import")})
+		pinOK(t, srv, "n-el", wire.Request{Op: wire.OpImport, Blob: pinBlob(t, "pin-ns-import")})
 	}
 	for _, name := range []string{"n-ev", "n-win", "n-el", "n-lazy", "n-post"} {
-		pinOK(t, srv, name, wire.AppendBatchRequest(nil, wire.OpInsertBatch, storeKeys("pin-post-"+name, 40)))
+		pinOK(t, srv, name, wire.Request{Op: wire.OpInsertBatch, Keys: storeKeys("pin-post-"+name, 40)})
 	}
-	pinOK(t, srv, "", wire.AppendNsDropRequest(nil, []byte("n-late")))
-	pinOK(t, srv, "", wire.AppendKeyRequest(nil, wire.OpInsert, []byte("pin-last")))
+	pinOK(t, srv, "", wire.Request{Op: wire.OpNsDrop, NS: []byte("n-late")})
+	pinOK(t, srv, "", wire.Request{Op: wire.OpInsert, Key: []byte("pin-last")})
 }
 
 func readFixture(t *testing.T, dir, name string) []byte {

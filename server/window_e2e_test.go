@@ -51,13 +51,12 @@ func TestIntegrationWindowExpiry(t *testing.T) {
 	}
 	bin := e2e.BuildDaemon(t)
 	dir := t.TempDir()
-	addr, httpAddr := e2e.FreePort(t), e2e.FreePort(t)
 
 	// span 2s over 4 generations: one rotation every 500ms, staleness
 	// bound 500ms, guaranteed lifetime at least span-span/G = 1.5s.
-	d := e2e.StartDaemon(t, e2e.DaemonConfig{Bin: bin, Dir: dir, Addr: addr, HTTPAddr: httpAddr,
+	d := e2e.StartDaemon(t, e2e.DaemonConfig{Bin: bin, Dir: dir,
 		Extra: []string{"-window", "2s", "-generations", "4"}})
-	c := e2e.DialRetry(t, addr)
+	c := e2e.DialRetry(t, d.Addr)
 	defer c.Close()
 
 	st, err := c.WindowStats()
@@ -118,7 +117,7 @@ func TestIntegrationWindowExpiry(t *testing.T) {
 	}
 
 	// The sidecar exposes the ring.
-	metrics := httpGet(t, "http://"+httpAddr+"/metrics")
+	metrics := httpGet(t, "http://"+d.HTTPAddr+"/metrics")
 	for _, want := range []string{
 		"mpcbfd_window_generations 4",
 		"mpcbfd_window_span_seconds 2",
@@ -138,14 +137,13 @@ func TestIntegrationWindowCrashRecovery(t *testing.T) {
 	}
 	bin := e2e.BuildDaemon(t)
 	dir := t.TempDir()
-	addr, httpAddr := e2e.FreePort(t), e2e.FreePort(t)
 
 	// span 6s over 3 generations: rotation every 2s. Long enough that
 	// kill + restart (well under a second) fits inside one rotation
 	// period; short enough that the test sees expiry end to end.
-	cfg := e2e.DaemonConfig{Bin: bin, Dir: dir, Addr: addr, HTTPAddr: httpAddr,
-		Extra: []string{"-window", "6s", "-generations", "3"}}
-	d1 := e2e.StartDaemon(t, cfg)
+	d1 := e2e.StartDaemon(t, e2e.DaemonConfig{Bin: bin, Dir: dir,
+		Extra: []string{"-window", "6s", "-generations", "3"}})
+	addr := d1.Addr
 	c := e2e.DialRetry(t, addr)
 
 	// Cohort A lands pre-rotation; wait until at least one rotation is
@@ -190,7 +188,7 @@ func TestIntegrationWindowCrashRecovery(t *testing.T) {
 	t.Logf("killed daemon with %d acked inserts, ring at head=%d rotations=%d", n, pre.Head, pre.Rotations)
 
 	// Restart: the generation ring is rebuilt from snapshot + WAL.
-	d2 := e2e.StartDaemon(t, cfg)
+	d2 := d1.Restart(t)
 	c3 := e2e.DialRetry(t, addr)
 	defer c3.Close()
 

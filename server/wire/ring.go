@@ -50,9 +50,12 @@ func DecodeRing(b []byte) (Ring, []byte, error) {
 	if len(b) < 9 {
 		return Ring{}, nil, errors.New("truncated ring header")
 	}
+	if b[8] > 1 {
+		return Ring{}, nil, fmt.Errorf("ring joint flag %d, want 0 or 1", b[8])
+	}
 	r := Ring{
 		Epoch: binary.LittleEndian.Uint64(b[0:8]),
-		Joint: b[8] != 0,
+		Joint: b[8] == 1,
 	}
 	b = b[9:]
 	for side := 0; side < 2; side++ {
@@ -85,28 +88,6 @@ func DecodeRing(b []byte) (Ring, []byte, error) {
 	}
 	return r, b, nil
 }
-
-// AppendRingSetRequest encodes a RING_SET request pushing a ring
-// descriptor.
-func AppendRingSetRequest(dst []byte, r Ring) []byte {
-	dst = append(dst, OpRingSet)
-	return AppendRing(dst, r)
-}
-
-// AppendRingGetRequest encodes the body-less RING_GET request. The OK
-// response body is an encoded Ring; epoch 0 means no ring installed.
-func AppendRingGetRequest(dst []byte) []byte { return append(dst, OpRingGet) }
-
-// AppendImportRequest encodes an IMPORT request carrying a complete
-// marshaled filter to absorb.
-func AppendImportRequest(dst []byte, blob []byte) []byte {
-	dst = append(dst, OpImport)
-	return append(dst, blob...)
-}
-
-// AppendElasticStatsRequest encodes the body-less ELASTIC_STATS request
-// payload.
-func AppendElasticStatsRequest(dst []byte) []byte { return append(dst, OpElasticStats) }
 
 // ElasticGenStats is one generation of an ELASTIC_STATS response.
 type ElasticGenStats struct {

@@ -47,6 +47,7 @@ func TestDecodeRingRejectsMalformed(t *testing.T) {
 		"member cut":    good[:12],
 		"absurd count":  append(append([]byte{}, good[:9]...), 0xFF, 0xFF),
 		"zero len addr": append(append([]byte{}, good[:11]...), 0),
+		"joint flag 2":  append(append(append([]byte{}, good[:8]...), 2), good[9:]...),
 	}
 	for name, b := range bad {
 		if _, _, err := DecodeRing(b); err == nil {
@@ -57,7 +58,7 @@ func TestDecodeRingRejectsMalformed(t *testing.T) {
 
 func TestRingRequestDecode(t *testing.T) {
 	ring := Ring{Epoch: 9, Joint: true, Old: []string{"x:1"}, New: []string{"x:1", "y:2"}}
-	req, err := DecodeRequest(AppendRingSetRequest(nil, ring))
+	req, err := DecodeRequest(encode(Request{Op: OpRingSet, Ring: ring}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,38 +66,38 @@ func TestRingRequestDecode(t *testing.T) {
 		!sameAddrs(req.Ring.Old, ring.Old) || !sameAddrs(req.Ring.New, ring.New) {
 		t.Fatalf("ring_set decoded %+v", req)
 	}
-	req, err = DecodeRequest(AppendRingGetRequest(nil))
+	req, err = DecodeRequest([]byte{OpRingGet})
 	if err != nil || req.Op != OpRingGet {
 		t.Fatalf("ring_get: %+v %v", req, err)
 	}
-	req, err = DecodeRequest(AppendElasticStatsRequest(nil))
+	req, err = DecodeRequest([]byte{OpElasticStats})
 	if err != nil || req.Op != OpElasticStats {
 		t.Fatalf("elastic_stats: %+v %v", req, err)
 	}
 	// ELASTIC_STATS addresses a namespace through the envelope.
-	req, err = DecodeRequest(AppendElasticStatsRequest(AppendNamespaced(nil, []byte("t"))))
+	req, err = DecodeRequest(encode(Request{Op: OpElasticStats, NS: []byte("t")}))
 	if err != nil || req.Op != OpElasticStats || string(req.NS) != "t" {
 		t.Fatalf("namespaced elastic_stats: %+v %v", req, err)
 	}
 	blob := []byte("pretend-marshaled-filter")
-	req, err = DecodeRequest(AppendImportRequest(nil, blob))
+	req, err = DecodeRequest(encode(Request{Op: OpImport, Blob: blob}))
 	if err != nil || req.Op != OpImport || !bytes.Equal(req.Blob, blob) {
 		t.Fatalf("import: %+v %v", req, err)
 	}
 	// IMPORT addresses a namespace through the envelope too.
-	req, err = DecodeRequest(AppendImportRequest(AppendNamespaced(nil, []byte("t")), blob))
+	req, err = DecodeRequest(encode(Request{Op: OpImport, Blob: blob, NS: []byte("t")}))
 	if err != nil || req.Op != OpImport || string(req.NS) != "t" || !bytes.Equal(req.Blob, blob) {
 		t.Fatalf("namespaced import: %+v %v", req, err)
 	}
 
 	bad := map[string][]byte{
 		"ring_set empty":        {OpRingSet},
-		"ring_set truncated":    AppendRingSetRequest(nil, ring)[:6],
-		"ring_set trailing":     append(AppendRingSetRequest(nil, ring), 0xFF),
+		"ring_set truncated":    encode(Request{Op: OpRingSet, Ring: ring})[:6],
+		"ring_set trailing":     append(encode(Request{Op: OpRingSet, Ring: ring}), 0xFF),
 		"ring_get trailing":     {OpRingGet, 0},
 		"elastic stats body":    {OpElasticStats, 0},
 		"import empty":          {OpImport},
-		"envelope ring_set":     append([]byte{OpNamespaced, 1, 'a'}, AppendRingSetRequest(nil, ring)...),
+		"envelope ring_set":     append([]byte{OpNamespaced, 1, 'a'}, encode(Request{Op: OpRingSet, Ring: ring})...),
 		"envelope ring_get":     {OpNamespaced, 1, 'a', OpRingGet},
 		"envelope empty import": {OpNamespaced, 1, 'a', OpImport},
 	}

@@ -11,7 +11,8 @@
 // little-endian. Keys are length-prefixed byte strings ([u32 len][bytes]);
 // batches are a key count followed by that many keys.
 //
-// Requests:
+// Requests (AppendRequest writes each form, DecodeRequestInto reads it
+// back into the same Request):
 //
 //	INSERT / DELETE / CONTAINS / ESTIMATE:  [op][key]
 //	LEN / DUMP / WINDOW_STATS:              [op]
@@ -197,20 +198,6 @@ const (
 // TraceIDLen is the byte length of a trace id. A TRACE envelope's id
 // block is TraceIDLen trace-id bytes followed by 8 parent-span bytes.
 const TraceIDLen = 16
-
-// Protocol versions. Version 1 is the pre-namespace protocol (opcodes
-// through WINDOW_STATS); version 2 adds the namespace ops and the
-// NAMESPACED envelope; version 3 adds the TRACE envelope. The protocol
-// is forward-compatible by opcode: an older client's frames are valid
-// newer frames (untraced, default namespace), so the version is
-// informational (exposed in stats), not negotiated.
-const (
-	ProtocolVersion1 = 1
-	ProtocolVersion2 = 2
-	ProtocolVersion3 = 3
-	ProtocolVersion4 = 4
-	ProtocolVersion  = ProtocolVersion4
-)
 
 // MaxNamespaceLen bounds a namespace name's byte length. The wire format
 // itself allows up to 255 (u8 length prefix); the tighter bound keeps
@@ -475,7 +462,11 @@ func AppendKeyRequest(dst []byte, op byte, key []byte) []byte {
 
 // AppendBatchRequest encodes a batch request payload.
 func AppendBatchRequest(dst []byte, op byte, keys [][]byte) []byte {
-	dst = append(dst, op)
+	return appendKeys(append(dst, op), keys)
+}
+
+// appendKeys appends a batch: [u32 n][key]*n.
+func appendKeys(dst []byte, keys [][]byte) []byte {
 	var n [4]byte
 	binary.LittleEndian.PutUint32(n[:], uint32(len(keys)))
 	dst = append(dst, n[:]...)
@@ -483,102 +474,6 @@ func AppendBatchRequest(dst []byte, op byte, keys [][]byte) []byte {
 		dst = AppendKey(dst, k)
 	}
 	return dst
-}
-
-// AppendLenRequest encodes the body-less LEN request payload.
-func AppendLenRequest(dst []byte) []byte { return append(dst, OpLen) }
-
-// AppendDumpRequest encodes the body-less DUMP request payload.
-func AppendDumpRequest(dst []byte) []byte { return append(dst, OpDump) }
-
-// AppendWindowStatsRequest encodes the body-less WINDOW_STATS request
-// payload.
-func AppendWindowStatsRequest(dst []byte) []byte { return append(dst, OpWindowStats) }
-
-// AppendInsertTTLRequest encodes an INSERT_TTL request: insert key with
-// a per-key lifetime of ttlNanos nanoseconds (0 means one rotation).
-func AppendInsertTTLRequest(dst []byte, key []byte, ttlNanos uint64) []byte {
-	dst = append(dst, OpInsertTTL)
-	dst = appendU64(dst, ttlNanos)
-	return AppendKey(dst, key)
-}
-
-// AppendInsertTTLBatchRequest encodes an INSERT_TTL_BATCH request: every
-// key in the batch shares one ttlNanos lifetime.
-func AppendInsertTTLBatchRequest(dst []byte, keys [][]byte, ttlNanos uint64) []byte {
-	dst = append(dst, OpInsertTTLBatch)
-	dst = appendU64(dst, ttlNanos)
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(keys)))
-	dst = append(dst, n[:]...)
-	for _, k := range keys {
-		dst = AppendKey(dst, k)
-	}
-	return dst
-}
-
-// AppendReplicateRequest encodes a REPLICATE subscription from a WAL
-// position (segment sequence number, byte offset into that segment).
-func AppendReplicateRequest(dst []byte, seq, off uint64) []byte {
-	dst = append(dst, OpReplicate)
-	dst = appendU64(dst, seq)
-	return appendU64(dst, off)
-}
-
-// AppendNamespaced begins a NAMESPACED envelope addressing ns; the
-// caller appends a complete inner request payload after it. Callers must
-// bound len(ns) to 255 (the u8 length prefix) — the client enforces the
-// tighter MaxNamespaceLen.
-func AppendNamespaced(dst []byte, ns []byte) []byte {
-	dst = append(dst, OpNamespaced, byte(len(ns)))
-	return append(dst, ns...)
-}
-
-// AppendTrace begins a TRACE envelope carrying a trace id and parent
-// span id; the caller appends a complete inner request payload (which
-// may itself be a NAMESPACED envelope) after it.
-func AppendTrace(dst []byte, traceID [TraceIDLen]byte, parentSpan uint64) []byte {
-	dst = append(dst, OpTrace, TraceIDLen+8)
-	dst = append(dst, traceID[:]...)
-	return appendU64(dst, parentSpan)
-}
-
-// AppendTraceUntraced begins the zero-length TRACE form: the envelope
-// is present but carries no ids, and the inner request is handled
-// untraced. Exists so an envelope-unconditional sender costs two bytes
-// when tracing is off.
-func AppendTraceUntraced(dst []byte) []byte {
-	return append(dst, OpTrace, 0)
-}
-
-func appendNsName(dst []byte, ns []byte) []byte {
-	dst = append(dst, byte(len(ns)))
-	return append(dst, ns...)
-}
-
-// AppendNsCreateRequest encodes a CREATE_NS request: create namespace ns
-// with the given configuration overrides (zero fields use daemon
-// defaults).
-func AppendNsCreateRequest(dst []byte, ns []byte, cfg NsConfig) []byte {
-	dst = append(dst, OpNsCreate)
-	dst = appendNsName(dst, ns)
-	return AppendNsConfig(dst, cfg)
-}
-
-// AppendNsDropRequest encodes a DROP_NS request.
-func AppendNsDropRequest(dst []byte, ns []byte) []byte {
-	dst = append(dst, OpNsDrop)
-	return appendNsName(dst, ns)
-}
-
-// AppendNsListRequest encodes the body-less LIST_NS request payload.
-func AppendNsListRequest(dst []byte) []byte { return append(dst, OpNsList) }
-
-// AppendNsStatsRequest encodes an NS_STATS request; a zero-length ns
-// reports the default namespace.
-func AppendNsStatsRequest(dst []byte, ns []byte) []byte {
-	dst = append(dst, OpNsStats)
-	return appendNsName(dst, ns)
 }
 
 // NsConfig carries a namespace's per-tenant configuration overrides in
@@ -643,8 +538,11 @@ func DecodeNsConfig(b []byte) (NsConfig, []byte, error) {
 	return c, b[NsConfigSize:], nil
 }
 
-// Request is a decoded request payload. Key, Keys, and NS alias the
-// frame buffer; handlers must not retain them past the request.
+// Request is one request: what DecodeRequestInto parses from a payload
+// and AppendRequest encodes into one. Each op reads only its own fields
+// (see the package comment's request table). A decoded request's Key,
+// Keys, NS and Blob alias the frame buffer; handlers must not retain
+// them past the request.
 type Request struct {
 	Op    byte
 	Key   []byte   // single-key ops
@@ -654,14 +552,60 @@ type Request struct {
 	Off   uint64   // REPLICATE: resume byte offset
 	NS    []byte   // namespace name (nil/empty: default namespace)
 	NsCfg NsConfig // CREATE_NS: configuration overrides
-	Blob  []byte   // IMPORT: marshaled filter bytes (aliases the frame)
-	Ring  Ring     // RING_SET: pushed ring descriptor (addrs alias the frame)
+	Blob  []byte   // IMPORT: marshaled filter bytes
+	Ring  Ring     // RING_SET: pushed ring descriptor
 
 	// Tracing (TRACE envelope). Traced is set only by the full form;
 	// the zero-length form decodes as an untraced request.
 	TraceID    [TraceIDLen]byte // propagated trace id
 	ParentSpan uint64           // caller's span id
 	Traced     bool             // request arrived inside a full TRACE envelope
+}
+
+// AppendRequest encodes r as a request payload, the exact inverse of
+// DecodeRequestInto: a set r.Traced puts the TRACE envelope outermost,
+// and a non-empty r.NS wraps a data op in the NAMESPACED envelope, while
+// the namespace admin ops carry the name inline. r.NS must fit the u8
+// length prefix (255 bytes); senders enforce the tighter
+// MaxNamespaceLen.
+func AppendRequest(dst []byte, r *Request) []byte {
+	if r.Traced {
+		dst = append(dst, OpTrace, TraceIDLen+8)
+		dst = append(dst, r.TraceID[:]...)
+		dst = appendU64(dst, r.ParentSpan)
+	}
+	switch r.Op {
+	case OpNsCreate:
+		return AppendNsConfig(appendNsName(append(dst, r.Op), r.NS), r.NsCfg)
+	case OpNsDrop, OpNsStats:
+		return appendNsName(append(dst, r.Op), r.NS)
+	}
+	if len(r.NS) > 0 {
+		dst = appendNsName(append(dst, OpNamespaced), r.NS)
+	}
+	switch r.Op {
+	case OpInsert, OpDelete, OpContains, OpEstimate:
+		return AppendKeyRequest(dst, r.Op, r.Key)
+	case OpInsertBatch, OpDeleteBatch, OpContainsBatch:
+		return AppendBatchRequest(dst, r.Op, r.Keys)
+	case OpInsertTTL:
+		return AppendKey(appendU64(append(dst, r.Op), r.TTL), r.Key)
+	case OpInsertTTLBatch:
+		return appendKeys(appendU64(append(dst, r.Op), r.TTL), r.Keys)
+	case OpReplicate:
+		return appendU64(appendU64(append(dst, r.Op), r.Seq), r.Off)
+	case OpRingSet:
+		return AppendRing(append(dst, r.Op), r.Ring)
+	case OpImport:
+		return append(append(dst, r.Op), r.Blob...)
+	}
+	// LEN, DUMP, WINDOW_STATS, LIST_NS, RING_GET, ELASTIC_STATS: no body.
+	return append(dst, r.Op)
+}
+
+func appendNsName(dst []byte, ns []byte) []byte {
+	dst = append(dst, byte(len(ns)))
+	return append(dst, ns...)
 }
 
 // DecodeRequest parses a request payload.

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -38,135 +40,144 @@ func TestFrameSizeLimit(t *testing.T) {
 	}
 }
 
+// TestRequestRoundTrip pins AppendRequest's bytes for every operation
+// opcode and the TRACE, NAMESPACED and TRACE[NAMESPACED] forms. The hex
+// is the output of the per-op encoders AppendRequest replaced, so it is
+// the protocol every deployed peer speaks; each payload must also decode
+// back to its request.
 func TestRequestRoundTrip(t *testing.T) {
-	key := []byte("the-key")
 	keys := [][]byte{[]byte("a"), {}, []byte("ccc")}
+	cfg := NsConfig{MemoryBits: 1 << 22, ExpectedItems: 5000, HashFunctions: 3, MemoryAccesses: 1,
+		Shards: 8, Seed: 99, WindowNanos: 60e9, Generations: 4, Flags: NsFlagElastic}
+	ring := Ring{Epoch: 3, Joint: true, Old: []string{"a:1", "b:2"}, New: []string{"a:1", "b:2", "c:3"}}
+	id := [TraceIDLen]byte{0xAA, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0xFF}
+	key := []byte("key")
 	cases := []struct {
-		name    string
-		payload []byte
-		want    Request
+		name string
+		req  Request
+		hex  string
 	}{
-		{"insert", AppendKeyRequest(nil, OpInsert, key), Request{Op: OpInsert, Key: key}},
-		{"delete", AppendKeyRequest(nil, OpDelete, key), Request{Op: OpDelete, Key: key}},
-		{"contains", AppendKeyRequest(nil, OpContains, key), Request{Op: OpContains, Key: key}},
-		{"estimate", AppendKeyRequest(nil, OpEstimate, key), Request{Op: OpEstimate, Key: key}},
-		{"len", AppendLenRequest(nil), Request{Op: OpLen}},
-		{"dump", AppendDumpRequest(nil), Request{Op: OpDump}},
-		{"replicate", AppendReplicateRequest(nil, 7, 1<<33), Request{Op: OpReplicate, Seq: 7, Off: 1 << 33}},
-		{"insert_batch", AppendBatchRequest(nil, OpInsertBatch, keys), Request{Op: OpInsertBatch, Keys: keys}},
-		{"delete_batch", AppendBatchRequest(nil, OpDeleteBatch, keys), Request{Op: OpDeleteBatch, Keys: keys}},
-		{"contains_batch", AppendBatchRequest(nil, OpContainsBatch, keys), Request{Op: OpContainsBatch, Keys: keys}},
-		{"insert_ttl", AppendInsertTTLRequest(nil, key, 5e9), Request{Op: OpInsertTTL, Key: key, TTL: 5e9}},
-		{"insert_ttl_batch", AppendInsertTTLBatchRequest(nil, keys, 7e9), Request{Op: OpInsertTTLBatch, Keys: keys, TTL: 7e9}},
-		{"window_stats", AppendWindowStatsRequest(nil), Request{Op: OpWindowStats}},
-		{"ns_drop", AppendNsDropRequest(nil, []byte("tenant-a")), Request{Op: OpNsDrop, NS: []byte("tenant-a")}},
-		{"ns_list", AppendNsListRequest(nil), Request{Op: OpNsList}},
-		{"ns_stats", AppendNsStatsRequest(nil, []byte("tenant-a")), Request{Op: OpNsStats, NS: []byte("tenant-a")}},
-		{"ns_stats default", AppendNsStatsRequest(nil, nil), Request{Op: OpNsStats}},
-		{
-			"namespaced insert",
-			AppendKeyRequest(AppendNamespaced(nil, []byte("t1")), OpInsert, key),
-			Request{Op: OpInsert, Key: key, NS: []byte("t1")},
-		},
-		{
-			"namespaced batch",
-			AppendBatchRequest(AppendNamespaced(nil, []byte("t2")), OpContainsBatch, keys),
-			Request{Op: OpContainsBatch, Keys: keys, NS: []byte("t2")},
-		},
-		{
-			"namespaced ttl",
-			AppendInsertTTLRequest(AppendNamespaced(nil, []byte("t3")), key, 5e9),
-			Request{Op: OpInsertTTL, Key: key, TTL: 5e9, NS: []byte("t3")},
-		},
-		{
-			"namespaced default alias",
-			AppendKeyRequest(AppendNamespaced(nil, nil), OpContains, key),
-			Request{Op: OpContains, Key: key},
-		},
-		{
-			"namespaced dump",
-			AppendDumpRequest(AppendNamespaced(nil, []byte("t4"))),
-			Request{Op: OpDump, NS: []byte("t4")},
-		},
-		{
-			"ns_create",
-			AppendNsCreateRequest(nil, []byte("tenant-b"), NsConfig{
-				MemoryBits:     1 << 22,
-				ExpectedItems:  5000,
-				HashFunctions:  3,
-				MemoryAccesses: 1,
-				Shards:         8,
-				Seed:           99,
-				WindowNanos:    60e9,
-				Generations:    4,
-			}),
-			Request{Op: OpNsCreate, NS: []byte("tenant-b"), NsCfg: NsConfig{
-				MemoryBits:     1 << 22,
-				ExpectedItems:  5000,
-				HashFunctions:  3,
-				MemoryAccesses: 1,
-				Shards:         8,
-				Seed:           99,
-				WindowNanos:    60e9,
-				Generations:    4,
-			}},
-		},
-		{
-			"ns_create defaults",
-			AppendNsCreateRequest(nil, []byte("t"), NsConfig{}),
-			Request{Op: OpNsCreate, NS: []byte("t")},
-		},
-		{
-			"traced insert",
-			AppendKeyRequest(AppendTrace(nil, [TraceIDLen]byte{0xAA, 1, 2, 3}, 77), OpInsert, key),
-			Request{Op: OpInsert, Key: key, TraceID: [TraceIDLen]byte{0xAA, 1, 2, 3}, ParentSpan: 77, Traced: true},
-		},
-		{
-			"traced namespaced batch",
-			AppendBatchRequest(AppendNamespaced(AppendTrace(nil, [TraceIDLen]byte{9}, 1<<40), []byte("t5")), OpContainsBatch, keys),
-			Request{Op: OpContainsBatch, Keys: keys, NS: []byte("t5"), TraceID: [TraceIDLen]byte{9}, ParentSpan: 1 << 40, Traced: true},
-		},
-		{
-			"trace zero-length form",
-			AppendKeyRequest(AppendTraceUntraced(nil), OpContains, key),
-			Request{Op: OpContains, Key: key},
-		},
-		{
-			"traced ttl",
-			AppendInsertTTLRequest(AppendTrace(nil, [TraceIDLen]byte{7, 7}, 3), key, 5e9),
-			Request{Op: OpInsertTTL, Key: key, TTL: 5e9, TraceID: [TraceIDLen]byte{7, 7}, ParentSpan: 3, Traced: true},
-		},
+		{"insert", Request{Op: OpInsert, Key: key}, "01030000006b6579"},
+		{"delete", Request{Op: OpDelete, Key: key}, "02030000006b6579"},
+		{"contains", Request{Op: OpContains, Key: key}, "03030000006b6579"},
+		{"estimate", Request{Op: OpEstimate, Key: []byte{}}, "0400000000"},
+		{"len", Request{Op: OpLen}, "05"},
+		{"insert_batch", Request{Op: OpInsertBatch, Keys: keys}, "060300000001000000610000000003000000636363"},
+		{"delete_batch", Request{Op: OpDeleteBatch, Keys: keys[:1]}, "07010000000100000061"},
+		{"contains_batch", Request{Op: OpContainsBatch}, "0800000000"},
+		{"replicate", Request{Op: OpReplicate, Seq: 7, Off: 1 << 33}, "0907000000000000000000000002000000"},
+		{"dump", Request{Op: OpDump}, "0a"},
+		{"insert_ttl", Request{Op: OpInsertTTL, Key: []byte("ttl-key"), TTL: 5e9}, "0b00f2052a010000000700000074746c2d6b6579"},
+		{"insert_ttl_batch", Request{Op: OpInsertTTLBatch, Keys: keys[:1], TTL: 7e9}, "0c00863ba101000000010000000100000061"},
+		{"window_stats", Request{Op: OpWindowStats}, "0d"},
+		{"ns_create", Request{Op: OpNsCreate, NS: []byte("tenant-b"), NsCfg: cfg},
+			"0e0874656e616e742d62000040000000000088130000000000000301080063000000005847f80d000000040001"},
+		{"ns_drop", Request{Op: OpNsDrop, NS: []byte("tenant-a")}, "0f0874656e616e742d61"},
+		{"ns_list", Request{Op: OpNsList}, "10"},
+		{"ns_stats", Request{Op: OpNsStats, NS: []byte("tenant-a")}, "110874656e616e742d61"},
+		{"ns_stats default", Request{Op: OpNsStats}, "1100"},
+		{"ring_set", Request{Op: OpRingSet, Ring: ring}, "14030000000000000001020003613a3103623a32030003613a3103623a3203633a33"},
+		{"ring_get", Request{Op: OpRingGet}, "15"},
+		{"import", Request{Op: OpImport, Blob: []byte("filter")}, "1666696c746572"},
+		{"elastic_stats", Request{Op: OpElasticStats}, "17"},
+		{"namespaced insert", Request{Op: OpInsert, Key: key, NS: []byte("t1")}, "1202743101030000006b6579"},
+		{"namespaced insert_ttl_batch", Request{Op: OpInsertTTLBatch, Keys: keys, TTL: 1e9, NS: []byte("t2")},
+			"120274320c00ca9a3b000000000300000001000000610000000003000000636363"},
+		{"namespaced import", Request{Op: OpImport, Blob: []byte("filter"), NS: []byte("t3")}, "120274331666696c746572"},
+		{"traced contains", Request{Op: OpContains, Key: key, TraceID: id, ParentSpan: 77, Traced: true},
+			"1318aa0102030405060708090a0b0c0d0eff4d0000000000000003030000006b6579"},
+		{"traced ns_create", Request{Op: OpNsCreate, NS: []byte("tenant-b"), TraceID: id, ParentSpan: 77, Traced: true},
+			"1318aa0102030405060708090a0b0c0d0eff4d000000000000000e0874656e616e742d62" + strings.Repeat("00", NsConfigSize)},
+		{"traced namespaced contains_batch",
+			Request{Op: OpContainsBatch, Keys: keys, NS: []byte("t5"), TraceID: id, ParentSpan: 1 << 40, Traced: true},
+			"1318aa0102030405060708090a0b0c0d0eff000000000001000012027435080300000001000000610000000003000000636363"},
 	}
+	ops := map[byte]bool{}
 	for _, c := range cases {
-		got, err := DecodeRequest(c.payload)
+		want, err := hex.DecodeString(c.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendRequest(nil, &c.req); !bytes.Equal(got, want) {
+			t.Errorf("%s: AppendRequest wrote\n %x\nwant\n %s", c.name, got, c.hex)
+		}
+		got, err := DecodeRequest(want)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got.Op != c.want.Op || !bytes.Equal(got.Key, c.want.Key) || got.TTL != c.want.TTL {
-			t.Fatalf("%s: got %+v", c.name, got)
+		if d := requestDiff(&got, &c.req); d != "" {
+			t.Errorf("%s: decoded %s", c.name, d)
 		}
-		if !bytes.Equal(got.NS, c.want.NS) || got.NsCfg != c.want.NsCfg {
-			t.Fatalf("%s: namespace %q cfg %+v, want %q %+v", c.name, got.NS, got.NsCfg, c.want.NS, c.want.NsCfg)
+		ops[c.req.Op] = true
+	}
+	for op := byte(1); op <= MaxOp; op++ {
+		if !ops[op] && op != OpNamespaced && op != OpTrace {
+			t.Errorf("no pinned encoding for %s", OpName(op))
 		}
-		if got.Seq != c.want.Seq || got.Off != c.want.Off {
-			t.Fatalf("%s: position (%d, %d), want (%d, %d)", c.name, got.Seq, got.Off, c.want.Seq, c.want.Off)
+	}
+
+	// The decoder also accepts two forms no sender writes: the zero-length
+	// TRACE form and a NAMESPACED envelope with an empty name. Both decode
+	// to the bare request, which AppendRequest writes without them.
+	inner := AppendKeyRequest(nil, OpContains, key)
+	for name, payload := range map[string][]byte{
+		"trace zero-length form":        append([]byte{OpTrace, 0}, inner...),
+		"namespaced empty name":         append([]byte{OpNamespaced, 0}, inner...),
+		"zero-length trace, empty name": append([]byte{OpTrace, 0, OpNamespaced, 0}, inner...),
+	} {
+		got, err := DecodeRequest(payload)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if got.TraceID != c.want.TraceID || got.ParentSpan != c.want.ParentSpan || got.Traced != c.want.Traced {
-			t.Fatalf("%s: trace %x/%d/%v, want %x/%d/%v", c.name,
-				got.TraceID, got.ParentSpan, got.Traced, c.want.TraceID, c.want.ParentSpan, c.want.Traced)
+		if d := requestDiff(&got, &Request{Op: OpContains, Key: key}); d != "" {
+			t.Errorf("%s: decoded %s", name, d)
 		}
-		if len(got.Keys) != len(c.want.Keys) {
-			t.Fatalf("%s: %d keys, want %d", c.name, len(got.Keys), len(c.want.Keys))
-		}
-		for i := range got.Keys {
-			if !bytes.Equal(got.Keys[i], c.want.Keys[i]) {
-				t.Fatalf("%s key %d: %q", c.name, i, got.Keys[i])
-			}
+		if again := AppendRequest(nil, &got); !bytes.Equal(again, inner) {
+			t.Errorf("%s: re-encoded %x, want %x", name, again, inner)
 		}
 	}
 }
 
+// requestDiff describes how got differs from want, or returns "" when
+// they are the same request. Byte slices compare by content, so a nil
+// field equals an empty one.
+func requestDiff(got, want *Request) string {
+	switch {
+	case got.Op != want.Op:
+		return fmt.Sprintf("op %s, want %s", OpName(got.Op), OpName(want.Op))
+	case !bytes.Equal(got.Key, want.Key):
+		return fmt.Sprintf("key %q, want %q", got.Key, want.Key)
+	case len(got.Keys) != len(want.Keys):
+		return fmt.Sprintf("%d keys, want %d", len(got.Keys), len(want.Keys))
+	case got.TTL != want.TTL || got.Seq != want.Seq || got.Off != want.Off:
+		return fmt.Sprintf("ttl/seq/off %d/%d/%d, want %d/%d/%d", got.TTL, got.Seq, got.Off, want.TTL, want.Seq, want.Off)
+	case !bytes.Equal(got.NS, want.NS) || got.NsCfg != want.NsCfg:
+		return fmt.Sprintf("namespace %q %+v, want %q %+v", got.NS, got.NsCfg, want.NS, want.NsCfg)
+	case !bytes.Equal(got.Blob, want.Blob):
+		return fmt.Sprintf("blob %q, want %q", got.Blob, want.Blob)
+	case got.Ring.Epoch != want.Ring.Epoch || got.Ring.Joint != want.Ring.Joint ||
+		!sameAddrs(got.Ring.Old, want.Ring.Old) || !sameAddrs(got.Ring.New, want.Ring.New):
+		return fmt.Sprintf("ring %+v, want %+v", got.Ring, want.Ring)
+	case got.TraceID != want.TraceID || got.ParentSpan != want.ParentSpan || got.Traced != want.Traced:
+		return fmt.Sprintf("trace %x/%d/%v, want %x/%d/%v",
+			got.TraceID, got.ParentSpan, got.Traced, want.TraceID, want.ParentSpan, want.Traced)
+	}
+	for i := range got.Keys {
+		if !bytes.Equal(got.Keys[i], want.Keys[i]) {
+			return fmt.Sprintf("key %d %q, want %q", i, got.Keys[i], want.Keys[i])
+		}
+	}
+	return ""
+}
+
+// encode is AppendRequest into a fresh buffer, for building payloads.
+func encode(r Request) []byte { return AppendRequest(nil, &r) }
+
 func TestDecodeRequestRejectsMalformed(t *testing.T) {
+	// trace is a full TRACE envelope header (trace id {1}, parent span
+	// 2), capped so appending to it copies.
+	const hdr = 2 + TraceIDLen + 8
+	trace := encode(Request{Op: OpLen, TraceID: [TraceIDLen]byte{1}, ParentSpan: 2, Traced: true})[:hdr:hdr]
 	bad := map[string][]byte{
 		"empty":                  {},
 		"unknown op":             {0xEE},
@@ -182,46 +193,46 @@ func TestDecodeRequestRejectsMalformed(t *testing.T) {
 		"batch trailing":         append(AppendBatchRequest(nil, OpContainsBatch, [][]byte{[]byte("k")}), 0x01),
 		"dump trailing":          {OpDump, 0},
 		"replicate short":        {OpReplicate, 1, 2, 3},
-		"replicate long":         append(AppendReplicateRequest(nil, 1, 2), 0xFF),
+		"replicate long":         append(encode(Request{Op: OpReplicate, Seq: 1, Off: 2}), 0xFF),
 		"ttl no ttl":             {OpInsertTTL, 1, 2, 3},
 		"ttl no key":             append([]byte{OpInsertTTL}, make([]byte, 8)...),
 		"ttl key overrun":        append(append([]byte{OpInsertTTL}, make([]byte, 8)...), 10, 0, 0, 0, 'x'),
-		"ttl trailing":           append(AppendInsertTTLRequest(nil, []byte("k"), 1), 0xFF),
+		"ttl trailing":           append(encode(Request{Op: OpInsertTTL, Key: []byte("k"), TTL: 1}), 0xFF),
 		"ttl batch short":        {OpInsertTTLBatch, 1, 2, 3, 4, 5, 6, 7, 8, 9},
 		"ttl batch absurd":       append(append([]byte{OpInsertTTLBatch}, make([]byte, 8)...), 0xFF, 0xFF, 0xFF, 0x7F),
 		"ttl batch truncated":    append(append([]byte{OpInsertTTLBatch}, make([]byte, 8)...), 2, 0, 0, 0, 1, 0, 0, 0, 'a'),
-		"ttl batch trailing":     append(AppendInsertTTLBatchRequest(nil, [][]byte{[]byte("k")}, 1), 0x01),
+		"ttl batch trailing":     append(encode(Request{Op: OpInsertTTLBatch, Keys: [][]byte{[]byte("k")}, TTL: 1}), 0x01),
 		"window stats body":      {OpWindowStats, 0},
 		"ns create no name":      {OpNsCreate},
 		"ns create name overrun": {OpNsCreate, 5, 'a', 'b'},
 		"ns create short cfg":    append([]byte{OpNsCreate, 1, 'a'}, make([]byte, NsConfigSize-1)...),
-		"ns create trailing":     append(AppendNsCreateRequest(nil, []byte("a"), NsConfig{}), 0xFF),
+		"ns create trailing":     append(encode(Request{Op: OpNsCreate, NS: []byte("a")}), 0xFF),
 		"ns drop no name":        {OpNsDrop},
 		"ns drop name overrun":   {OpNsDrop, 9, 'a'},
-		"ns drop trailing":       append(AppendNsDropRequest(nil, []byte("a")), 0xFF),
+		"ns drop trailing":       append(encode(Request{Op: OpNsDrop, NS: []byte("a")}), 0xFF),
 		"ns stats overrun":       {OpNsStats, 2, 'a'},
 		"ns list trailing":       {OpNsList, 0},
 		"envelope no name":       {OpNamespaced},
 		"envelope name overrun":  {OpNamespaced, 4, 'a', 'b'},
 		"envelope empty inner":   {OpNamespaced, 1, 'a'},
 		"envelope nested":        {OpNamespaced, 1, 'a', OpNamespaced, 0, OpLen},
-		"envelope replicate":     append([]byte{OpNamespaced, 1, 'a'}, AppendReplicateRequest(nil, 1, 2)...),
-		"envelope ns_create":     append([]byte{OpNamespaced, 1, 'a'}, AppendNsCreateRequest(nil, []byte("b"), NsConfig{})...),
-		"envelope ns_drop":       append([]byte{OpNamespaced, 1, 'a'}, AppendNsDropRequest(nil, []byte("b"))...),
+		"envelope replicate":     append([]byte{OpNamespaced, 1, 'a'}, encode(Request{Op: OpReplicate, Seq: 1, Off: 2})...),
+		"envelope ns_create":     append([]byte{OpNamespaced, 1, 'a'}, encode(Request{Op: OpNsCreate, NS: []byte("b")})...),
+		"envelope ns_drop":       append([]byte{OpNamespaced, 1, 'a'}, encode(Request{Op: OpNsDrop, NS: []byte("b")})...),
 		"envelope ns_list":       {OpNamespaced, 1, 'a', OpNsList},
-		"envelope ns_stats":      append([]byte{OpNamespaced, 1, 'a'}, AppendNsStatsRequest(nil, []byte("b"))...),
+		"envelope ns_stats":      append([]byte{OpNamespaced, 1, 'a'}, encode(Request{Op: OpNsStats, NS: []byte("b")})...),
 		"envelope bad inner":     {OpNamespaced, 1, 'a', OpInsert, 9, 0, 0, 0, 'x'},
 		"envelope unknown op":    {OpNamespaced, 1, 'a', 0xEE},
 		"trace no id len":        {OpTrace},
 		"trace bad id len":       {OpTrace, 7, 1, 2, 3, 4, 5, 6, 7, OpLen},
 		"trace short id block":   {OpTrace, 24, 1, 2, 3},
-		"trace empty inner":      AppendTrace(nil, [TraceIDLen]byte{1}, 2),
-		"trace nested":           append(AppendTraceUntraced(nil), AppendTraceUntraced(nil)...),
-		"trace nested full":      AppendKeyRequest(AppendTrace(AppendTrace(nil, [TraceIDLen]byte{1}, 2), [TraceIDLen]byte{3}, 4), OpInsert, []byte("k")),
-		"trace replicate":        append(AppendTrace(nil, [TraceIDLen]byte{1}, 2), AppendReplicateRequest(nil, 1, 2)...),
-		"trace inside envelope":  append(AppendNamespaced(nil, []byte("a")), AppendKeyRequest(AppendTraceUntraced(nil), OpInsert, []byte("k"))...),
-		"trace bad inner":        AppendKeyRequest(AppendTrace(nil, [TraceIDLen]byte{1}, 2), OpInsert, nil)[:28],
-		"trace unknown op":       append(AppendTraceUntraced(nil), 0xEE),
+		"trace empty inner":      trace,
+		"trace nested":           {OpTrace, 0, OpTrace, 0},
+		"trace nested full":      append(trace, encode(Request{Op: OpInsert, Key: []byte("k"), TraceID: [TraceIDLen]byte{3}, ParentSpan: 4, Traced: true})...),
+		"trace replicate":        append(trace, encode(Request{Op: OpReplicate, Seq: 1, Off: 2})...),
+		"trace inside envelope":  append([]byte{OpNamespaced, 1, 'a', OpTrace, 0}, AppendKeyRequest(nil, OpInsert, []byte("k"))...),
+		"trace bad inner":        AppendKeyRequest(trace, OpInsert, nil)[:28],
+		"trace unknown op":       {OpTrace, 0, 0xEE},
 	}
 	for name, payload := range bad {
 		if _, err := DecodeRequest(payload); err == nil {
