@@ -108,22 +108,25 @@ bench-saturation:
 
 # fuzz-kernel gives the kernel/generic differential fuzzers, and the
 # batch-vs-per-key one over kernel and fallback geometries, a short budget
-# each; raise FUZZTIME for longer campaigns.
+# each; raise FUZZTIME for longer campaigns. Every fuzz-* target bounds
+# the minimization of a new input at 1s: Go's default of 60s can spend
+# the whole budget minimizing the first one. A failing input is still
+# reported and written, only less minimized.
 FUZZTIME ?= 10s
 fuzz-kernel:
-	$(GO) test -run '^$$' -fuzz FuzzWordKernelVsGeneric -fuzztime $(FUZZTIME) ./internal/hcbf
-	$(GO) test -run '^$$' -fuzz FuzzKernelVsGeneric -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzBatchVsSequential -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz FuzzWordKernelVsGeneric -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/hcbf
+	$(GO) test -run '^$$' -fuzz FuzzKernelVsGeneric -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzBatchVsSequential -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
 
 # fuzz-wire hardens the network protocol decoders: malformed request,
 # status, and replication frames must error, never panic, and the
 # request and replication codecs must round-trip (AppendRequest and
 # DecodeRequestInto are inverses, from either side).
 fuzz-wire:
-	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./server/wire
-	$(GO) test -run '^$$' -fuzz FuzzRequestRoundTrip -fuzztime $(FUZZTIME) ./server/wire
-	$(GO) test -run '^$$' -fuzz FuzzDecodeStatus -fuzztime $(FUZZTIME) ./server/wire
-	$(GO) test -run '^$$' -fuzz FuzzRepFrameRoundTrip -fuzztime $(FUZZTIME) ./server/wire
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./server/wire
+	$(GO) test -run '^$$' -fuzz FuzzRequestRoundTrip -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./server/wire
+	$(GO) test -run '^$$' -fuzz FuzzDecodeStatus -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./server/wire
+	$(GO) test -run '^$$' -fuzz FuzzRepFrameRoundTrip -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./server/wire
 
 # fuzz-snapshot hardens the snapshot decoders (reached over the network
 # by IMPORT, replica bootstrap and namespace containers): malformed
@@ -135,12 +138,12 @@ fuzz-wire:
 # pages back and the decode skip all-zero pages), and the word reader
 # must decode any stream into any destination as an element-wise copy.
 fuzz-snapshot:
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalFilter$$' -fuzztime $(FUZZTIME) ./elastic
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalFilter$$' -fuzztime $(FUZZTIME) ./window
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckVsDecode$$' -fuzztime $(FUZZTIME) ./server
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIntoDirtyArenas$$' -fuzztime $(FUZZTIME) ./server
-	$(GO) test -run '^$$' -fuzz '^FuzzWordsMatchesCopy$$' -fuzztime $(FUZZTIME) ./internal/snapio
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalFilter$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./elastic
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalFilter$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./window
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckVsDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./server
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIntoDirtyArenas$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./server
+	$(GO) test -run '^$$' -fuzz '^FuzzWordsMatchesCopy$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/snapio
 
 # serve runs the mpcbfd daemon with a local data dir; MPCBFD_FLAGS adds
 # extra flags (e.g. MPCBFD_FLAGS='-fsync interval -shards 32').

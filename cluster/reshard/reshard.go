@@ -30,6 +30,9 @@
 // the price of moving state as O(memory) frozen generations instead of
 // enumerating keys (a Bloom filter cannot enumerate its keys at all).
 //
+// Only the default filter moves. A run refuses, before it pushes any
+// ring, when a node of either membership holds a namespace.
+//
 // Every step is idempotent or monotonic: pushing a ring twice is a
 // no-op (nodes adopt only newer epochs), and a failed run can be
 // retried — the worst a crashed coordinator leaves behind is a cluster
@@ -127,13 +130,25 @@ func (co *Coordinator) conn(addr string) (*client.Client, error) {
 }
 
 // baseEpoch returns the highest ring epoch any of the nodes holds, so
-// a repeated or resumed reshard always moves forward.
+// a repeated or resumed reshard always moves forward. It refuses when
+// any node holds a namespace, before anything is pushed: a transfer
+// moves only the default filter (DUMP of it is the namespace container
+// once a namespace exists, which IMPORT refuses), and routing never
+// remaps namespaced keys, so after a cutover the moved ones would read
+// absent.
 func (co *Coordinator) baseEpoch(nodes []string) (uint64, error) {
 	var base uint64
 	for _, addr := range nodes {
 		cl, err := co.conn(addr)
 		if err != nil {
 			return 0, err
+		}
+		names, err := cl.ListNamespaces()
+		if err != nil {
+			return 0, fmt.Errorf("reshard: ns_list %s: %w", addr, err)
+		}
+		if len(names) > 0 {
+			return 0, fmt.Errorf("reshard: %s holds %d namespace(s), e.g. %q; resharding moves only the default filter", addr, len(names), names[0])
 		}
 		r, err := cl.RingGet()
 		if err != nil {

@@ -169,8 +169,15 @@ func readFilter(r io.Reader, n int64, check bool, a *mpcbf.Arenas) (*Filter, err
 	grows := binary.LittleEndian.Uint32(data[p:])
 	imports := binary.LittleEndian.Uint64(data[p+4:])
 	nGens := binary.LittleEndian.Uint32(data[p+12:])
+	read := o
 	if err := o.setDefaults(); err != nil {
 		return nil, err
+	}
+	// MarshalBinary writes options setDefaults has already filled in, so
+	// a field it would still change (a zero MaxGenerations, say) did not
+	// come from MarshalBinary and would re-encode differently.
+	if o != read {
+		return nil, errors.New("elastic: snapshot options not in their defaulted form")
 	}
 	left := n - headerSize
 	if nGens == 0 || nGens > 1<<16 || int64(nGens) > left/genHdrSize {

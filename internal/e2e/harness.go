@@ -26,6 +26,7 @@ import (
 
 var buildOnce struct {
 	sync.Once
+	dir string
 	bin string
 	err error
 }
@@ -47,6 +48,7 @@ func BuildDaemon(t testing.TB) string {
 			buildOnce.err = err
 			return
 		}
+		buildOnce.dir = dir
 		bin := filepath.Join(dir, "mpcbfd")
 		cmd := exec.Command("go", "build", "-o", bin, "./cmd/mpcbfd")
 		cmd.Dir = root
@@ -60,6 +62,15 @@ func BuildDaemon(t testing.TB) string {
 		t.Fatal(buildOnce.err)
 	}
 	return buildOnce.bin
+}
+
+// RemoveBuild removes the directory BuildDaemon built into, if it ran.
+// A package whose tests call BuildDaemon calls it from TestMain once
+// every test is done.
+func RemoveBuild() {
+	if buildOnce.dir != "" {
+		os.RemoveAll(buildOnce.dir)
+	}
 }
 
 // findRoot walks up from the test's working directory to the module

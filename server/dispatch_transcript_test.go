@@ -134,8 +134,8 @@ func dispatchTranscript(t *testing.T, mode string) string {
 		}
 	}
 
-	// Evicted namespaces: stats read without recovering, data ops
-	// recover on touch.
+	// Evicted namespaces: NS_STATS and LEN read without recovering;
+	// ELASTIC_STATS, like the data ops, recovers on touch.
 	evict("t-plain")
 	evict("t-el")
 	send(`ns_stats "t-plain" evicted`, "", wire.Request{Op: wire.OpNsStats, NS: []byte("t-plain")})

@@ -48,13 +48,13 @@ func (s *Store) Elastic() *elastic.Filter { return s.reg.Default().Elastic() }
 
 var errNotElastic = errors.New("server: not an elastic store (start mpcbfd with -elastic)")
 
-// notElastic is the error for an elastic-only op on a filter that is not
-// an elastic chain.
-func notElastic(e *ns.Entry) error {
-	if e.Pinned() {
+// notElastic is the error for an elastic-only op on name's filter when
+// it is not an elastic chain.
+func notElastic(name []byte) error {
+	if len(name) == 0 {
 		return errNotElastic
 	}
-	return fmt.Errorf("server: namespace %q is not elastic", e.Name())
+	return fmt.Errorf("server: namespace %q is not elastic", name)
 }
 
 func elasticOptionsFrom(opts StoreOptions) elastic.Options {
@@ -236,7 +236,7 @@ func (s *Store) importEnq(name, blob []byte, tr *reqTrace) (uint64, error) {
 	}
 	el := e.Elastic()
 	if el == nil {
-		return 0, notElastic(e)
+		return 0, notElastic(name)
 	}
 	gens, err := importGenerations(blob)
 	if err != nil {
@@ -287,22 +287,21 @@ func elasticWireStats(st elastic.Stats) wire.ElasticStats {
 }
 
 // elasticStats reports the chain shape of name's elastic filter
-// (ELASTIC_STATS). It reads lock-free, without recovering an evicted
-// namespace: that holds no chain in memory and answers as not elastic.
-// The fill ratios read the chain's words, so they are read under the
-// entry's read pin.
+// (ELASTIC_STATS). It reads like every other read: through the read
+// pin, recovering an evicted namespace first, and holding the pin while
+// the fill ratios read the chain's words.
 func (s *Store) elasticStats(name []byte) (wire.ElasticStats, error) {
-	e := s.reg.Lookup(name)
-	if e == nil {
+	f, pin, err := s.live(name)
+	switch {
+	case err != nil:
+		return wire.ElasticStats{}, err
+	case f == nil:
 		return wire.ElasticStats{}, errUnknownNS(name)
 	}
-	if e.PinRead() == nil {
-		return wire.ElasticStats{}, notElastic(e)
-	}
-	defer e.Unpin()
-	el := e.Elastic()
-	if el == nil {
-		return wire.ElasticStats{}, notElastic(e)
+	defer pin.Unpin()
+	el, ok := f.(*elastic.Filter)
+	if !ok {
+		return wire.ElasticStats{}, notElastic(name)
 	}
 	return elasticWireStats(el.Stats()), nil
 }

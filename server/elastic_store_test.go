@@ -425,6 +425,42 @@ func TestElasticStatsShapes(t *testing.T) {
 	}
 }
 
+// TestElasticStatsRecoversEvicted: ELASTIC_STATS reads like every other
+// read, so an evicted elastic namespace is recovered and reports the
+// chain it reported before the eviction.
+func TestElasticStatsRecoversEvicted(t *testing.T) {
+	s, err := OpenStore(testStoreOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cfg := wire.NsConfig{MemoryBits: 1 << 12, ExpectedItems: 100, Shards: 2, Flags: wire.NsFlagElastic}
+	if _, err := s.nsCreateEnq([]byte("el"), cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	nsInsertBatch(t, s, "el", storeKeys("el", 400))
+	want, err := s.elasticStats([]byte("el"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Gens) < 2 {
+		t.Fatalf("chain did not grow: %d generations", len(want.Gens))
+	}
+	s.mu.Lock()
+	err = s.reg.Evict(s.reg.Lookup([]byte("el")))
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.elasticStats([]byte("el"))
+	if err != nil {
+		t.Fatalf("ELASTIC_STATS of the evicted namespace: %v", err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("ELASTIC_STATS after eviction = %+v, want %+v", got, want)
+	}
+}
+
 func TestElasticGrowthReplicates(t *testing.T) {
 	// A replica fed the primary's WAL bytes must grow its chain at the
 	// same records and end byte-identical.

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/snapio"
@@ -43,28 +41,6 @@ const (
 	walOpNsSelect = 0xE4
 )
 
-// nsSnapPath is a namespace's evict file: the marshaled filter state of
-// an evicted namespace, wrapped in the same CRC envelope as snapshots.
-func nsSnapPath(dir, name string) string {
-	return filepath.Join(dir, "ns-"+name+".snap")
-}
-
-// listNsSnapFiles returns the evict files present in dir.
-func listNsSnapFiles(dir string) []string {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var out []string
-	for _, e := range entries {
-		n := e.Name()
-		if strings.HasPrefix(n, "ns-") && strings.HasSuffix(n, ".snap") {
-			out = append(out, filepath.Join(dir, n))
-		}
-	}
-	return out
-}
-
 // nsRegistryOptions binds the registry's persistence callbacks to the
 // store's data directory, publishing evict files the way snapshots are
 // published.
@@ -76,7 +52,8 @@ func (s *Store) nsRegistryOptions() ns.Options {
 		IdleAfter: s.opts.NsIdleAfter,
 		Log:       s.opts.Log,
 		Save: func(name string, encode func(w *snapio.Writer) error) error {
-			return publishSnapFile(nsSnapPath(dir, name), encode)
+			path := nsSnapPath(dir, name)
+			return writeSnapFile(tempPath(path), path, encode)
 		},
 		Load: func(name string, decode func(r io.Reader, n int64) error) error {
 			return readSnapFile(nsSnapPath(dir, name), decode)

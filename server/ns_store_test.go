@@ -236,7 +236,7 @@ func TestNamespaceEvictRecoverCrash(t *testing.T) {
 	nsInsertBatch(t, s, "alpha", aKeys[:200])
 	// Creating beta under the one-namespace quota evicts alpha to disk.
 	nsInsertBatch(t, s, "beta", bKeys)
-	if files := listNsSnapFiles(dir); len(files) == 0 {
+	if files, _ := scanDir(dir); len(files.evicted) == 0 {
 		t.Fatal("quota eviction wrote no ns snapshot file")
 	}
 	st, err := s.NsStats([]byte("alpha"))

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/snapio"
@@ -49,31 +48,6 @@ func (s *Store) WALChanged() <-chan struct{} { return s.wal.Changed() }
 // WALCum returns the WAL's cumulative record and byte counters, shipped
 // on replication frames for lag accounting.
 func (s *Store) WALCum() (records, bytes uint64) { return s.wal.CumPos() }
-
-// WALSegmentStats reports the number of WAL segment files on disk and
-// their total size.
-func (s *Store) WALSegmentStats() (count int, totalBytes int64) {
-	segs, err := listWALSegments(s.opts.Dir)
-	if err != nil {
-		return 0, 0
-	}
-	for _, seq := range segs {
-		if fi, err := os.Stat(walPath(s.opts.Dir, seq)); err == nil {
-			totalBytes += fi.Size()
-		}
-	}
-	return len(segs), totalBytes
-}
-
-// OldestSegment returns the lowest WAL segment sequence still on disk
-// (0 when none): the horizon below which a subscriber must bootstrap.
-func (s *Store) OldestSegment() uint64 {
-	segs, err := listWALSegments(s.opts.Dir)
-	if err != nil || len(segs) == 0 {
-		return 0
-	}
-	return segs[0]
-}
 
 // ReplicationSnapshot produces a bootstrap payload for a subscriber: a
 // full snapshot is taken (rotating the WAL), and its payload, read back
@@ -175,36 +149,14 @@ func (s *Store) ReplicaBootstrap(seq uint64, cumRecords, cumBytes uint64, data [
 		snap.discard()
 		return fmt.Errorf("server: bootstrap wal close: %w", err)
 	}
-	// Wipe segments first, snapshots second, then persist the new
-	// snapshot: every crash window leaves a directory that either
-	// recovers to an older consistent state (and re-bootstraps on
-	// reconnect) or is empty (fresh start, bootstraps again). A stale
-	// segment numbered at or above the new snapshot would replay on top
-	// of it, so removal precedes the write.
-	if segs, err := listWALSegments(s.opts.Dir); err == nil {
-		for _, old := range segs {
-			if err := os.Remove(walPath(s.opts.Dir, old)); err != nil {
-				s.opts.Log.Warn("bootstrap: remove wal segment", "seq", old, "error", err)
-			}
-		}
-	}
-	if snaps, err := listSnapshots(s.opts.Dir); err == nil {
-		for _, old := range snaps {
-			if err := os.Remove(snapshotPath(s.opts.Dir, old)); err != nil {
-				s.opts.Log.Warn("bootstrap: remove snapshot", "seq", old, "error", err)
-			}
-		}
-	}
-	// Local evict files describe the divergent history being wiped; the
-	// staged ones from the shipped container replace them below, so tail
-	// replay starts from the container's exact bytes.
-	for _, path := range listNsSnapFiles(s.opts.Dir) {
-		if err := os.Remove(path); err != nil {
-			s.opts.Log.Warn("bootstrap: remove ns evict file", "path", path, "error", err)
-		}
-	}
+	// Wipe the local history before persisting the new snapshot, which a
+	// stale segment at or above its seq would replay on top of. The
+	// shipped container's staged evict files survive the wipe and replace
+	// the local ones below, so tail replay starts from its exact bytes.
+	wipeDir(s.opts.Dir, s.opts.Log)
 
-	if err := publishSnapFile(snapshotPath(s.opts.Dir, seq), writeBytes(data)); err != nil {
+	final := snapshotPath(s.opts.Dir, seq)
+	if err := writeSnapFile(tempPath(final), final, writeBytes(data)); err != nil {
 		snap.discard()
 		return fmt.Errorf("server: bootstrap snapshot write: %w", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 
 	"repro/internal/snapio"
@@ -92,20 +91,12 @@ func finishSnapFile(f *os.File, path string) error {
 	return err
 }
 
-// writeSnapFile streams the payload encode writes into path in the CRC
-// envelope and fsyncs it. On failure nothing is left at path.
-func writeSnapFile(path string, encode func(w *snapio.Writer) error) error {
-	f, err := createSnapFile(path, encode)
-	if err != nil {
-		return err
-	}
-	return finishSnapFile(f, path)
-}
-
-// publishSnapFile writes the payload encode writes to path+".tmp" in the
-// CRC envelope and renames it over path (finishSnapFile).
-func publishSnapFile(path string, encode func(w *snapio.Writer) error) error {
-	f, err := createSnapFile(path+".tmp", encode)
+// writeSnapFile streams the payload encode writes into tmp in the CRC
+// envelope and makes it durable at path (finishSnapFile): tmp is path
+// itself, or its temp file when a crash must leave path's old contents.
+// On failure nothing is left at tmp.
+func writeSnapFile(tmp, path string, encode func(w *snapio.Writer) error) error {
+	f, err := createSnapFile(tmp, encode)
 	if err != nil {
 		return err
 	}
@@ -194,15 +185,12 @@ type nsSnapEntry struct {
 // from rd, returning the staged file it wrote ("" when it wrote none).
 type evictedFunc func(name string, rd *snapio.Reader, n int64) (string, error)
 
-// stagedSuffix marks an evict file streamed out of a snapshot that is not
-// yet known good; listNsSnapFiles ignores it.
-const stagedSuffix = ".load"
-
-// stageEvicted streams an evicted entry's state into
-// ns-<name>.snap.load in the evict-file envelope.
+// stageEvicted streams an evicted entry's state into its staged evict
+// file in the evict-file envelope: the snapshot it came from is not yet
+// known good, so nothing loads it until commit publishes it.
 func (s *Store) stageEvicted(name string, rd *snapio.Reader, n int64) (string, error) {
-	path := nsSnapPath(s.opts.Dir, name) + stagedSuffix
-	err := writeSnapFile(path, func(w *snapio.Writer) error {
+	path := stagedPath(nsSnapPath(s.opts.Dir, name))
+	err := writeSnapFile(path, path, func(w *snapio.Writer) error {
 		_, err := io.CopyN(w, rd, n)
 		return err
 	})
@@ -218,7 +206,7 @@ func (st *snapState) commit(dir string) error {
 		if e.staged == "" {
 			continue
 		}
-		if err := os.Rename(e.staged, strings.TrimSuffix(e.staged, stagedSuffix)); err != nil {
+		if err := os.Rename(e.staged, nsSnapPath(dir, e.name)); err != nil {
 			return err
 		}
 	}

@@ -120,8 +120,8 @@ func TestSnapshotLoadRoundTripsEveryPayload(t *testing.T) {
 			if err != nil || !bytes.Equal(back, evicted) {
 				t.Fatalf("evict file not restored byte for byte: %v", err)
 			}
-			if staged, _ := filepath.Glob(filepath.Join(opts.Dir, "*"+stagedSuffix)); len(staged) != 0 {
-				t.Fatalf("staged evict files left behind: %v", staged)
+			if files, _ := scanDir(opts.Dir); len(files.leftovers) != 0 {
+				t.Fatalf("temp or staged files left behind: %v", files.leftovers)
 			}
 			nsMustContain(t, r, "ev", storeKeys("payload-ev", 150))
 		})
@@ -341,7 +341,7 @@ func TestSnapshotWriteFailure(t *testing.T) {
 	}{
 		{"temp path is a directory", func(t *testing.T, s *Store) func() {
 			seq, _ := s.wal.Pos()
-			tmp := snapshotPath(s.opts.Dir, seq+1) + ".tmp"
+			tmp := tempPath(snapshotPath(s.opts.Dir, seq+1))
 			if err := os.Mkdir(tmp, 0o755); err != nil {
 				t.Fatal(err)
 			}

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -165,46 +163,16 @@ func (o *StoreOptions) setDefaults() {
 	o.Log = o.Log.With("component", "store")
 }
 
-func snapshotPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("snapshot-%016x.snap", seq))
-}
-
-// listSnapshots returns snapshot sequence numbers in dir, ascending.
-func listSnapshots(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var seqs []uint64
-	for _, e := range entries {
-		var seq uint64
-		if _, err := fmt.Sscanf(e.Name(), "snapshot-%016x.snap", &seq); err == nil {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
-}
-
-// OpenStore opens (or initializes) the store in opts.Dir: newest valid
-// snapshot first, then WAL replay, then background sync/snapshot loops.
+// OpenStore opens (or initializes) the store in opts.Dir: the temp and
+// staged files a crash left are removed, then the newest valid snapshot
+// loads, the WAL replays, and the background sync/snapshot loops start.
 func OpenStore(opts StoreOptions) (*Store, error) {
 	opts.setDefaults()
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, err
-	}
-
-	snaps, err := listSnapshots(opts.Dir)
+	files, err := openDir(opts.Dir, opts.Log)
 	if err != nil {
 		return nil, err
 	}
-	// Evict files staged by a load that crashed or was refused were never
-	// published.
-	if stale, err := filepath.Glob(filepath.Join(opts.Dir, "ns-*.snap"+stagedSuffix)); err == nil {
-		for _, path := range stale {
-			os.Remove(path)
-		}
-	}
+	snaps := files.snapshots
 	if opts.Elastic && opts.Window > 0 {
 		return nil, errors.New("server: -elastic and -window are mutually exclusive (a window expires whole generations on a clock; a growing chain cannot reconcile with that)")
 	}
@@ -284,10 +252,6 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 		return nil, fmt.Errorf("server: namespace quota at open: %w", err)
 	}
 
-	segs, err := listWALSegments(opts.Dir)
-	if err != nil {
-		return nil, err
-	}
 	// The live segment — the one appends continue into — is decided up
 	// front so replay can report the byte length of its valid record
 	// prefix: a torn or corrupt tail left by a crash must be truncated
@@ -297,13 +261,13 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 	if walSeq == 0 {
 		walSeq = 1
 	}
-	if len(segs) > 0 && segs[len(segs)-1] > walSeq {
+	if segs := files.segments; len(segs) > 0 && segs[len(segs)-1] > walSeq {
 		walSeq = segs[len(segs)-1]
 	}
 	tailValid := int64(-1) // -1: the live segment does not exist yet
 	var replayedBytes int64
 	s.walCtx = s.reg.Default()
-	for _, seq := range segs {
+	for _, seq := range files.segments {
 		if seq < snapSeq {
 			continue // covered by the snapshot
 		}
@@ -960,7 +924,7 @@ func (s *Store) cut() (tmp *os.File, seq uint64, cumRecords, cumBytes uint64, er
 	// A fresh segment opens in the default selection context; the next
 	// namespaced mutation re-emits its SELECT.
 	s.walCtx = s.reg.Default()
-	if tmp, err = createSnapFile(snapshotPath(s.opts.Dir, seq)+".tmp", s.encodeLocked); err != nil {
+	if tmp, err = createSnapFile(tempPath(snapshotPath(s.opts.Dir, seq)), s.encodeLocked); err != nil {
 		return nil, 0, 0, 0, fmt.Errorf("server: snapshot write: %w", err)
 	}
 	return tmp, seq, cumRecords, cumBytes, nil
@@ -970,37 +934,32 @@ func (s *Store) cut() (tmp *os.File, seq uint64, cumRecords, cumBytes uint64, er
 // snapshot-<keepSeq>, always retaining one predecessor snapshot
 // generation and the segments that cover it: if the newest snapshot is
 // later found corrupt, recovery falls back to the previous one and
-// replays forward from its sequence number. Failures are logged, not
-// fatal: stale files cost disk, never correctness.
+// replays forward from its sequence number. It prunes published files
+// only, since an overlapping snapshot's temp file may be in flight.
 func (s *Store) cleanup(keepSeq uint64) {
-	// floor: everything below it is unreachable by recovery. With a
-	// predecessor snapshot P < keepSeq retained, recovery may load P and
-	// needs segments seq >= P, so the floor drops to P.
-	floor := keepSeq
-	snaps, err := listSnapshots(s.opts.Dir)
+	files, err := scanDir(s.opts.Dir)
 	if err != nil {
-		s.opts.Log.Warn("cleanup: list snapshots", "error", err)
+		s.opts.Log.Warn("cleanup: list data directory", "error", err)
 		return
 	}
-	for _, seq := range snaps {
+	// floor: everything below it is unreachable by recovery. With a
+	// predecessor snapshot P < keepSeq retained, recovery may load P and
+	// needs segments seq >= P, so the floor drops to P. Snapshots go
+	// first, so a crash part way leaves only segments nothing needs.
+	floor := keepSeq
+	for _, seq := range files.snapshots {
 		if seq < keepSeq {
-			floor = seq // snaps is ascending: ends at the newest predecessor
+			floor = seq // ascending: ends at the newest predecessor
 		}
 	}
-	for _, seq := range snaps {
+	for _, seq := range files.snapshots {
 		if seq < floor {
-			if err := os.Remove(snapshotPath(s.opts.Dir, seq)); err != nil {
-				s.opts.Log.Warn("cleanup: remove snapshot", "seq", seq, "error", err)
-			}
+			removeFiles(s.opts.Log, "cleanup: remove", snapshotPath(s.opts.Dir, seq))
 		}
 	}
-	if segs, err := listWALSegments(s.opts.Dir); err == nil {
-		for _, seq := range segs {
-			if seq < floor {
-				if err := os.Remove(walPath(s.opts.Dir, seq)); err != nil {
-					s.opts.Log.Warn("cleanup: remove wal segment", "seq", seq, "error", err)
-				}
-			}
+	for _, seq := range files.segments {
+		if seq < floor {
+			removeFiles(s.opts.Log, "cleanup: remove", walPath(s.opts.Dir, seq))
 		}
 	}
 }
@@ -1056,13 +1015,4 @@ func (s *Store) Close() error {
 		errs = append(errs, err)
 	}
 	return errors.Join(errs...)
-}
-
-// syncDir fsyncs a directory so a rename survives power loss; best
-// effort on platforms where directories cannot be fsynced.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }

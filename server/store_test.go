@@ -28,6 +28,13 @@ func testStoreOptions(dir string) StoreOptions {
 	}
 }
 
+// listSnapshots returns the published snapshots scanDir finds in dir,
+// ascending.
+func listSnapshots(dir string) ([]uint64, error) {
+	files, err := scanDir(dir)
+	return files.snapshots, err
+}
+
 func storeKeys(prefix string, n int) [][]byte {
 	keys := make([][]byte, n)
 	for i := range keys {
@@ -142,16 +149,13 @@ func TestStoreSnapshotRetainsOnePredecessor(t *testing.T) {
 		if err := s.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
-		snaps, err := listSnapshots(dir)
+		files, err := scanDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
+		snaps, segs := files.snapshots, files.segments
 		if len(snaps) != want {
 			t.Fatalf("after snapshot %d: snapshots = %v, want %d", i+1, snaps, want)
-		}
-		segs, err := listWALSegments(dir)
-		if err != nil {
-			t.Fatal(err)
 		}
 		if len(segs) != want {
 			t.Fatalf("after snapshot %d: segments = %v, want %d", i+1, segs, want)
@@ -264,7 +268,8 @@ func TestStoreTornTailSurvivesDoubleCrash(t *testing.T) {
 	if err := s.wal.Close(); err != nil { // crash #1...
 		t.Fatal(err)
 	}
-	segs, err := listWALSegments(dir)
+	files, err := scanDir(dir)
+	segs := files.segments
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("segments = %v, %v", segs, err)
 	}

@@ -8,9 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,10 +181,6 @@ type wal struct {
 	commitHist   Histogram
 	waiters      atomic.Int64
 	groupCommits atomic.Uint64
-}
-
-func walPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("wal-%016x.log", seq))
 }
 
 // openWAL opens (creating if absent) the segment with the given sequence
@@ -725,21 +719,3 @@ func scanRecords(r io.Reader, fn func(op byte, key []byte) error) (records int, 
 // wireMaxWALRecord bounds a single replayed record body. Keys arrive over
 // the wire inside bounded frames, so anything larger is corruption.
 const wireMaxWALRecord = 1 << 21
-
-// listWALSegments returns the sequence numbers of every WAL segment in
-// dir, ascending.
-func listWALSegments(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var seqs []uint64
-	for _, e := range entries {
-		var seq uint64
-		if _, err := fmt.Sscanf(e.Name(), "wal-%016x.log", &seq); err == nil {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
-}

@@ -233,11 +233,11 @@ func TestWALRotate(t *testing.T) {
 	if got := replayAll(t, walPath(dir, 8)); len(got) != 1 || got[0].key != "after" {
 		t.Fatalf("new segment: %+v", got)
 	}
-	seqs, err := listWALSegments(dir)
+	files, err := scanDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seqs) != 2 || seqs[0] != 7 || seqs[1] != 8 {
+	if seqs := files.segments; len(seqs) != 2 || seqs[0] != 7 || seqs[1] != 8 {
 		t.Fatalf("segments = %v", seqs)
 	}
 }
