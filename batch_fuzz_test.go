@@ -29,6 +29,11 @@ const (
 	batchFuzzShards  = 3 // shards of every fuzzed filter
 	maxBatchTape     = 512
 	maxFanOutBatches = 4
+	// fuzzRunnerKeys is what FuzzBatchVsSequential lowers minRunnerKeys
+	// to: a fan-out batch then needs 3*16 keys instead of 3*1024, and
+	// every other batch, at most 31 keys, stays under 2*16 and so on the
+	// calling goroutine.
+	fuzzRunnerKeys = 16
 )
 
 // newFuzzSharded builds a Sharded whose shards follow cfg, seeded the way
@@ -114,8 +119,11 @@ func generations(f fuzzFilter) []*Sharded {
 // bit 5 repeats the batch to 3*minRunnerKeys keys or more so that it fans
 // out over three goroutines (at most maxFanOutBatches times a tape), bits
 // 4-0 the key count — then one byte per key, of which the low six bits
-// name it. Tapes are cut at maxBatchTape bytes to keep every run short.
+// name it. Tapes are cut at maxBatchTape bytes, and minRunnerKeys is
+// lowered to fuzzRunnerKeys, to keep every run short.
 func FuzzBatchVsSequential(f *testing.F) {
+	defer func(n int) { minRunnerKeys = n }(minRunnerKeys)
+	minRunnerKeys = fuzzRunnerKeys
 	layouts := len(batchFuzzGeometries) + 1
 	rng := rand.New(rand.NewSource(1))
 	for g := 0; g < 2*layouts; g++ {

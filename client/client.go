@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/prom"
 	"repro/server/wire"
 )
 
@@ -136,7 +137,7 @@ func (c *Client) Stats() Stats {
 func (c *Client) WriteProm(w io.Writer) {
 	st := c.Stats()
 	emit := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s{addr=%q} %d\n", name, help, name, name, c.addr, v)
+		prom.Family(w, name, "counter", help, "addr", 1, func(int) (string, uint64) { return c.addr, v })
 	}
 	emit("mpcbfd_client_requests_total", "Operations attempted on this connection.", st.Requests)
 	emit("mpcbfd_client_transport_errors_total", "Connection-breaking transport failures.", st.TransportErrors)

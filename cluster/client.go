@@ -10,6 +10,7 @@ import (
 
 	"repro/client"
 	"repro/internal/hashing"
+	"repro/internal/prom"
 	"repro/server/wire"
 )
 
@@ -516,10 +517,9 @@ func (c *Client) Snapshot() ClientStats {
 func (c *Client) WriteProm(w io.Writer) {
 	st := c.Snapshot()
 	emit := func(name, help string, val func(ns NodeStats) uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, ns := range st.Nodes {
-			fmt.Fprintf(w, "%s{node=%q} %d\n", name, ns.Primary, val(ns))
-		}
+		prom.Family(w, name, "counter", help, "node", len(st.Nodes), func(i int) (string, uint64) {
+			return st.Nodes[i].Primary, val(st.Nodes[i])
+		})
 	}
 	emit("mpcbf_cluster_requests_total", "Operations routed to each node.",
 		func(ns NodeStats) uint64 { return ns.Requests })
@@ -531,10 +531,6 @@ func (c *Client) WriteProm(w io.Writer) {
 		func(ns NodeStats) uint64 { return ns.Failovers })
 	emit("mpcbf_cluster_maybe_applied_total", "Mutations interrupted in transit (ErrMaybeApplied), by node.",
 		func(ns NodeStats) uint64 { return ns.MaybeApplied })
-	fmt.Fprintf(w, "# HELP mpcbf_cluster_ring_epoch Membership descriptor epoch the client routes by.\n# TYPE mpcbf_cluster_ring_epoch gauge\nmpcbf_cluster_ring_epoch %d\n", st.RingEpoch)
-	joint := 0
-	if st.RingJoint {
-		joint = 1
-	}
-	fmt.Fprintf(w, "# HELP mpcbf_cluster_ring_joint Whether the client is inside a dual-write (joint) epoch.\n# TYPE mpcbf_cluster_ring_joint gauge\nmpcbf_cluster_ring_joint %d\n", joint)
+	prom.Gauge(w, "mpcbf_cluster_ring_epoch", "Membership descriptor epoch the client routes by.", st.RingEpoch)
+	prom.Gauge(w, "mpcbf_cluster_ring_joint", "Whether the client is inside a dual-write (joint) epoch.", prom.Bool(st.RingJoint))
 }

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/prom"
 	"repro/server"
 	"repro/server/wire"
 )
@@ -297,28 +298,12 @@ func (r *Replica) Ready() bool { return r.lastFrame.Load() != 0 }
 // read-only server fronting the same store.
 func (r *Replica) WriteProm(w io.Writer) {
 	st := r.Stats()
-	connected := 0
-	if st.Connected {
-		connected = 1
-	}
-	fmt.Fprintf(w, "# HELP mpcbfd_replica_connected Whether the replication stream is live.\n")
-	fmt.Fprintf(w, "# TYPE mpcbfd_replica_connected gauge\n")
-	fmt.Fprintf(w, "mpcbfd_replica_connected %d\n", connected)
-	fmt.Fprintf(w, "# HELP mpcbfd_replica_lag_records Records behind the primary, per the last stream frame.\n")
-	fmt.Fprintf(w, "# TYPE mpcbfd_replica_lag_records gauge\n")
-	fmt.Fprintf(w, "mpcbfd_replica_lag_records %d\n", st.LagRecords)
-	fmt.Fprintf(w, "# HELP mpcbfd_replica_lag_bytes WAL bytes behind the primary, per the last stream frame.\n")
-	fmt.Fprintf(w, "# TYPE mpcbfd_replica_lag_bytes gauge\n")
-	fmt.Fprintf(w, "mpcbfd_replica_lag_bytes %d\n", st.LagBytes)
-	fmt.Fprintf(w, "# HELP mpcbfd_replica_lag_seconds Stamp-to-apply delay of the last stamped frame; ≈0 on an idle healthy pair.\n")
-	fmt.Fprintf(w, "# TYPE mpcbfd_replica_lag_seconds gauge\n")
-	fmt.Fprintf(w, "mpcbfd_replica_lag_seconds %g\n", st.LagSeconds)
-	fmt.Fprintf(w, "# HELP mpcbfd_replica_bootstraps_total Snapshot bootstraps consumed.\n")
-	fmt.Fprintf(w, "# TYPE mpcbfd_replica_bootstraps_total counter\n")
-	fmt.Fprintf(w, "mpcbfd_replica_bootstraps_total %d\n", st.Bootstraps)
-	fmt.Fprintf(w, "# HELP mpcbfd_replica_frames_total Stream frames applied (records + snapshots).\n")
-	fmt.Fprintf(w, "# TYPE mpcbfd_replica_frames_total counter\n")
-	fmt.Fprintf(w, "mpcbfd_replica_frames_total %d\n", st.Frames)
+	prom.Gauge(w, "mpcbfd_replica_connected", "Whether the replication stream is live.", prom.Bool(st.Connected))
+	prom.Gauge(w, "mpcbfd_replica_lag_records", "Records behind the primary, per the last stream frame.", st.LagRecords)
+	prom.Gauge(w, "mpcbfd_replica_lag_bytes", "WAL bytes behind the primary, per the last stream frame.", st.LagBytes)
+	prom.Gauge(w, "mpcbfd_replica_lag_seconds", "Stamp-to-apply delay of the last stamped frame; ≈0 on an idle healthy pair.", st.LagSeconds)
+	prom.Counter(w, "mpcbfd_replica_bootstraps_total", "Snapshot bootstraps consumed.", st.Bootstraps)
+	prom.Counter(w, "mpcbfd_replica_frames_total", "Stream frames applied (records + snapshots).", st.Frames)
 	st.ApplyNs.WritePromSeconds(w, "mpcbfd_replica_apply_duration_seconds", "Latency of applying one replication frame.")
 }
 

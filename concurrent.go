@@ -318,7 +318,9 @@ func (s *Sharded) ContainsBatchInto(keys [][]byte, sc *BatchScratch) []bool {
 // minRunnerKeys is the smallest share of a batch worth a goroutine of its
 // own: below it, starting and joining the goroutine costs more than the
 // share's hashing and applying (measured in DESIGN.md §8, "Batch kernel").
-const minRunnerKeys = 1024
+// It is a variable only so that FuzzBatchVsSequential can fan small
+// batches out.
+var minRunnerKeys = 1024
 
 type batchOp uint8
 

@@ -320,23 +320,6 @@ func (f *Filter) ImportGeneration(s *mpcbf.Sharded) {
 	})
 }
 
-// ExportGenerations returns a marshaled snapshot of each generation's
-// filter, oldest first. Resharding uses it to flatten a dumped chain
-// into individual frozen generations the destination chain absorbs via
-// ImportGeneration.
-func (f *Filter) ExportGenerations() (out [][]byte, err error) {
-	f.View(func(gens []*mpcbf.Sharded) {
-		out = make([][]byte, len(gens))
-		for i, g := range gens {
-			if out[i], err = g.MarshalBinary(); err != nil {
-				out, err = nil, fmt.Errorf("elastic: export generation %d: %w", i, err)
-				return
-			}
-		}
-	})
-	return out, err
-}
-
 // GenStats describes one generation for observability.
 type GenStats struct {
 	Items      int     `json:"items"`

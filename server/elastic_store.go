@@ -57,14 +57,6 @@ func notElastic(name []byte) error {
 	return fmt.Errorf("server: namespace %q is not elastic", name)
 }
 
-func elasticOptionsFrom(opts StoreOptions) elastic.Options {
-	return elastic.Options{
-		Filter:    opts.Filter,
-		Shards:    opts.Shards,
-		TargetFPR: opts.ElasticFPR,
-	}
-}
-
 // growEnqLocked checks e's growth trigger after an insert has been
 // applied and enqueued, and — when due — grows the chain and logs the
 // GROW record, which rides the selection context the data record just
@@ -110,7 +102,7 @@ func (s *Store) rebaseLocked(e *ns.Entry, after string) {
 // recovered if evicted, for replaying a growth or import record.
 func (s *Store) selectedChain(record string) (*elastic.Filter, error) {
 	e := s.walCtx
-	if !e.IsElastic() {
+	if e.Mode() != ns.Elastic {
 		return nil, fmt.Errorf("elastic %s record for non-elastic namespace %q", record, e.Name())
 	}
 	if err := s.residentLocked(e); err != nil {
@@ -162,9 +154,10 @@ type importGen struct {
 // A bare Sharded encoding becomes one frozen generation; a dumped
 // elastic chain is flattened into one frozen generation per non-empty
 // source generation (a chain import during resharding must not graft the
-// source's growth schedule onto the destination's). Windowed state and
-// namespace containers are refused: their keys carry expiry or tenancy
-// the flat chain cannot represent.
+// source's growth schedule onto the destination's): the generations the
+// chain's decode built are spliced as they are, each marshaled once for
+// its record. Windowed state and namespace containers are refused: their
+// keys carry expiry or tenancy the flat chain cannot represent.
 func importGenerations(blob []byte) ([]importGen, error) {
 	switch {
 	case isNsContainer(blob):
@@ -176,22 +169,21 @@ func importGenerations(blob []byte) ([]importGen, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: IMPORT blob: %w", err)
 		}
-		blobs, err := src.ExportGenerations()
-		if err != nil {
-			return nil, err
-		}
-		gens := make([]importGen, 0, len(blobs))
-		for _, b := range blobs {
-			g, err := mpcbf.UnmarshalSharded(b)
-			if err != nil {
-				return nil, fmt.Errorf("server: IMPORT blob: %w", err)
+		var gens []importGen
+		src.View(func(all []*mpcbf.Sharded) {
+			for i, g := range all {
+				if g.Len() == 0 {
+					continue // an empty generation buys probe cost, not keys
+				}
+				b, merr := g.MarshalBinary()
+				if merr != nil {
+					gens, err = nil, fmt.Errorf("server: IMPORT generation %d: %w", i, merr)
+					return
+				}
+				gens = append(gens, importGen{f: g, blob: b})
 			}
-			if g.Len() == 0 {
-				continue // an empty generation buys probe cost, not keys
-			}
-			gens = append(gens, importGen{f: g, blob: b})
-		}
-		return gens, nil
+		})
+		return gens, err
 	default:
 		g, err := mpcbf.UnmarshalSharded(blob)
 		if err != nil {
@@ -287,23 +279,11 @@ func elasticWireStats(st elastic.Stats) wire.ElasticStats {
 }
 
 // elasticStats reports the chain shape of name's elastic filter
-// (ELASTIC_STATS). It reads like every other read: through the read
-// pin, recovering an evicted namespace first, and holding the pin while
-// the fill ratios read the chain's words.
+// (ELASTIC_STATS). It reads like every other read (readAs).
 func (s *Store) elasticStats(name []byte) (wire.ElasticStats, error) {
-	f, pin, err := s.live(name)
-	switch {
-	case err != nil:
-		return wire.ElasticStats{}, err
-	case f == nil:
-		return wire.ElasticStats{}, errUnknownNS(name)
-	}
-	defer pin.Unpin()
-	el, ok := f.(*elastic.Filter)
-	if !ok {
-		return wire.ElasticStats{}, notElastic(name)
-	}
-	return elasticWireStats(el.Stats()), nil
+	return readAs(s, name, notElastic, func(el *elastic.Filter) wire.ElasticStats {
+		return elasticWireStats(el.Stats())
+	})
 }
 
 // ElasticStats reports the default chain's shape. Elastic stores only.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	mpcbf "repro"
+	"repro/elastic"
 	"repro/server/ns"
 	"repro/server/wire"
 )
@@ -240,6 +241,106 @@ func TestElasticImportSplicesAndSurvivesRestart(t *testing.T) {
 		if !r.Contains(k) {
 			t.Fatalf("imported key lost after crash: %q", k)
 		}
+	}
+}
+
+// TestElasticImportLogsEachGenerationOnce: an IMPORT of a dumped chain
+// logs one ELASTIC_IMPORT record per non-empty source generation, whose
+// body is that generation's MarshalBinary, and a restart replays the
+// records to a chain that DUMPs the bytes the live one did.
+func TestElasticImportLogsEachGenerationOnce(t *testing.T) {
+	src, err := OpenStore(testElasticStoreOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := storeKeys("src", 4000)
+	for i := 0; i < len(keys); i += 200 { // a batch grows the chain at most once
+		if err := src.InsertBatch(keys[i : i+200]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := src.MarshalFilter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	chain, err := elastic.UnmarshalFilter(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]byte
+	chain.View(func(gens []*mpcbf.Sharded) {
+		for _, g := range gens {
+			if g.Len() == 0 {
+				continue
+			}
+			b, err := g.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, b)
+		}
+	})
+	if len(want) < 2 {
+		t.Fatalf("source chain has %d non-empty generations, want a multi-generation chain", len(want))
+	}
+
+	dir := t.TempDir()
+	dst, err := OpenStore(testElasticStoreOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.InsertBatch(storeKeys("dst", 300)); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Import(blob); err != nil {
+		t.Fatal(err)
+	}
+	files, err := scanDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
+	for _, seq := range files.segments {
+		_, _, err := replayWAL(walPath(dir, seq), func(op byte, body []byte) error {
+			if op == walOpElasticImport {
+				got = append(got, bytes.Clone(body))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("logged %d import records, want one per non-empty source generation (%d)", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("import record %d is not source generation %d's MarshalBinary", i, i)
+		}
+	}
+
+	dump, err := dst.MarshalFilter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.wal.Close(); err != nil { // crash: the imports replay from the WAL
+		t.Fatal(err)
+	}
+	r, err := OpenStore(testElasticStoreOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	redump, err := r.MarshalFilter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dump, redump) {
+		t.Fatal("restart after the import DUMPs other bytes")
 	}
 }
 

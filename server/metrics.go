@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/prom"
 	"repro/server/wire"
 )
 
@@ -146,8 +147,7 @@ func (h *Histogram) Summary() HistSummary { return h.Snapshot().Summary() }
 // WritePromSeconds renders a nanosecond-valued HistSnapshot as a
 // Prometheus histogram in seconds.
 func (s HistSnapshot) WritePromSeconds(w io.Writer, name, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
+	prom.Header(w, name, "histogram", help)
 	cum := uint64(0)
 	for i := 0; i < len(s.Buckets)-1; i++ {
 		cum += s.Buckets[i]
@@ -163,8 +163,7 @@ func (s HistSnapshot) WritePromSeconds(w io.Writer, name, help string) {
 // WritePromCounts renders a count-valued HistSnapshot (e.g. batch sizes)
 // as a Prometheus histogram with unit-less bounds.
 func (s HistSnapshot) WritePromCounts(w io.Writer, name, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
+	prom.Header(w, name, "histogram", help)
 	cum := uint64(0)
 	for i := 0; i < len(s.Buckets)-1; i++ {
 		cum += s.Buckets[i]

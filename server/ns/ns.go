@@ -136,34 +136,111 @@ func (c Config) validate() error {
 		return fmt.Errorf("ns: negative window %v", c.Window)
 	case c.Window > 0 && (c.Generations < 1 || c.Generations > maxGens):
 		return fmt.Errorf("ns: generations %d outside [1, %d]", c.Generations, maxGens)
-	case c.Elastic && c.Window > 0:
-		return errors.New("ns: a namespace cannot be both elastic and windowed (growth would duplicate keys across expiring generations)")
 	}
-	return nil
+	_, err := c.spec().Mode()
+	return err
 }
 
 // Windowed reports whether the configuration describes a sliding-window
 // namespace.
 func (c Config) Windowed() bool { return c.Window > 0 }
 
-// elasticOptions derives the elastic chain configuration: the resolved
-// filter geometry seeds generation 0 and the chain target FPR derives
+// spec describes the empty state of c's mode: the resolved geometry
+// seeds every generation, and an elastic chain derives its target FPR
 // from it (the elastic package's default).
-func (c Config) elasticOptions() elastic.Options {
-	return elastic.Options{
-		Filter: c.filterOptions(),
-		Shards: c.Shards,
+func (c Config) spec() Spec {
+	return Spec{
+		Filter: mpcbf.Options{
+			MemoryBits:     c.MemoryBits,
+			ExpectedItems:  c.ExpectedItems,
+			HashFunctions:  c.HashFunctions,
+			MemoryAccesses: c.MemoryAccesses,
+			Seed:           c.Seed,
+		},
+		Shards:      c.Shards,
+		Window:      c.Window,
+		Generations: c.Generations,
+		Elastic:     c.Elastic,
 	}
 }
 
-func (c Config) filterOptions() mpcbf.Options {
-	return mpcbf.Options{
-		MemoryBits:     c.MemoryBits,
-		ExpectedItems:  c.ExpectedItems,
-		HashFunctions:  c.HashFunctions,
-		MemoryAccesses: c.MemoryAccesses,
-		Seed:           c.Seed,
+// Mode is a filter's mode. A state's mode is its dynamic type (ModeOf);
+// a Spec's is the mode it asks for.
+type Mode uint8
+
+const (
+	Plain    Mode = iota // *mpcbf.Sharded
+	Windowed             // *window.Filter
+	Elastic              // *elastic.Filter
+)
+
+var modeNames = [...]string{Plain: "plain", Windowed: "windowed", Elastic: "elastic"}
+
+func (m Mode) String() string { return modeNames[m] }
+
+// ModeOf returns the mode of state f; a nil f is Plain.
+func ModeOf(f Filter) Mode {
+	switch f.(type) {
+	case *window.Filter:
+		return Windowed
+	case *elastic.Filter:
+		return Elastic
 	}
+	return Plain
+}
+
+// Spec describes an empty filter state of any mode: the geometry and
+// shard count of each generation, a window's span and ring size (a
+// positive Window asks for a window), and whether the state is an
+// elastic chain, with its chain-wide FPR bound (0: derived from the
+// geometry).
+type Spec struct {
+	Filter      mpcbf.Options
+	Shards      int
+	Window      time.Duration
+	Generations int
+	Elastic     bool
+	TargetFPR   float64
+}
+
+var errElasticWindowed = errors.New("ns: a namespace cannot be both elastic and windowed (growth would duplicate keys across expiring generations)")
+
+// Mode returns the mode sp asks for. It refuses a filter both elastic
+// and windowed: a window expires whole generations on a clock, which a
+// growing chain cannot reconcile with.
+func (sp Spec) Mode() (Mode, error) {
+	switch {
+	case sp.Elastic && sp.Window > 0:
+		return Plain, errElasticWindowed
+	case sp.Elastic:
+		return Elastic, nil
+	case sp.Window > 0:
+		return Windowed, nil
+	}
+	return Plain, nil
+}
+
+// NewFilter builds an empty state of the mode sp asks for.
+func NewFilter(sp Spec) (Filter, error) {
+	mode, err := sp.Mode()
+	switch {
+	case err != nil:
+		return nil, err
+	case mode == Windowed:
+		return filterOf(window.New(window.Options{Span: sp.Window, Generations: sp.Generations, Filter: sp.Filter, Shards: sp.Shards}))
+	case mode == Elastic:
+		return filterOf(elastic.New(elastic.Options{Filter: sp.Filter, Shards: sp.Shards, TargetFPR: sp.TargetFPR}))
+	}
+	return filterOf(mpcbf.NewSharded(sp.Filter, sp.Shards))
+}
+
+// filterOf returns a constructor's result as a state: nil, not a nil
+// pointer of F inside a non-nil interface, on error.
+func filterOf[F Filter](f F, err error) (Filter, error) {
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // Errors returned by registry operations.
@@ -228,32 +305,27 @@ func (e *Entry) Config() Config { return e.cfg }
 // Pinned reports whether this is the registry's pinned default entry.
 func (e *Entry) Pinned() bool { return e.pinned }
 
-// Windowed reports whether this is a sliding-window namespace. A named
-// entry's mode is its configuration; the pinned default's is its state.
-func (e *Entry) Windowed() bool { return e.cfg.Windowed() || e.Window() != nil }
-
-// IsElastic reports whether this is an elastic-chain namespace.
-func (e *Entry) IsElastic() bool { return e.cfg.Elastic || e.Elastic() != nil }
+// Mode returns e's mode. A named entry's is its configuration's,
+// resident or evicted; the pinned default's is its state's.
+func (e *Entry) Mode() Mode {
+	if e.pinned {
+		return ModeOf(e.Live())
+	}
+	m, _ := e.cfg.spec().Mode()
+	return m
+}
 
 // Resident reports whether filter state is in memory.
 func (e *Entry) Resident() bool { return e.state.Load() != nil }
 
-// State returns the resident state (the zero State when evicted).
-func (e *Entry) State() State {
-	if r := e.state.Load(); r != nil {
-		return r.State
-	}
-	return State{}
-}
-
 // Filter returns the resident plain filter, or nil.
-func (e *Entry) Filter() *mpcbf.Sharded { return e.State().Filter }
+func (e *Entry) Filter() *mpcbf.Sharded { f, _ := e.Live().(*mpcbf.Sharded); return f }
 
 // Window returns the resident window filter, or nil.
-func (e *Entry) Window() *window.Filter { return e.State().Window }
+func (e *Entry) Window() *window.Filter { w, _ := e.Live().(*window.Filter); return w }
 
 // Elastic returns the resident elastic chain, or nil.
-func (e *Entry) Elastic() *elastic.Filter { return e.State().Elastic }
+func (e *Entry) Elastic() *elastic.Filter { el, _ := e.Live().(*elastic.Filter); return el }
 
 // Touch records an access at now (UnixNano) for LRU/idle accounting.
 func (e *Entry) Touch(now int64) { e.lastTouch.Store(now) }
@@ -304,9 +376,9 @@ func (e *Entry) DeleteBatch(keys [][]byte, sc *mpcbf.BatchScratch) ([]bool, erro
 	return r.f.DeleteBatchInto(keys, sc)
 }
 
-// Live returns the pinned default entry's filter for a lock-free read.
-// The default is never evicted, so its reads take no pin; a named
-// entry's reads go through PinRead.
+// Live returns the resident state, or nil when e is evicted. The pinned
+// default is never evicted, so its lock-free reads take no pin; a named
+// entry's lock-free reads go through PinRead.
 func (e *Entry) Live() Filter {
 	if r := e.state.Load(); r != nil {
 		return r.f
@@ -384,12 +456,13 @@ func (e *Entry) Stats() wire.NsStats {
 	}
 	// An elastic chain's footprint is live state, not config: it grows.
 	// The pinned default has no config, so its footprint is always live.
-	if r := e.state.Load(); r != nil && (r.Elastic != nil || e.pinned) {
-		memBits = uint64(r.f.MemoryBits())
+	f := e.Live()
+	if _, el := f.(*elastic.Filter); el || (e.pinned && f != nil) {
+		memBits = uint64(f.MemoryBits())
 	}
 	return wire.NsStats{
-		Resident:   e.Resident(),
-		Windowed:   e.Windowed(),
+		Resident:   f != nil,
+		Windowed:   e.Mode() == Windowed,
 		Items:      uint64(e.Len()),
 		MemoryBits: memBits,
 		Evictions:  e.evictions.Load(),
@@ -397,15 +470,10 @@ func (e *Entry) Stats() wire.NsStats {
 	}
 }
 
-// State is one namespace's (or the default filter's) filter state in
-// any of the three modes: exactly one field is non-nil.
-type State struct {
-	Filter  *mpcbf.Sharded
-	Window  *window.Filter
-	Elastic *elastic.Filter
-}
-
-// Filter is the method set the three kinds of state share.
+// Filter is one namespace's (or the default filter's) state: a
+// *mpcbf.Sharded, a *window.Filter or an *elastic.Filter, whose dynamic
+// type is the state's mode (ModeOf), behind the method set the three
+// share.
 type Filter interface {
 	Insert(key []byte) error
 	Delete(key []byte) error
@@ -419,33 +487,17 @@ type Filter interface {
 	MarshaledSize() int
 	Encode(w *snapio.Writer)
 	MemoryBits() int
+	SaturatedWords() int
 	ReleaseArenas(put func(words []uint64))
 }
 
-// resident is a published state together with its filter behind the
-// shared method set, resolved once when the state is published.
-type resident struct {
-	State
-	f Filter
-}
-
-func newResident(st State) *resident {
-	r := &resident{State: st}
-	switch {
-	case st.Filter != nil:
-		r.f = st.Filter
-	case st.Window != nil:
-		r.f = st.Window
-	default:
-		r.f = st.Elastic
-	}
-	return r
-}
+// resident is a published state.
+type resident struct{ f Filter }
 
 // DecodeState decodes exactly n bytes of r as whichever state its leading
 // magic names: a windowed ring, an elastic chain, or a plain sharded
 // filter.
-func DecodeState(r io.Reader, n int64) (State, error) { return readState(r, n, false, nil) }
+func DecodeState(r io.Reader, n int64) (Filter, error) { return readState(r, n, false, nil) }
 
 // CheckState reads a state of exactly n bytes from r and fails exactly
 // when DecodeState would, building nothing, so checking a state of any
@@ -456,68 +508,34 @@ func CheckState(r io.Reader, n int64) error {
 }
 
 // readState is DecodeState building the state's arenas in words taken
-// from a, or with check set CheckState, which returns the zero State.
-func readState(r io.Reader, n int64, check bool, a *mpcbf.Arenas) (State, error) {
+// from a, or with check set CheckState, which returns a nil state. On
+// error the state is nil too.
+func readState(r io.Reader, n int64, check bool, a *mpcbf.Arenas) (Filter, error) {
 	rd := snapio.From(r, n)
 	magic := rd.Peek(4)
-	var st State
-	var err error
 	switch {
 	case window.IsWindowed(magic) && check:
-		err = window.CheckFilter(rd, n)
+		return nil, window.CheckFilter(rd, n)
 	case window.IsWindowed(magic):
-		st.Window, err = window.ReadFilterReusing(rd, n, a)
+		return filterOf(window.ReadFilterReusing(rd, n, a))
 	case elastic.IsElastic(magic) && check:
-		err = elastic.CheckFilter(rd, n)
+		return nil, elastic.CheckFilter(rd, n)
 	case elastic.IsElastic(magic):
-		st.Elastic, err = elastic.ReadFilterReusing(rd, n, a)
+		return filterOf(elastic.ReadFilterReusing(rd, n, a))
 	case check:
-		err = mpcbf.CheckSharded(rd, n)
-	default:
-		st.Filter, err = mpcbf.ReadShardedReusing(rd, n, a)
+		return nil, mpcbf.CheckSharded(rd, n)
 	}
-	return st, err
+	return filterOf(mpcbf.ReadShardedReusing(rd, n, a))
 }
 
-// attachFresh builds and attaches empty filter state.
-func (e *Entry) attachFresh() error {
-	var st State
-	var err error
-	switch {
-	case e.cfg.Elastic:
-		st.Elastic, err = elastic.New(e.cfg.elasticOptions())
-	case e.cfg.Windowed():
-		st.Window, err = window.New(window.Options{
-			Span:        e.cfg.Window,
-			Generations: e.cfg.Generations,
-			Filter:      e.cfg.filterOptions(),
-			Shards:      e.cfg.Shards,
-		})
-	default:
-		st.Filter, err = mpcbf.NewSharded(e.cfg.filterOptions(), e.cfg.Shards)
+// attach publishes state f of a named entry, refusing a state whose mode
+// is not the configuration's.
+func (e *Entry) attach(f Filter) error {
+	if got, want := ModeOf(f), e.Mode(); got != want {
+		return fmt.Errorf("ns %q: %v state for a %v namespace", e.name, got, want)
 	}
-	if err != nil {
-		return fmt.Errorf("ns %q: %w", e.name, err)
-	}
-	return e.attach(st)
-}
-
-// attach installs decoded state, checking that its mode matches the
-// configuration.
-func (e *Entry) attach(st State) error {
-	switch {
-	case st.Elastic != nil && !e.cfg.Elastic:
-		return fmt.Errorf("ns %q: elastic state for a non-elastic namespace", e.name)
-	case st.Elastic == nil && e.cfg.Elastic:
-		return fmt.Errorf("ns %q: non-elastic state for an elastic namespace", e.name)
-	case st.Window != nil && !e.cfg.Windowed():
-		return fmt.Errorf("ns %q: windowed state for a non-windowed namespace", e.name)
-	case st.Window == nil && e.cfg.Windowed():
-		return fmt.Errorf("ns %q: non-windowed state for a windowed namespace", e.name)
-	}
-	r := newResident(st)
-	e.memBytes = int64(r.f.MemoryBits() / 8)
-	e.state.Store(r)
+	e.memBytes = int64(f.MemoryBits() / 8)
+	e.state.Store(&resident{f})
 	return nil
 }
 
@@ -531,9 +549,9 @@ func (e *Entry) unpublish() *resident {
 	return e.state.Swap(nil)
 }
 
-// Replace publishes st (exactly one field non-nil) as the pinned default
-// entry's state in one atomic store.
-func (e *Entry) Replace(st State) { e.state.Store(newResident(st)) }
+// Replace publishes f, of any mode, as the pinned default entry's state
+// in one atomic store.
+func (e *Entry) Replace(f Filter) { e.state.Store(&resident{f}) }
 
 // Options configures a Registry.
 type Options struct {
@@ -704,8 +722,12 @@ func (r *Registry) Create(name string, cfg Config) (*Entry, error) {
 	if r.Lookup([]byte(name)) != nil {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
+	f, err := NewFilter(cfg.spec())
+	if err != nil {
+		return nil, fmt.Errorf("ns %q: %w", name, err)
+	}
 	e := newEntry(name, cfg)
-	if err := e.attachFresh(); err != nil {
+	if err := e.attach(f); err != nil {
 		return nil, err
 	}
 	e.Touch(r.Now())
@@ -789,15 +811,15 @@ func (r *Registry) Recover(e *Entry) error {
 			return err
 		}
 	}
-	var st State
+	var f Filter
 	err := r.opts.Load(e.name, func(rd io.Reader, n int64) (err error) {
-		st, err = readState(rd, n, false, &free)
+		f, err = readState(rd, n, false, &free)
 		return err
 	})
 	if err != nil {
 		return fmt.Errorf("ns %q: load for recover: %w", e.name, err)
 	}
-	if err := e.attach(st); err != nil {
+	if err := e.attach(f); err != nil {
 		return err
 	}
 	r.residentBytes.Add(e.memBytes)
@@ -805,8 +827,8 @@ func (r *Registry) Recover(e *Entry) error {
 	e.recoveries.Add(1)
 	r.recoveries.Add(1)
 	e.Touch(r.Now())
-	if e.Windowed() {
-		e.SetNextRotate(r.opts.Now().Add(e.Window().RotateEvery()).UnixNano())
+	if w := e.Window(); w != nil {
+		e.SetNextRotate(r.opts.Now().Add(w.RotateEvery()).UnixNano())
 	}
 	r.KickRotate(e)
 	r.opts.Log.Debug("namespace recovered", "ns", e.name, "bytes", e.memBytes)
@@ -899,13 +921,13 @@ func (r *Registry) EvictIdle(cutoff int64) (int, error) {
 
 // InstallSnapshot recreates a namespace during recovery or replica
 // bootstrap from a snapshot container record: resolved config,
-// items-at-marshal, and the decoded state of a resident entry (the zero
-// State for an evicted one). The caller must already have rewritten an
+// items-at-marshal, and the decoded state of a resident entry (nil for
+// an evicted one). The caller must already have rewritten an
 // evicted entry's evict file from the snapshot's embedded bytes —
 // mandatory, not an optimization: WAL-tail replay assumes every
 // namespace starts in its snapshot state, and a local evict file
 // written after the snapshot may already include tail mutations.
-func (r *Registry) InstallSnapshot(name string, cfg Config, st State, items uint64) error {
+func (r *Registry) InstallSnapshot(name string, cfg Config, f Filter, items uint64) error {
 	if err := wire.ValidateNamespace(name); err != nil {
 		return err
 	}
@@ -916,8 +938,8 @@ func (r *Registry) InstallSnapshot(name string, cfg Config, st State, items uint
 		return fmt.Errorf("%w: %q (duplicate in snapshot)", ErrExists, name)
 	}
 	e := newEntry(name, cfg)
-	if st != (State{}) {
-		if err := e.attach(st); err != nil {
+	if f != nil {
+		if err := e.attach(f); err != nil {
 			return err
 		}
 		r.residentBytes.Add(e.memBytes)

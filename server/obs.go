@@ -2,17 +2,19 @@ package server
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
 	"time"
 
 	mpcbf "repro"
 	"repro/elastic"
+	"repro/internal/prom"
 	"repro/server/ns"
 	"repro/server/wire"
+	"repro/window"
 )
 
 // Unified observability: ServerSnapshot is the single point-in-time view
@@ -243,20 +245,13 @@ func (s *Server) Snapshot() ServerSnapshot {
 	// stats come from its head generation, the live insert target, where
 	// load skew shows first; its fill ratio is the mode's own: the
 	// fullest generation of a window, the head of an elastic chain.
-	def := s.store.reg.Default().State()
-	var f interface {
-		Len() int
-		SaturatedWords() int
-		MemoryBits() int
-	}
-	switch {
-	case def.Filter != nil:
-		f = def.Filter
-		snap.Shards, snap.Filter.FillRatio = def.Filter.ShardStats()
-	case def.Window != nil:
-		f = def.Window
-		snap.Shards, snap.Filter.FillRatio = def.Window.ShardStats()
-		st := def.Window.Stats()
+	def := s.store.reg.Default().Live()
+	switch f := def.(type) {
+	case *mpcbf.Sharded:
+		snap.Shards, snap.Filter.FillRatio = f.ShardStats()
+	case *window.Filter:
+		snap.Shards, snap.Filter.FillRatio = f.ShardStats()
+		st := f.Stats()
 		snap.Window = &WindowSnapshot{
 			SpanNs:        int64(st.Span),
 			RotateEveryNs: int64(st.RotateEvery),
@@ -266,16 +261,15 @@ func (s *Server) Snapshot() ServerSnapshot {
 			GenItems:      st.GenItems,
 			RotationNs:    s.store.RotationHist(),
 		}
-	default:
-		f = def.Elastic
-		st := def.Elastic.Stats()
+	case *elastic.Filter:
+		st := f.Stats()
 		snap.Shards, snap.Filter.FillRatio = st.Shards, st.Gens[len(st.Gens)-1].FillRatio
 		es := &ElasticSnapshot{
 			Generations: st.Generations,
 			Grows:       st.Grows,
 			Imports:     st.Imports,
 			TargetFPR:   st.TargetFPR,
-			ExpectedFPR: def.Elastic.ExpectedFPR(),
+			ExpectedFPR: f.ExpectedFPR(),
 			Gens:        st.Gens,
 		}
 		for _, g := range st.Gens {
@@ -286,9 +280,9 @@ func (s *Server) Snapshot() ServerSnapshot {
 		}
 		snap.Elastic = es
 	}
-	snap.Filter.Len = f.Len()
-	snap.Filter.SaturatedWords = f.SaturatedWords()
-	snap.Filter.MemoryBits = f.MemoryBits()
+	snap.Filter.Len = def.Len()
+	snap.Filter.SaturatedWords = def.SaturatedWords()
+	snap.Filter.MemoryBits = def.MemoryBits()
 	snap.Filter.Shards = len(snap.Shards)
 	if r := s.ring.Load(); r != nil {
 		rs := &RingSnapshot{Epoch: r.Epoch, Joint: r.Joint, OldNodes: len(r.Old), NewNodes: len(r.New)}
@@ -354,18 +348,6 @@ func (s *Server) ready() bool {
 	return true
 }
 
-func promCounter(w io.Writer, name, help string, v uint64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-}
-
-func promGaugeInt(w io.Writer, name, help string, v int64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-}
-
-func promGaugeFloat(w io.Writer, name, help string, v float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-}
-
 // WriteProm renders snap as Prometheus text exposition (version 0.0.4).
 // Every series carries # HELP and # TYPE lines, emitted once per metric
 // name, before its samples.
@@ -377,179 +359,148 @@ func (snap ServerSnapshot) WriteProm(w io.Writer) {
 		ops = append(ops, name)
 	}
 	sort.Strings(ops)
-	fmt.Fprintf(w, "# HELP mpcbfd_requests_total Requests served, by wire operation.\n")
-	fmt.Fprintf(w, "# TYPE mpcbfd_requests_total counter\n")
-	for _, name := range ops {
-		fmt.Fprintf(w, "mpcbfd_requests_total{op=%q} %d\n", name, snap.Ops[name])
-	}
-	promCounter(w, "mpcbfd_request_errors_total", "Requests that returned an error status.", snap.OpErrors)
+	prom.Family(w, "mpcbfd_requests_total", "counter", "Requests served, by wire operation.", "op", len(ops),
+		func(i int) (string, uint64) { return ops[i], snap.Ops[ops[i]] })
+	prom.Counter(w, "mpcbfd_request_errors_total", "Requests that returned an error status.", snap.OpErrors)
 	snap.LatencyNs.WritePromSeconds(w, "mpcbfd_request_duration_seconds", "Request latency from dispatch to response encoding.")
 	// Pre-interpolated quantile gauges beside the raw histogram: dashboards
 	// that can't run histogram_quantile (or want the server's own
 	// interpolation) read these directly.
-	promGaugeFloat(w, "mpcbfd_request_latency_p50_seconds", "Interpolated request-latency median.", snap.LatencyNs.Quantile(0.50)/1e9)
-	promGaugeFloat(w, "mpcbfd_request_latency_p99_seconds", "Interpolated request-latency 99th percentile.", snap.LatencyNs.Quantile(0.99)/1e9)
+	prom.Gauge(w, "mpcbfd_request_latency_p50_seconds", "Interpolated request-latency median.", snap.LatencyNs.Quantile(0.50)/1e9)
+	prom.Gauge(w, "mpcbfd_request_latency_p99_seconds", "Interpolated request-latency 99th percentile.", snap.LatencyNs.Quantile(0.99)/1e9)
 
-	promGaugeInt(w, "mpcbfd_connections_open", "Connections currently open.", snap.Conns.Open)
-	promCounter(w, "mpcbfd_connections_accepted_total", "Connections accepted.", snap.Conns.Accepted)
-	promCounter(w, "mpcbfd_connections_rejected_total", "Connections refused by the MaxConns limit.", snap.Conns.Rejected)
-	promCounter(w, "mpcbfd_bytes_in_total", "Request frame bytes received.", snap.BytesIn)
-	promCounter(w, "mpcbfd_bytes_out_total", "Response frame bytes sent.", snap.BytesOut)
+	prom.Gauge(w, "mpcbfd_connections_open", "Connections currently open.", snap.Conns.Open)
+	prom.Counter(w, "mpcbfd_connections_accepted_total", "Connections accepted.", snap.Conns.Accepted)
+	prom.Counter(w, "mpcbfd_connections_rejected_total", "Connections refused by the MaxConns limit.", snap.Conns.Rejected)
+	prom.Counter(w, "mpcbfd_bytes_in_total", "Request frame bytes received.", snap.BytesIn)
+	prom.Counter(w, "mpcbfd_bytes_out_total", "Response frame bytes sent.", snap.BytesOut)
 
-	promGaugeInt(w, "mpcbfd_filter_len", "Elements currently in the filter.", int64(snap.Filter.Len))
-	promGaugeFloat(w, "mpcbfd_filter_fill_ratio", "Fraction of increment capacity consumed (0..1).", snap.Filter.FillRatio)
-	promGaugeInt(w, "mpcbfd_filter_saturated_words", "HCBF words frozen as always-positive by overflow.", int64(snap.Filter.SaturatedWords))
-	promGaugeInt(w, "mpcbfd_filter_memory_bits", "Aggregate filter footprint in bits.", int64(snap.Filter.MemoryBits))
-	promGaugeInt(w, "mpcbfd_filter_shards", "Shard count of the filter.", int64(snap.Filter.Shards))
+	prom.Gauge(w, "mpcbfd_filter_len", "Elements currently in the filter.", snap.Filter.Len)
+	prom.Gauge(w, "mpcbfd_filter_fill_ratio", "Fraction of increment capacity consumed (0..1).", snap.Filter.FillRatio)
+	prom.Gauge(w, "mpcbfd_filter_saturated_words", "HCBF words frozen as always-positive by overflow.", snap.Filter.SaturatedWords)
+	prom.Gauge(w, "mpcbfd_filter_memory_bits", "Aggregate filter footprint in bits.", snap.Filter.MemoryBits)
+	prom.Gauge(w, "mpcbfd_filter_shards", "Shard count of the filter.", snap.Filter.Shards)
 
 	writeShardProm(w, snap.Shards)
 
 	if win := snap.Window; win != nil {
-		promGaugeFloat(w, "mpcbfd_window_span_seconds", "Configured sliding-window span.", float64(win.SpanNs)/1e9)
-		promGaugeFloat(w, "mpcbfd_window_rotate_every_seconds", "Rotation period (span / generations): the staleness bound.", float64(win.RotateEveryNs)/1e9)
-		promGaugeInt(w, "mpcbfd_window_generations", "Generation ring size G.", int64(win.Generations))
-		promGaugeInt(w, "mpcbfd_window_head", "Ring slot currently receiving inserts.", int64(win.Head))
-		promCounter(w, "mpcbfd_window_rotations_total", "Ring rotations since the window was created.", win.Rotations)
-		fmt.Fprintf(w, "# HELP mpcbfd_window_generation_items Elements per generation, by ring slot.\n# TYPE mpcbfd_window_generation_items gauge\n")
-		for i, n := range win.GenItems {
-			fmt.Fprintf(w, "mpcbfd_window_generation_items{gen=\"%d\"} %d\n", i, n)
-		}
+		prom.Gauge(w, "mpcbfd_window_span_seconds", "Configured sliding-window span.", float64(win.SpanNs)/1e9)
+		prom.Gauge(w, "mpcbfd_window_rotate_every_seconds", "Rotation period (span / generations): the staleness bound.", float64(win.RotateEveryNs)/1e9)
+		prom.Gauge(w, "mpcbfd_window_generations", "Generation ring size G.", win.Generations)
+		prom.Gauge(w, "mpcbfd_window_head", "Ring slot currently receiving inserts.", win.Head)
+		prom.Counter(w, "mpcbfd_window_rotations_total", "Ring rotations since the window was created.", win.Rotations)
+		prom.Family(w, "mpcbfd_window_generation_items", "gauge", "Elements per generation, by ring slot.", "gen", len(win.GenItems),
+			func(i int) (string, int) { return strconv.Itoa(i), win.GenItems[i] })
 		win.RotationNs.WritePromSeconds(w, "mpcbfd_window_rotation_duration_seconds", "Time holding the mutation lock per ring rotation.")
 	}
 
 	if el := snap.Elastic; el != nil {
-		promGaugeInt(w, "mpcbfd_elastic_generations", "Generations in the elastic chain (including imports).", int64(el.Generations))
-		promCounter(w, "mpcbfd_elastic_grows_total", "Growth events: new head generations appended since the chain was created.", uint64(el.Grows))
-		promCounter(w, "mpcbfd_elastic_imports_total", "Frozen generations spliced in by IMPORT (resharding).", el.Imports)
-		promGaugeInt(w, "mpcbfd_elastic_imported_keys", "Population of the imported (frozen) generations — keys moved here by resharding.", int64(el.ImportedKeys))
-		promGaugeInt(w, "mpcbfd_elastic_imported_bytes", "Memory held by imported generations.", el.ImportedBytes)
-		promGaugeFloat(w, "mpcbfd_elastic_target_fpr", "Chain-wide false positive bound the growth schedule maintains.", el.TargetFPR)
-		promGaugeFloat(w, "mpcbfd_elastic_expected_fpr", "Analytic chain FPR at current occupancy (union bound over generations).", el.ExpectedFPR)
-		emitGen := func(name, help string, val func(g elastic.GenStats) string) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-			for i, g := range el.Gens {
-				fmt.Fprintf(w, "%s{gen=\"%d\"} %s\n", name, i, val(g))
-			}
-		}
-		emitGen("mpcbfd_elastic_generation_items", "Elements per chain generation (oldest first).",
-			func(g elastic.GenStats) string { return fmt.Sprintf("%d", g.Items) })
-		emitGen("mpcbfd_elastic_generation_fill_ratio", "Fill ratio per chain generation (0..1).",
-			func(g elastic.GenStats) string { return fmt.Sprintf("%g", g.FillRatio) })
-		emitGen("mpcbfd_elastic_generation_fpr_budget", "Tightened FPR budget per generation (0 for imported generations).",
-			func(g elastic.GenStats) string { return fmt.Sprintf("%g", g.Budget) })
+		prom.Gauge(w, "mpcbfd_elastic_generations", "Generations in the elastic chain (including imports).", el.Generations)
+		prom.Counter(w, "mpcbfd_elastic_grows_total", "Growth events: new head generations appended since the chain was created.", el.Grows)
+		prom.Counter(w, "mpcbfd_elastic_imports_total", "Frozen generations spliced in by IMPORT (resharding).", el.Imports)
+		prom.Gauge(w, "mpcbfd_elastic_imported_keys", "Population of the imported (frozen) generations — keys moved here by resharding.", el.ImportedKeys)
+		prom.Gauge(w, "mpcbfd_elastic_imported_bytes", "Memory held by imported generations.", el.ImportedBytes)
+		prom.Gauge(w, "mpcbfd_elastic_target_fpr", "Chain-wide false positive bound the growth schedule maintains.", el.TargetFPR)
+		prom.Gauge(w, "mpcbfd_elastic_expected_fpr", "Analytic chain FPR at current occupancy (union bound over generations).", el.ExpectedFPR)
+		prom.Family(w, "mpcbfd_elastic_generation_items", "gauge", "Elements per chain generation (oldest first).", "gen", len(el.Gens),
+			func(i int) (string, int) { return strconv.Itoa(i), el.Gens[i].Items })
+		prom.Family(w, "mpcbfd_elastic_generation_fill_ratio", "gauge", "Fill ratio per chain generation (0..1).", "gen", len(el.Gens),
+			func(i int) (string, float64) { return strconv.Itoa(i), el.Gens[i].FillRatio })
+		prom.Family(w, "mpcbfd_elastic_generation_fpr_budget", "gauge", "Tightened FPR budget per generation (0 for imported generations).", "gen", len(el.Gens),
+			func(i int) (string, float64) { return strconv.Itoa(i), el.Gens[i].Budget })
 	}
 
 	if r := snap.Ring; r != nil {
-		promGaugeInt(w, "mpcbfd_ring_epoch", "Cluster partition-map epoch this node last adopted.", int64(r.Epoch))
-		joint := int64(0)
-		if r.Joint {
-			joint = 1
-		}
-		promGaugeInt(w, "mpcbfd_ring_joint", "1 during a reshard's dual-write window, 0 after cutover.", joint)
-		promGaugeInt(w, "mpcbfd_ring_old_nodes", "Primaries in the outgoing partition map.", int64(r.OldNodes))
-		promGaugeInt(w, "mpcbfd_ring_new_nodes", "Primaries in the incoming partition map.", int64(r.NewNodes))
-		promGaugeFloat(w, "mpcbfd_ring_joint_seconds", "Seconds spent in the current dual-write window (0 outside one).", r.JointSeconds)
+		prom.Gauge(w, "mpcbfd_ring_epoch", "Cluster partition-map epoch this node last adopted.", int64(r.Epoch))
+		prom.Gauge(w, "mpcbfd_ring_joint", "1 during a reshard's dual-write window, 0 after cutover.", prom.Bool(r.Joint))
+		prom.Gauge(w, "mpcbfd_ring_old_nodes", "Primaries in the outgoing partition map.", r.OldNodes)
+		prom.Gauge(w, "mpcbfd_ring_new_nodes", "Primaries in the incoming partition map.", r.NewNodes)
+		prom.Gauge(w, "mpcbfd_ring_joint_seconds", "Seconds spent in the current dual-write window (0 outside one).", r.JointSeconds)
 	}
 
 	if n := snap.Namespaces; n != nil {
 		writeNamespaceProm(w, n)
 	}
 
-	promCounter(w, "mpcbfd_wal_records_total", "Mutations appended to the write-ahead log.", snap.WAL.Records)
-	promCounter(w, "mpcbfd_wal_syncs_total", "WAL fsync calls.", snap.WAL.Syncs)
-	promCounter(w, "mpcbfd_snapshots_total", "Snapshots written since start.", snap.WAL.Snapshots)
-	promGaugeInt(w, "mpcbfd_replayed_records", "WAL records replayed at the last open.", int64(snap.WAL.ReplayedRecords))
-	promGaugeFloat(w, "mpcbfd_last_snapshot_age_seconds", "Seconds since the last snapshot (-1 before the first).", snap.WAL.LastSnapshotAgeSeconds)
+	prom.Counter(w, "mpcbfd_wal_records_total", "Mutations appended to the write-ahead log.", snap.WAL.Records)
+	prom.Counter(w, "mpcbfd_wal_syncs_total", "WAL fsync calls.", snap.WAL.Syncs)
+	prom.Counter(w, "mpcbfd_snapshots_total", "Snapshots written since start.", snap.WAL.Snapshots)
+	prom.Gauge(w, "mpcbfd_replayed_records", "WAL records replayed at the last open.", snap.WAL.ReplayedRecords)
+	prom.Gauge(w, "mpcbfd_last_snapshot_age_seconds", "Seconds since the last snapshot (-1 before the first).", snap.WAL.LastSnapshotAgeSeconds)
 	snap.WAL.FsyncNs.WritePromSeconds(w, "mpcbfd_wal_fsync_duration_seconds", "WAL fsync latency.")
-	promGaugeFloat(w, "mpcbfd_wal_fsync_p50_seconds", "Interpolated WAL fsync latency median.", snap.WAL.FsyncNs.Quantile(0.50)/1e9)
-	promGaugeFloat(w, "mpcbfd_wal_fsync_p99_seconds", "Interpolated WAL fsync latency 99th percentile.", snap.WAL.FsyncNs.Quantile(0.99)/1e9)
+	prom.Gauge(w, "mpcbfd_wal_fsync_p50_seconds", "Interpolated WAL fsync latency median.", snap.WAL.FsyncNs.Quantile(0.50)/1e9)
+	prom.Gauge(w, "mpcbfd_wal_fsync_p99_seconds", "Interpolated WAL fsync latency 99th percentile.", snap.WAL.FsyncNs.Quantile(0.99)/1e9)
 	snap.WAL.BatchKeys.WritePromCounts(w, "mpcbfd_wal_batch_keys", "Keys committed per WAL append.")
-	promCounter(w, "mpcbfd_wal_group_commits_total", "Commit rounds (one write+fsync shared by every record enqueued when the round began).", snap.WAL.GroupCommits)
-	promGaugeInt(w, "mpcbfd_wal_commit_waiters", "Callers currently blocked waiting for a commit round.", snap.WAL.Waiters)
+	prom.Counter(w, "mpcbfd_wal_group_commits_total", "Commit rounds (one write+fsync shared by every record enqueued when the round began).", snap.WAL.GroupCommits)
+	prom.Gauge(w, "mpcbfd_wal_commit_waiters", "Callers currently blocked waiting for a commit round.", snap.WAL.Waiters)
 	snap.WAL.GroupRecords.WritePromCounts(w, "mpcbfd_wal_group_records", "Records per commit round: the group-commit amortization factor.")
 	snap.WAL.CommitNs.WritePromSeconds(w, "mpcbfd_wal_commit_duration_seconds", "Commit round latency (buffer swap + write + fsync).")
 
-	promGaugeInt(w, "mpcbfd_connected_replicas", "Replication subscribers currently streaming.", int64(snap.Replication.Connected))
-	promGaugeInt(w, "mpcbfd_replication_max_lag_bytes", "WAL bytes the furthest-behind subscriber trails the WAL's logical end, pending bytes included.", snap.Replication.MaxLagBytes)
+	prom.Gauge(w, "mpcbfd_connected_replicas", "Replication subscribers currently streaming.", snap.Replication.Connected)
+	prom.Gauge(w, "mpcbfd_replication_max_lag_bytes", "WAL bytes the furthest-behind subscriber trails the WAL's logical end, pending bytes included.", snap.Replication.MaxLagBytes)
 
-	promCounter(w, "mpcbfd_trace_requests_total", "Request IDs assigned by the tracer.", snap.Trace.Requests)
-	promCounter(w, "mpcbfd_trace_sampled_total", "Requests sampled into the recent-trace ring.", snap.Trace.Sampled)
-	promCounter(w, "mpcbfd_trace_slow_total", "Requests over the slow-op threshold.", snap.Trace.Slow)
+	prom.Counter(w, "mpcbfd_trace_requests_total", "Request IDs assigned by the tracer.", snap.Trace.Requests)
+	prom.Counter(w, "mpcbfd_trace_sampled_total", "Requests sampled into the recent-trace ring.", snap.Trace.Sampled)
+	prom.Counter(w, "mpcbfd_trace_slow_total", "Requests over the slow-op threshold.", snap.Trace.Slow)
 
-	promGaugeInt(w, "mpcbfd_goroutines", "Goroutines in the process.", int64(snap.Runtime.Goroutines))
-	promGaugeInt(w, "mpcbfd_heap_alloc_bytes", "Bytes of allocated heap objects.", int64(snap.Runtime.HeapAllocBytes))
-	promGaugeInt(w, "mpcbfd_heap_sys_bytes", "Heap memory obtained from the OS.", int64(snap.Runtime.HeapSysBytes))
-	promGaugeInt(w, "mpcbfd_heap_objects", "Live heap objects.", int64(snap.Runtime.HeapObjects))
-	promCounter(w, "mpcbfd_gc_cycles_total", "Completed GC cycles.", uint64(snap.Runtime.GCCycles))
-	promGaugeFloat(w, "mpcbfd_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", float64(snap.Runtime.GCPauseTotalNs)/1e9)
+	prom.Gauge(w, "mpcbfd_goroutines", "Goroutines in the process.", snap.Runtime.Goroutines)
+	prom.Gauge(w, "mpcbfd_heap_alloc_bytes", "Bytes of allocated heap objects.", snap.Runtime.HeapAllocBytes)
+	prom.Gauge(w, "mpcbfd_heap_sys_bytes", "Heap memory obtained from the OS.", snap.Runtime.HeapSysBytes)
+	prom.Gauge(w, "mpcbfd_heap_objects", "Live heap objects.", snap.Runtime.HeapObjects)
+	prom.Counter(w, "mpcbfd_gc_cycles_total", "Completed GC cycles.", uint64(snap.Runtime.GCCycles))
+	prom.Gauge(w, "mpcbfd_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", float64(snap.Runtime.GCPauseTotalNs)/1e9)
 	if r := snap.Resident; r != nil {
-		promGaugeInt(w, "mpcbfd_resident_anon_bytes", "Anonymous resident memory (RssAnon): the heap, filter arenas included, and stacks.", r.AnonBytes)
-		promGaugeInt(w, "mpcbfd_resident_file_bytes", "File-backed resident memory (RssFile): the binary and the libraries it maps.", r.FileBytes)
+		prom.Gauge(w, "mpcbfd_resident_anon_bytes", "Anonymous resident memory (RssAnon): the heap, filter arenas included, and stacks.", r.AnonBytes)
+		prom.Gauge(w, "mpcbfd_resident_file_bytes", "File-backed resident memory (RssFile): the binary and the libraries it maps.", r.FileBytes)
 	}
 
-	ready := int64(0)
-	if snap.Ready {
-		ready = 1
-	}
-	promGaugeInt(w, "mpcbfd_ready", "1 when the process is accepting traffic (see /readyz).", ready)
+	prom.Gauge(w, "mpcbfd_ready", "1 when the process is accepting traffic (see /readyz).", prom.Bool(snap.Ready))
 }
 
 // writeNamespaceProm renders the multi-tenant families: registry-wide
 // totals plus per-namespace series labeled {ns=...}. Only emitted when
 // namespaces exist, so a single-tenant daemon's exposition is unchanged.
 func writeNamespaceProm(w io.Writer, n *NamespacesSnapshot) {
-	promGaugeInt(w, "mpcbfd_ns_count", "Named namespaces in the registry.", int64(n.Totals.Count))
-	promGaugeInt(w, "mpcbfd_ns_resident_count", "Named namespaces currently resident in memory.", int64(n.Totals.Resident))
-	promGaugeInt(w, "mpcbfd_ns_quota_bytes", "Memory budget across all named namespaces (0: unlimited).", n.Totals.QuotaBytes)
-	promGaugeInt(w, "mpcbfd_ns_resident_bytes", "Summed configured filter bytes of resident named namespaces (pages never written are not resident).", n.Totals.ResidentBytes)
-	promCounter(w, "mpcbfd_ns_reused_bytes_total", "Filter bytes recoveries took from the namespaces they evicted instead of allocating.", n.Totals.ReusedBytes)
+	prom.Gauge(w, "mpcbfd_ns_count", "Named namespaces in the registry.", n.Totals.Count)
+	prom.Gauge(w, "mpcbfd_ns_resident_count", "Named namespaces currently resident in memory.", n.Totals.Resident)
+	prom.Gauge(w, "mpcbfd_ns_quota_bytes", "Memory budget across all named namespaces (0: unlimited).", n.Totals.QuotaBytes)
+	prom.Gauge(w, "mpcbfd_ns_resident_bytes", "Summed configured filter bytes of resident named namespaces (pages never written are not resident).", n.Totals.ResidentBytes)
+	prom.Counter(w, "mpcbfd_ns_reused_bytes_total", "Filter bytes recoveries took from the namespaces they evicted instead of allocating.", n.Totals.ReusedBytes)
 
-	emit := func(name, typ, help string, val func(e ns.EntrySnapshot) uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, e := range n.Entries {
-			fmt.Fprintf(w, "%s{ns=%q} %d\n", name, e.Name, val(e))
-		}
+	es := n.Entries
+	each := func(name, typ, help string, val func(e *ns.EntrySnapshot) uint64) {
+		prom.Family(w, name, typ, help, "ns", len(es), func(i int) (string, uint64) { return es[i].Name, val(&es[i]) })
 	}
-	emit("mpcbfd_ns_items", "gauge", "Elements per namespace.",
-		func(e ns.EntrySnapshot) uint64 { return e.Items })
-	emit("mpcbfd_ns_memory_bytes", "gauge", "Filter footprint per namespace in bytes.",
-		func(e ns.EntrySnapshot) uint64 { return e.MemoryBytes })
-	emit("mpcbfd_ns_resident", "gauge", "1 when the namespace is resident, 0 when evicted to disk.",
-		func(e ns.EntrySnapshot) uint64 {
-			if e.Resident {
-				return 1
-			}
-			return 0
-		})
-	emit("mpcbfd_ns_evictions_total", "counter", "Times each namespace was evicted to its snapshot file.",
-		func(e ns.EntrySnapshot) uint64 { return e.Evictions })
-	emit("mpcbfd_ns_recoveries_total", "counter", "Times each namespace was recovered from its snapshot file.",
-		func(e ns.EntrySnapshot) uint64 { return e.Recoveries })
-	emit("mpcbfd_ns_elastic_generations", "gauge", "Elastic chain length per namespace (0: not elastic).",
-		func(e ns.EntrySnapshot) uint64 { return uint64(e.Generations) })
+	each("mpcbfd_ns_items", "gauge", "Elements per namespace.",
+		func(e *ns.EntrySnapshot) uint64 { return e.Items })
+	each("mpcbfd_ns_memory_bytes", "gauge", "Filter footprint per namespace in bytes.",
+		func(e *ns.EntrySnapshot) uint64 { return e.MemoryBytes })
+	each("mpcbfd_ns_resident", "gauge", "1 when the namespace is resident, 0 when evicted to disk.",
+		func(e *ns.EntrySnapshot) uint64 { return uint64(prom.Bool(e.Resident)) })
+	each("mpcbfd_ns_evictions_total", "counter", "Times each namespace was evicted to its snapshot file.",
+		func(e *ns.EntrySnapshot) uint64 { return e.Evictions })
+	each("mpcbfd_ns_recoveries_total", "counter", "Times each namespace was recovered from its snapshot file.",
+		func(e *ns.EntrySnapshot) uint64 { return e.Recoveries })
+	each("mpcbfd_ns_elastic_generations", "gauge", "Elastic chain length per namespace (0: not elastic).",
+		func(e *ns.EntrySnapshot) uint64 { return uint64(e.Generations) })
 }
 
-// writeShardProm renders the per-shard gauge families, one HELP/TYPE
-// block per metric name with a sample per shard.
+// writeShardProm renders the per-shard families, one HELP/TYPE block per
+// metric name with a sample per shard.
 func writeShardProm(w io.Writer, shards []mpcbf.ShardStats) {
-	emit := func(name, typ, help string, val func(st mpcbf.ShardStats) string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for i, st := range shards {
-			fmt.Fprintf(w, "%s{shard=\"%d\"} %s\n", name, i, val(st))
-		}
-	}
-	emit("mpcbfd_shard_items", "gauge", "Elements per shard.",
-		func(st mpcbf.ShardStats) string { return fmt.Sprintf("%d", st.Items) })
-	emit("mpcbfd_shard_fill_ratio", "gauge", "Fraction of increment capacity consumed per shard (0..1).",
-		func(st mpcbf.ShardStats) string { return fmt.Sprintf("%g", st.FillRatio) })
-	emit("mpcbfd_shard_saturated_words", "gauge", "Saturated HCBF words per shard.",
-		func(st mpcbf.ShardStats) string { return fmt.Sprintf("%d", st.SaturatedWords) })
-	emit("mpcbfd_shard_inserts_total", "counter", "Insert operations routed to each shard.",
-		func(st mpcbf.ShardStats) string { return fmt.Sprintf("%d", st.Inserts) })
-	emit("mpcbfd_shard_deletes_total", "counter", "Delete operations routed to each shard.",
-		func(st mpcbf.ShardStats) string { return fmt.Sprintf("%d", st.Deletes) })
-	emit("mpcbfd_shard_queries_total", "counter", "Membership and count queries routed to each shard.",
-		func(st mpcbf.ShardStats) string { return fmt.Sprintf("%d", st.Queries) })
+	n := len(shards)
+	prom.Family(w, "mpcbfd_shard_items", "gauge", "Elements per shard.", "shard", n,
+		func(i int) (string, int) { return strconv.Itoa(i), shards[i].Items })
+	prom.Family(w, "mpcbfd_shard_fill_ratio", "gauge", "Fraction of increment capacity consumed per shard (0..1).", "shard", n,
+		func(i int) (string, float64) { return strconv.Itoa(i), shards[i].FillRatio })
+	prom.Family(w, "mpcbfd_shard_saturated_words", "gauge", "Saturated HCBF words per shard.", "shard", n,
+		func(i int) (string, int) { return strconv.Itoa(i), shards[i].SaturatedWords })
+	prom.Family(w, "mpcbfd_shard_inserts_total", "counter", "Insert operations routed to each shard.", "shard", n,
+		func(i int) (string, uint64) { return strconv.Itoa(i), shards[i].Inserts })
+	prom.Family(w, "mpcbfd_shard_deletes_total", "counter", "Delete operations routed to each shard.", "shard", n,
+		func(i int) (string, uint64) { return strconv.Itoa(i), shards[i].Deletes })
+	prom.Family(w, "mpcbfd_shard_queries_total", "counter", "Membership and count queries routed to each shard.", "shard", n,
+		func(i int) (string, uint64) { return strconv.Itoa(i), shards[i].Queries })
 }
 
 // WriteProm writes the full Prometheus exposition for s: a fresh

@@ -166,7 +166,7 @@ func readSnapFile(path string, decode func(r io.Reader, n int64) error) error {
 // snapState is one decoded store payload: the default state and, for a
 // namespace container, its entries.
 type snapState struct {
-	base    ns.State
+	base    ns.Filter
 	entries []nsSnapEntry
 }
 
@@ -176,7 +176,7 @@ type snapState struct {
 type nsSnapEntry struct {
 	name   string
 	cfg    ns.Config
-	state  ns.State
+	state  ns.Filter
 	items  uint64
 	staged string
 }

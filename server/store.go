@@ -11,11 +11,9 @@ import (
 	"time"
 
 	mpcbf "repro"
-	"repro/elastic"
 	"repro/internal/snapio"
 	"repro/server/ns"
 	"repro/server/wire"
-	"repro/window"
 )
 
 // Store is the durable state behind mpcbfd: a sharded MPCBF plus a
@@ -151,9 +149,6 @@ func (o *StoreOptions) setDefaults() {
 	if o.Shards <= 0 {
 		o.Shards = 16
 	}
-	if o.Window > 0 && o.Generations <= 0 {
-		o.Generations = 4
-	}
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = 100 * time.Millisecond
 	}
@@ -168,14 +163,23 @@ func (o *StoreOptions) setDefaults() {
 // loads, the WAL replays, and the background sync/snapshot loops start.
 func OpenStore(opts StoreOptions) (*Store, error) {
 	opts.setDefaults()
+	spec := ns.Spec{
+		Filter:      opts.Filter,
+		Shards:      opts.Shards,
+		Window:      opts.Window,
+		Generations: opts.Generations,
+		Elastic:     opts.Elastic,
+		TargetFPR:   opts.ElasticFPR,
+	}
+	want, err := spec.Mode()
+	if err != nil {
+		return nil, fmt.Errorf("server: -elastic with -window: %w", err)
+	}
 	files, err := openDir(opts.Dir, opts.Log)
 	if err != nil {
 		return nil, err
 	}
 	snaps := files.snapshots
-	if opts.Elastic && opts.Window > 0 {
-		return nil, errors.New("server: -elastic and -window are mutually exclusive (a window expires whole generations on a clock; a growing chain cannot reconcile with that)")
-	}
 	s := &Store{opts: opts, stop: make(chan struct{})}
 	var (
 		snap    snapState
@@ -195,26 +199,12 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 		opts.Log.Warn("skipping corrupt snapshot", "seq", snaps[i], "error", err)
 	}
 	base := snap.base
-	if base == (ns.State{}) {
+	if base == nil {
 		if len(snaps) > 0 {
 			return nil, fmt.Errorf("server: %d snapshot file(s) in %s but none loads cleanly; refusing to start from an empty filter (restore a snapshot or clear the directory to reinitialize)", len(snaps), opts.Dir)
 		}
-		switch {
-		case opts.Window > 0:
-			base.Window, err = window.New(windowOptionsFrom(opts))
-			if err != nil {
-				return nil, fmt.Errorf("server: fresh window: %w", err)
-			}
-		case opts.Elastic:
-			base.Elastic, err = elastic.New(elasticOptionsFrom(opts))
-			if err != nil {
-				return nil, fmt.Errorf("server: fresh elastic chain: %w", err)
-			}
-		default:
-			base.Filter, err = mpcbf.NewSharded(opts.Filter, opts.Shards)
-			if err != nil {
-				return nil, fmt.Errorf("server: fresh filter: %w", err)
-			}
+		if base, err = ns.NewFilter(spec); err != nil {
+			return nil, fmt.Errorf("server: fresh %v filter: %w", want, err)
 		}
 	}
 	// The mode — plain, windowed, or elastic — is a property of the
@@ -223,20 +213,11 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 	// configuration error, not a migration. A replica adopts whatever its
 	// local snapshot (mirrored from the primary) encodes, since its next
 	// bootstrap would overwrite the mode anyway.
-	windowed, elasticMode := base.Window != nil, base.Elastic != nil
-	switch {
-	case opts.Replica:
-		if (opts.Window > 0) != windowed || opts.Elastic != elasticMode {
-			opts.Log.Warn("replica adopting snapshot mode over flags", "windowed", windowed, "elastic", elasticMode)
+	if got := ns.ModeOf(base); got != want {
+		if !opts.Replica {
+			return nil, fmt.Errorf("server: store in %s is %v, not %v; start with the flags of its mode or use a fresh directory", opts.Dir, got, want)
 		}
-	case opts.Window > 0 && !windowed:
-		return nil, fmt.Errorf("server: store in %s is not windowed; drop -window or use a fresh directory", opts.Dir)
-	case opts.Window <= 0 && windowed:
-		return nil, fmt.Errorf("server: store in %s is windowed; pass -window or use a fresh directory", opts.Dir)
-	case opts.Elastic && !elasticMode:
-		return nil, fmt.Errorf("server: store in %s is not elastic; drop -elastic or use a fresh directory", opts.Dir)
-	case !opts.Elastic && elasticMode:
-		return nil, fmt.Errorf("server: store in %s is elastic; pass -elastic or use a fresh directory", opts.Dir)
+		opts.Log.Warn("replica adopting snapshot mode over flags", "windowed", got == ns.Windowed, "elastic", got == ns.Elastic)
 	}
 
 	// The registry must exist before replay: the replayed tail can carry
@@ -343,7 +324,7 @@ func (a *batchApplier) add(op byte, key []byte) error {
 		}
 		a.keys = append(a.keys, key)
 	case walOpInsertTTL:
-		if !e.Windowed() {
+		if e.Mode() != ns.Windowed {
 			return fmt.Errorf("ttl record for non-windowed namespace %q", e.Name())
 		}
 		r, k, err := decodeTTLBody(key)
@@ -359,7 +340,7 @@ func (a *batchApplier) add(op byte, key []byte) error {
 		// A rotation is a batch boundary: everything logged before it must
 		// land in the pre-rotation ring position.
 		a.flush()
-		if !e.Windowed() {
+		if e.Mode() != ns.Windowed {
 			return fmt.Errorf("rotate record for non-windowed namespace %q", e.Name())
 		}
 		if err := a.s.residentLocked(e); err != nil {
@@ -490,11 +471,8 @@ func (s *Store) windowEntryLocked(name []byte) (*ns.Entry, error) {
 		if !cfg.Windowed() {
 			return nil, fmt.Errorf("server: namespace %q is not windowed (defaults are not windowed; CREATE_NS it with a window)", name)
 		}
-	} else if !e.Windowed() {
-		if e.Pinned() {
-			return nil, errNotWindowed
-		}
-		return nil, fmt.Errorf("server: namespace %q is not windowed", name)
+	} else if e.Mode() != ns.Windowed {
+		return nil, notWindowed(name)
 	}
 	return s.entryLocked(name, true)
 }
@@ -707,6 +685,28 @@ func (s *Store) live(name []byte) (ns.Filter, *ns.Entry, error) {
 		}
 	}
 	return nil, nil, nil
+}
+
+// readAs answers a mode-only read (WINDOW_STATS, ELASTIC_STATS) with
+// read on name's state, which must be an F: like every other read, it
+// holds the read pin while read runs and recovers an evicted namespace
+// first. A state of another mode is refused with notMode(name), an
+// unknown namespace with errUnknownNS.
+func readAs[F ns.Filter, T any](s *Store, name []byte, notMode func(name []byte) error, read func(F) T) (T, error) {
+	var zero T
+	f, pin, err := s.live(name)
+	switch {
+	case err != nil:
+		return zero, err
+	case f == nil:
+		return zero, errUnknownNS(name)
+	}
+	defer pin.Unpin()
+	m, ok := f.(F)
+	if !ok {
+		return zero, notMode(name)
+	}
+	return read(m), nil
 }
 
 // noFilter answers for an unknown namespace: a chain of no generations,

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"time"
 
 	"repro/server/ns"
@@ -61,27 +62,19 @@ func (s *Store) RotationHist() HistSnapshot { return s.rotHist.Snapshot() }
 
 var errNotWindowed = errors.New("server: not a windowed store (start mpcbfd with -window)")
 
+// notWindowed is the error for a window-only op on name's filter when it
+// is not a window.
+func notWindowed(name []byte) error {
+	if len(name) == 0 {
+		return errNotWindowed
+	}
+	return fmt.Errorf("server: namespace %q is not windowed", name)
+}
+
 // windowStats reports the generation ring of name's window
-// (WINDOW_STATS). A resident window answers lock-free; only an evicted
-// namespace (recovered first) or a non-window target takes s.mu.
+// (WINDOW_STATS). It reads like every other read (readAs).
 func (s *Store) windowStats(name []byte) (window.Stats, error) {
-	if e := s.reg.Lookup(name); e != nil {
-		if w := e.Window(); w != nil {
-			s.touch(e)
-			return w.Stats(), nil
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, err := s.knownEntryLocked(name)
-	if err != nil {
-		return window.Stats{}, err
-	}
-	w := e.Window()
-	if w == nil {
-		return window.Stats{}, errNotWindowed
-	}
-	return w.Stats(), nil
+	return readAs(s, name, notWindowed, (*window.Filter).Stats)
 }
 
 // WindowStats reports the default window's shape and occupancy.
@@ -171,14 +164,5 @@ func (s *Store) rotateLoop() {
 		if err := s.rotate(e); err != nil {
 			s.opts.Log.Error("window rotation failed", "ns", e.Name(), "error", err)
 		}
-	}
-}
-
-func windowOptionsFrom(opts StoreOptions) window.Options {
-	return window.Options{
-		Span:        opts.Window,
-		Generations: opts.Generations,
-		Filter:      opts.Filter,
-		Shards:      opts.Shards,
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -430,6 +431,45 @@ func TestWindowStatsLockFree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("WINDOW_STATS %q: %v", name, err)
 		}
+	}
+}
+
+// TestWindowStatsNamesRefusedNamespace: WINDOW_STATS of a named
+// namespace that is not a window, resident or evicted, refuses it by
+// name, as INSERT_TTL does, on a windowed daemon too, instead of
+// blaming a daemon flag; the default filter of a plain store keeps
+// errNotWindowed.
+func TestWindowStatsNamesRefusedNamespace(t *testing.T) {
+	s, err := OpenStore(testWindowStoreOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for name, cfg := range map[string]wire.NsConfig{"p": {}, "el": {Flags: wire.NsFlagElastic}} {
+		if _, err := s.nsCreateEnq([]byte(name), cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	err = s.reg.Evict(s.reg.Lookup([]byte("el")))
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"p", "el"} {
+		_, err := s.windowStats([]byte(name))
+		if want := `server: namespace "` + name + `" is not windowed`; err == nil || err.Error() != want {
+			t.Errorf("WINDOW_STATS %q: %v, want %s", name, err, want)
+		}
+	}
+
+	plain, err := OpenStore(testStoreOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	if _, err := plain.WindowStats(); !errors.Is(err, errNotWindowed) {
+		t.Fatalf("WINDOW_STATS of a plain default filter: %v, want %v", err, errNotWindowed)
 	}
 }
 
