@@ -1,7 +1,7 @@
 GO ?= go
 BENCHTIME ?= 1s
 
-.PHONY: build test vet lint race race-serving bench bench-json bench-saturation bench-cluster fuzz-kernel fuzz-wire fuzz-snapshot serve integration cluster-e2e window-e2e ns-e2e elastic-e2e reshard-e2e obs-smoke sim-multi-seed loadgen-smoke loc ci
+.PHONY: build test vet lint race race-serving guards bench bench-json bench-saturation bench-cluster fuzz-kernel fuzz-wire fuzz-snapshot serve integration cluster-e2e window-e2e ns-e2e elastic-e2e reshard-e2e obs-smoke sim-multi-seed loadgen-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,13 @@ race:
 race-serving:
 	$(GO) build -race ./cmd/...
 	$(GO) test -race -shuffle=on -count=1 . ./elastic ./server/... ./cluster/... ./client/... ./window/...
+
+# guards runs every allocation guard (*Alloc*) and resident-set test
+# (*Resident*) without the race detector: its instrumentation allocates,
+# so the allocation guards skip under -race, and its shadow memory
+# swamps the resident-set signal.
+guards:
+	$(GO) test -short -count=1 -run 'Alloc|Resident' ./...
 
 bench:
 	$(GO) test -run '^$$' -bench 'Ops' -benchtime $(BENCHTIME) .
@@ -298,5 +305,5 @@ obs-smoke:
 		| tee $$dir/traces.txt; \
 	grep -q '^trace ' $$dir/traces.txt
 
-ci: build lint race integration window-e2e cluster-e2e ns-e2e elastic-e2e reshard-e2e obs-smoke loadgen-smoke sim-multi-seed
+ci: build lint race guards integration window-e2e cluster-e2e ns-e2e elastic-e2e reshard-e2e obs-smoke loadgen-smoke sim-multi-seed
 	$(GO) test -run '^$$' -bench 'Ops' -benchtime 100x .

@@ -6,16 +6,18 @@
 // By default a transport-level error permanently breaks a Client — the
 // stream position can no longer be trusted — so every later call fails
 // fast; dial a new Client to retry. WithReconnect opts into automatic
-// redialing with bounded exponential backoff: idempotent reads
-// (Contains, EstimateCount, Len, ContainsBatch, Dump) are retried
-// transparently, while an interrupted mutation surfaces ErrMaybeApplied
-// — the request may or may not have reached the daemon, and blindly
-// re-sending it would double-count on a counting filter.
+// redialing with bounded exponential backoff. With or without it, and
+// for synchronous calls and pipelines alike, one rule attributes a
+// transport failure: an unanswered mutation whose bytes may have reached
+// the daemon surfaces ErrMaybeApplied — it may or may not have been
+// applied, and blindly re-sending it would double-count on a counting
+// filter — and any other unanswered request gets a plain error.
 package client
 
 import (
 	"bufio"
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -49,8 +51,9 @@ func (e *ReadOnlyError) Error() string {
 
 // ErrMaybeApplied marks a mutation interrupted by a transport failure
 // after the request left the client: the daemon may or may not have
-// applied it. Match with errors.Is. Re-sending is the caller's call —
-// on a counting filter a blind retry double-counts.
+// applied it. It is returned by synchronous calls and pipelines, with or
+// without WithReconnect. Match with errors.Is. Re-sending is the
+// caller's call — on a counting filter a blind retry double-counts.
 var ErrMaybeApplied = errors.New("mpcbfd: connection lost mid-mutation; the daemon may have applied it")
 
 // Option configures Dial.
@@ -67,11 +70,14 @@ func WithMaxFrame(n int) Option {
 }
 
 // WithReconnect makes a broken Client redial instead of failing fast.
-// Idempotent reads are retried up to attempts times in total, sleeping
-// an exponential backoff (base, doubling, capped at max) between tries;
-// interrupted mutations are never retried — they return ErrMaybeApplied
-// and the next call redials. Zero arguments pick defaults (3 attempts,
-// 50ms base, 2s cap).
+// A synchronous call is retried up to attempts times in total, sleeping
+// an exponential backoff (base, doubling, capped at max) between tries,
+// after every failure but ErrMaybeApplied: a failed redial, an
+// interrupted read, or a request none of whose bytes left the client.
+// A mutation that may have reached the daemon is never re-sent — it
+// returns ErrMaybeApplied and the next call redials. Pipelines redial
+// but never retry. Zero arguments pick defaults (3 attempts, 50ms base,
+// 2s cap).
 func WithReconnect(attempts int, base, max time.Duration) Option {
 	return func(c *Client) {
 		c.reconnect = true
@@ -89,8 +95,7 @@ type Client struct {
 	mu       sync.Mutex
 	conn     net.Conn
 	r        *bufio.Reader
-	w        *bufio.Writer
-	buf      []byte // reused request/response scratch
+	buf      []byte // reused request frame and response scratch
 	err      error  // first transport error; non-nil = broken, stream position unknown
 	closed   bool   // Close was called; reconnect never resurrects
 	addr     string
@@ -162,20 +167,21 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	if c.backoffMax <= 0 {
 		c.backoffMax = 2 * time.Second
 	}
-	d := net.Dialer{Timeout: c.timeout}
-	conn, err := d.Dial("tcp", addr)
-	if err != nil {
+	if err := c.connect(); err != nil {
 		return nil, err
 	}
-	c.attach(conn)
 	return c, nil
 }
 
-func (c *Client) attach(conn net.Conn) {
-	c.conn = conn
-	c.r = bufio.NewReaderSize(conn, 1<<16)
-	c.w = bufio.NewWriterSize(conn, 1<<16)
-	c.err = nil
+// connect dials the daemon and makes the new connection current.
+func (c *Client) connect() error {
+	d := net.Dialer{Timeout: c.timeout}
+	conn, err := d.Dial("tcp", c.addr)
+	if err != nil {
+		return err
+	}
+	c.conn, c.r, c.err = conn, bufio.NewReaderSize(conn, 1<<16), nil
+	return nil
 }
 
 // Close closes the connection. A closed Client stays closed even with
@@ -228,17 +234,17 @@ func (t Trace) stamp(r *wire.Request) {
 	r.TraceID, r.ParentSpan, r.Traced = t.ID, t.Parent, t.Active()
 }
 
-// exec runs one request, encoding it on every attempt (the scratch
-// buffer is shared, so a retry cannot reuse a previous attempt's
-// payload). Reconnect-enabled clients redial broken connections;
-// transport failures retry idempotent ops with backoff and convert
-// mutation interruptions to ErrMaybeApplied. Callers must not hold c.mu.
+// exec runs one request, framing it on every attempt (the previous
+// attempt's response overwrote the shared buffer). With WithReconnect,
+// every failure but ErrMaybeApplied is retried with backoff. Callers
+// must not hold c.mu.
 //
 // dec, when non-nil, is invoked on the OK response body while the
 // connection lock is still held: the body aliases the client's reused
 // buffer, which the next request on this connection overwrites, so it
 // must be decoded (or copied) before the lock is released — never
-// retained.
+// retained. A dec error rejects a malformed body and breaks the
+// connection.
 func (c *Client) exec(req *wire.Request, dec func([]byte) error) error {
 	if len(req.NS) > wire.MaxNamespaceLen {
 		return fmt.Errorf("mpcbfd: namespace name %d bytes long (max %d)", len(req.NS), wire.MaxNamespaceLen)
@@ -247,50 +253,22 @@ func (c *Client) exec(req *wire.Request, dec func([]byte) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for attempt := 0; ; attempt++ {
-		if c.err != nil {
-			if c.closed {
-				return errors.New("mpcbfd: client closed")
-			}
-			if !c.reconnect {
-				return fmt.Errorf("mpcbfd: client broken by earlier error: %w", c.err)
-			}
-			if err := c.redial(); err != nil {
-				if attempt+1 >= c.attempts {
-					return err
-				}
-				c.stRetries.Add(1)
-				c.backoff(attempt)
-				continue
-			}
-		}
-		payload := wire.AppendRequest(c.scratch(), req)
-		// Keep the grown buffer: AppendRequest appends into scratch, and
-		// without writing the result back every call would regrow from the
-		// response-sized buffer and allocate forever.
-		c.buf = payload
-		body, err := c.roundTrip(payload)
+		err := c.ready()
 		if err == nil {
-			if dec != nil {
-				return dec(body)
+			// Keep the grown buffer: without writing the frame back, every
+			// call would regrow from the response-sized buffer.
+			c.buf = appendFrame(c.buf[:0], req)
+			terr := c.exchange(c.buf, []pipeReq{{op: req.Op}}, func(_ int, body []byte, rerr error) error {
+				if err = rerr; rerr == nil && dec != nil {
+					return dec(body)
+				}
+				return nil
+			})
+			if terr == nil || errors.Is(err, ErrMaybeApplied) {
+				return err
 			}
-			return nil
 		}
-		var se *ServerError
-		var ro *ReadOnlyError
-		if errors.As(err, &se) || errors.As(err, &ro) {
-			return err // operation-level: the stream is still in sync
-		}
-		if !c.reconnect {
-			return err
-		}
-		if wire.IsMutation(req.Op) {
-			// The request may have been applied before the connection
-			// died; retrying could double-count. The broken connection is
-			// left for the next call to redial.
-			c.stMaybeApplied.Add(1)
-			return fmt.Errorf("%w (%v)", ErrMaybeApplied, err)
-		}
-		if attempt+1 >= c.attempts {
+		if !c.reconnect || c.closed || attempt+1 >= c.attempts {
 			return err
 		}
 		c.stRetries.Add(1)
@@ -298,15 +276,21 @@ func (c *Client) exec(req *wire.Request, dec func([]byte) error) error {
 	}
 }
 
-// redial replaces a broken connection; callers hold c.mu.
-func (c *Client) redial() error {
-	c.conn.Close()
-	d := net.Dialer{Timeout: c.timeout}
-	conn, err := d.Dial("tcp", c.addr)
-	if err != nil {
+// ready readies the connection for an exchange: a closed Client, or a
+// broken one without WithReconnect, fails, and a broken one with it
+// redials. Callers hold c.mu.
+func (c *Client) ready() error {
+	switch {
+	case c.err == nil:
+		return nil
+	case c.closed:
+		return errors.New("mpcbfd: client closed")
+	case !c.reconnect:
+		return fmt.Errorf("mpcbfd: client broken by earlier error: %w", c.err)
+	}
+	if err := c.connect(); err != nil {
 		return err
 	}
-	c.attach(conn)
 	c.stRedials.Add(1)
 	return nil
 }
@@ -322,54 +306,133 @@ func (c *Client) backoff(attempt int) {
 	time.Sleep(d)
 }
 
-// roundTrip sends one request payload and returns the response body for
-// an OK status, a *ServerError for an ERR status, and a *ReadOnlyError
-// for a READONLY status.
+// pipeReq locates one request in a run of frames. op is the inner
+// opcode, even under a namespace envelope: what the operation does
+// (Contains vs Insert) decides how its response decodes and whether an
+// unanswered one may have been applied.
+type pipeReq struct {
+	op    byte
+	start int // offset of the request's frame in the run
+}
+
+// appendFrame appends req to dst as one wire frame, [u32 len][payload].
+func appendFrame(dst []byte, req *wire.Request) []byte {
+	start := len(dst)
+	dst = wire.AppendRequest(append(dst, 0, 0, 0, 0), req)
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst
+}
+
+// exchange writes frames, the run of framed requests reqs, and reads
+// their responses in order, handing each to got(i, body, err): err is
+// nil for an OK status, whose body aliases c.buf until the next read, or
+// the request's *ServerError or *ReadOnlyError. A non-nil return from
+// got rejects a malformed body. Callers hold c.mu and have run ready.
 //
-// Any transport-level failure — a write or flush error, a failed or
-// timed-out read, an undecodable response — leaves the stream position
-// unknown: retrying on the same connection would read leftover bytes of
-// the previous response and mis-attribute results. So such an error
-// breaks the connection (it is closed, c.err set); without WithReconnect
-// the Client is then permanently broken. Operation-level statuses do not
-// break anything: the response frame was read whole and the stream is
-// still in sync.
-func (c *Client) roundTrip(payload []byte) ([]byte, error) {
+// Any transport failure — a failed write or read, an undecodable or
+// unknown status, a rejected body — leaves the stream position unknown,
+// so it breaks the connection and is returned, and every request left
+// unanswered gets got(i, nil, err) by one rule: a mutation whose frame
+// starts below the count of bytes the kernel accepted may have been
+// applied and gets ErrMaybeApplied; any other, a read or a request that
+// provably never left, gets a plain error. Operation-level statuses
+// break nothing: the response was read whole and the stream is in sync.
+//
+// One request is written inline before its read, so its frame may alias
+// c.buf. More are written on a goroutine beside the reads: the daemon
+// stops reading once its bounded response queue is full, so a burst
+// written before reading could block both sides on full buffers.
+func (c *Client) exchange(frames []byte, reqs []pipeReq, got func(i int, body []byte, err error) error) error {
+	// The deadline is per response, not per exchange: a run of durable
+	// mutations legitimately takes longer than one round trip, so each
+	// response buys the next another window and only a stall fails. It
+	// covers the concurrent write too: response progress means the
+	// daemon is consuming our bytes.
 	if c.timeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.timeout))
 	}
-	if err := wire.WriteFrame(c.w, payload); err != nil {
-		return nil, c.fail(err)
+	type outcome struct {
+		n   int
+		err error
 	}
-	if err := c.w.Flush(); err != nil {
-		return nil, c.fail(err)
+	// Writing straight to the conn, not through a buffer, keeps the
+	// count of bytes the kernel accepted observable.
+	var written chan outcome
+	sent, err := len(frames), error(nil)
+	if len(reqs) == 1 {
+		if n, werr := c.conn.Write(frames); werr != nil {
+			sent, err = n, werr
+		}
+	} else {
+		written = make(chan outcome, 1)
+		go func() {
+			n, werr := c.conn.Write(frames)
+			written <- outcome{n, werr}
+		}()
 	}
-	resp, err := wire.ReadFrame(c.r, c.buf[:0], c.maxFrame)
+	answered := 0
+	for err == nil && answered < len(reqs) {
+		if err = c.response(answered, got); err == nil {
+			answered++
+			if c.timeout > 0 && answered < len(reqs) {
+				c.conn.SetDeadline(time.Now().Add(c.timeout))
+			}
+		}
+	}
 	if err != nil {
-		return nil, c.fail(err)
+		// Break the connection before waiting on the writer: closing it
+		// unblocks a write stalled on a dead peer's full buffers.
+		c.fail(err)
 	}
-	c.buf = resp[:0]
-	status, body, err := wire.DecodeStatus(resp)
+	if written != nil {
+		if w := <-written; w.err != nil {
+			sent = w.n
+			if err == nil {
+				// Every response arrived, so every result stands, but the
+				// connection cannot be trusted for the next exchange.
+				c.fail(w.err)
+			}
+		}
+	}
+	for i := answered; err != nil && i < len(reqs); i++ {
+		if reqs[i].start < sent && wire.IsMutation(reqs[i].op) {
+			c.stMaybeApplied.Add(1)
+			got(i, nil, fmt.Errorf("%w (%v)", ErrMaybeApplied, err))
+		} else {
+			got(i, nil, fmt.Errorf("mpcbfd: request not completed: %w", err))
+		}
+	}
+	return err
+}
+
+// response reads the next response and hands it to got as request i's;
+// a non-nil return is a transport failure.
+func (c *Client) response(i int, got func(int, []byte, error) error) error {
+	payload, err := wire.ReadFrame(c.r, c.buf[:0], c.maxFrame)
 	if err != nil {
-		return nil, c.fail(err)
+		return err
+	}
+	c.buf = payload[:0]
+	status, body, err := wire.DecodeStatus(payload)
+	if err != nil {
+		return err
 	}
 	switch status {
 	case wire.StatusOK:
-		return body, nil
+		return got(i, body, nil)
 	case wire.StatusErr:
-		return nil, &ServerError{Msg: string(body)}
+		return got(i, nil, &ServerError{Msg: string(body)})
 	case wire.StatusReadOnly:
-		return nil, &ReadOnlyError{Primary: string(body)}
+		return got(i, nil, &ReadOnlyError{Primary: string(body)})
 	}
-	return nil, c.fail(fmt.Errorf("mpcbfd: unknown status 0x%02x", status))
+	return fmt.Errorf("mpcbfd: unknown status 0x%02x", status)
 }
 
 // fail marks the connection broken and closes it; callers hold c.mu.
-func (c *Client) fail(err error) error {
+func (c *Client) fail(err error) {
 	c.stTransportErr.Add(1)
 	c.err = err
 	c.conn.Close()
-	return err
 }
 
 // RingSet pushes a cluster ring descriptor to the daemon, which adopts
@@ -400,6 +463,3 @@ func (c *Client) RingGet() (wire.Ring, error) {
 	}
 	return r, nil
 }
-
-// scratch hands out the reused request buffer; callers hold c.mu.
-func (c *Client) scratch() []byte { return c.buf[:0] }

@@ -110,33 +110,31 @@ func (h Handle) Delete(key []byte) error {
 
 // Contains reports whether key may be in the set.
 func (h Handle) Contains(key []byte) (bool, error) {
-	var ok bool
-	err := h.do(wire.Request{Op: wire.OpContains, Key: key}, func(body []byte) (err error) {
-		ok, err = wire.DecodeBool(body)
-		return err
-	})
-	return ok, err
+	r, err := h.result(wire.Request{Op: wire.OpContains, Key: key}, nil)
+	return r.Bool, err
 }
 
 // EstimateCount returns an upper bound on key's multiplicity.
 func (h Handle) EstimateCount(key []byte) (int, error) {
-	v, err := h.u64(wire.OpEstimate, key)
-	return int(v), err
+	r, err := h.result(wire.Request{Op: wire.OpEstimate, Key: key}, nil)
+	return int(r.U64), err
 }
 
 // Len returns the filter's current element count.
 func (h Handle) Len() (int, error) {
-	v, err := h.u64(wire.OpLen, nil)
-	return int(v), err
+	r, err := h.result(wire.Request{Op: wire.OpLen}, nil)
+	return int(r.U64), err
 }
 
-func (h Handle) u64(op byte, key []byte) (uint64, error) {
-	var v uint64
-	err := h.do(wire.Request{Op: op, Key: key}, func(body []byte) (err error) {
-		v, err = wire.DecodeU64(body)
-		return err
-	})
-	return v, err
+// result runs a request answered in a PipeResult shape (a bool, a u64
+// or flags) and decodes it as Flush does; flags decode into dst's
+// backing array.
+func (h Handle) result(req wire.Request, dst []bool) (PipeResult, error) {
+	r := PipeResult{Op: req.Op, Bools: dst}
+	if err := h.do(req, r.decode); err != nil {
+		return PipeResult{}, err
+	}
+	return r, nil
 }
 
 // InsertBatch inserts keys as one request (one WAL commit server-side).
@@ -153,7 +151,8 @@ func (h Handle) DeleteBatch(keys [][]byte) ([]bool, error) {
 // DeleteBatchInto is DeleteBatch decoding into dst's backing array:
 // a caller reusing the returned slice across batches stops allocating.
 func (h Handle) DeleteBatchInto(keys [][]byte, dst []bool) ([]bool, error) {
-	return h.bools(wire.OpDeleteBatch, keys, dst)
+	r, err := h.result(wire.Request{Op: wire.OpDeleteBatch, Keys: keys}, dst)
+	return r.Bools, err
 }
 
 // ContainsBatch answers membership for keys, order-preserving.
@@ -164,19 +163,8 @@ func (h Handle) ContainsBatch(keys [][]byte) ([]bool, error) {
 // ContainsBatchInto is ContainsBatch decoding into dst's backing array:
 // a caller reusing the returned slice across batches stops allocating.
 func (h Handle) ContainsBatchInto(keys [][]byte, dst []bool) ([]bool, error) {
-	return h.bools(wire.OpContainsBatch, keys, dst)
-}
-
-func (h Handle) bools(op byte, keys [][]byte, dst []bool) ([]bool, error) {
-	var out []bool
-	err := h.do(wire.Request{Op: op, Keys: keys}, func(body []byte) (err error) {
-		out, err = wire.DecodeBoolsInto(body, dst)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	r, err := h.result(wire.Request{Op: wire.OpContainsBatch, Keys: keys}, dst)
+	return r.Bools, err
 }
 
 // InsertTTL inserts key with a per-key lifetime: in a windowed filter

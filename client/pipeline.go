@@ -1,9 +1,8 @@
 package client
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/server/wire"
@@ -20,19 +19,18 @@ import (
 // operations, then call Flush: responses come back in request order, as
 // PipeResult values aligned index-for-index with the queued requests.
 // Between Flush calls the Pipeline is empty and reusable (buffers are
-// retained, so steady-state reuse does not allocate beyond response
-// decoding).
+// retained, so in steady state a Flush allocates only the writer
+// goroutine that sends a run of more than one request).
 //
-// Error semantics mirror the synchronous client but are attributed
-// per-request by frame offset. Operation-level failures (*ServerError,
-// *ReadOnlyError) land in that request's PipeResult.Err and do not
-// disturb later responses — the stream stays in sync. A transport
-// failure breaks the connection; requests already answered keep their
-// definitive results, unanswered requests whose bytes may have reached
-// the daemon get ErrMaybeApplied if they are mutations, and requests
-// provably never sent get a plain transport error. Flush never retries:
-// replaying a maybe-applied mutation on a counting filter would
-// double-count.
+// Error semantics are the synchronous client's, applied per request.
+// Operation-level failures (*ServerError, *ReadOnlyError) land in that
+// request's PipeResult.Err and do not disturb later responses — the
+// stream stays in sync. A transport failure breaks the connection;
+// requests already answered keep their definitive results, unanswered
+// mutations whose bytes may have reached the daemon get ErrMaybeApplied,
+// and every other unanswered request gets a plain transport error.
+// Flush never retries: replaying a maybe-applied mutation on a counting
+// filter would double-count.
 type Pipeline struct {
 	// PipeHandle is the pipeline's view of the default filter: its
 	// queueing methods are the Pipeline's own.
@@ -45,11 +43,6 @@ type Pipeline struct {
 	tc      Trace // applied to every subsequently queued request
 }
 
-type pipeReq struct {
-	op    byte
-	start int // offset of this request's frame header in buf
-}
-
 // PipeResult is the outcome of one pipelined request. Op echoes the
 // request opcode; exactly one of Bool, U64, Bools is populated on
 // success, matching what the synchronous method for that opcode
@@ -60,6 +53,21 @@ type PipeResult struct {
 	Bool  bool   // Contains
 	U64   uint64 // EstimateCount, Len
 	Bools []bool // ContainsBatch, DeleteBatch
+}
+
+// decode fills r from an OK response body in the shape r.Op answers
+// with; the synchronous Handle reads decode through it too. An error
+// means a malformed body.
+func (r *PipeResult) decode(body []byte) (err error) {
+	switch r.Op {
+	case wire.OpContains:
+		r.Bool, err = wire.DecodeBool(body)
+	case wire.OpEstimate, wire.OpLen:
+		r.U64, err = wire.DecodeU64(body)
+	case wire.OpContainsBatch, wire.OpDeleteBatch:
+		r.Bools, err = wire.DecodeBoolsInto(body, r.Bools[:0])
+	}
+	return err
 }
 
 // Pipeline returns a new, empty request pipeline on this connection.
@@ -85,14 +93,8 @@ func (p *Pipeline) queue(req wire.Request) {
 		panic(fmt.Sprintf("mpcbfd: namespace name %d bytes long (max %d)", len(req.NS), wire.MaxNamespaceLen))
 	}
 	p.tc.stamp(&req)
-	start := len(p.buf)
-	p.buf = append(p.buf, 0, 0, 0, 0)
-	p.buf = wire.AppendRequest(p.buf, &req)
-	binary.LittleEndian.PutUint32(p.buf[start:], uint32(len(p.buf)-start-4))
-	// The recorded op is the INNER op even under a namespace envelope:
-	// Flush decodes responses and attributes transport failures by what
-	// the operation does (Contains vs Insert), not how it was framed.
-	p.reqs = append(p.reqs, pipeReq{op: req.Op, start: start})
+	p.reqs = append(p.reqs, pipeReq{op: req.Op, start: len(p.buf)})
+	p.buf = appendFrame(p.buf, &req)
 }
 
 // CreateNamespace queues a CREATE_NS of name with cfg (zero-valued cfg
@@ -176,10 +178,10 @@ func (v PipeHandle) InsertTTLBatch(keys [][]byte, ttl time.Duration) {
 // transport-level error, if any. The returned slice and any Bools inside
 // it are overwritten by the next Flush on this Pipeline.
 //
-// The send runs in a goroutine concurrent with response reads: the
-// daemon's per-connection response queue is bounded, so a large
-// single-threaded burst would otherwise deadlock with both sides
-// blocked on full buffers.
+// A run of requests is written concurrently with the response reads:
+// the daemon's per-connection response queue is bounded, so a large
+// burst written before reading would deadlock with both sides blocked on
+// full buffers.
 func (p *Pipeline) Flush() ([]PipeResult, error) {
 	n := len(p.reqs)
 	if n == 0 {
@@ -189,139 +191,27 @@ func (p *Pipeline) Flush() ([]PipeResult, error) {
 	c.stRequests.Add(uint64(n))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	defer func() {
-		p.buf = p.buf[:0]
-		p.reqs = p.reqs[:0]
-	}()
-	results := p.results[:0]
-	if c.err != nil {
-		redialErr := error(nil)
-		switch {
-		case c.closed:
-			redialErr = errors.New("mpcbfd: client closed")
-		case !c.reconnect:
-			redialErr = fmt.Errorf("mpcbfd: client broken by earlier error: %w", c.err)
-		default:
-			redialErr = c.redial()
-		}
-		if redialErr != nil {
-			// Nothing was sent: every queued request fails definitively.
-			for _, rq := range p.reqs {
-				results = append(results, PipeResult{Op: rq.op, Err: redialErr})
+	// Reuse the previous results' Bools, so steady-state batch reads
+	// decode without allocating.
+	res := slices.Grow(p.results[:0], n)[:n]
+	for i, rq := range p.reqs {
+		res[i] = PipeResult{Op: rq.op, Bools: res[i].Bools[:0]}
+	}
+	p.results = res
+	err := c.ready()
+	if err == nil {
+		err = c.exchange(p.buf, p.reqs, func(i int, body []byte, rerr error) error {
+			if res[i].Err = rerr; rerr != nil {
+				return nil
 			}
-			p.results = results
-			return results, redialErr
+			return res[i].decode(body)
+		})
+	} else {
+		// Nothing was sent: every request fails definitively.
+		for i := range res {
+			res[i].Err = err
 		}
 	}
-	// The deadline is per unit of progress, not per burst: a pipeline of
-	// many durable mutations legitimately takes longer than one
-	// round-trip, so the initial window is refreshed after every decoded
-	// response (below). SetDeadline covers the concurrent Write too —
-	// response progress implies the daemon is consuming our bytes.
-	if c.timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.timeout))
-	}
-
-	// Send in the background while this goroutine reads responses.
-	// Writing straight to the conn (not c.w) keeps the kernel-accepted
-	// byte count observable: bytes beyond wr.n provably never left.
-	type writeOutcome struct {
-		n   int
-		err error
-	}
-	written := make(chan writeOutcome, 1)
-	go func() {
-		nw, err := c.conn.Write(p.buf)
-		written <- writeOutcome{nw, err}
-	}()
-
-	var terr error
-	rbuf := c.buf
-	for i := 0; i < n && terr == nil; i++ {
-		payload, err := wire.ReadFrame(c.r, rbuf[:0], c.maxFrame)
-		if err != nil {
-			terr = err
-			break
-		}
-		if c.timeout > 0 {
-			// Each response buys the burst another timeout window; only a
-			// stall with zero progress for c.timeout fails the transport.
-			c.conn.SetDeadline(time.Now().Add(c.timeout))
-		}
-		rbuf = payload
-		status, body, err := wire.DecodeStatus(payload)
-		if err != nil {
-			terr = err
-			break
-		}
-		res := PipeResult{Op: p.reqs[i].op}
-		switch status {
-		case wire.StatusOK:
-			switch p.reqs[i].op {
-			case wire.OpContains:
-				res.Bool, res.Err = wire.DecodeBool(body)
-			case wire.OpEstimate, wire.OpLen:
-				res.U64, res.Err = wire.DecodeU64(body)
-			case wire.OpContainsBatch, wire.OpDeleteBatch:
-				var dst []bool
-				if i < len(p.results) {
-					dst = p.results[i].Bools[:0]
-				}
-				res.Bools, res.Err = wire.DecodeBoolsInto(body, dst)
-			}
-			if res.Err != nil {
-				// A malformed OK body means the stream framing can no
-				// longer be trusted.
-				terr = res.Err
-			}
-		case wire.StatusErr:
-			res.Err = &ServerError{Msg: string(body)}
-		case wire.StatusReadOnly:
-			res.Err = &ReadOnlyError{Primary: string(body)}
-		default:
-			terr = fmt.Errorf("mpcbfd: unknown status 0x%02x", status)
-		}
-		if terr != nil {
-			break
-		}
-		results = append(results, res)
-	}
-	c.buf = rbuf[:0]
-
-	if terr != nil {
-		// Break the connection before waiting on the writer: closing the
-		// conn unblocks a Write stalled on a dead peer's full buffers.
-		c.fail(terr)
-	}
-	wr := <-written
-	if terr == nil {
-		if wr.err != nil {
-			// All responses arrived, so every result is definitive, but
-			// the connection can't be trusted for the next call.
-			c.fail(wr.err)
-		}
-		p.results = results
-		return results, nil
-	}
-
-	// Transport failure: attribute the unanswered tail. Bytes at offsets
-	// below the kernel-accepted watermark may have reached the daemon —
-	// unanswered mutations there are in flight and get ErrMaybeApplied.
-	// Frames starting at or past the watermark were never sent.
-	watermark := wr.n
-	if wr.err == nil {
-		watermark = len(p.buf)
-	}
-	for i := len(results); i < n; i++ {
-		res := PipeResult{Op: p.reqs[i].op}
-		if p.reqs[i].start < watermark && wire.IsMutation(p.reqs[i].op) {
-			c.stMaybeApplied.Add(1)
-			res.Err = fmt.Errorf("%w (%v)", ErrMaybeApplied, terr)
-		} else {
-			res.Err = fmt.Errorf("mpcbfd: pipelined request not completed: %w", terr)
-		}
-		results = append(results, res)
-	}
-	p.results = results
-	return results, terr
+	p.buf, p.reqs = p.buf[:0], p.reqs[:0]
+	return res, err
 }

@@ -20,24 +20,27 @@ import (
 	"repro/server/wire"
 )
 
+const (
+	// repDialTimeout bounds one connection attempt to the primary.
+	repDialTimeout = 5 * time.Second
+	// repStallTimeout declares the stream dead when no frame (heartbeats
+	// included) arrives for this long.
+	repStallTimeout = 30 * time.Second
+	// repMaxFrame bounds one stream frame: a snapshot frame carries the
+	// whole marshaled filter.
+	repMaxFrame = 1 << 28
+)
+
 // ReplicaConfig tunes a WAL-shipping subscriber.
 type ReplicaConfig struct {
 	// PrimaryAddr is the primary daemon's binary-protocol address.
 	PrimaryAddr string
 	// Store is the local replica-mode store (StoreOptions.Replica true).
 	Store *server.Store
-	// DialTimeout bounds one connection attempt (default 5s).
-	DialTimeout time.Duration
 	// BackoffBase / BackoffMax bound the reconnect backoff (default
 	// 100ms doubling to 5s).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// StallTimeout declares the stream dead when no frame (heartbeats
-	// included) arrives for this long (default 30s).
-	StallTimeout time.Duration
-	// MaxFrame bounds one stream frame (default 256 MiB — a snapshot
-	// frame carries the whole marshaled filter).
-	MaxFrame int
 	// Log receives structured operational messages (default
 	// slog.Default()). The replica logs with component=replica attached.
 	Log *slog.Logger
@@ -50,20 +53,11 @@ func (c *ReplicaConfig) setDefaults() error {
 	if c.Store == nil {
 		return errors.New("cluster: ReplicaConfig.Store required")
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 100 * time.Millisecond
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 5 * time.Second
-	}
-	if c.StallTimeout <= 0 {
-		c.StallTimeout = 30 * time.Second
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = 1 << 28
 	}
 	if c.Log == nil {
 		c.Log = slog.Default()
@@ -134,7 +128,7 @@ func (r *Replica) lastFrameWithin(d time.Duration) bool {
 // stream runs one connection: subscribe from the store's durable
 // position, then apply frames until an error or ctx cancellation.
 func (r *Replica) stream(ctx context.Context) error {
-	d := net.Dialer{Timeout: r.cfg.DialTimeout}
+	d := net.Dialer{Timeout: repDialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", r.cfg.PrimaryAddr)
 	if err != nil {
 		return err
@@ -152,7 +146,7 @@ func (r *Replica) stream(ctx context.Context) error {
 	}()
 
 	seq, off := r.cfg.Store.ReplicationPos()
-	conn.SetWriteDeadline(time.Now().Add(r.cfg.DialTimeout))
+	conn.SetWriteDeadline(time.Now().Add(repDialTimeout))
 	sub := wire.AppendRequest(nil, &wire.Request{Op: wire.OpReplicate, Seq: seq, Off: uint64(off)})
 	if err := wire.WriteFrame(conn, sub); err != nil {
 		return fmt.Errorf("subscribe: %w", err)
@@ -162,8 +156,8 @@ func (r *Replica) stream(ctx context.Context) error {
 	br := bufio.NewReaderSize(conn, 1<<16)
 	var buf []byte
 	for {
-		conn.SetReadDeadline(time.Now().Add(r.cfg.StallTimeout))
-		payload, err := wire.ReadFrame(br, buf, r.cfg.MaxFrame)
+		conn.SetReadDeadline(time.Now().Add(repStallTimeout))
+		payload, err := wire.ReadFrame(br, buf, repMaxFrame)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return errors.New("primary closed the stream")

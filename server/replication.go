@@ -274,7 +274,7 @@ func (s *Server) serveReplication(conn net.Conn, w *bufio.Writer, req wire.Reque
 
 // writeRepFrame sends one stream frame under the write deadline.
 func (s *Server) writeRepFrame(conn net.Conn, w *bufio.Writer, payload []byte) bool {
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := wire.WriteFrame(w, payload); err != nil {
 		return false
 	}
@@ -289,7 +289,7 @@ func (s *Server) writeRepFrame(conn net.Conn, w *bufio.Writer, payload []byte) b
 // up. The leading StatusErr byte is disjoint from the frame-type bytes,
 // so subscribers decode it unambiguously.
 func (s *Server) writeRepErr(conn net.Conn, w *bufio.Writer, msg string) {
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := wire.WriteFrame(w, wire.AppendErr(nil, msg)); err == nil {
 		w.Flush()
 	}

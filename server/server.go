@@ -44,8 +44,6 @@ type Config struct {
 	// IdleTimeout closes connections with no complete request for this
 	// long (default 5m).
 	IdleTimeout time.Duration
-	// WriteTimeout bounds one response write (default 30s).
-	WriteTimeout time.Duration
 	// ReadOnly rejects mutations with a StatusReadOnly redirect carrying
 	// PrimaryAddr. Set on replicas.
 	ReadOnly bool
@@ -87,9 +85,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 5 * time.Minute
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
 	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = time.Second
@@ -282,6 +277,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // bounded in-order queue — ordering is structural, not re-sorted — and
 // the queue depth is the pipelining limit a client can extract.
 const (
+	// writeTimeout bounds one response or replication-frame write.
+	writeTimeout = 30 * time.Second
 	// connPipeDepth bounds responses awaiting durability+write per
 	// connection; the reader blocks (TCP backpressure) beyond it.
 	connPipeDepth = 64
@@ -423,7 +420,7 @@ func (s *Server) connWriter(conn net.Conn, w *bufio.Writer, items chan connItem,
 			item.failed = true
 		}
 		if alive {
-			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			err := wire.WriteFrame(w, item.buf)
 			if err == nil && len(items) == 0 {
 				// Flush only when the queue is empty: back-to-back pipelined

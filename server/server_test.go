@@ -41,6 +41,14 @@ func startTestServer(t *testing.T, storeOpts StoreOptions, cfg Config) (*Server,
 			t.Errorf("Serve: %v", err)
 		}
 	})
+	// Serve stores its listener on its own goroutine, and tests read it
+	// back through srv.Addr. Poll for it rather than send a request,
+	// which the tests' op counters would see.
+	for deadline := time.Now().Add(5 * time.Second); srv.Addr() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("Serve never stored its listener")
+		}
+	}
 
 	c, err := client.Dial(ln.Addr().String(), client.WithTimeout(5*time.Second))
 	if err != nil {
