@@ -305,5 +305,5 @@ obs-smoke:
 		| tee $$dir/traces.txt; \
 	grep -q '^trace ' $$dir/traces.txt
 
-ci: build lint race guards integration window-e2e cluster-e2e ns-e2e elastic-e2e reshard-e2e obs-smoke loadgen-smoke sim-multi-seed
+ci: build lint race guards fuzz-wire integration window-e2e cluster-e2e ns-e2e elastic-e2e reshard-e2e obs-smoke loadgen-smoke sim-multi-seed
 	$(GO) test -run '^$$' -bench 'Ops' -benchtime 100x .

@@ -50,25 +50,26 @@ type Options struct {
 	// Shards is the shard count of every generation (default 1).
 	Shards int
 	// TargetFPR is the chain-wide false positive bound eps. 0 derives
-	// it from the seed geometry: eps = fpr0 / (1 - TighteningRatio),
+	// it from the seed geometry: eps = fpr0 / (1 - tighteningRatio),
 	// where fpr0 is the seed generation's analytic FPR at its expected
 	// items — the chain then promises "no worse than twice the filter
-	// you configured" under the default ratio.
+	// you configured".
 	TargetFPR float64
-	// GrowthFactor scales ExpectedItems per generation (default 2).
-	GrowthFactor int
-	// TighteningRatio is r: generation i gets FPR budget
-	// eps*(1-r)*r^i (default 0.5).
-	TighteningRatio float64
-	// GrowAt is the head fill-ratio trigger for NeedsGrow (default
-	// 0.9). Reaching the head's expected-item capacity triggers
-	// regardless.
-	GrowAt float64
 	// MaxGenerations bounds the chain length (default 48). A chain at
 	// the bound stops reporting NeedsGrow and keeps absorbing inserts
 	// into its head, trading the FPR bound for availability.
 	MaxGenerations int
 }
+
+// The growth schedule. Generation i expects growthFactor^i times the
+// seed's items and gets FPR budget eps*(1-r)*r^i, r = tighteningRatio;
+// NeedsGrow fires when the head reaches its capacity or the growAt fill
+// ratio.
+const (
+	growthFactor    = 2
+	tighteningRatio = 0.5
+	growAt          = 0.9
+)
 
 func (o *Options) setDefaults() error {
 	if o.Filter.MemoryBits <= 0 {
@@ -80,21 +81,12 @@ func (o *Options) setDefaults() error {
 	if o.Shards < 1 {
 		o.Shards = 1
 	}
-	if o.GrowthFactor < 2 {
-		o.GrowthFactor = 2
-	}
-	if o.TighteningRatio <= 0 || o.TighteningRatio >= 1 {
-		o.TighteningRatio = 0.5
-	}
-	if o.GrowAt <= 0 || o.GrowAt > 1 {
-		o.GrowAt = 0.9
-	}
 	if o.MaxGenerations <= 0 {
 		o.MaxGenerations = 48
 	}
 	if o.TargetFPR <= 0 {
 		fpr0 := analyticFPR(o.Filter, o.Filter.ExpectedItems)
-		o.TargetFPR = fpr0 / (1 - o.TighteningRatio)
+		o.TargetFPR = fpr0 / (1 - tighteningRatio)
 	}
 	if o.TargetFPR >= 1 {
 		return fmt.Errorf("elastic: target FPR %g not below 1", o.TargetFPR)
@@ -180,7 +172,7 @@ func New(opts Options) (*Filter, error) {
 }
 
 // geometryFor derives generation i's geometry: capacity n_i scales by
-// GrowthFactor^i, the FPR budget tightens by TighteningRatio^i, and the
+// growthFactor^i, the FPR budget tightens by tighteningRatio^i, and the
 // memory budget is searched upward (deterministic integer steps) until
 // the analytic model meets the budget. A pure function of (opts, i), so
 // every node replaying the same growth schedule builds byte-identical
@@ -189,10 +181,10 @@ func (f *Filter) geometryFor(i uint32) (cfg mpcbf.Options, capacity int, budget 
 	o := f.opts
 	cfg = o.Filter
 	capacity = o.Filter.ExpectedItems
-	budget = o.TargetFPR * (1 - o.TighteningRatio)
+	budget = o.TargetFPR * (1 - tighteningRatio)
 	for j := uint32(0); j < i; j++ {
-		capacity *= o.GrowthFactor
-		budget *= o.TighteningRatio
+		capacity *= growthFactor
+		budget *= tighteningRatio
 	}
 	if i == 0 {
 		return cfg, capacity, budget
@@ -214,7 +206,7 @@ func (f *Filter) geometryFor(i uint32) (cfg mpcbf.Options, capacity int, budget 
 	}
 	m := o.Filter.MemoryBits
 	for j := uint32(0); j < i; j++ {
-		m *= o.GrowthFactor
+		m *= growthFactor
 	}
 	bestK := cfg.HashFunctions
 	for step := 0; step < 64; step++ {
@@ -248,7 +240,7 @@ func (f *Filter) buildGeneration(i uint32) (*mpcbf.Sharded, *generation, error) 
 func (f *Filter) TargetFPR() float64 { return f.opts.TargetFPR }
 
 // NeedsGrow reports whether the head is due for sealing: it reached its
-// expected-item capacity or the GrowAt fill ratio. It never fires past
+// expected-item capacity or the growAt fill ratio. It never fires past
 // MaxGenerations. The caller decides when to act (and records it) — the
 // filter itself never grows implicitly, so replayed logs reconstruct
 // the same chain.
@@ -273,9 +265,19 @@ func (f *Filter) NeedsGrow() (grow bool) {
 		if int64(n)-last < int64(h.capacity/256)+1 || !h.lastFill.CompareAndSwap(last, int64(n)) {
 			return
 		}
-		grow = head.FillRatio() >= f.opts.GrowAt
+		grow = head.FillRatio() >= growAt
 	})
 	return grow
+}
+
+// Room returns how many more inserts the head takes before NeedsGrow's
+// capacity trigger fires: 0 once it holds its capacity.
+func (f *Filter) Room() (n int) {
+	f.View(func(gens []*mpcbf.Sharded) {
+		head := len(gens) - 1
+		n = max(f.gens[head].capacity-gens[head].Len(), 0)
+	})
+	return n
 }
 
 // Grow seals the current head and appends a fresh one with the next

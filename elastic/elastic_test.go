@@ -359,6 +359,13 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	badVer := append([]byte{}, blob...)
 	binary.LittleEndian.PutUint32(badVer[4:], 0xFFFF)
 	cases["version"] = badVer
+	// The growth schedule's header fields (growth factor, tightening
+	// ratio, grow-at fill) must hold this build's constants.
+	for name, off := range map[string]int{"growth factor": 41, "tightening ratio": 45, "grow at": 53} {
+		bad := append([]byte{}, blob...)
+		bad[off] ^= 0x01
+		cases[name] = bad
+	}
 	for name, data := range cases {
 		if _, err := UnmarshalFilter(data); err == nil {
 			t.Errorf("%s: corrupt snapshot accepted", name)

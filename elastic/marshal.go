@@ -81,9 +81,9 @@ func (f *Filter) encode(w *snapio.Writer, gens []*mpcbf.Sharded) {
 	w.Uint32(o.Filter.Seed)
 	w.Uint16(uint16(o.Shards))
 	w.Uint64(math.Float64bits(o.TargetFPR))
-	w.Uint32(uint32(o.GrowthFactor))
-	w.Uint64(math.Float64bits(o.TighteningRatio))
-	w.Uint64(math.Float64bits(o.GrowAt))
+	w.Uint32(growthFactor)
+	w.Uint64(math.Float64bits(tighteningRatio))
+	w.Uint64(math.Float64bits(growAt))
 	w.Uint16(uint16(o.MaxGenerations))
 	w.Uint32(f.grows)
 	w.Uint64(f.imports)
@@ -158,12 +158,14 @@ func readFilter(r io.Reader, n int64, check bool, a *mpcbf.Arenas) (*Filter, err
 	p += 2
 	o.TargetFPR = math.Float64frombits(binary.LittleEndian.Uint64(data[p:]))
 	p += 8
-	o.GrowthFactor = int(binary.LittleEndian.Uint32(data[p:]))
-	p += 4
-	o.TighteningRatio = math.Float64frombits(binary.LittleEndian.Uint64(data[p:]))
-	p += 8
-	o.GrowAt = math.Float64frombits(binary.LittleEndian.Uint64(data[p:]))
-	p += 8
+	// The growth schedule's fields hold its constants; a chain grown on
+	// another schedule would regrow differently here.
+	if binary.LittleEndian.Uint32(data[p:]) != growthFactor ||
+		binary.LittleEndian.Uint64(data[p+4:]) != math.Float64bits(tighteningRatio) ||
+		binary.LittleEndian.Uint64(data[p+12:]) != math.Float64bits(growAt) {
+		return nil, errors.New("elastic: snapshot growth schedule differs from this build's")
+	}
+	p += 20
 	o.MaxGenerations = int(binary.LittleEndian.Uint16(data[p:]))
 	p += 2
 	grows := binary.LittleEndian.Uint32(data[p:])

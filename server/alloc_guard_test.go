@@ -186,6 +186,27 @@ func TestBeginFrameZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestTraceFinishAllocs pins a sampled request's trace to one
+// allocation, its reqTrace: finish names the op from the opcode table
+// and copies the entry into a preallocated ring.
+func TestTraceFinishAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are meaningless under -race")
+	}
+	tc := newTracer(1, 0, nil)
+	payload := wire.AppendKeyRequest(nil, wire.OpInsert, []byte("k"))
+	avg := testing.AllocsPerRun(100, func() {
+		id, tr := tc.beginFrame(payload)
+		tc.finish(id, tr, wire.OpInsert, 1, 1, time.Microsecond, false)
+	})
+	if avg > 1 {
+		t.Errorf("sampled beginFrame+finish: %.1f allocs/op, want at most 1", avg)
+	}
+	if rep := tc.Report(); len(rep.Recent) == 0 || rep.Recent[0].Op != "insert" {
+		t.Errorf("recent ring %+v, want an insert entry", rep.Recent)
+	}
+}
+
 // TestWireCodecZeroAllocs pins 0 allocs/op for the request/response
 // codec itself: encoding single-key and batch requests, and a traced,
 // namespaced batch through AppendRequest, into reused buffers, decoding

@@ -29,11 +29,12 @@ import (
 // land in the pre-growth head, or replay would spread them across
 // generations the live filter never used.
 //
-// Growth ordering: the insert that tips the head over GrowAt applies and
-// enqueues first, then the GROW record — both under the mutation lock,
-// in one commit round. The chain is therefore a pure function of the
-// durable record sequence: a crash after the insert but before the GROW
-// is durable replays to a head one insert fuller, recovery re-detects
+// Growth ordering: the insert that trips the head's growth trigger
+// (an insert batch's run: see insertRunsLocked) applies and enqueues
+// first, then the GROW record — both under the mutation lock, in one
+// commit round. The chain is therefore a pure function of the durable
+// record sequence: a crash after the insert but before the GROW is
+// durable replays to a head one insert fuller, recovery re-detects
 // NeedsGrow on the next insert, and the regrown chain has the same
 // geometry because generation geometry depends only on the growth index
 // (see elastic.Filter.Grow).
@@ -83,6 +84,45 @@ func (s *Store) growEnqLocked(e *ns.Entry) uint64 {
 	s.rebaseLocked(e, "elastic growth")
 	s.opts.Log.Info("elastic growth", "ns", e.Name(), "generations", el.Generations())
 	return ticket
+}
+
+// insertRunsLocked applies an insert batch to e and logs one INSERT
+// record per key. An elastic chain takes it in runs, each no longer
+// than the head takes before its capacity trigger fires
+// (elastic.Filter.Room), and each run's INSERT records are followed by
+// its GROW record, so no generation takes more than its capacity
+// however large the batch, and replay rebuilds the same chain. A plain
+// or windowed filter, or a chain that did not grow after a run — at
+// MaxGenerations, or after a failed Grow — takes the rest in one run.
+// It returns the newest ticket any run or GROW produced. A failed run
+// is not logged, but the runs before it stay applied and logged. Caller
+// holds s.mu.
+func (s *Store) insertRunsLocked(e *ns.Entry, keys [][]byte, sc *mpcbf.BatchScratch, tr *reqTrace) (uint64, error) {
+	var ticket uint64
+	for grew := e.Elastic() != nil; ; {
+		run := keys
+		if grew {
+			run = keys[:min(len(keys), e.Elastic().Room())]
+		}
+		keys = keys[len(run):]
+		t0 := tr.now()
+		if err := e.InsertBatch(run, sc); err != nil {
+			return 0, err
+		}
+		tr.addFilter(t0)
+		if err := s.selectLocked(e); err != nil {
+			return 0, err
+		}
+		t, err := s.wal.EnqueueBatch(wire.OpInsert, nil, run, nil, tr)
+		if err != nil {
+			return 0, err
+		}
+		gt := s.growEnqLocked(e)
+		ticket, grew = max(ticket, t, gt), gt != 0
+		if len(keys) == 0 {
+			return ticket, nil
+		}
+	}
 }
 
 // rebaseLocked folds a named chain's changed footprint into the

@@ -80,6 +80,79 @@ func TestElasticStoreGrowsAndRecovers(t *testing.T) {
 	}
 }
 
+// TestElasticBatchGrowsInRuns: one 4000-key INSERT_BATCH into an
+// 800-key seed generation, in the default chain and in an elastic
+// namespace, grows the chain in runs: no generation ends over its
+// capacity, the expected FPR stays under the target, a sampled batch's
+// span keeps the WAL position of its first run, and a restart from the
+// WAL alone DUMPs the same bytes.
+func TestElasticBatchGrowsInRuns(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(testElasticStoreOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := s.reg.Resolve(ns.Config{MemoryBits: 1 << 15, ExpectedItems: 800, Elastic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.nsCreateLocked("tenant", cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"", "tenant"}
+	for _, name := range names {
+		// The default chain is the WAL's selection context from the
+		// start, so its batch's first INSERT lands where the WAL ends.
+		seq, off := s.wal.Pos()
+		tr := &reqTrace{}
+		_, ticket, err := s.mutateEnq(wire.OpInsertBatch, []byte(name), nil, storeKeys("runs", 4000), 0, nil, tr)
+		if err := s.wait(ticket, err); err != nil {
+			t.Fatalf("ns %q: %v", name, err)
+		}
+		if name == "" && (tr.entry.WALSeq != seq || tr.entry.WALOff != uint64(off)) {
+			t.Errorf("sampled batch span at WAL %d:%d, want its first run's %d:%d", tr.entry.WALSeq, tr.entry.WALOff, seq, off)
+		}
+	}
+	// The default's DUMP carries the namespaces too, so the dumps are
+	// taken once both batches are in.
+	dumps := map[string][]byte{}
+	for _, name := range names {
+		el := s.reg.Lookup([]byte(name)).Elastic()
+		st := el.Stats()
+		if st.Generations < 3 {
+			t.Errorf("ns %q: %d generations after 4000 keys into an 800-key seed, want >= 3", name, st.Generations)
+		}
+		for i, g := range st.Gens {
+			if g.Items > g.Capacity {
+				t.Errorf("ns %q: generation %d holds %d keys, over its capacity %d", name, i, g.Items, g.Capacity)
+			}
+		}
+		if fpr := el.ExpectedFPR(); fpr >= el.TargetFPR() {
+			t.Errorf("ns %q: expected FPR %.4f, want under the target %.4f", name, fpr, el.TargetFPR())
+		}
+		if dumps[name], err = s.marshal([]byte(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenStore(testElasticStoreOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for name, dump := range dumps {
+		redump, err := r.marshal([]byte(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dump, redump) {
+			t.Errorf("ns %q: the chain replayed from the WAL DUMPs different bytes", name)
+		}
+	}
+}
+
 func TestElasticStoreRecoversFromSnapshotPlusTail(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(testElasticStoreOptions(dir))
@@ -254,7 +327,7 @@ func TestElasticImportLogsEachGenerationOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := storeKeys("src", 4000)
-	for i := 0; i < len(keys); i += 200 { // a batch grows the chain at most once
+	for i := 0; i < len(keys); i += 200 { // each batch grows the chain in runs
 		if err := src.InsertBatch(keys[i : i+200]); err != nil {
 			t.Fatal(err)
 		}

@@ -220,7 +220,7 @@ func (m *Metrics) Ops(op byte) uint64 { return m.ops[op].Load() }
 // TotalOps returns the request count across all opcodes.
 func (m *Metrics) TotalOps() uint64 {
 	var t uint64
-	for op := range wire.OpNames() {
+	for op := byte(1); op <= wire.MaxOp; op++ {
 		t += m.ops[op].Load()
 	}
 	return t

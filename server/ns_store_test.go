@@ -469,18 +469,12 @@ func TestNamespaceSnapshotContainer(t *testing.T) {
 }
 
 // TestNamespaceWireAuditNames asserts the server's namespace op names
-// surface in the metrics op table (anti-drift with wire.OpNames).
+// surface in the metrics op table (anti-drift with wire.OpName).
 func TestNamespaceWireAuditNames(t *testing.T) {
-	for _, want := range []string{"ns_create", "ns_drop", "ns_list", "ns_stats", "namespaced"} {
-		found := false
-		for _, name := range wire.OpNames() {
-			if name == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("wire.OpNames missing %q", want)
+	for op, want := range map[byte]string{wire.OpNsCreate: "ns_create", wire.OpNsDrop: "ns_drop",
+		wire.OpNsList: "ns_list", wire.OpNsStats: "ns_stats", wire.OpNamespaced: "namespaced"} {
+		if got := wire.OpName(op); got != want {
+			t.Errorf("wire.OpName(0x%02x) = %q, want %q", op, got, want)
 		}
 	}
 }

@@ -222,7 +222,7 @@ func statusBytes(status []byte, key string) (int64, bool) {
 // /proc/self/status.
 func (s *Server) Snapshot() ServerSnapshot {
 	snap := ServerSnapshot{
-		Ops:      make(map[string]uint64, len(wire.OpNames())),
+		Ops:      make(map[string]uint64, wire.MaxOp),
 		OpErrors: s.metrics.errors.Load(),
 		Conns: ConnSnapshot{
 			Open:     s.metrics.open.Load(),
@@ -233,9 +233,9 @@ func (s *Server) Snapshot() ServerSnapshot {
 		BytesOut:  s.metrics.bytesOut.Load(),
 		LatencyNs: s.metrics.lat.Snapshot(),
 	}
-	for op, name := range wire.OpNames() {
+	for op := byte(1); op <= wire.MaxOp; op++ {
 		n := s.metrics.ops[op].Load()
-		snap.Ops[name] = n
+		snap.Ops[wire.OpName(op)] = n
 		snap.OpsTotal += n
 	}
 

@@ -524,6 +524,10 @@ func (s *Store) mutateEnq(op byte, name, key []byte, keys [][]byte, ttl time.Dur
 	if err != nil {
 		return nil, 0, err
 	}
+	if op == wire.OpInsertBatch {
+		ticket, err = s.insertRunsLocked(e, keys, sc, tr)
+		return nil, ticket, err
+	}
 	t0 := tr.now()
 	// What the WAL logs: one record per key, the batch forms under their
 	// single-key op, and a TTL insert with its rotation count as prefix.
@@ -539,9 +543,6 @@ func (s *Store) mutateEnq(op byte, name, key []byte, keys [][]byte, ttl time.Dur
 	case wire.OpDelete:
 		err = e.Delete(key)
 		walKeys = one[:]
-	case wire.OpInsertBatch:
-		err = e.InsertBatch(keys, sc)
-		walOp = wire.OpInsert
 	case wire.OpDeleteBatch:
 		ok, _ = e.DeleteBatch(keys, sc)
 		walOp = wire.OpDelete
@@ -570,10 +571,10 @@ func (s *Store) mutateEnq(op byte, name, key []byte, keys [][]byte, ttl time.Dur
 	if err != nil {
 		return ok, 0, err
 	}
-	// An insert that tipped an elastic head past its growth trigger grows
-	// the chain in the same commit round; the grow ticket supersedes the
-	// data ticket so the ack covers both.
-	if op == wire.OpInsert || op == wire.OpInsertBatch {
+	// A single insert that tipped an elastic head past its growth trigger
+	// grows the chain in the same commit round; the grow ticket
+	// supersedes the data ticket so the ack covers both.
+	if op == wire.OpInsert {
 		if gt := s.growEnqLocked(e); gt != 0 {
 			ticket = gt
 		}
@@ -610,9 +611,12 @@ func (s *Store) Delete(key []byte) error {
 }
 
 // InsertBatch applies and logs a batch with a single fsync. On a batch
-// error (possible only under the strict overflow policy) nothing is
-// logged and the error is returned; the partially applied batch is
-// unacknowledged and carries no durability promise.
+// error (possible only under the strict overflow policy) the error is
+// returned and the failed part is not logged: nothing, unless the
+// default filter is an elastic chain, which takes the batch in runs
+// (see insertRunsLocked) and keeps the runs before the failed one
+// logged. The partially applied batch is unacknowledged and carries no
+// durability promise.
 func (s *Store) InsertBatch(keys [][]byte) error {
 	_, ticket, err := s.mutateEnq(wire.OpInsertBatch, nil, nil, keys, 0, nil, nil)
 	return s.wait(ticket, err)

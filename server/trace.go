@@ -127,9 +127,11 @@ func (tr *reqTrace) setNS(name []byte) {
 
 // setWALPos records where the op's first record landed in the WAL: the
 // segment sequence and the byte offset the append started at. This is
-// the join key to the replica-apply span covering the same range.
+// the join key to the replica-apply span covering the same range. An op
+// that appends more than once (an elastic insert batch's runs) keeps
+// its first position; segment sequences start at 1, so 0 is unset.
 func (tr *reqTrace) setWALPos(seq uint64, off int64) {
-	if tr != nil {
+	if tr != nil && tr.entry.WALSeq == 0 {
 		tr.entry.WALSeq = seq
 		tr.entry.WALOff = uint64(off)
 	}
@@ -219,7 +221,7 @@ func newTracer(sampleEvery int, slow time.Duration, log *slog.Logger) *Tracer {
 func (t *Tracer) beginFrame(payload []byte) (id uint64, tr *reqTrace) {
 	id = t.seq.Add(1)
 	sampled := t.sampleEvery != 0 && id%t.sampleEvery == 0
-	if !sampled && !(len(payload) > 1 && payload[0] == wire.OpTrace && payload[1] != 0) {
+	if !sampled && !wire.CarriesTraceIDs(payload) {
 		return id, nil
 	}
 	tr = &reqTrace{}
@@ -268,7 +270,7 @@ func (t *Tracer) finish(id uint64, tr *reqTrace, op byte, keys, keyBytes int, to
 		e.ID = id
 		e.Start = time.Now().Add(-total)
 	}
-	e.Op = wire.OpNames()[op]
+	e.Op = wire.OpName(op)
 	e.TotalNs = total.Nanoseconds()
 	e.Keys = keys
 	e.KeyBytes = keyBytes

@@ -11,23 +11,10 @@
 // little-endian. Keys are length-prefixed byte strings ([u32 len][bytes]);
 // batches are a key count followed by that many keys.
 //
-// Requests (AppendRequest writes each form, DecodeRequestInto reads it
-// back into the same Request):
-//
-//	INSERT / DELETE / CONTAINS / ESTIMATE:  [op][key]
-//	LEN / DUMP / WINDOW_STATS:              [op]
-//	INSERT_BATCH / DELETE_BATCH / CONTAINS_BATCH: [op][u32 n][key]*n
-//	INSERT_TTL:                             [op][u64 ttlNanos][key]
-//	INSERT_TTL_BATCH:                       [op][u64 ttlNanos][u32 n][key]*n
-//	REPLICATE:                              [op][u64 seq][u64 off]
-//	CREATE_NS:                              [op][u8 nsLen][ns][NsConfig block]
-//	DROP_NS / NS_STATS:                     [op][u8 nsLen][ns]
-//	LIST_NS:                                [op]
-//	NAMESPACED:                             [op][u8 nsLen][ns][inner request payload]
-//	TRACE:                                  [op][u8 idLen][16B trace id][8B parent span][inner request payload]
-//	RING_SET:                               [op][ring descriptor]
-//	RING_GET / ELASTIC_STATS:               [op]
-//	IMPORT:                                 [op][marshaled filter bytes]
+// Requests: each opcode's row in one table, ops, names its body layout,
+// and the layout constants show each layout's bytes. AppendRequest
+// writes every form and DecodeRequestInto reads it back into the same
+// Request, both by layout.
 //
 // Responses (status OK):
 //
@@ -190,10 +177,88 @@ const (
 	OpElasticStats = 0x17
 
 	// MaxOp is the highest assigned opcode. Every opcode in (0, MaxOp]
-	// must have an OpName/OpNames entry; a table test enforces it so a
-	// future opcode cannot ship unnamed.
+	// has a row in ops; a table test enforces it so a future opcode
+	// cannot ship unnamed.
 	MaxOp = OpElasticStats
 )
+
+// layout is the shape of a request body, the one thing AppendRequest
+// and DecodeRequestInto switch on. The zero layout marks an unassigned
+// opcode.
+type layout uint8
+
+const (
+	bodyNone       layout = iota + 1 // [op]
+	bodyKey                          // [op][key]
+	bodyKeys                         // [op][u32 n][key]*n
+	bodyTTLKey                       // [op][u64 ttlNanos][key]
+	bodyTTLKeys                      // [op][u64 ttlNanos][u32 n][key]*n
+	bodyPosition                     // [op][u64 seq][u64 off]
+	bodyName                         // [op][u8 nsLen][ns]
+	bodyNameConfig                   // [op][u8 nsLen][ns][NsConfig block]
+	bodyRing                         // [op][ring descriptor]
+	bodyBlob                         // [op][marshaled filter bytes], non-empty
+	envNamespaced                    // [op][u8 nsLen][ns][inner request payload]
+	envTrace                         // [op][u8 idLen][16B trace id][8B parent span][inner request payload]
+)
+
+// opFlag is a row's set of properties besides its name and layout.
+type opFlag uint8
+
+const (
+	mutation     opFlag = 1 << iota // the op changes filter state: see IsMutation
+	inNamespaced                    // a NAMESPACED envelope may carry the op
+	inTrace                         // a TRACE envelope may carry the op
+
+	dataOp = inNamespaced | inTrace
+)
+
+// opInfo is everything the protocol knows about one opcode.
+type opInfo struct {
+	name  string // stable lower-case label, for metrics and error text
+	body  layout
+	flags opFlag
+}
+
+// ops declares every opcode once, indexed by opcode; an unassigned
+// opcode's row is empty. The envelopes count as mutations for callers
+// that classify a raw opcode before decoding, since an undecoded
+// envelope may wrap one; a decoded request's Op is always the inner op.
+// TRACE is outermost and neither envelope nests, so NAMESPACED may
+// carry neither envelope and TRACE only NAMESPACED.
+var ops = [MaxOp + 1]opInfo{
+	OpInsert:         {"insert", bodyKey, mutation | dataOp},
+	OpDelete:         {"delete", bodyKey, mutation | dataOp},
+	OpContains:       {"contains", bodyKey, dataOp},
+	OpEstimate:       {"estimate", bodyKey, dataOp},
+	OpLen:            {"len", bodyNone, dataOp},
+	OpInsertBatch:    {"insert_batch", bodyKeys, mutation | dataOp},
+	OpDeleteBatch:    {"delete_batch", bodyKeys, mutation | dataOp},
+	OpContainsBatch:  {"contains_batch", bodyKeys, dataOp},
+	OpReplicate:      {"replicate", bodyPosition, 0},
+	OpDump:           {"dump", bodyNone, dataOp},
+	OpInsertTTL:      {"insert_ttl", bodyTTLKey, mutation | dataOp},
+	OpInsertTTLBatch: {"insert_ttl_batch", bodyTTLKeys, mutation | dataOp},
+	OpWindowStats:    {"window_stats", bodyNone, dataOp},
+	OpNsCreate:       {"ns_create", bodyNameConfig, mutation | inTrace},
+	OpNsDrop:         {"ns_drop", bodyName, mutation | inTrace},
+	OpNsList:         {"ns_list", bodyNone, inTrace},
+	OpNsStats:        {"ns_stats", bodyName, inTrace},
+	OpNamespaced:     {"namespaced", envNamespaced, mutation | inTrace},
+	OpTrace:          {"trace", envTrace, mutation},
+	OpRingSet:        {"ring_set", bodyRing, inTrace},
+	OpRingGet:        {"ring_get", bodyNone, inTrace},
+	OpImport:         {"import", bodyBlob, mutation | dataOp},
+	OpElasticStats:   {"elastic_stats", bodyNone, dataOp},
+}
+
+// row returns op's row in ops: the zero row for an unassigned opcode.
+func row(op byte) opInfo {
+	if op > MaxOp {
+		return opInfo{}
+	}
+	return ops[op]
+}
 
 // TraceIDLen is the byte length of a trace id. A TRACE envelope's id
 // block is TraceIDLen trace-id bytes followed by 8 parent-span bytes.
@@ -246,19 +311,9 @@ const (
 )
 
 // IsMutation reports whether an opcode changes filter state (and is
-// therefore rejected by a read-only replica and logged to the WAL).
-// OpNamespaced counts as a mutation conservatively: the envelope's inner
-// opcode decides for a decoded request (Request.Op is always the inner
-// op), so this entry only matters to callers classifying raw opcodes
-// before decoding — and an undecoded envelope may wrap a mutation.
-func IsMutation(op byte) bool {
-	switch op {
-	case OpInsert, OpDelete, OpInsertBatch, OpDeleteBatch, OpInsertTTL, OpInsertTTLBatch,
-		OpNsCreate, OpNsDrop, OpNamespaced, OpTrace, OpImport:
-		return true
-	}
-	return false
-}
+// therefore rejected by a read-only replica and logged to the WAL). The
+// envelopes count as mutations: see ops.
+func IsMutation(op byte) bool { return row(op).flags&mutation != 0 }
 
 // DefaultMaxFrame bounds a single frame's payload (1 MiB): large enough
 // for tens of thousands of typical keys per batch, small enough that one
@@ -272,101 +327,10 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 // OpName returns a stable lower-case label for an opcode, for metrics and
 // error text.
 func OpName(op byte) string {
-	switch op {
-	case OpInsert:
-		return "insert"
-	case OpDelete:
-		return "delete"
-	case OpContains:
-		return "contains"
-	case OpEstimate:
-		return "estimate"
-	case OpLen:
-		return "len"
-	case OpInsertBatch:
-		return "insert_batch"
-	case OpDeleteBatch:
-		return "delete_batch"
-	case OpContainsBatch:
-		return "contains_batch"
-	case OpReplicate:
-		return "replicate"
-	case OpDump:
-		return "dump"
-	case OpInsertTTL:
-		return "insert_ttl"
-	case OpInsertTTLBatch:
-		return "insert_ttl_batch"
-	case OpWindowStats:
-		return "window_stats"
-	case OpNsCreate:
-		return "ns_create"
-	case OpNsDrop:
-		return "ns_drop"
-	case OpNsList:
-		return "ns_list"
-	case OpNsStats:
-		return "ns_stats"
-	case OpNamespaced:
-		return "namespaced"
-	case OpTrace:
-		return "trace"
-	case OpRingSet:
-		return "ring_set"
-	case OpRingGet:
-		return "ring_get"
-	case OpImport:
-		return "import"
-	case OpElasticStats:
-		return "elastic_stats"
+	if name := row(op).name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("op_0x%02x", op)
-}
-
-// StatusName returns a stable lower-case label for a response status.
-func StatusName(status byte) string {
-	switch status {
-	case StatusOK:
-		return "ok"
-	case StatusErr:
-		return "err"
-	case StatusReadOnly:
-		return "read_only"
-	}
-	return fmt.Sprintf("status_0x%02x", status)
-}
-
-// OpNames lists every opcode with its label in protocol order, for
-// metrics enumeration.
-func OpNames() map[byte]string {
-	return map[byte]string{
-		OpInsert:        "insert",
-		OpDelete:        "delete",
-		OpContains:      "contains",
-		OpEstimate:      "estimate",
-		OpLen:           "len",
-		OpInsertBatch:   "insert_batch",
-		OpDeleteBatch:   "delete_batch",
-		OpContainsBatch: "contains_batch",
-		OpReplicate:     "replicate",
-		OpDump:          "dump",
-
-		OpInsertTTL:      "insert_ttl",
-		OpInsertTTLBatch: "insert_ttl_batch",
-		OpWindowStats:    "window_stats",
-
-		OpNsCreate:   "ns_create",
-		OpNsDrop:     "ns_drop",
-		OpNsList:     "ns_list",
-		OpNsStats:    "ns_stats",
-		OpNamespaced: "namespaced",
-		OpTrace:      "trace",
-
-		OpRingSet:      "ring_set",
-		OpRingGet:      "ring_get",
-		OpImport:       "import",
-		OpElasticStats: "elastic_stats",
-	}
 }
 
 // WriteFrame writes one length-prefixed frame. The caller flushes any
@@ -539,10 +503,9 @@ func DecodeNsConfig(b []byte) (NsConfig, []byte, error) {
 }
 
 // Request is one request: what DecodeRequestInto parses from a payload
-// and AppendRequest encodes into one. Each op reads only its own fields
-// (see the package comment's request table). A decoded request's Key,
-// Keys, NS and Blob alias the frame buffer; handlers must not retain
-// them past the request.
+// and AppendRequest encodes into one. Each op reads only the fields its
+// layout names. A decoded request's Key, Keys, NS and Blob alias the
+// frame buffer; handlers must not retain them past the request.
 type Request struct {
 	Op    byte
 	Key   []byte   // single-key ops
@@ -565,42 +528,47 @@ type Request struct {
 // AppendRequest encodes r as a request payload, the exact inverse of
 // DecodeRequestInto: a set r.Traced puts the TRACE envelope outermost,
 // and a non-empty r.NS wraps a data op in the NAMESPACED envelope, while
-// the namespace admin ops carry the name inline. r.NS must fit the u8
-// length prefix (255 bytes); senders enforce the tighter
-// MaxNamespaceLen.
+// the name layouts carry it inline. r.NS must fit the u8 length prefix
+// (255 bytes); senders enforce the tighter MaxNamespaceLen.
 func AppendRequest(dst []byte, r *Request) []byte {
 	if r.Traced {
 		dst = append(dst, OpTrace, TraceIDLen+8)
 		dst = append(dst, r.TraceID[:]...)
 		dst = appendU64(dst, r.ParentSpan)
 	}
-	switch r.Op {
-	case OpNsCreate:
-		return AppendNsConfig(appendNsName(append(dst, r.Op), r.NS), r.NsCfg)
-	case OpNsDrop, OpNsStats:
-		return appendNsName(append(dst, r.Op), r.NS)
-	}
-	if len(r.NS) > 0 {
+	body := row(r.Op).body
+	if len(r.NS) > 0 && body != bodyName && body != bodyNameConfig {
 		dst = appendNsName(append(dst, OpNamespaced), r.NS)
 	}
-	switch r.Op {
-	case OpInsert, OpDelete, OpContains, OpEstimate:
-		return AppendKeyRequest(dst, r.Op, r.Key)
-	case OpInsertBatch, OpDeleteBatch, OpContainsBatch:
-		return AppendBatchRequest(dst, r.Op, r.Keys)
-	case OpInsertTTL:
-		return AppendKey(appendU64(append(dst, r.Op), r.TTL), r.Key)
-	case OpInsertTTLBatch:
-		return appendKeys(appendU64(append(dst, r.Op), r.TTL), r.Keys)
-	case OpReplicate:
-		return appendU64(appendU64(append(dst, r.Op), r.Seq), r.Off)
-	case OpRingSet:
-		return AppendRing(append(dst, r.Op), r.Ring)
-	case OpImport:
-		return append(append(dst, r.Op), r.Blob...)
+	dst = append(dst, r.Op)
+	switch body {
+	case bodyKey:
+		return AppendKey(dst, r.Key)
+	case bodyKeys:
+		return appendKeys(dst, r.Keys)
+	case bodyTTLKey:
+		return AppendKey(appendU64(dst, r.TTL), r.Key)
+	case bodyTTLKeys:
+		return appendKeys(appendU64(dst, r.TTL), r.Keys)
+	case bodyPosition:
+		return appendU64(appendU64(dst, r.Seq), r.Off)
+	case bodyName:
+		return appendNsName(dst, r.NS)
+	case bodyNameConfig:
+		return AppendNsConfig(appendNsName(dst, r.NS), r.NsCfg)
+	case bodyRing:
+		return AppendRing(dst, r.Ring)
+	case bodyBlob:
+		return append(dst, r.Blob...)
 	}
-	// LEN, DUMP, WINDOW_STATS, LIST_NS, RING_GET, ELASTIC_STATS: no body.
-	return append(dst, r.Op)
+	return dst
+}
+
+// CarriesTraceIDs reports whether payload opens with a TRACE envelope
+// that carries ids, without decoding it: the server starts a traced
+// request's span before the decode, so that the span times it too.
+func CarriesTraceIDs(payload []byte) bool {
+	return len(payload) > 1 && payload[0] == OpTrace && payload[1] != 0
 }
 
 func appendNsName(dst []byte, ns []byte) []byte {
@@ -619,191 +587,124 @@ func DecodeRequest(payload []byte) (Request, error) {
 // it has seen. The returned Request's Keys slice is the grown scratch:
 // pass it back (req.Keys) on the next call. Like the payload itself, the
 // scratch is invalidated by the next frame read.
+//
+// It first unwraps the envelopes, each of which admits only the ops
+// whose row allows it, then reads the body by its layout.
 func DecodeRequestInto(payload []byte, scratch [][]byte) (Request, error) {
 	if len(payload) == 0 {
 		return Request{}, errors.New("wire: empty request")
 	}
-	req := Request{Op: payload[0]}
-	body := payload[1:]
-	switch req.Op {
-	case OpInsert, OpDelete, OpContains, OpEstimate:
-		key, rest, err := readKey(body)
-		if err != nil {
-			return Request{}, fmt.Errorf("wire: %s: %w", OpName(req.Op), err)
+	var (
+		req  Request
+		r    opInfo
+		need opFlag // what the innermost envelope so far admits
+		body = payload
+		err  error
+	)
+envelopes:
+	for {
+		op := body[0]
+		if r = row(op); r.body == 0 {
+			return Request{}, fmt.Errorf("wire: unknown opcode 0x%02x", op)
 		}
-		if len(rest) != 0 {
-			return Request{}, fmt.Errorf("wire: %s: trailing bytes", OpName(req.Op))
+		if r.flags&need != need {
+			return Request{}, fmt.Errorf("wire: %s: %s cannot be enveloped", OpName(req.Op), r.name)
 		}
-		req.Key = key
-	case OpLen, OpDump, OpWindowStats, OpElasticStats, OpRingGet:
-		if len(body) != 0 {
-			return Request{}, fmt.Errorf("wire: %s: trailing bytes", OpName(req.Op))
-		}
-	case OpRingSet:
-		ring, rest, err := DecodeRing(body)
-		if err != nil {
-			return Request{}, fmt.Errorf("wire: ring_set: %w", err)
-		}
-		if len(rest) != 0 {
-			return Request{}, errors.New("wire: ring_set: trailing bytes")
-		}
-		req.Ring = ring
-	case OpImport:
-		if len(body) == 0 {
-			return Request{}, errors.New("wire: import: empty filter blob")
-		}
-		req.Blob = body
-	case OpInsertTTL:
-		if len(body) < 8 {
-			return Request{}, errors.New("wire: insert_ttl: truncated ttl")
-		}
-		req.TTL = binary.LittleEndian.Uint64(body[:8])
-		key, rest, err := readKey(body[8:])
-		if err != nil {
-			return Request{}, fmt.Errorf("wire: insert_ttl: %w", err)
-		}
-		if len(rest) != 0 {
-			return Request{}, errors.New("wire: insert_ttl: trailing bytes")
-		}
-		req.Key = key
-	case OpInsertTTLBatch:
-		if len(body) < 12 {
-			return Request{}, errors.New("wire: insert_ttl_batch: truncated header")
-		}
-		req.TTL = binary.LittleEndian.Uint64(body[:8])
-		n := int(binary.LittleEndian.Uint32(body[8:12]))
-		body = body[12:]
-		if n > len(body)/4+1 {
-			return Request{}, fmt.Errorf("wire: insert_ttl_batch: implausible key count %d", n)
-		}
-		keys := scratch[:0]
-		for i := 0; i < n; i++ {
-			key, rest, err := readKey(body)
-			if err != nil {
-				return Request{}, fmt.Errorf("wire: insert_ttl_batch key %d: %w", i, err)
+		req.Op, body = op, body[1:]
+		switch r.body {
+		case envNamespaced:
+			if req.NS, body, err = readNsName(body); err != nil {
+				return Request{}, fmt.Errorf("wire: namespaced: %w", err)
 			}
-			keys = append(keys, key)
-			body = rest
+			need = inNamespaced
+		case envTrace:
+			if len(body) < 1 {
+				return Request{}, errors.New("wire: trace: truncated id length")
+			}
+			idLen := int(body[0])
+			if idLen != 0 && idLen != TraceIDLen+8 {
+				return Request{}, fmt.Errorf("wire: trace: id length %d, want 0 or %d", idLen, TraceIDLen+8)
+			}
+			if len(body) < 1+idLen {
+				return Request{}, errors.New("wire: trace: truncated id block")
+			}
+			if idLen != 0 {
+				copy(req.TraceID[:], body[1:])
+				req.ParentSpan = binary.LittleEndian.Uint64(body[1+TraceIDLen:])
+				req.Traced = true
+			}
+			body, need = body[1+idLen:], inTrace
+		default:
+			break envelopes
 		}
-		if len(body) != 0 {
-			return Request{}, errors.New("wire: insert_ttl_batch: trailing bytes")
+		if len(body) == 0 {
+			return Request{}, fmt.Errorf("wire: %s: empty inner request", r.name)
 		}
-		req.Keys = keys
-	case OpReplicate:
+	}
+
+	if r.body == bodyTTLKey || r.body == bodyTTLKeys {
+		if len(body) < 8 {
+			return Request{}, fmt.Errorf("wire: %s: truncated ttl", r.name)
+		}
+		req.TTL, body = binary.LittleEndian.Uint64(body), body[8:]
+	}
+	switch r.body {
+	case bodyKey, bodyTTLKey:
+		req.Key, body, err = readKey(body)
+	case bodyKeys, bodyTTLKeys:
+		req.Keys, body, err = readKeys(body, scratch)
+	case bodyPosition:
 		if len(body) != 16 {
-			return Request{}, fmt.Errorf("wire: replicate: body has %d bytes, want 16", len(body))
+			return Request{}, fmt.Errorf("wire: %s: body has %d bytes, want 16", r.name, len(body))
 		}
 		req.Seq = binary.LittleEndian.Uint64(body[0:8])
 		req.Off = binary.LittleEndian.Uint64(body[8:16])
-	case OpInsertBatch, OpDeleteBatch, OpContainsBatch:
-		if len(body) < 4 {
-			return Request{}, fmt.Errorf("wire: %s: truncated count", OpName(req.Op))
+		body = nil
+	case bodyName:
+		req.NS, body, err = readNsName(body)
+	case bodyNameConfig:
+		if req.NS, body, err = readNsName(body); err == nil {
+			req.NsCfg, body, err = DecodeNsConfig(body)
 		}
-		n := int(binary.LittleEndian.Uint32(body[:4]))
-		body = body[4:]
-		// Each key costs at least its 4-byte length prefix, so the frame
-		// itself bounds a plausible count.
-		if n > len(body)/4+1 {
-			return Request{}, fmt.Errorf("wire: %s: implausible key count %d", OpName(req.Op), n)
+	case bodyRing:
+		req.Ring, body, err = DecodeRing(body)
+	case bodyBlob:
+		if len(body) == 0 {
+			err = errors.New("empty filter blob")
 		}
-		keys := scratch[:0]
-		for i := 0; i < n; i++ {
-			key, rest, err := readKey(body)
-			if err != nil {
-				return Request{}, fmt.Errorf("wire: %s key %d: %w", OpName(req.Op), i, err)
-			}
-			keys = append(keys, key)
-			body = rest
-		}
-		if len(body) != 0 {
-			return Request{}, fmt.Errorf("wire: %s: trailing bytes", OpName(req.Op))
-		}
-		req.Keys = keys
-	case OpNsCreate:
-		name, rest, err := readNsName(body)
-		if err != nil {
-			return Request{}, fmt.Errorf("wire: ns_create: %w", err)
-		}
-		cfg, rest, err := DecodeNsConfig(rest)
-		if err != nil {
-			return Request{}, fmt.Errorf("wire: ns_create: %w", err)
-		}
-		if len(rest) != 0 {
-			return Request{}, errors.New("wire: ns_create: trailing bytes")
-		}
-		req.NS = name
-		req.NsCfg = cfg
-	case OpNsDrop, OpNsStats:
-		name, rest, err := readNsName(body)
-		if err != nil {
-			return Request{}, fmt.Errorf("wire: %s: %w", OpName(req.Op), err)
-		}
-		if len(rest) != 0 {
-			return Request{}, fmt.Errorf("wire: %s: trailing bytes", OpName(req.Op))
-		}
-		req.NS = name
-	case OpNsList:
-		if len(body) != 0 {
-			return Request{}, errors.New("wire: ns_list: trailing bytes")
-		}
-	case OpNamespaced:
-		name, inner, err := readNsName(body)
-		if err != nil {
-			return Request{}, fmt.Errorf("wire: namespaced: %w", err)
-		}
-		if len(inner) == 0 {
-			return Request{}, errors.New("wire: namespaced: empty inner request")
-		}
-		switch inner[0] {
-		case OpNamespaced:
-			return Request{}, errors.New("wire: namespaced: nested envelope")
-		case OpTrace:
-			// TRACE is always outermost: TRACE[NAMESPACED[op]] is legal,
-			// NAMESPACED[TRACE[op]] is not.
-			return Request{}, errors.New("wire: namespaced: trace envelope must be outermost")
-		case OpReplicate, OpNsCreate, OpNsDrop, OpNsList, OpNsStats, OpRingSet, OpRingGet:
-			return Request{}, fmt.Errorf("wire: namespaced: %s cannot be enveloped", OpName(inner[0]))
-		}
-		req, err = DecodeRequestInto(inner, scratch)
-		if err != nil {
-			return Request{}, err
-		}
-		req.NS = name
-	case OpTrace:
-		if len(body) < 1 {
-			return Request{}, errors.New("wire: trace: truncated id length")
-		}
-		idLen := int(body[0])
-		if idLen != 0 && idLen != TraceIDLen+8 {
-			return Request{}, fmt.Errorf("wire: trace: id length %d, want 0 or %d", idLen, TraceIDLen+8)
-		}
-		if len(body) < 1+idLen {
-			return Request{}, errors.New("wire: trace: truncated id block")
-		}
-		ids, inner := body[1:1+idLen], body[1+idLen:]
-		if len(inner) == 0 {
-			return Request{}, errors.New("wire: trace: empty inner request")
-		}
-		switch inner[0] {
-		case OpTrace:
-			return Request{}, errors.New("wire: trace: nested trace envelope")
-		case OpReplicate:
-			return Request{}, errors.New("wire: trace: replicate cannot be traced")
-		}
-		req, err := DecodeRequestInto(inner, scratch)
-		if err != nil {
-			return Request{}, err
-		}
-		if idLen != 0 {
-			copy(req.TraceID[:], ids[:TraceIDLen])
-			req.ParentSpan = binary.LittleEndian.Uint64(ids[TraceIDLen:])
-			req.Traced = true
-		}
-		return req, nil
-	default:
-		return Request{}, fmt.Errorf("wire: unknown opcode 0x%02x", req.Op)
+		req.Blob, body = body, nil
+	}
+	if err != nil {
+		return Request{}, fmt.Errorf("wire: %s: %w", r.name, err)
+	}
+	if len(body) != 0 {
+		return Request{}, fmt.Errorf("wire: %s: trailing bytes", r.name)
 	}
 	return req, nil
+}
+
+// readKeys reads a batch, [u32 n][key]*n, into scratch's backing array.
+func readKeys(b []byte, scratch [][]byte) ([][]byte, []byte, error) {
+	if len(b) < 4 {
+		return nil, nil, errors.New("truncated count")
+	}
+	n := int(binary.LittleEndian.Uint32(b))
+	b = b[4:]
+	// Each key costs at least its 4-byte length prefix, so the frame
+	// itself bounds a plausible count.
+	if n > len(b)/4+1 {
+		return nil, nil, fmt.Errorf("implausible key count %d", n)
+	}
+	keys := scratch[:0]
+	for i := 0; i < n; i++ {
+		key, rest, err := readKey(b)
+		if err != nil {
+			return nil, nil, fmt.Errorf("key %d: %w", i, err)
+		}
+		keys = append(keys, key)
+		b = rest
+	}
+	return keys, b, nil
 }
 
 // readNsName reads a [u8 len][bytes] namespace name. Length-only

@@ -387,34 +387,26 @@ func TestNsConfigRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEveryOpIsNamed audits OpName/OpNames against the full opcode range:
-// a future opcode added without a name (or without bumping MaxOp) fails
-// here instead of shipping as "op_0x..".
+// TestEveryOpIsNamed audits the opcode table against the full opcode
+// range: every opcode in (0, MaxOp] has a row with a unique name and a
+// layout, and the opcodes around it have none, so a future opcode added
+// without a row (or without bumping MaxOp) fails here instead of
+// shipping as "op_0x..".
 func TestEveryOpIsNamed(t *testing.T) {
-	names := OpNames()
-	if len(names) != int(MaxOp) {
-		t.Fatalf("OpNames has %d entries, want %d (MaxOp): opcode added without a name, or MaxOp not bumped", len(names), MaxOp)
-	}
 	seen := map[string]byte{}
 	for op := byte(1); op <= MaxOp; op++ {
-		name := OpName(op)
-		if strings.HasPrefix(name, "op_0x") {
-			t.Errorf("opcode 0x%02x has no OpName", op)
+		r := row(op)
+		if r.name == "" || r.body == 0 {
+			t.Errorf("opcode 0x%02x: row %+v lacks a name or a layout", op, r)
 		}
-		if names[op] != name {
-			t.Errorf("opcode 0x%02x: OpNames %q != OpName %q", op, names[op], name)
+		if prev, dup := seen[r.name]; dup {
+			t.Errorf("opcodes 0x%02x and 0x%02x share the name %q", prev, op, r.name)
 		}
-		if prev, dup := seen[name]; dup {
-			t.Errorf("opcodes 0x%02x and 0x%02x share the name %q", prev, op, name)
-		}
-		seen[name] = op
+		seen[r.name] = op
 	}
-	if !strings.HasPrefix(OpName(MaxOp+1), "op_0x") {
-		t.Errorf("opcode past MaxOp is named %q: bump MaxOp", OpName(MaxOp+1))
-	}
-	for _, s := range []byte{StatusOK, StatusErr, StatusReadOnly} {
-		if strings.HasPrefix(StatusName(s), "status_0x") {
-			t.Errorf("status 0x%02x has no StatusName", s)
+	for _, op := range []byte{0, MaxOp + 1} {
+		if r := row(op); r != (opInfo{}) || !strings.HasPrefix(OpName(op), "op_0x") {
+			t.Errorf("opcode 0x%02x has row %+v, named %q: bump MaxOp", op, r, OpName(op))
 		}
 	}
 }
@@ -478,5 +470,37 @@ func TestDecodeRepFrameRejectsMalformed(t *testing.T) {
 		if _, err := DecodeRepFrame(payload); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// BenchmarkDecodeRequest times DecodeRequestInto with a reused key
+// scratch on a single-key request, a 256-key batch, and the fully
+// dressed TRACE[NAMESPACED[INSERT]] form.
+func BenchmarkDecodeRequest(b *testing.B) {
+	keys := make([][]byte, 256)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("bench-key-%06d", i))
+	}
+	for _, c := range []struct {
+		name string
+		req  Request
+	}{
+		{"key", Request{Op: OpContains, Key: keys[0]}},
+		{"batch256", Request{Op: OpContainsBatch, Keys: keys}},
+		{"trace_ns_insert", Request{Op: OpInsert, Key: keys[0], NS: []byte("tenant-a"),
+			TraceID: [TraceIDLen]byte{1, 2, 3}, ParentSpan: 7, Traced: true}},
+	} {
+		payload := encode(c.req)
+		b.Run(c.name, func(b *testing.B) {
+			var scratch [][]byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				req, err := DecodeRequestInto(payload, scratch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				scratch = req.Keys
+			}
+		})
 	}
 }
