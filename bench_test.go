@@ -460,10 +460,10 @@ func BenchmarkShardedBatchInsertDelete4(b *testing.B) {
 
 // Beyond L3: lookup's geometry, a 2^30-bit (128 MiB) filter over 16
 // shards loaded with 2^24 keys. Almost every word access misses the
-// caches here, which the 8 MiB benchmarks above never do, so these two
-// measure what batches gain by overlapping their misses. Both report
+// caches here, which the 8 MiB benchmarks above never do, so these
+// measure what batches gain by overlapping their misses. Each reports
 // ns/key timed around the filter calls alone (key generation excluded)
-// and are skipped under -short.
+// and is skipped under -short.
 const (
 	beyondL3Mem    = 1 << 30
 	beyondL3Keys   = 1 << 24
@@ -487,9 +487,9 @@ func newBeyondL3(b *testing.B) (*Sharded, *dataset.Keyspace) {
 	return s, ks
 }
 
-// loadBeyondL3 inserts ranks [0, beyondL3Keys) of ks into s and returns
-// the time spent inside InsertBatch.
-func loadBeyondL3(b *testing.B, s *Sharded, ks *dataset.Keyspace) time.Duration {
+// chunksBeyondL3 hands ranks [0, beyondL3Keys) of ks to apply in
+// beyondL3Chunk-key batches and returns the time spent inside apply.
+func chunksBeyondL3(ks *dataset.Keyspace, apply func(keys [][]byte)) time.Duration {
 	arena := make([]byte, 0, beyondL3Chunk*32)
 	keys := make([][]byte, 0, beyondL3Chunk)
 	var in time.Duration
@@ -501,12 +501,20 @@ func loadBeyondL3(b *testing.B, s *Sharded, ks *dataset.Keyspace) time.Duration 
 			keys = append(keys, arena[start:len(arena):len(arena)])
 		}
 		t0 := time.Now()
-		if err := s.InsertBatch(keys, runtime.GOMAXPROCS(0)); err != nil {
-			b.Fatal(err)
-		}
+		apply(keys)
 		in += time.Since(t0)
 	}
 	return in
+}
+
+// loadBeyondL3 inserts ranks [0, beyondL3Keys) of ks into s and returns
+// the time spent inside InsertBatch.
+func loadBeyondL3(b *testing.B, s *Sharded, ks *dataset.Keyspace) time.Duration {
+	return chunksBeyondL3(ks, func(keys [][]byte) {
+		if err := s.InsertBatch(keys, runtime.GOMAXPROCS(0)); err != nil {
+			b.Fatal(err)
+		}
+	})
 }
 
 func BenchmarkShardedBatchInsertBeyondL3(b *testing.B) {
@@ -514,6 +522,25 @@ func BenchmarkShardedBatchInsertBeyondL3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s, ks := newBeyondL3(b)
 		in += loadBeyondL3(b, s, ks)
+	}
+	b.ReportMetric(float64(in.Nanoseconds())/float64(b.N)/beyondL3Keys, "ns/key")
+}
+
+// BenchmarkShardedBatchDeleteBeyondL3 deletes every loaded key again, in
+// the load's batches and order.
+func BenchmarkShardedBatchDeleteBeyondL3(b *testing.B) {
+	var in time.Duration
+	for i := 0; i < b.N; i++ {
+		s, ks := newBeyondL3(b)
+		loadBeyondL3(b, s, ks)
+		in += chunksBeyondL3(ks, func(keys [][]byte) {
+			if _, err := s.DeleteBatch(keys, runtime.GOMAXPROCS(0)); err != nil {
+				b.Fatal(err)
+			}
+		})
+		if s.Len() != 0 {
+			b.Fatalf("Len = %d after deleting every key", s.Len())
+		}
 	}
 	b.ReportMetric(float64(in.Nanoseconds())/float64(b.N)/beyondL3Keys, "ns/key")
 }

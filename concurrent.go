@@ -251,8 +251,8 @@ func (sh *shard) fill() (used, capacity float64) {
 // once and inserting them in batch order. Errors are joined; a shard stops
 // at its first error, and successfully inserted keys stay inserted.
 func (s *Sharded) InsertBatch(keys [][]byte, workers int) error {
-	b := s.batchInto(keys, opInsert, nil, workers)
-	return b.err()
+	_, err := s.batchPooled(keys, opInsert, workers)
+	return err
 }
 
 // InsertBatchInto is InsertBatch on up to GOMAXPROCS goroutines, planned
@@ -271,8 +271,7 @@ func (s *Sharded) InsertBatchInto(keys [][]byte, sc *BatchScratch) error {
 // outcome (the server's write-ahead log) can record exactly the deletes
 // that happened.
 func (s *Sharded) DeleteBatch(keys [][]byte, workers int) ([]bool, error) {
-	b := s.batchInto(keys, opDelete, nil, workers)
-	return b.out, b.err()
+	return s.batchPooled(keys, opDelete, workers)
 }
 
 // DeleteBatchInto is DeleteBatch on up to GOMAXPROCS goroutines, planned
@@ -285,11 +284,12 @@ func (s *Sharded) DeleteBatchInto(keys [][]byte, sc *BatchScratch) ([]bool, erro
 }
 
 // ContainsBatch answers membership for keys, preserving order, into a
-// fresh slice. It is ContainsBatchInto with fresh scratch: batch reads
+// fresh slice. It is ContainsBatchInto in pooled scratch: batch reads
 // run on the calling goroutine, so workers is ignored (it bounds only
 // InsertBatch and DeleteBatch).
 func (s *Sharded) ContainsBatch(keys [][]byte, workers int) []bool {
-	return s.ContainsBatchInto(keys, nil)
+	out, _ := s.batchPooled(keys, opContains, 0)
+	return out
 }
 
 // BatchScratch is reusable working memory for the batch ops of Sharded
@@ -304,6 +304,21 @@ type BatchScratch struct {
 	chain   []bool   // a chain op's answers
 	pending []int    // batch indices a chain op still carries
 	sub     [][]byte // their keys
+}
+
+// pooledScratch plans the batch ops that take no BatchScratch
+// (InsertBatch, DeleteBatch, ContainsBatch), so that a bulk load of many
+// batches does not allocate and fault in its working memory per batch.
+var pooledScratch = sync.Pool{New: func() any { return new(BatchScratch) }}
+
+// batchPooled applies op over keys in pooled scratch and returns a copy
+// of its delete flags or answers, taken with its error before the scratch
+// goes back to the pool.
+func (s *Sharded) batchPooled(keys [][]byte, op batchOp, workers int) ([]bool, error) {
+	sc := pooledScratch.Get().(*BatchScratch)
+	defer pooledScratch.Put(sc)
+	b := s.batchInto(keys, op, sc, workers)
+	return slices.Clone(b.out), b.err()
 }
 
 // ContainsBatchInto answers membership for keys, preserving order, on

@@ -404,11 +404,11 @@ func TestContainsBatchInto(t *testing.T) {
 
 // TestSmallBatchAllocs pins what a small mutation batch costs: ingest
 // sends a 4-key DELETE_BATCH with every request. Such a batch is planned
-// and applied on the calling goroutine, so its only allocations are its
-// working memory (and DeleteBatch's flags); a goroutine per shard would
-// add at least 16. The Into forms plan in reused scratch and allocate
-// nothing, on a Sharded and on a chain whose delete carries past a
-// generation that lacks the keys.
+// and applied on the calling goroutine in pooled scratch, so a warmed
+// InsertBatch allocates nothing and DeleteBatch only its returned flags;
+// a goroutine per shard would add at least 16. The Into forms plan in
+// reused scratch and allocate nothing, on a Sharded and on a chain whose
+// delete carries past a generation that lacks the keys.
 func TestSmallBatchAllocs(t *testing.T) {
 	s, err := NewSharded(Options{MemoryBits: 1 << 20, ExpectedItems: 10000, Seed: 3}, 16)
 	if err != nil {
@@ -425,8 +425,14 @@ func TestSmallBatchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if ins > 5 || del > 6 {
-		t.Fatalf("4-key InsertBatch %.0f allocs, DeleteBatch %.0f; want at most 5 and 6", ins, del)
+	// The race detector makes sync.Pool drop items at random, so there a
+	// batch may plan in fresh scratch: three allocations of working memory.
+	wantIns, wantDel := 0.0, 1.0
+	if raceEnabled {
+		wantIns, wantDel = 3, 4
+	}
+	if ins > wantIns || del > wantDel {
+		t.Fatalf("4-key InsertBatch %.1f allocs, DeleteBatch %.1f; want at most %.0f and %.0f", ins, del, wantIns, wantDel)
 	}
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d after balanced batches", s.Len())

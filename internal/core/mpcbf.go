@@ -555,17 +555,19 @@ func (f *Filter) Contains(key []byte) bool {
 
 // ContainsBatch answers membership for every key of keys, writing the
 // results into dst (grown when too small) and returning it; a reused dst
-// keeps the loop allocation-free. It plans eight keys at a time and
-// probes them through ContainsPlans, so on the kernel geometry their word
-// loads overlap — the single-threaded counterpart of Sharded.ContainsBatch.
+// keeps the loop allocation-free. It plans 64 keys at a time on the stack
+// and probes them through ContainsPlans, so on the kernel geometry their
+// word loads are prefetched ahead of the probes — the single-threaded
+// counterpart of Sharded.ContainsBatch.
 func (f *Filter) ContainsBatch(keys [][]byte, dst []bool) []bool {
 	if cap(dst) < len(keys) {
 		dst = make([]bool, len(keys))
 	}
 	dst = dst[:len(keys)]
-	var ps [planBlock]Plan
-	for lo := 0; lo < len(keys); lo += planBlock {
-		blk := keys[lo:min(lo+planBlock, len(keys))]
+	const chunk = 4 * prefetchAhead
+	var ps [chunk]Plan
+	for lo := 0; lo < len(keys); lo += chunk {
+		blk := keys[lo:min(lo+chunk, len(keys))]
 		for i, k := range blk {
 			ps[i] = f.Plan(k, i)
 		}

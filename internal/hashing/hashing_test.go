@@ -3,6 +3,7 @@ package hashing
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -51,6 +52,121 @@ func TestMurmur128Vectors(t *testing.T) {
 				c.in, c.seed, h1, h2, c.h1, c.h2)
 		}
 	}
+}
+
+// TestMurmur128AllTails pins Murmur128 at every tail length, with and
+// without full 16-byte blocks before it, against murmur128Bytes.
+func TestMurmur128AllTails(t *testing.T) {
+	buf := make([]byte, 48)
+	for i := range buf {
+		buf[i] = byte(i*131 + 7)
+	}
+	for _, seed := range []uint32{0, 1, 0x5bd1e995, 0x9e3779b9} {
+		for n := 0; n <= len(buf); n++ {
+			h1, h2 := Murmur128(buf[:n], seed)
+			w1, w2 := murmur128Bytes(buf[:n], seed)
+			if h1 != w1 || h2 != w2 {
+				t.Errorf("Murmur128(len %d, seed %#x) = (%#x, %#x), want (%#x, %#x)", n, seed, h1, h2, w1, w2)
+			}
+		}
+	}
+}
+
+// murmur128Bytes is MurmurHash3 x64 128 as the canonical implementation
+// writes it, reading the tail one byte at a time: the oracle for
+// Murmur128's word-load tail.
+func murmur128Bytes(data []byte, seed uint32) (uint64, uint64) {
+	n := len(data)
+	h1 := uint64(seed)
+	h2 := uint64(seed)
+	p := data
+	for len(p) >= 16 {
+		k1 := le64(p[0:8])
+		k2 := le64(p[8:16])
+		p = p[16:]
+
+		k1 *= mmC1
+		k1 = bits.RotateLeft64(k1, 31)
+		k1 *= mmC2
+		h1 ^= k1
+		h1 = bits.RotateLeft64(h1, 27)
+		h1 += h2
+		h1 = h1*5 + 0x52dce729
+
+		k2 *= mmC2
+		k2 = bits.RotateLeft64(k2, 33)
+		k2 *= mmC1
+		h2 ^= k2
+		h2 = bits.RotateLeft64(h2, 31)
+		h2 += h1
+		h2 = h2*5 + 0x38495ab5
+	}
+
+	var k1, k2 uint64
+	switch len(p) & 15 {
+	case 15:
+		k2 ^= uint64(p[14]) << 48
+		fallthrough
+	case 14:
+		k2 ^= uint64(p[13]) << 40
+		fallthrough
+	case 13:
+		k2 ^= uint64(p[12]) << 32
+		fallthrough
+	case 12:
+		k2 ^= uint64(p[11]) << 24
+		fallthrough
+	case 11:
+		k2 ^= uint64(p[10]) << 16
+		fallthrough
+	case 10:
+		k2 ^= uint64(p[9]) << 8
+		fallthrough
+	case 9:
+		k2 ^= uint64(p[8])
+		k2 *= mmC2
+		k2 = bits.RotateLeft64(k2, 33)
+		k2 *= mmC1
+		h2 ^= k2
+		fallthrough
+	case 8:
+		k1 ^= uint64(p[7]) << 56
+		fallthrough
+	case 7:
+		k1 ^= uint64(p[6]) << 48
+		fallthrough
+	case 6:
+		k1 ^= uint64(p[5]) << 40
+		fallthrough
+	case 5:
+		k1 ^= uint64(p[4]) << 32
+		fallthrough
+	case 4:
+		k1 ^= uint64(p[3]) << 24
+		fallthrough
+	case 3:
+		k1 ^= uint64(p[2]) << 16
+		fallthrough
+	case 2:
+		k1 ^= uint64(p[1]) << 8
+		fallthrough
+	case 1:
+		k1 ^= uint64(p[0])
+		k1 *= mmC1
+		k1 = bits.RotateLeft64(k1, 31)
+		k1 *= mmC2
+		h1 ^= k1
+	}
+
+	h1 ^= uint64(n)
+	h2 ^= uint64(n)
+	h1 += h2
+	h2 += h1
+	h1 = fmix64(h1)
+	h2 = fmix64(h2)
+	h1 += h2
+	h2 += h1
+	return h1, h2
 }
 
 func TestXXHash64AllLengths(t *testing.T) {

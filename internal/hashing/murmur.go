@@ -37,56 +37,15 @@ func Murmur128(data []byte, seed uint32) (uint64, uint64) {
 		h2 = h2*5 + 0x38495ab5
 	}
 
-	var k1, k2 uint64
-	switch len(p) & 15 {
-	case 15:
-		k2 ^= uint64(p[14]) << 48
-		fallthrough
-	case 14:
-		k2 ^= uint64(p[13]) << 40
-		fallthrough
-	case 13:
-		k2 ^= uint64(p[12]) << 32
-		fallthrough
-	case 12:
-		k2 ^= uint64(p[11]) << 24
-		fallthrough
-	case 11:
-		k2 ^= uint64(p[10]) << 16
-		fallthrough
-	case 10:
-		k2 ^= uint64(p[9]) << 8
-		fallthrough
-	case 9:
-		k2 ^= uint64(p[8])
+	if len(p) > 8 {
+		k2 := leTail(p[8:])
 		k2 *= mmC2
 		k2 = bits.RotateLeft64(k2, 33)
 		k2 *= mmC1
 		h2 ^= k2
-		fallthrough
-	case 8:
-		k1 ^= uint64(p[7]) << 56
-		fallthrough
-	case 7:
-		k1 ^= uint64(p[6]) << 48
-		fallthrough
-	case 6:
-		k1 ^= uint64(p[5]) << 40
-		fallthrough
-	case 5:
-		k1 ^= uint64(p[4]) << 32
-		fallthrough
-	case 4:
-		k1 ^= uint64(p[3]) << 24
-		fallthrough
-	case 3:
-		k1 ^= uint64(p[2]) << 16
-		fallthrough
-	case 2:
-		k1 ^= uint64(p[1]) << 8
-		fallthrough
-	case 1:
-		k1 ^= uint64(p[0])
+	}
+	if len(p) > 0 {
+		k1 := leTail(p)
 		k1 *= mmC1
 		k1 = bits.RotateLeft64(k1, 31)
 		k1 *= mmC2
@@ -102,6 +61,23 @@ func Murmur128(data []byte, seed uint32) (uint64, uint64) {
 	h1 += h2
 	h2 += h1
 	return h1, h2
+}
+
+// leTail returns the first min(len(b), 8) bytes of b as a little-endian
+// integer. Below 8 bytes it ORs two overlapping loads, whose shared bytes
+// land on the same bits, instead of loading one byte at a time.
+func leTail(b []byte) uint64 {
+	switch n := len(b); {
+	case n >= 8:
+		return le64(b)
+	case n >= 4:
+		return uint64(le32(b)) | uint64(le32(b[n-4:]))<<(8*(n-4))
+	case n >= 2:
+		return uint64(le16(b)) | uint64(le16(b[n-2:]))<<(8*(n-2))
+	case n == 1:
+		return uint64(b[0])
+	}
+	return 0
 }
 
 func fmix64(k uint64) uint64 {

@@ -81,6 +81,11 @@ func le64(b []byte) uint64 {
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
+func le16(b []byte) uint16 {
+	_ = b[1]
+	return uint16(b[0]) | uint16(b[1])<<8
+}
+
 func le32(b []byte) uint32 {
 	_ = b[3]
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24

@@ -64,9 +64,10 @@ func (m *MPCBF) Contains(key []byte) bool { return m.f.Contains(key) }
 // ContainsBatch answers membership for every key of keys in order, writing
 // the results into dst (grown when too small) and returning it. It is the
 // single-threaded analog of Sharded.ContainsBatch: on the default
-// geometry (g=1, w=64) it hashes eight keys, then loads their eight words
-// back to back so that their cache misses overlap, and a reused dst makes
-// bulk queries allocation-free. Pass nil to let the method allocate.
+// geometry (g=1, w=64) it hashes 64 keys at a time, then probes them
+// while prefetching the word of the key 16 ahead, so that their cache
+// misses overlap, and a reused dst makes bulk queries allocation-free.
+// Pass nil to let the method allocate.
 func (m *MPCBF) ContainsBatch(keys [][]byte, dst []bool) []bool {
 	return m.f.ContainsBatch(keys, dst)
 }
