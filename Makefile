@@ -144,6 +144,8 @@ fuzz-wire:
 # same state as a fresh one (a multi-page seed makes the release hand
 # pages back and the decode skip all-zero pages), and the word reader
 # must decode any stream into any destination as an element-wise copy.
+# It also fuzzes WAL replay: a replica fed any frame of records must not
+# panic, and a frame it accepts must replay to the same DUMP bytes.
 fuzz-snapshot:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalFilter$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./elastic
@@ -151,6 +153,7 @@ fuzz-snapshot:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckVsDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./server
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIntoDirtyArenas$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./server
 	$(GO) test -run '^$$' -fuzz '^FuzzWordsMatchesCopy$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/snapio
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayRecords$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./server
 
 # serve runs the mpcbfd daemon with a local data dir; MPCBFD_FLAGS adds
 # extra flags (e.g. MPCBFD_FLAGS='-fsync interval -shards 32').

@@ -1,6 +1,9 @@
 package mpcbf
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Chain is a sequence of Sharded generations, oldest first, that reads,
 // deletes and counts as one filter — the structure a sliding window and
@@ -137,11 +140,14 @@ func (c *Chain) Delete(key []byte) error {
 // returns order-preserving flags for the keys it removed: one
 // Sharded.DeleteBatch per generation, newest first, over the keys no
 // newer generation removed. A key no generation removes reads false; it
-// is not an error, so the error is always nil.
+// is not an error, so the error is always nil. It plans in pooled
+// scratch, as Sharded.DeleteBatch does, so it allocates only the flags.
 func (c *Chain) DeleteBatch(keys [][]byte, workers int) ([]bool, error) {
+	sc := pooledScratch.Get().(*BatchScratch)
+	defer pooledScratch.Put(sc)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.carry(keys, new(BatchScratch), opDelete, workers), nil
+	return slices.Clone(c.carry(keys, sc, opDelete, workers)), nil
 }
 
 // DeleteBatchInto is DeleteBatch in sc, as Sharded.DeleteBatchInto: the

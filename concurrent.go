@@ -307,8 +307,9 @@ type BatchScratch struct {
 }
 
 // pooledScratch plans the batch ops that take no BatchScratch
-// (InsertBatch, DeleteBatch, ContainsBatch), so that a bulk load of many
-// batches does not allocate and fault in its working memory per batch.
+// (Sharded's InsertBatch, DeleteBatch and ContainsBatch, and Chain's
+// DeleteBatch), so that a bulk load of many batches does not allocate
+// and fault in its working memory per batch.
 var pooledScratch = sync.Pool{New: func() any { return new(BatchScratch) }}
 
 // batchPooled applies op over keys in pooled scratch and returns a copy

@@ -443,6 +443,22 @@ func TestSmallBatchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewChain(errors.New("absent"), s, head)
+	pair := testing.AllocsPerRun(100, func() {
+		if err := c.InsertBatch(keys, 0); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := c.DeleteBatch(keys, 0); err != nil || slices.Contains(ok, false) {
+			t.Fatalf("Chain.DeleteBatch: %v %v", ok, err)
+		}
+	})
+	// Only the returned flags; planning both in fresh scratch costs 11.
+	wantPair := 1.0
+	if raceEnabled {
+		wantPair = 11
+	}
+	if pair > wantPair {
+		t.Fatalf("4-key Chain.InsertBatch+DeleteBatch %.1f allocs, want at most %.0f", pair, wantPair)
+	}
 	var sc BatchScratch
 	for name, churn := range map[string]func(){
 		"Sharded": func() {

@@ -14,20 +14,10 @@ import (
 // Elastic mode: when StoreOptions.Elastic is set, the default filter is
 // an elastic.Filter — a chain of Sharded MPCBF generations that grows
 // when the head saturates — instead of a single fixed-capacity filter,
-// and a namespace created elastic is one too. Two WAL-only record types
-// make the chain's shape durable:
-//
-//	ELASTIC_GROW:   body = [0xE5]         — a new head generation was appended
-//	ELASTIC_IMPORT: body = [0xE6][blob]   — blob (a Sharded encoding) spliced
-//	                                        in as a frozen generation
-//
-// Like ROTATE, the opcodes live outside the wire protocol's space:
-// growth is never a client request — the head's fill ratio drives it —
-// and an import's durable form is the exact generation bytes, so replay
-// and byte-mirror replicas rebuild the identical chain. Both are flush
-// barriers in the batch applier: keys logged before a growth event must
-// land in the pre-growth head, or replay would spread them across
-// generations the live filter never used.
+// and a namespace created elastic is one too. Its WAL records,
+// ELASTIC_GROW and ELASTIC_IMPORT, are rows of walRecords; keys logged
+// before a growth event land in the pre-growth head on replay, or replay
+// would spread them across generations the live filter never used.
 //
 // Growth ordering: the insert that trips the head's growth trigger
 // (an insert batch's run: see insertRunsLocked) applies and enqueues
@@ -38,10 +28,6 @@ import (
 // NeedsGrow on the next insert, and the regrown chain has the same
 // geometry because generation geometry depends only on the growth index
 // (see elastic.Filter.Grow).
-const (
-	walOpElasticGrow   = 0xE5
-	walOpElasticImport = 0xE6
-)
 
 // Elastic exposes the default elastic chain for read-only inspection
 // (nil when the default filter is not elastic).
@@ -60,8 +46,7 @@ func notElastic(name []byte) error {
 
 // growEnqLocked checks e's growth trigger after an insert has been
 // applied and enqueued, and — when due — grows the chain and logs the
-// GROW record, which rides the selection context the data record just
-// established. It returns the grow ticket (0 when nothing grew): the
+// GROW record. It returns the grow ticket (0 when nothing grew): the
 // caller replaces its data ticket with it so the ack also covers the
 // growth event. Errors are logged, not returned: the triggering insert
 // already succeeded and must be acknowledged; a chain that failed to
@@ -76,7 +61,7 @@ func (s *Store) growEnqLocked(e *ns.Entry) uint64 {
 		s.opts.Log.Error("elastic grow failed", "ns", e.Name(), "error", err)
 		return 0
 	}
-	ticket, err := s.wal.Enqueue(walOpElasticGrow, nil, nil)
+	ticket, err := s.logOneLocked(e, walOpElasticGrow, nil, nil)
 	if err != nil {
 		s.opts.Log.Error("elastic grow log failed", "ns", e.Name(), "error", err)
 		return 0
@@ -110,10 +95,7 @@ func (s *Store) insertRunsLocked(e *ns.Entry, keys [][]byte, sc *mpcbf.BatchScra
 			return 0, err
 		}
 		tr.addFilter(t0)
-		if err := s.selectLocked(e); err != nil {
-			return 0, err
-		}
-		t, err := s.wal.EnqueueBatch(wire.OpInsert, nil, run, nil, tr)
+		t, err := s.logLocked(e, wire.OpInsert, nil, run, nil, tr)
 		if err != nil {
 			return 0, err
 		}
@@ -138,46 +120,27 @@ func (s *Store) rebaseLocked(e *ns.Entry, after string) {
 	}
 }
 
-// selectedChain returns the chain the WAL's selection context names,
-// recovered if evicted, for replaying a growth or import record.
-func (s *Store) selectedChain(record string) (*elastic.Filter, error) {
-	e := s.walCtx
-	if e.Mode() != ns.Elastic {
-		return nil, fmt.Errorf("elastic %s record for non-elastic namespace %q", record, e.Name())
+// replayGrow replays an ELASTIC_GROW record into the selected chain and
+// folds its new footprint into the quota, as growEnqLocked does.
+func (s *Store) replayGrow(e *ns.Entry, _ []byte) error {
+	if err := e.Elastic().Grow(); err != nil {
+		return err
 	}
-	if err := s.residentLocked(e); err != nil {
-		return nil, err
-	}
-	return e.Elastic(), nil
+	s.rebaseLocked(e, "elastic growth")
+	return nil
 }
 
-// applyElasticGrow replays one ELASTIC_GROW record into the selected
-// chain (recovery and replication).
-func (s *Store) applyElasticGrow() error {
-	el, err := s.selectedChain("grow")
-	if err == nil {
-		err = el.Grow()
-	}
-	if err == nil {
-		s.reg.Rebase(s.walCtx)
-	}
-	return err
-}
-
-// applyElasticImport replays one ELASTIC_IMPORT record: the body is the
+// replayImport replays an ELASTIC_IMPORT record: the payload is the
 // exact Sharded encoding the primary logged, spliced in as a frozen
-// generation just below the head.
-func (s *Store) applyElasticImport(body []byte) error {
-	g, err := mpcbf.UnmarshalSharded(body)
-	if err != nil {
-		return fmt.Errorf("elastic import record: %w", err)
-	}
-	el, err := s.selectedChain("import")
+// generation just below the head, and the chain's new footprint is
+// folded into the quota, as importEnq does.
+func (s *Store) replayImport(e *ns.Entry, blob []byte) error {
+	g, err := mpcbf.UnmarshalSharded(blob)
 	if err != nil {
 		return err
 	}
-	el.ImportGeneration(g)
-	s.reg.Rebase(s.walCtx)
+	e.Elastic().ImportGeneration(g)
+	s.rebaseLocked(e, "import")
 	return nil
 }
 
@@ -277,14 +240,11 @@ func (s *Store) importEnq(name, blob []byte, tr *reqTrace) (uint64, error) {
 	if err := checkImportRecordSizes(gens); err != nil {
 		return 0, err
 	}
-	if err := s.selectLocked(e); err != nil {
-		return 0, err
-	}
 	t0 := tr.now()
 	var ticket uint64
 	for _, g := range gens {
 		el.ImportGeneration(g.f)
-		tk, err := s.wal.Enqueue(walOpElasticImport, g.blob, tr)
+		tk, err := s.logOneLocked(e, walOpElasticImport, g.blob, tr)
 		if err != nil {
 			return 0, err
 		}

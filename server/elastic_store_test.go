@@ -3,7 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
-	"os"
+	"strings"
 	"testing"
 
 	mpcbf "repro"
@@ -657,26 +657,7 @@ func TestElasticGrowthReplicates(t *testing.T) {
 	if err := p.InsertBatch(keys); err != nil {
 		t.Fatal(err)
 	}
-	// Ship the primary's live segment bytes wholesale.
-	seq, off, err := p.WALFlushedPos()
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(walPath(pdir, seq))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw = raw[:off]
-	n, valid, err := scanRecords(bytes.NewReader(raw), func(byte, []byte) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if valid != off {
-		t.Fatalf("segment has %d valid bytes, flushed position says %d", valid, off)
-	}
-	if err := r.ReplicaApply(seq, 0, uint32(n), raw); err != nil {
-		t.Fatal(err)
-	}
+	shipSegment(t, p, pdir, r)
 	if got, want := r.Elastic().Generations(), p.Elastic().Generations(); got != want {
 		t.Fatalf("replica grew to %d generations, primary %d", got, want)
 	}
@@ -690,6 +671,75 @@ func TestElasticGrowthReplicates(t *testing.T) {
 	}
 	if !bytes.Equal(pd, rd) {
 		t.Fatal("replica chain is not byte-identical to the primary's")
+	}
+}
+
+// residency describes which namespaces of s are resident and the bytes
+// they take.
+func residency(s *Store) string {
+	var b strings.Builder
+	for _, name := range s.NsList() {
+		fmt.Fprintf(&b, "%s resident=%v, ", name, s.reg.Lookup([]byte(name)).Resident())
+	}
+	fmt.Fprintf(&b, "%d bytes", s.reg.ResidentBytes())
+	return b.String()
+}
+
+// TestReplayedGrowthKeepsQuota: growth re-enforces the namespace quota
+// when it replays, as it does live. An elastic namespace grows past a
+// 5000-byte quota and evicts the plain one beside it; a replica fed the
+// primary's segment and a WAL-only reopen must each end with the live
+// store's residency.
+func TestReplayedGrowthKeepsQuota(t *testing.T) {
+	pdir := t.TempDir()
+	opts := testStoreOptions(pdir)
+	opts.NsQuota = 5000
+	p, err := OpenStore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := wire.NsConfig{MemoryBits: 2048 * 8, ExpectedItems: 400, Shards: 2}
+	el := cfg
+	el.Flags = wire.NsFlagElastic
+	for _, c := range []struct {
+		name string
+		cfg  wire.NsConfig
+	}{{"grow", el}, {"other", cfg}} {
+		if err := p.wait(p.nsCreateEnq([]byte(c.name), c.cfg, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nsInsertBatch(t, p, "grow", storeKeys("grow", 1500))
+	if gens := p.reg.Lookup([]byte("grow")).Elastic().Generations(); gens < 2 {
+		t.Fatalf("1500 inserts grew the chain to %d generations, want >= 2", gens)
+	}
+	if p.reg.Lookup([]byte("other")).Resident() {
+		t.Fatalf("growth past the quota left the other namespace resident: %s", residency(p))
+	}
+	want := residency(p)
+
+	ropts := testStoreOptions(t.TempDir())
+	ropts.NsQuota, ropts.Replica = opts.NsQuota, true
+	r, err := OpenStore(ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	shipSegment(t, p, pdir, r)
+	if got := residency(r); got != want {
+		t.Errorf("replica residency %s, live %s", got, want)
+	}
+
+	if err := p.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	q, err := OpenStore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if got := residency(q); got != want {
+		t.Errorf("WAL-only reopen residency %s, live %s", got, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -15,31 +14,9 @@ import (
 
 // Multi-tenant namespaces: the store's ns.Registry holds the named
 // filters beside the pinned default entry (namespace ""), all sharing
-// the one WAL and the one replication stream. Three WAL-only record
-// types make the namespace map and the per-record targeting durable:
-//
-//	NS_CREATE: body = [0xE2][u8 len][name][NsConfigSize-byte resolved config]
-//	NS_DROP:   body = [0xE3][u8 len][name]
-//	NS_SELECT: body = [0xE4][u8 len][name]   (len 0 = the default filter)
-//
-// NS_CREATE carries the *resolved* configuration, so replay and replicas
-// rebuild identical geometry regardless of their local defaults.
-// NS_SELECT is a prefix record: every data record that follows applies
-// to the selected namespace until the next SELECT. The selection resets
-// to the default state at each segment boundary — the primary emits it
-// only as needed after a rotation — so a snapshot plus its tail segments
-// is always self-describing. All three are flush barriers in the batch
-// applier, mirroring the ROTATE discipline: records logged before a
-// lifecycle event must land in the pre-event state.
-//
-// Evictions are deliberately NOT logged: residency is local policy (each
-// node has its own quota), while the WAL describes the logical state
-// both primaries and byte-mirror replicas must agree on.
-const (
-	walOpNsCreate = 0xE2
-	walOpNsDrop   = 0xE3
-	walOpNsSelect = 0xE4
-)
+// the one WAL and the one replication stream. The namespace map and the
+// per-record targeting are durable through the NS_CREATE, NS_DROP and
+// NS_SELECT rows of walRecords.
 
 // nsRegistryOptions binds the registry's persistence callbacks to the
 // store's data directory, publishing evict files the way snapshots are
@@ -79,31 +56,15 @@ func nsCreateBody(e *ns.Entry) []byte {
 	return wire.AppendNsConfig(body, e.Config().Wire())
 }
 
-// decodeNsName splits [u8 len][name] off the front of a namespace WAL
-// record body.
-func decodeNsName(b []byte) (name, rest []byte, err error) {
-	if len(b) < 1 {
-		return nil, nil, errors.New("server: truncated namespace wal record")
+// nsRecordName splits a namespace record's payload, [u8 len][name]
+// followed by exactly tail bytes: NS_CREATE's configuration block, or
+// nothing for NS_DROP and NS_SELECT.
+func nsRecordName(payload []byte, tail int) (name, rest []byte, err error) {
+	if len(payload) == 0 || len(payload) != 1+int(payload[0])+tail {
+		return nil, nil, fmt.Errorf("%d-byte payload, want [u8 len][name] and %d bytes", len(payload), tail)
 	}
-	n := int(b[0])
-	if len(b) < 1+n {
-		return nil, nil, errors.New("server: truncated namespace wal record")
-	}
-	return b[1 : 1+n], b[1+n:], nil
-}
-
-// selectLocked ensures the WAL's selection context is e, emitting an
-// NS_SELECT record when it is not. Caller holds s.mu; the enqueued
-// select shares the commit round of whatever data record follows it.
-func (s *Store) selectLocked(e *ns.Entry) error {
-	if s.walCtx == e {
-		return nil
-	}
-	if _, err := s.wal.Enqueue(walOpNsSelect, e.WALName(), nil); err != nil {
-		return err
-	}
-	s.walCtx = e
-	return nil
+	n := 1 + int(payload[0])
+	return payload[1:n], payload[n:], nil
 }
 
 // nsCreateLocked creates a resident namespace with an already-resolved
@@ -114,7 +75,7 @@ func (s *Store) nsCreateLocked(name string, cfg ns.Config, tr *reqTrace) (*ns.En
 	if err != nil {
 		return nil, 0, err
 	}
-	ticket, err := s.wal.Enqueue(walOpNsCreate, nsCreateBody(e), tr)
+	ticket, err := s.logOneLocked(e, walOpNsCreate, nsCreateBody(e), tr)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -150,7 +111,7 @@ func (s *Store) nsCreateEnq(name []byte, cfgw wire.NsConfig, tr *reqTrace) (uint
 // drop implicitly resets the WAL selection context (both here and at
 // apply time), so no dangling SELECT can target the dropped name.
 // Dropping an unknown name succeeds without logging anything — the
-// no-op mirror of applyNsDrop, so a cluster-wide drop that partially
+// no-op mirror of replayNsDrop, so a cluster-wide drop that partially
 // failed can be retried until every node agrees.
 func (s *Store) nsDropEnq(name []byte, tr *reqTrace) (uint64, error) {
 	s.mu.Lock()
@@ -162,7 +123,7 @@ func (s *Store) nsDropEnq(name []byte, tr *reqTrace) (uint64, error) {
 	if s.walCtx == e {
 		s.walCtx = s.reg.Default()
 	}
-	return s.wal.Enqueue(walOpNsDrop, e.WALName(), tr)
+	return s.logOneLocked(e, walOpNsDrop, e.WALName(), tr)
 }
 
 // NsList returns all namespace names, sorted.
@@ -178,29 +139,23 @@ func (s *Store) NsStats(name []byte) (wire.NsStats, error) {
 	return e.Stats(), nil
 }
 
-// --- WAL apply (recovery + replication) -----------------------------------
+// --- WAL replay (recovery + replication) ---------------------------------
 
-// applyNsCreate replays an NS_CREATE record. An existing namespace with
+// replayNsCreate replays an NS_CREATE record. An existing namespace with
 // the identical resolved configuration is tolerated — a replica that
 // rejected a frame after applying part of it sees the same record again
 // on resend — but a configuration mismatch is a hard error: the durable
 // history disagrees with memory.
-func (s *Store) applyNsCreate(body []byte) error {
-	name, rest, err := decodeNsName(body)
+func (s *Store) replayNsCreate(_ *ns.Entry, payload []byte) error {
+	name, cfgb, err := nsRecordName(payload, wire.NsConfigSize)
 	if err != nil {
 		return err
 	}
-	cfgw, rest, err := wire.DecodeNsConfig(rest)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return errors.New("server: trailing bytes in NS_CREATE record")
-	}
+	cfgw, _, _ := wire.DecodeNsConfig(cfgb) // nsRecordName checked its length
 	cfg := ns.ConfigFromWire(cfgw)
 	if e := s.reg.Lookup(name); e != nil {
 		if e.Config() != cfg {
-			return fmt.Errorf("server: NS_CREATE replay: namespace %q exists with a different configuration", name)
+			return fmt.Errorf("namespace %q exists with a different configuration", name)
 		}
 		return nil
 	}
@@ -211,39 +166,32 @@ func (s *Store) applyNsCreate(body []byte) error {
 	return s.reg.EnsureQuota(e)
 }
 
-// applyNsDrop replays an NS_DROP record. Dropping an unknown namespace
+// replayNsDrop replays an NS_DROP record. Dropping an unknown namespace
 // is a no-op (resend idempotency).
-func (s *Store) applyNsDrop(body []byte) error {
-	name, rest, err := decodeNsName(body)
+func (s *Store) replayNsDrop(_ *ns.Entry, payload []byte) error {
+	name, _, err := nsRecordName(payload, 0)
 	if err != nil {
 		return err
 	}
-	if len(rest) != 0 {
-		return errors.New("server: trailing bytes in NS_DROP record")
-	}
-	e := s.reg.Drop(name)
-	if e != nil && s.walCtx == e {
+	if e := s.reg.Drop(name); e != nil && s.walCtx == e {
 		s.walCtx = s.reg.Default()
 	}
 	return nil
 }
 
-// applyNsSelect replays an NS_SELECT record: subsequent data records
+// replayNsSelect replays an NS_SELECT record: subsequent data records
 // target the named namespace (recovered if evicted), or the default
 // filter for the empty name. A select of an unknown namespace means the
 // WAL stream is inconsistent — fail loudly rather than misdirect
 // counters.
-func (s *Store) applyNsSelect(body []byte) error {
-	name, rest, err := decodeNsName(body)
+func (s *Store) replayNsSelect(_ *ns.Entry, payload []byte) error {
+	name, _, err := nsRecordName(payload, 0)
 	if err != nil {
 		return err
 	}
-	if len(rest) != 0 {
-		return errors.New("server: trailing bytes in NS_SELECT record")
-	}
 	e := s.reg.Lookup(name)
 	if e == nil {
-		return fmt.Errorf("server: NS_SELECT of unknown namespace %q", name)
+		return fmt.Errorf("unknown namespace %q", name)
 	}
 	if err := s.residentLocked(e); err != nil {
 		return err

@@ -102,15 +102,16 @@ func (s *Store) ReplicaApply(seq uint64, off int64, n uint32, raw []byte) error 
 	}
 
 	// Validate every record before applying any: a truncated or corrupt
-	// frame must not half-apply.
+	// frame must change nothing, or its resend would apply the records
+	// before the damage a second time.
 	t0 := time.Now()
-	a := &batchApplier{s: s, context: "replicate"}
-	count, valid, err := scanRecords(bytes.NewReader(raw), a.add)
-	if err != nil {
-		return fmt.Errorf("server: replica frame: %w", err)
-	}
+	count, valid, _ := scanRecords(bytes.NewReader(raw), func(byte, []byte) error { return nil })
 	if valid != int64(len(raw)) || count != int(n) {
 		return fmt.Errorf("server: replica frame corrupt: %d/%d bytes valid, %d/%d records", valid, len(raw), count, n)
+	}
+	a := &batchApplier{s: s, context: "replicate"}
+	if _, _, err := scanRecords(bytes.NewReader(raw), a.add); err != nil {
+		return fmt.Errorf("server: replica frame: %w", err)
 	}
 	a.flush()
 	if err := s.wait(s.wal.EnqueueRaw(raw, count)); err != nil {

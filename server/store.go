@@ -295,113 +295,6 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 	return s, nil
 }
 
-// batchApplier feeds WAL-ordered records into the filters, batching runs
-// of same-op records through the parallel batch paths. Per-shard order
-// is preserved inside a batch, so the result is identical to one-by-one
-// application. Apply errors are logged and skipped: a record describes a
-// mutation that succeeded live, so an apply failure means counter
-// divergence from a lost earlier record, and dropping the op is strictly
-// safer than aborting recovery or a replication stream. Keys handed to
-// add may alias the scan buffer — scanRecords allocates each record body
-// fresh, so they stay valid until the flush.
-type batchApplier struct {
-	s       *Store
-	context string // "replay" or "replicate", for log lines
-	op      byte
-	rot     int // pending batch's rotation count (walOpInsertTTL only)
-	keys    [][]byte
-}
-
-const applierFlushAt = 4096
-
-func (a *batchApplier) add(op byte, key []byte) error {
-	e := a.s.walCtx
-	switch op {
-	case wire.OpInsert, wire.OpDelete:
-		if op != a.op {
-			a.flush()
-			a.op = op
-		}
-		a.keys = append(a.keys, key)
-	case walOpInsertTTL:
-		if e.Mode() != ns.Windowed {
-			return fmt.Errorf("ttl record for non-windowed namespace %q", e.Name())
-		}
-		r, k, err := decodeTTLBody(key)
-		if err != nil {
-			return err
-		}
-		if op != a.op || r != a.rot {
-			a.flush()
-			a.op, a.rot = op, r
-		}
-		a.keys = append(a.keys, k)
-	case walOpWindowRotate:
-		// A rotation is a batch boundary: everything logged before it must
-		// land in the pre-rotation ring position.
-		a.flush()
-		if e.Mode() != ns.Windowed {
-			return fmt.Errorf("rotate record for non-windowed namespace %q", e.Name())
-		}
-		if err := a.s.residentLocked(e); err != nil {
-			return err
-		}
-		e.Window().Rotate()
-		return nil
-	case walOpNsCreate:
-		// Namespace lifecycle records are flush barriers too: pending keys
-		// belong to the pre-event selection context.
-		a.flush()
-		return a.s.applyNsCreate(key)
-	case walOpNsDrop:
-		a.flush()
-		return a.s.applyNsDrop(key)
-	case walOpNsSelect:
-		a.flush()
-		return a.s.applyNsSelect(key)
-	case walOpElasticGrow:
-		// Growth is a flush barrier for the same reason rotation is:
-		// everything logged before it must land in the pre-growth head.
-		a.flush()
-		return a.s.applyElasticGrow()
-	case walOpElasticImport:
-		a.flush()
-		return a.s.applyElasticImport(key)
-	default:
-		return fmt.Errorf("unknown wal op 0x%02x", op)
-	}
-	if len(a.keys) >= applierFlushAt {
-		a.flush()
-	}
-	return nil
-}
-
-// flush applies the pending batch to the selected filter. A named target
-// may have been evicted mid-stream by quota pressure from another
-// namespace's create — it is recovered first.
-func (a *batchApplier) flush() {
-	if len(a.keys) == 0 {
-		return
-	}
-	e := a.s.walCtx
-	err := a.s.residentLocked(e)
-	if err == nil {
-		sc := &a.s.applySc
-		switch a.op {
-		case wire.OpInsert:
-			err = e.InsertBatch(a.keys, sc)
-		case wire.OpDelete:
-			_, err = e.DeleteBatch(a.keys, sc)
-		case walOpInsertTTL:
-			err = e.Window().InsertRotationsBatch(a.keys, a.rot, sc)
-		}
-	}
-	if err != nil {
-		a.s.opts.Log.Error("batch apply failed", "context", a.context, "ns", e.Name(), "op", a.op, "error", err)
-	}
-	a.keys = a.keys[:0]
-}
-
 // replaySegment re-applies one segment's records through a batchApplier.
 // Each segment opens in the default selection context — the primary's
 // append side resets at every rotation — and the context surviving the
@@ -502,8 +395,7 @@ func (s *Store) touch(e *ns.Entry) {
 
 // mutateEnq applies one data mutation — op is its wire opcode: INSERT,
 // DELETE, their batch forms, or the TTL inserts — to name's filter and
-// enqueues its WAL record, preceded by an NS_SELECT when the target
-// differs from the last record's. Batches are planned in sc (nil: fresh
+// enqueues its WAL records (logLocked). Batches are planned in sc (nil: fresh
 // scratch). It returns DELETE_BATCH's per-key flags, which belong to sc,
 // and the commit ticket. The mutation lock is held only for
 // apply+enqueue — never across the fsync — which is what lets concurrent
@@ -564,10 +456,7 @@ func (s *Store) mutateEnq(op byte, name, key []byte, keys [][]byte, ttl time.Dur
 		return nil, 0, err
 	}
 	tr.addFilter(t0)
-	if err := s.selectLocked(e); err != nil {
-		return ok, 0, err
-	}
-	ticket, err = s.wal.EnqueueBatch(walOp, extra, walKeys, ok, tr)
+	ticket, err = s.logLocked(e, walOp, extra, walKeys, ok, tr)
 	if err != nil {
 		return ok, 0, err
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -12,41 +11,13 @@ import (
 
 // Windowed mode: when StoreOptions.Window is set, the default filter is
 // a window.Filter (a ring of G generation filters) instead of a single
-// Sharded MPCBF — and a namespace created with a window is one too. Two
-// WAL-only record types join the log so crash recovery and replication
-// reconstruct the exact generation ring:
-//
-//	ROTATE:     body = [0xE0]                — the ring advanced one slot
-//	INSERT_TTL: body = [0xE1][u32 r][key]    — key placed r rotations from retirement
-//
-// The opcodes live outside the wire protocol's space (MaxOp is far
-// below 0xE0) because rotation is never a client request — the primary's
-// clock drives it — and a TTL insert's durable form is its rotation
-// count, not its wall-clock TTL. Logging r instead of a timestamp keeps
-// replay deterministic: a replica mirroring the primary's WAL bytes, or
-// a recovery replaying them hours later, lands every key in the same
-// ring slot the primary chose. For the same reason TTL granularity is
-// the rotation period: per-key wall-clock deletes could not be replayed
-// deterministically.
+// Sharded MPCBF — and a namespace created with a window is one too. Its
+// WAL records, ROTATE and INSERT_TTL, are rows of walRecords.
 //
 // Rotation ordering: mutations and rotations both apply and enqueue
 // under the store mutation lock, so WAL order equals apply order and the
 // ring position at any WAL byte is exact. Replicas never run a rotation
 // clock of their own — rotations arrive as mirrored ROTATE records.
-const (
-	walOpWindowRotate = 0xE0
-	walOpInsertTTL    = 0xE1
-)
-
-// decodeTTLBody splits a TTL record's key field back into its rotation
-// count and key: [u32 r][key bytes] (the rotation count is the extra
-// prefix mutateEnq hands the wal's EnqueueBatch).
-func decodeTTLBody(b []byte) (r int, key []byte, err error) {
-	if len(b) < 4 {
-		return 0, nil, errors.New("server: truncated ttl wal record")
-	}
-	return int(binary.LittleEndian.Uint32(b[:4])), b[4:], nil
-}
 
 // Window exposes the default window filter for read-only inspection
 // (nil when the default filter is not windowed).
@@ -81,8 +52,8 @@ func (s *Store) windowStats(name []byte) (window.Stats, error) {
 // Windowed stores only.
 func (s *Store) WindowStats() (window.Stats, error) { return s.windowStats(nil) }
 
-// rotate advances e's generation ring one slot and logs SELECT+ROTATE,
-// so recovery and replicas advance the same ring at the same WAL
+// rotate advances e's generation ring one slot and logs ROTATE, so
+// recovery and replicas advance the same ring at the same WAL
 // position. Only the apply and the enqueue hold s.mu: the commit is
 // waited out after releasing it, so a slow fsync never stalls writers.
 // An entry evicted or dropped since its deadline was read is skipped (a
@@ -96,11 +67,7 @@ func (s *Store) rotate(e *ns.Entry) error {
 		return nil
 	}
 	w.Rotate()
-	var ticket uint64
-	err := s.selectLocked(e)
-	if err == nil {
-		ticket, err = s.wal.Enqueue(walOpWindowRotate, nil, nil)
-	}
+	ticket, err := s.logOneLocked(e, walOpWindowRotate, nil, nil)
 	e.SetNextRotate(nextRotation(e.NextRotate(), time.Now().UnixNano(), int64(w.RotateEvery())))
 	s.mu.Unlock()
 	if err == nil {
@@ -108,6 +75,12 @@ func (s *Store) rotate(e *ns.Entry) error {
 	}
 	s.rotHist.ObserveDuration(time.Since(t0))
 	return err
+}
+
+// replayRotate replays a ROTATE record (recovery and replication).
+func (s *Store) replayRotate(e *ns.Entry, _ []byte) error {
+	e.Window().Rotate()
+	return nil
 }
 
 // nextRotation returns the deadline that follows one served at prev
