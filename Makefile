@@ -308,5 +308,6 @@ obs-smoke:
 		| tee $$dir/traces.txt; \
 	grep -q '^trace ' $$dir/traces.txt
 
-ci: build lint race guards fuzz-wire integration window-e2e cluster-e2e ns-e2e elastic-e2e reshard-e2e obs-smoke loadgen-smoke sim-multi-seed
+ci: build lint race guards fuzz-kernel fuzz-wire fuzz-snapshot integration window-e2e cluster-e2e ns-e2e elastic-e2e reshard-e2e obs-smoke loadgen-smoke sim-multi-seed
+	cd perfbench && $(GO) vet ./...
 	$(GO) test -run '^$$' -bench 'Ops' -benchtime 100x .

@@ -644,7 +644,7 @@ func BenchmarkShardedDecodeIntoReleased(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var a Arenas
 				s.ReleaseArenas(a.Put)
-				if s, err = ReadShardedReusing(bytes.NewReader(data), int64(len(data)), &a); err != nil {
+				if s, err = ReadSharded(bytes.NewReader(data), int64(len(data)), &a); err != nil {
 					b.Fatal(err)
 				}
 			}

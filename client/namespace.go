@@ -193,11 +193,10 @@ func (h Handle) WindowStats() (wire.WindowStats, error) {
 }
 
 // Dump fetches a consistent point-in-time binary encoding of the
-// filter: decode it with repro.UnmarshalSharded, with
-// window.UnmarshalFilter when window.IsWindowed reports a windowed
-// encoding, or with elastic.UnmarshalFilter when elastic.IsElastic
-// reports an elastic chain. For the default filter of a daemon holding
-// namespaces it is the whole-store container.
+// filter: ns.DecodeState (repro/server/ns) decodes it as whichever
+// state its leading magic names, a plain sharded filter, a window or an
+// elastic chain. For the default filter of a daemon holding namespaces
+// it is the whole-store container.
 // The returned slice is the caller's to keep.
 func (h Handle) Dump() ([]byte, error) {
 	var blob []byte

@@ -236,7 +236,7 @@ func TestShardedMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := UnmarshalSharded(data, 11)
+	g, err := UnmarshalSharded(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestShardedMarshalRoundTrip(t *testing.T) {
 		"truncated": data[:20],
 		"trailing":  append(append([]byte{}, data...), 1),
 	} {
-		if _, err := UnmarshalSharded(bad, 11); err == nil {
+		if _, err := UnmarshalSharded(bad); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}

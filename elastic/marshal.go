@@ -105,30 +105,13 @@ func (f *Filter) encode(w *snapio.Writer, gens []*mpcbf.Sharded) {
 
 // UnmarshalFilter reconstructs a chain from a MarshalBinary snapshot.
 func UnmarshalFilter(data []byte) (*Filter, error) {
-	return ReadFilter(bytes.NewReader(data), int64(len(data)))
+	return ReadFilter(bytes.NewReader(data), int64(len(data)), nil)
 }
 
-// ReadFilter is UnmarshalFilter over a stream: it decodes exactly n bytes
-// of r, holding one 64 KiB buffer besides the decoded chain.
-func ReadFilter(r io.Reader, n int64) (*Filter, error) { return readFilter(r, n, false, nil) }
-
-// ReadFilterReusing is ReadFilter building the generations' arenas in
-// words taken from a (see mpcbf.Arenas).
-func ReadFilterReusing(r io.Reader, n int64, a *mpcbf.Arenas) (*Filter, error) {
-	return readFilter(r, n, false, a)
-}
-
-// CheckFilter reads a chain encoding of exactly n bytes from r and fails
-// exactly when ReadFilter would, building nothing: each generation is
-// checked by mpcbf.CheckSharded.
-func CheckFilter(r io.Reader, n int64) error {
-	_, err := readFilter(r, n, true, nil)
-	return err
-}
-
-// readFilter is ReadFilterReusing, or with check set CheckFilter, which
-// applies the same checks and returns no chain.
-func readFilter(r io.Reader, n int64, check bool, a *mpcbf.Arenas) (*Filter, error) {
+// ReadFilter is UnmarshalFilter over a stream, building the
+// generations in a (see mpcbf.Arenas): it decodes exactly n bytes of r,
+// holding one 64 KiB buffer besides the decoded chain.
+func ReadFilter(r io.Reader, n int64, a *mpcbf.Arenas) (*Filter, error) {
 	rd := snapio.From(r, n)
 	if n < headerSize || n > rd.Remaining() {
 		return nil, errors.New("elastic: snapshot too short")
@@ -185,14 +168,8 @@ func readFilter(r io.Reader, n int64, check bool, a *mpcbf.Arenas) (*Filter, err
 	if nGens == 0 || nGens > 1<<16 || int64(nGens) > left/genHdrSize {
 		return nil, fmt.Errorf("elastic: implausible generation count %d", nGens)
 	}
-	var (
-		f       *Filter
-		sharded []*mpcbf.Sharded
-	)
-	if !check {
-		f = &Filter{opts: o, grows: grows, imports: imports, gens: make([]*generation, 0, nGens)}
-		sharded = make([]*mpcbf.Sharded, 0, nGens)
-	}
+	f := &Filter{opts: o, grows: grows, imports: imports, gens: make([]*generation, 0, nGens)}
+	sharded := make([]*mpcbf.Sharded, 0, nGens)
 	imported := false // the newest generation read so far came in whole
 	for i := uint32(0); i < nGens; i++ {
 		if left < genHdrSize {
@@ -216,29 +193,19 @@ func readFilter(r io.Reader, n int64, check bool, a *mpcbf.Arenas) (*Filter, err
 		if blobLen > left {
 			return nil, errors.New("elastic: truncated generation blob")
 		}
-		var s *mpcbf.Sharded
-		if check {
-			err = mpcbf.CheckSharded(rd, blobLen)
-		} else {
-			s, err = mpcbf.ReadShardedReusing(rd, blobLen, a)
-		}
+		s, err := mpcbf.ReadSharded(rd, blobLen, a)
 		if err != nil {
 			return nil, fmt.Errorf("elastic: generation %d: %w", i, err)
 		}
 		left -= blobLen
-		if !check {
-			f.gens = append(f.gens, &generation{imported: imported, growIdx: growIdx, capacity: capacity, budget: budget})
-			sharded = append(sharded, s)
-		}
+		f.gens = append(f.gens, &generation{imported: imported, growIdx: growIdx, capacity: capacity, budget: budget})
+		sharded = append(sharded, s)
 	}
 	if left != 0 {
 		return nil, fmt.Errorf("elastic: %d trailing bytes after chain", left)
 	}
 	if imported {
 		return nil, errors.New("elastic: head generation marked imported")
-	}
-	if check {
-		return nil, nil
 	}
 	f.Chain = mpcbf.NewChain(errAbsent, sharded...)
 	return f, nil

@@ -103,7 +103,7 @@ func TestResidentPages(t *testing.T) {
 		want := sha256.Sum256(enc)
 		decode := func(name string, a *mpcbf.Arenas) *mpcbf.Sharded {
 			before := rssAnon(t)
-			s, err := mpcbf.ReadShardedReusing(bytes.NewReader(enc), int64(len(enc)), a)
+			s, err := mpcbf.ReadSharded(bytes.NewReader(enc), int64(len(enc)), a)
 			grew := rssAnon(t) - before
 			if err != nil {
 				t.Fatal(err)

@@ -11,6 +11,13 @@ import "repro/internal/bitvec"
 // (snapio.Reader.Words). The zero value holds nothing; a nil *Arenas
 // makes every decode allocate. Not safe for concurrent use.
 type Arenas struct {
+	// Check makes a decode handed a only check its input: it fails
+	// exactly when a decode into fresh arenas would, but builds no arena,
+	// streaming the arena words through a fixed buffer instead, so
+	// checking an encoding of any size allocates a fixed amount. The
+	// states it returns hold no words and must not be used.
+	Check bool
+
 	free   map[int][][]uint64 // by length in words
 	reused int64
 }

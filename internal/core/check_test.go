@@ -5,12 +5,13 @@ import (
 	"testing"
 )
 
-// TestCheckMatchesDecode runs Check and Decode over valid and damaged
-// encodings of generic-width filters, whose words Check walks through
-// its fixed buffer: filters from one buffer load to several, words that
-// straddle 64-bit boundaries, and one overrunning word planted at the
-// arena's start, at its end and across a buffer refill. Both must accept
-// the valid encodings and reject every damaged one.
+// TestCheckMatchesDecode runs a checking and a building Decode over valid
+// and damaged encodings of generic-width filters, whose words a check
+// walks through its fixed buffer: filters from one buffer load to
+// several, words that straddle 64-bit boundaries, and one overrunning
+// word planted at the arena's start, at its end and across a buffer
+// refill. Both must accept the valid encodings and reject every damaged
+// one.
 func TestCheckMatchesDecode(t *testing.T) {
 	for _, tc := range []struct{ w, words int }{
 		{32, 100}, {48, 100}, {96, 50}, {200, 40}, {48, 5000}, {200, 3000}, {1000, 400},
@@ -29,8 +30,8 @@ func TestCheckMatchesDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Check(bytes.NewReader(data), int64(len(data))); err != nil {
-			t.Fatalf("w=%d words=%d: Check rejects a valid filter: %v", tc.w, tc.words, err)
+		if _, err := Decode(bytes.NewReader(data), int64(len(data)), &Arenas{Check: true}); err != nil {
+			t.Fatalf("w=%d words=%d: a check rejects a valid filter: %v", tc.w, tc.words, err)
 		}
 		arena := HeaderLen + 8*len(flt.saturated)
 		// checkBufWords*64/w words fill the buffer once: plant one just
@@ -41,10 +42,10 @@ func TestCheckMatchesDecode(t *testing.T) {
 			for bit := word * tc.w; bit < (word+1)*tc.w; bit++ {
 				bad[arena+bit/8] |= 1 << (bit % 8)
 			}
-			_, decErr := Decode(bytes.NewReader(bad), int64(len(bad)))
-			chkErr := Check(bytes.NewReader(bad), int64(len(bad)))
+			_, decErr := Decode(bytes.NewReader(bad), int64(len(bad)), nil)
+			_, chkErr := Decode(bytes.NewReader(bad), int64(len(bad)), &Arenas{Check: true})
 			if decErr == nil || chkErr == nil {
-				t.Errorf("w=%d words=%d, word %d overruns: Decode %v, Check %v; want both to fail", tc.w, tc.words, word, decErr, chkErr)
+				t.Errorf("w=%d words=%d, word %d overruns: decode %v, check %v; want both to fail", tc.w, tc.words, word, decErr, chkErr)
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 
 	"repro/internal/bitvec"
@@ -36,20 +35,13 @@ func (f *Filter) MarshaledSize() int {
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (f *Filter) MarshalBinary() ([]byte, error) {
-	return f.AppendBinary(make([]byte, 0, f.MarshaledSize()))
-}
-
-// AppendBinary appends the filter's encoding to b, growing it at most
-// once.
-func (f *Filter) AppendBinary(b []byte) ([]byte, error) {
-	w := snapio.Append(slices.Grow(b, f.MarshaledSize()))
+	w := snapio.Append(make([]byte, 0, f.MarshaledSize()))
 	f.Encode(&w)
 	return w.Bytes(), nil
 }
 
 // Encode writes the filter's encoding, MarshaledSize bytes, to w: the
-// one encoder behind MarshalBinary, AppendBinary and streamed evict
-// files.
+// one encoder behind MarshalBinary and streamed evict files.
 func (f *Filter) Encode(w *snapio.Writer) {
 	sat := make([]int, 0, len(f.saturated))
 	for i := range f.saturated {
@@ -75,32 +67,18 @@ func (f *Filter) Encode(w *snapio.Writer) {
 
 // Unmarshal reconstructs a filter serialized with MarshalBinary.
 func Unmarshal(data []byte) (*Filter, error) {
-	return Decode(bytes.NewReader(data), int64(len(data)))
-}
-
-// Decode reads one filter encoding of exactly n bytes from r. When r is
-// a *snapio.Reader the decode shares its buffer and running checksum.
-func Decode(r io.Reader, n int64) (*Filter, error) { return read(r, n, false, nil) }
-
-// DecodeReusing is Decode building the filter's arena in words taken
-// from a, when a holds a slice of the length the header names.
-func DecodeReusing(r io.Reader, n int64, a *Arenas) (*Filter, error) { return read(r, n, false, a) }
-
-// Check reads one filter encoding of exactly n bytes from r and fails
-// exactly when Decode would, without building the filter: the arena
-// streams through a fixed buffer instead of into a new one, so checking
-// an encoding of any size allocates a fixed amount.
-func Check(r io.Reader, n int64) error {
-	_, err := read(r, n, true, nil)
-	return err
+	return Decode(bytes.NewReader(data), int64(len(data)), nil)
 }
 
 // maxWordBits bounds the word width a decoded header may name.
 const maxWordBits = 1 << 16
 
-// read is DecodeReusing, or with check set Check, which applies the same
-// checks and returns no filter.
-func read(r io.Reader, n int64, check bool, a *Arenas) (*Filter, error) {
+// Decode reads one filter encoding of exactly n bytes from r, building
+// the filter's arena in words taken from a (see Arenas): a nil a
+// allocates, and a checking one (Arenas.Check) builds no arena. When r
+// is a *snapio.Reader the decode shares its buffer and running checksum.
+func Decode(r io.Reader, n int64, a *Arenas) (*Filter, error) {
+	check := a != nil && a.Check
 	rd := snapio.From(r, n)
 	if n < HeaderLen || n > rd.Remaining() {
 		return nil, errors.New("mpcbf: truncated filter data")
@@ -188,7 +166,10 @@ func read(r io.Reader, n int64, check bool, a *Arenas) (*Filter, error) {
 		}
 	}
 	if check {
-		return nil, f.checkArena(rd, int(nArena))
+		if err := f.checkArena(rd, int(nArena)); err != nil {
+			return nil, err
+		}
+		return &f, nil
 	}
 	if err := rd.Words(f.arena.Words()); err != nil {
 		return nil, fmt.Errorf("mpcbf: arena: %w", err)
@@ -215,7 +196,7 @@ func errOverrun(word int) error {
 // header may name, wherever its first bit falls, and then some.
 const checkBufWords = 2 * maxWordBits / 64
 
-// checkArena consumes an arena of nArena words from rd the way read
+// checkArena consumes an arena of nArena words from rd the way Decode
 // decodes one, through a fixed buffer: a generic-width word must hold
 // its hierarchy, and register-kernel words need no check.
 func (f *Filter) checkArena(rd *snapio.Reader, nArena int) error {

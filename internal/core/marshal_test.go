@@ -132,11 +132,11 @@ func TestDecodeRejectsLengthBeyondStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd := snapio.NewReader(bytes.NewReader(data), int64(len(data)))
-	if _, err := Decode(rd, int64(len(data))+8); err == nil {
+	if _, err := Decode(rd, int64(len(data))+8, nil); err == nil {
 		t.Fatal("length beyond the stream accepted")
 	}
 	cut := data[:len(data)-9]
-	if _, err := Decode(bytes.NewReader(cut), int64(len(data))); err == nil {
+	if _, err := Decode(bytes.NewReader(cut), int64(len(data)), nil); err == nil {
 		t.Fatal("stream cut inside the arena accepted")
 	}
 	if _, err := Unmarshal(cut); err == nil {

@@ -16,8 +16,8 @@
 // Every encoder writes through a *Writer. A Writer over a destination
 // streams the encoding out in BufSize pieces, so writing a state of any
 // size to a file costs one buffer; an appending Writer (Append) grows
-// its buffer to hold the whole encoding, which is how MarshalBinary and
-// AppendBinary build the same bytes.
+// its buffer to hold the whole encoding, which is how MarshalBinary
+// builds the same bytes.
 package snapio
 
 import (

@@ -10,7 +10,7 @@ import (
 
 // legacyShardedMarshal reproduces the version-1 sharded wire format
 // ([nShards u32][count u64][shards...]) that stored no magic, version, or
-// shard-selection seed, so compatibility tests can exercise old blobs
+// shard-selection seed, so a test can hold the decoder to refusing it
 // without keeping fixture files around.
 func legacyShardedMarshal(t *testing.T, s *Sharded) []byte {
 	t.Helper()
@@ -78,21 +78,14 @@ func TestShardedMarshalV2SelfDescribing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The current format needs no out-of-band seed...
+	// The format needs no out-of-band seed...
 	g, err := UnmarshalSharded(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertShardedEqual(t, s, g, keys)
-	// ...and ignores a stale legacy seed argument rather than mis-keying
-	// the shard-selection hash.
-	g2, err := UnmarshalSharded(data, 99999)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertShardedEqual(t, s, g2, keys)
-	// The clone must route new keys identically to the original (the
-	// restored seed drives shard selection).
+	// ...and the clone must route new keys identically to the original
+	// (the restored seed drives shard selection).
 	extra := apiKeys("post-restore", 500)
 	if err := g.InsertBatch(extra, 0); err != nil {
 		t.Fatal(err)
@@ -102,34 +95,6 @@ func TestShardedMarshalV2SelfDescribing(t *testing.T) {
 			t.Fatalf("false negative on post-restore insert: %q", k)
 		}
 	}
-}
-
-func TestShardedMarshalLegacyCompat(t *testing.T) {
-	s, keys := newPopulatedSharded(t, 123)
-	old := legacyShardedMarshal(t, s)
-	g, err := UnmarshalSharded(old, 123)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertShardedEqual(t, s, g, keys)
-	// Without the seed a legacy blob is rejected, not silently mis-keyed.
-	if _, err := UnmarshalSharded(old); err == nil ||
-		!strings.Contains(err.Error(), "legacy") {
-		t.Fatalf("legacy blob without seed: err = %v", err)
-	}
-	// A legacy load re-marshals into the current format and stays equal.
-	again, err := g.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again[0:4], []byte{0x53, 0x43, 0x50, 0x4D}) {
-		t.Fatalf("re-marshal did not upgrade to v2 magic: % x", again[0:4])
-	}
-	g2, err := UnmarshalSharded(again)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertShardedEqual(t, s, g2, keys)
 }
 
 func TestShardedUnmarshalErrorPaths(t *testing.T) {
@@ -174,22 +139,17 @@ func TestShardedUnmarshalErrorPaths(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	// Legacy error paths: truncation inside the shard table.
-	old := legacyShardedMarshal(t, s)
-	for name, bad := range map[string][]byte{
-		"legacy body truncated": old[:len(old)/3],
-		"legacy trailing":       append(append([]byte(nil), old...), 7),
-	} {
-		if _, err := UnmarshalSharded(bad, 5); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
+	// The seed-less version-1 layout is no longer read.
+	if _, err := UnmarshalSharded(legacyShardedMarshal(t, s)); err == nil || !strings.Contains(err.Error(), "not a sharded filter") {
+		t.Errorf("version-1 blob: err = %v, want it refused as not a sharded filter", err)
 	}
 }
 
 // TestShardedUnmarshalBoundsShardTable: a header claiming more shards
 // than the body has room for (a 4-byte size plus a filter header each)
 // is rejected before the shard table is allocated, so a short blob
-// cannot make the decoder allocate several times its own size.
+// cannot make the decoder allocate several times its own size. A
+// checking decode builds the shard table too, and is held to the same.
 func TestShardedUnmarshalBoundsShardTable(t *testing.T) {
 	const nShards = 4096
 	// Room for a size and one word per shard, not for a filter header.
@@ -198,16 +158,25 @@ func TestShardedUnmarshalBoundsShardTable(t *testing.T) {
 	le.PutUint32(data[0:4], shardedMagic)
 	le.PutUint32(data[4:8], shardedVersion)
 	le.PutUint32(data[12:16], nShards)
-	if _, err := UnmarshalSharded(data); err == nil || !strings.Contains(err.Error(), "implausible sharded header") {
-		t.Fatalf("err = %v, want the shard-count bound", err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	UnmarshalSharded(data)
-	runtime.ReadMemStats(&after)
-	// One read buffer no larger than the blob, and a few small headers.
-	if got := after.TotalAlloc - before.TotalAlloc; got > 2*uint64(len(data)) {
-		t.Fatalf("rejecting a %d-byte blob allocated %d bytes", len(data), got)
+	for _, tc := range []struct {
+		name string
+		a    *Arenas
+	}{{"decode", nil}, {"check", &Arenas{Check: true}}} {
+		read := func() error {
+			_, err := ReadSharded(bytes.NewReader(data), int64(len(data)), tc.a)
+			return err
+		}
+		if err := read(); err == nil || !strings.Contains(err.Error(), "implausible sharded header") {
+			t.Fatalf("%s: err = %v, want the shard-count bound", tc.name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read()
+		runtime.ReadMemStats(&after)
+		// One read buffer no larger than the blob, and a few small headers.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2*uint64(len(data)) {
+			t.Fatalf("%s: rejecting a %d-byte blob allocated %d bytes", tc.name, len(data), got)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -162,17 +163,18 @@ type importGen struct {
 // its record. Windowed state and namespace containers are refused: their
 // keys carry expiry or tenancy the flat chain cannot represent.
 func importGenerations(blob []byte) ([]importGen, error) {
-	switch {
-	case isNsContainer(blob):
+	if isNsContainer(blob) {
 		return nil, errors.New("server: IMPORT of a namespace container (dump one filter or one namespace)")
-	case window.IsWindowed(blob):
+	}
+	st, err := ns.DecodeState(bytes.NewReader(blob), int64(len(blob)), nil)
+	if err != nil {
+		return nil, fmt.Errorf("server: IMPORT blob: %w", err)
+	}
+	var gens []importGen
+	switch src := st.(type) {
+	case *window.Filter:
 		return nil, errors.New("server: IMPORT of a windowed filter (its generations expire on the source's clock)")
-	case elastic.IsElastic(blob):
-		src, err := elastic.UnmarshalFilter(blob)
-		if err != nil {
-			return nil, fmt.Errorf("server: IMPORT blob: %w", err)
-		}
-		var gens []importGen
+	case *elastic.Filter:
 		src.View(func(all []*mpcbf.Sharded) {
 			for i, g := range all {
 				if g.Len() == 0 {
@@ -186,17 +188,12 @@ func importGenerations(blob []byte) ([]importGen, error) {
 				gens = append(gens, importGen{f: g, blob: b})
 			}
 		})
-		return gens, err
-	default:
-		g, err := mpcbf.UnmarshalSharded(blob)
-		if err != nil {
-			return nil, fmt.Errorf("server: IMPORT blob: %w", err)
+	case *mpcbf.Sharded:
+		if src.Len() > 0 {
+			gens = []importGen{{f: src, blob: blob}}
 		}
-		if g.Len() == 0 {
-			return nil, nil
-		}
-		return []importGen{{f: g, blob: blob}}, nil
 	}
+	return gens, err
 }
 
 // checkImportRecordSizes rejects an import whose generations would not

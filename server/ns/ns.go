@@ -496,36 +496,18 @@ type resident struct{ f Filter }
 
 // DecodeState decodes exactly n bytes of r as whichever state its leading
 // magic names: a windowed ring, an elastic chain, or a plain sharded
-// filter.
-func DecodeState(r io.Reader, n int64) (Filter, error) { return readState(r, n, false, nil) }
-
-// CheckState reads a state of exactly n bytes from r and fails exactly
-// when DecodeState would, building nothing, so checking a state of any
-// size costs a fixed amount of memory.
-func CheckState(r io.Reader, n int64) error {
-	_, err := readState(r, n, true, nil)
-	return err
-}
-
-// readState is DecodeState building the state's arenas in words taken
-// from a, or with check set CheckState, which returns a nil state. On
-// error the state is nil too.
-func readState(r io.Reader, n int64, check bool, a *mpcbf.Arenas) (Filter, error) {
+// filter, building it in a (see mpcbf.Arenas). On error the state is an
+// untyped nil.
+func DecodeState(r io.Reader, n int64, a *mpcbf.Arenas) (Filter, error) {
 	rd := snapio.From(r, n)
 	magic := rd.Peek(4)
 	switch {
-	case window.IsWindowed(magic) && check:
-		return nil, window.CheckFilter(rd, n)
 	case window.IsWindowed(magic):
-		return filterOf(window.ReadFilterReusing(rd, n, a))
-	case elastic.IsElastic(magic) && check:
-		return nil, elastic.CheckFilter(rd, n)
+		return filterOf(window.ReadFilter(rd, n, a))
 	case elastic.IsElastic(magic):
-		return filterOf(elastic.ReadFilterReusing(rd, n, a))
-	case check:
-		return nil, mpcbf.CheckSharded(rd, n)
+		return filterOf(elastic.ReadFilter(rd, n, a))
 	}
-	return filterOf(mpcbf.ReadShardedReusing(rd, n, a))
+	return filterOf(mpcbf.ReadSharded(rd, n, a))
 }
 
 // attach publishes state f of a named entry, refusing a state whose mode
@@ -813,7 +795,7 @@ func (r *Registry) Recover(e *Entry) error {
 	}
 	var f Filter
 	err := r.opts.Load(e.name, func(rd io.Reader, n int64) (err error) {
-		f, err = readState(rd, n, false, &free)
+		f, err = DecodeState(rd, n, &free)
 		return err
 	})
 	if err != nil {

@@ -8,11 +8,11 @@ import (
 	mpcbf "repro"
 )
 
-// TestReadStateReturnsUntypedNil requires a decode that fails, and a
-// check of any state, to return an untyped nil Filter: a nil
-// *window.Filter inside a non-nil interface would pass every != nil test
-// and panic on first use. Each mode's empty state is built by NewFilter,
-// and a decode of its whole encoding returns that mode again.
+// TestReadStateReturnsUntypedNil requires a decode that fails to return
+// an untyped nil Filter: a nil *window.Filter inside a non-nil interface
+// would pass every != nil test and panic on first use. Each mode's empty
+// state is built by NewFilter; a check of its whole encoding succeeds,
+// and a decode returns that mode again.
 func TestReadStateReturnsUntypedNil(t *testing.T) {
 	geom := mpcbf.Options{MemoryBits: 1 << 12, ExpectedItems: 100, Seed: 7}
 	for _, sp := range []Spec{
@@ -41,7 +41,7 @@ func TestReadStateReturnsUntypedNil(t *testing.T) {
 			}
 			n := int64(len(b))
 			for _, cut := range []int64{n - 1, n / 2, 8} {
-				got, err := readState(bytes.NewReader(b[:cut]), cut, false, nil)
+				got, err := DecodeState(bytes.NewReader(b[:cut]), cut, nil)
 				if err == nil {
 					t.Fatalf("decode of %d of %d bytes succeeded", cut, n)
 				}
@@ -49,11 +49,10 @@ func TestReadStateReturnsUntypedNil(t *testing.T) {
 					t.Fatalf("decode of %d of %d bytes returned %T with %v, want nil", cut, n, got, err)
 				}
 			}
-			got, err := readState(bytes.NewReader(b), n, true, nil)
-			if err != nil || got != nil {
-				t.Fatalf("check of a valid state returned (%T, %v), want (nil, nil)", got, err)
+			if _, err := DecodeState(bytes.NewReader(b), n, &mpcbf.Arenas{Check: true}); err != nil {
+				t.Fatalf("check of a valid state: %v", err)
 			}
-			got, err = DecodeState(bytes.NewReader(b), n)
+			got, err := DecodeState(bytes.NewReader(b), n, nil)
 			if err != nil || ModeOf(got) != want || got.Len() != 1 {
 				t.Fatalf("decode of a valid state returned (%T, %v)", got, err)
 			}

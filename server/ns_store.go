@@ -227,6 +227,9 @@ func (s *Store) replayNsSelect(_ *ns.Entry, payload []byte) error {
 const (
 	nsContainerMagic   = 0x4D50534E // "NSPM" little-endian
 	nsContainerVersion = 2
+	// nsEntryFixed is an entry's bytes after its name: config,
+	// residency, items and state length.
+	nsEntryFixed = wire.NsConfigSize + 1 + 8 + 8
 )
 
 // isNsContainer reports whether snapshot payload data is a namespace
@@ -241,7 +244,7 @@ func isNsContainer(data []byte) bool {
 func (s *Store) nsContainerSizeLocked() int {
 	size := 16 + s.reg.Default().MarshaledSize() + 4
 	for _, e := range s.reg.Entries() {
-		size += len(e.WALName()) + wire.NsConfigSize + 1 + 8 + 8 + e.MarshaledSize()
+		size += len(e.WALName()) + nsEntryFixed + e.MarshaledSize()
 		if !e.Resident() {
 			if fi, err := os.Stat(nsSnapPath(s.opts.Dir, e.Name())); err == nil {
 				size += int(fi.Size()) - 8

@@ -75,7 +75,10 @@ func (s *Store) ReplicationSnapshot() (data []byte, seq uint64, cumRecords, cumB
 // mirror sitting at the end of an earlier segment is the primary's
 // rotation, mirrored locally. Any other position mismatch is a stream
 // desync and poisons nothing: the caller reconnects and the primary
-// re-decides from the replica's durable position.
+// re-decides from the replica's durable position. A frame whose record
+// fails to apply is refused after the records before that one are
+// mirrored, so the mirror position is again exactly what the filter
+// holds and the resend starts at the failed record.
 func (s *Store) ReplicaApply(seq uint64, off int64, n uint32, raw []byte) error {
 	if !s.opts.Replica {
 		return errors.New("server: ReplicaApply on a non-replica store")
@@ -110,12 +113,16 @@ func (s *Store) ReplicaApply(seq uint64, off int64, n uint32, raw []byte) error 
 		return fmt.Errorf("server: replica frame corrupt: %d/%d bytes valid, %d/%d records", valid, len(raw), count, n)
 	}
 	a := &batchApplier{s: s, context: "replicate"}
-	if _, _, err := scanRecords(bytes.NewReader(raw), a.add); err != nil {
-		return fmt.Errorf("server: replica frame: %w", err)
-	}
+	applied, valid, err := scanRecords(bytes.NewReader(raw), a.add)
 	a.flush()
-	if err := s.wait(s.wal.EnqueueRaw(raw, count)); err != nil {
-		return err
+	// A record that fails to apply changed nothing, but the records
+	// before it applied: the mirror takes exactly those, so the resend
+	// after a reconnect starts at the failed record.
+	if werr := s.wait(s.wal.EnqueueRaw(raw[:valid], applied)); werr != nil {
+		return werr
+	}
+	if err != nil {
+		return fmt.Errorf("server: replica frame: %w", err)
 	}
 	if s.onApply != nil {
 		s.onApply(seq, off, len(raw), count, time.Since(t0))
@@ -138,7 +145,7 @@ func (s *Store) ReplicaBootstrap(seq uint64, cumRecords, cumBytes uint64, data [
 	// not, bare or namespace container — through the same decoder
 	// OpenStore loads a local snapshot with.
 	n := int64(len(data))
-	snap, err := decodeSnapPayload(snapio.NewReader(bytes.NewReader(data), n), n, s.stageEvicted)
+	snap, err := decodeSnapPayload(snapio.NewReader(bytes.NewReader(data), n), n, nil, s.stageEvicted)
 	if err != nil {
 		return fmt.Errorf("server: bootstrap snapshot: %w", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	mpcbf "repro"
 	"repro/internal/snapio"
 	"repro/server/ns"
 	"repro/server/wire"
@@ -238,11 +239,19 @@ func (st *snapState) discard() {
 	}
 }
 
-// decodeSnapPayload decodes an n-byte store payload from rd. On error,
-// anything evicted already staged is removed again.
-func decodeSnapPayload(rd *snapio.Reader, n int64, evicted evictedFunc) (snapState, error) {
+// decodeSnapPayload decodes an n-byte store payload from rd, building
+// every resident state in a (see mpcbf.Arenas) and handing each evicted
+// namespace's state to evicted. On error, anything evicted already
+// staged is removed again.
+func decodeSnapPayload(rd *snapio.Reader, n int64, a *mpcbf.Arenas, evicted evictedFunc) (snapState, error) {
 	var st snapState
-	if err := readSnapPayload(rd, n, &st, evicted, false); err != nil {
+	var err error
+	if isNsContainer(rd.Peek(8)) {
+		err = readNsContainer(rd, n, &st, a, evicted)
+	} else {
+		st.base, err = ns.DecodeState(rd, n, a)
+	}
+	if err != nil {
 		st.discard()
 		return snapState{}, err
 	}
@@ -251,34 +260,24 @@ func decodeSnapPayload(rd *snapio.Reader, n int64, evicted evictedFunc) (snapSta
 
 // checkSnapPayload reads an n-byte store payload from rd and fails
 // exactly when decoding it, evicted namespaces' states included, would,
-// building and staging nothing: the default state and every namespace
-// is checked by ns.CheckState, so a payload of any size costs a fixed
-// amount of memory.
+// building no arena and staging nothing, so a payload of any size costs
+// a fixed amount of memory.
 func checkSnapPayload(rd *snapio.Reader, n int64) error {
-	return readSnapPayload(rd, n, nil, nil, true)
-}
-
-// readSnapPayload is decodeSnapPayload into st, or with check set
-// checkSnapPayload, which takes neither st nor evicted.
-func readSnapPayload(rd *snapio.Reader, n int64, st *snapState, evicted evictedFunc, check bool) error {
-	if isNsContainer(rd.Peek(8)) {
-		return readNsContainer(rd, n, st, evicted, check)
-	}
-	if check {
-		return ns.CheckState(rd, n)
-	}
-	var err error
-	st.base, err = ns.DecodeState(rd, n)
+	check := &mpcbf.Arenas{Check: true}
+	_, err := decodeSnapPayload(rd, n, check, func(_ string, rd *snapio.Reader, n int64) (string, error) {
+		_, err := ns.DecodeState(rd, n, check)
+		return "", err
+	})
 	return err
 }
 
 var errBadNsContainer = errors.New("server: corrupt namespace snapshot container")
 
 // readNsContainer streams a namespace container (layout in ns_store.go)
-// into st, or with check set only checks it. Every length is checked
+// into st, building resident states in a. Every length is checked
 // against the bytes the container has left before anything is decoded
 // or allocated.
-func readNsContainer(rd *snapio.Reader, n int64, st *snapState, evicted evictedFunc, check bool) error {
+func readNsContainer(rd *snapio.Reader, n int64, st *snapState, a *mpcbf.Arenas, evicted evictedFunc) error {
 	le := binary.LittleEndian
 	if n < 16 {
 		return errBadNsContainer
@@ -295,12 +294,7 @@ func readNsContainer(rd *snapio.Reader, n int64, st *snapState, evicted evictedF
 	if left < 4 || baseLen > uint64(left-4) {
 		return errBadNsContainer
 	}
-	if check {
-		err = ns.CheckState(rd, int64(baseLen))
-	} else {
-		st.base, err = ns.DecodeState(rd, int64(baseLen))
-	}
-	if err != nil {
+	if st.base, err = ns.DecodeState(rd, int64(baseLen), a); err != nil {
 		return err
 	}
 	left -= int64(baseLen)
@@ -310,12 +304,12 @@ func readNsContainer(rd *snapio.Reader, n int64, st *snapState, evicted evictedF
 	}
 	left -= 4
 	count := le.Uint32(b)
-	if int64(count) > left { // each entry is > 1 byte
+	// Every entry costs at least its fixed header, so the count is bounded
+	// by the bytes left before the entry table is allocated.
+	if int64(count) > left/(1+nsEntryFixed) {
 		return errBadNsContainer
 	}
-	if !check {
-		st.entries = make([]nsSnapEntry, 0, count)
-	}
+	st.entries = make([]nsSnapEntry, 0, count)
 	for i := uint32(0); i < count; i++ {
 		if left < 1 {
 			return errBadNsContainer
@@ -325,7 +319,7 @@ func readNsContainer(rd *snapio.Reader, n int64, st *snapState, evicted evictedF
 			return errBadNsContainer
 		}
 		nameLen := int(b[0])
-		fixed := nameLen + wire.NsConfigSize + 1 + 8 + 8
+		fixed := nameLen + nsEntryFixed
 		if int64(1+fixed) > left {
 			return errBadNsContainer
 		}
@@ -350,21 +344,16 @@ func readNsContainer(rd *snapio.Reader, n int64, st *snapState, evicted evictedF
 		if dataLen > uint64(left) {
 			return errBadNsContainer
 		}
-		switch {
-		case check:
-			err = ns.CheckState(rd, int64(dataLen))
-		case resident:
-			e.state, err = ns.DecodeState(rd, int64(dataLen))
-		default:
+		if resident {
+			e.state, err = ns.DecodeState(rd, int64(dataLen), a)
+		} else {
 			e.staged, err = evicted(e.name, rd, int64(dataLen))
 		}
 		if err != nil {
 			return fmt.Errorf("ns %q: %w", e.name, err)
 		}
 		left -= int64(dataLen)
-		if !check {
-			st.entries = append(st.entries, e)
-		}
+		st.entries = append(st.entries, e)
 	}
 	if left != 0 {
 		return errBadNsContainer
@@ -378,7 +367,7 @@ func readNsContainer(rd *snapio.Reader, n int64, st *snapState, evicted evictedF
 func (s *Store) loadSnapshot(path string) (snapState, error) {
 	var st snapState
 	err := readSnapFile(path, func(r io.Reader, n int64) (err error) {
-		st, err = decodeSnapPayload(snapio.From(r, n), n, s.stageEvicted)
+		st, err = decodeSnapPayload(snapio.From(r, n), n, nil, s.stageEvicted)
 		return err
 	})
 	if err != nil {

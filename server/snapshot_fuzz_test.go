@@ -22,7 +22,7 @@ import (
 // the decode side of FuzzCheckVsDecode judges every state in a
 // container.
 func decodeEvicted(_ string, rd *snapio.Reader, n int64) (string, error) {
-	_, err := ns.DecodeState(rd, n)
+	_, err := ns.DecodeState(rd, n, nil)
 	return "", err
 }
 
@@ -113,21 +113,22 @@ func FuzzCheckVsDecode(f *testing.F) {
 		n := int64(len(data))
 		src := func() *snapio.Reader { return snapio.NewReader(bytes.NewReader(data), n) }
 		var decErr, chkErr error
+		check := &mpcbf.Arenas{Check: true}
 		switch kind % fuzzKinds {
 		case fuzzCore:
-			_, decErr = core.Decode(src(), n)
-			chkErr = core.Check(src(), n)
+			_, decErr = core.Decode(src(), n, nil)
+			_, chkErr = core.Decode(src(), n, check)
 		case fuzzSharded:
-			_, decErr = mpcbf.ReadSharded(src(), n)
-			chkErr = mpcbf.CheckSharded(src(), n)
+			_, decErr = mpcbf.ReadSharded(src(), n, nil)
+			_, chkErr = mpcbf.ReadSharded(src(), n, check)
 		case fuzzWindow:
-			_, decErr = window.ReadFilter(src(), n)
-			chkErr = window.CheckFilter(src(), n)
+			_, decErr = window.ReadFilter(src(), n, nil)
+			_, chkErr = window.ReadFilter(src(), n, check)
 		case fuzzElastic:
-			_, decErr = elastic.ReadFilter(src(), n)
-			chkErr = elastic.CheckFilter(src(), n)
+			_, decErr = elastic.ReadFilter(src(), n, nil)
+			_, chkErr = elastic.ReadFilter(src(), n, check)
 		case fuzzContainer:
-			_, decErr = decodeSnapPayload(src(), n, decodeEvicted)
+			_, decErr = decodeSnapPayload(src(), n, nil, decodeEvicted)
 			chkErr = checkSnapPayload(src(), n)
 		}
 		if (decErr == nil) != (chkErr == nil) {
@@ -263,11 +264,11 @@ func FuzzDecodeIntoDirtyArenas(f *testing.F) {
 			rd := snapio.NewReader(bytes.NewReader(data), n)
 			switch kind % dirtyKinds {
 			case dirtySharded:
-				st, err = mpcbf.ReadShardedReusing(rd, n, a)
+				st, err = mpcbf.ReadSharded(rd, n, a)
 			case dirtyWindow:
-				st, err = window.ReadFilterReusing(rd, n, a)
+				st, err = window.ReadFilter(rd, n, a)
 			case dirtyElastic:
-				st, err = elastic.ReadFilterReusing(rd, n, a)
+				st, err = elastic.ReadFilter(rd, n, a)
 			}
 			return st, err
 		}

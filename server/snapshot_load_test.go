@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	mpcbf "repro"
+	"repro/internal/snapio"
 	"repro/server/wire"
 )
 
@@ -279,6 +281,43 @@ func TestOpenStoreAllocationBounded(t *testing.T) {
 		t.Fatalf("verifySnapshot allocated %d bytes (bound %d): %v", n, verifyBound, err)
 	}
 	t.Logf("verifySnapshot: %d bytes", n)
+}
+
+// TestNsContainerEntryTableAllocationBounded: a container claiming more
+// entries than its bytes could hold (each costs at least a name length
+// byte and its fixed fields) is refused before the entry table is
+// allocated, so a short payload cannot make a load or a verify allocate
+// many times its own size.
+func TestNsContainerEntryTableAllocationBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation totals are distorted under -race")
+	}
+	base := smallSharded(t, storeKeys("base", 8))
+	const left = 64 << 10
+	le := binary.LittleEndian
+	data := le.AppendUint32(nil, nsContainerMagic)
+	data = le.AppendUint32(data, nsContainerVersion)
+	data = le.AppendUint64(data, uint64(len(base)))
+	data = append(data, base...)
+	data = le.AppendUint32(data, left) // one entry per byte left
+	data = append(data, make([]byte, left)...)
+	n := int64(len(data))
+	for name, read := range map[string]func() error{
+		"decode": func() error {
+			_, err := decodeSnapPayload(snapio.NewReader(bytes.NewReader(data), n), n, nil, decodeEvicted)
+			return err
+		},
+		"check": func() error { return checkSnapPayload(snapio.NewReader(bytes.NewReader(data), n), n) },
+	} {
+		var err error
+		got := allocatedBy(func() { err = read() })
+		if !errors.Is(err, errBadNsContainer) {
+			t.Fatalf("%s: err = %v, want %v", name, err, errBadNsContainer)
+		}
+		if got > 2*uint64(n) {
+			t.Errorf("%s: refusing a %d-byte container allocated %d bytes", name, n, got)
+		}
+	}
 }
 
 // TestSnapshotAllocationBounded pins a snapshot's memory: the state

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/server/ns"
 	"repro/server/wire"
@@ -88,8 +89,12 @@ var walRecords = [256]recInfo{
 // the keys whose flag is set when flags is non-nil), preceded by e's
 // NS_SELECT when the record is targeted and the WAL's selection is
 // another namespace. The SELECT shares the commit round of the records
-// after it. It returns the group's commit ticket. Caller holds s.mu.
+// after it, and a group with no records logs no SELECT either. It
+// returns the group's commit ticket, 0 for no records. Caller holds s.mu.
 func (s *Store) logLocked(e *ns.Entry, op byte, extra []byte, keys [][]byte, flags []bool, tr *reqTrace) (uint64, error) {
+	if len(keys) == 0 || flags != nil && !slices.Contains(flags, true) {
+		return 0, nil
+	}
 	if walRecords[op].targeted && s.walCtx != e {
 		if _, err := s.wal.Enqueue(walOpNsSelect, e.WALName(), nil); err != nil {
 			return 0, err

@@ -221,9 +221,10 @@ func fuzzNsName(b byte) []byte {
 
 // FuzzReplayRecords feeds a replica of a fuzzed mode one frame of fuzzed
 // records through ReplicaApply. Whatever the frame, the store must not
-// panic, and a frame it accepts must replay byte-identically: closing
-// the replica and reopening it from its WAL gives the DUMP the live
-// replica gave.
+// panic, and what it mirrored must replay byte-identically, whether it
+// accepted the frame or refused it at a record that failed to apply:
+// closing the replica and reopening it from its WAL gives the DUMP the
+// live replica gave.
 func FuzzReplayRecords(f *testing.F) {
 	rec := func(pick byte, payload ...byte) []byte { return append([]byte{pick, byte(len(payload))}, payload...) }
 	frame := func(recs ...[]byte) []byte { return bytes.Join(recs, nil) }
@@ -239,6 +240,7 @@ func FuzzReplayRecords(f *testing.F) {
 	f.Add(uint8(2), frame(rec(0, 'k'), rec(7), rec(0, 'j')))
 	f.Add(uint8(2), frame(rec(8, 1), rec(0, 'k')))
 	f.Add(uint8(0), frame(rec(9, 'x')))
+	f.Add(uint8(1), frame(rec(2), rec(0x88, 4, 'n', 'o', 'p', 'e')))
 	blob := smallSharded(f, storeKeys("fuzz", 8))
 
 	f.Fuzz(func(t *testing.T, mode uint8, data []byte) {
@@ -248,10 +250,7 @@ func FuzzReplayRecords(f *testing.F) {
 			t.Fatal(err)
 		}
 		raw, n := fuzzFrame(data, blob)
-		if err := s.ReplicaApply(1, 0, uint32(n), raw); err != nil {
-			s.Close()
-			return
-		}
+		applyErr := s.ReplicaApply(1, 0, uint32(n), raw)
 		want, err := s.MarshalFilter()
 		if err != nil {
 			t.Fatal(err)
@@ -261,7 +260,7 @@ func FuzzReplayRecords(f *testing.F) {
 		}
 		r, err := OpenStore(opts)
 		if err != nil {
-			t.Fatalf("reopen after an accepted frame: %v", err)
+			t.Fatalf("reopen: %v; apply error %v", err, applyErr)
 		}
 		defer r.Close()
 		got, err := r.MarshalFilter()
@@ -269,7 +268,42 @@ func FuzzReplayRecords(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("replayed DUMP (%d bytes) differs from the live replica's (%d bytes)", len(got), len(want))
+			t.Fatalf("replayed DUMP (%d bytes) differs from the live replica's (%d bytes); apply error %v", len(got), len(want), applyErr)
 		}
 	})
+}
+
+// TestEmptyGroupLogsNoSelect: a request into a namespace that logs no
+// record, a DELETE_BATCH of absent keys or an empty INSERT_BATCH, logs
+// no NS_SELECT either, so the WAL does not move.
+func TestEmptyGroupLogsNoSelect(t *testing.T) {
+	s, err := OpenStore(testStoreOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.wait(s.nsCreateEnq([]byte("a"), wire.NsConfig{MemoryBits: 1 << 12, ExpectedItems: 100, Shards: 2}, nil)); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []struct {
+		name string
+		op   byte
+		keys [][]byte
+	}{
+		{"DELETE_BATCH of absent keys", wire.OpDeleteBatch, storeKeys("absent", 4)},
+		{"empty INSERT_BATCH", wire.OpInsertBatch, nil},
+	} {
+		// An insert into the default filter makes it the WAL's selection.
+		if err := s.Insert([]byte("k")); err != nil {
+			t.Fatal(err)
+		}
+		seq, off := s.ReplicationPos()
+		_, ticket, err := s.mutateEnq(req.op, []byte("a"), nil, req.keys, 0, nil, nil)
+		if err := s.wait(ticket, err); err != nil {
+			t.Fatal(err)
+		}
+		if gotSeq, gotOff := s.ReplicationPos(); gotSeq != seq || gotOff != off {
+			t.Errorf("%s into \"a\" moved the WAL from (%d, %d) to (%d, %d)", req.name, seq, off, gotSeq, gotOff)
+		}
+	}
 }

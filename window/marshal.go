@@ -28,8 +28,8 @@ const (
 )
 
 // IsWindowed reports whether data begins with the windowed format's
-// magic — the dispatch test a snapshot loader uses to pick
-// UnmarshalFilter over mpcbf.UnmarshalSharded.
+// magic — the dispatch test a state loader uses to pick ReadFilter over
+// mpcbf.ReadSharded.
 func IsWindowed(data []byte) bool {
 	return len(data) >= 4 && binary.LittleEndian.Uint32(data[0:4]) == windowMagic
 }
@@ -86,30 +86,13 @@ func (f *Filter) encode(w *snapio.Writer, gens []*mpcbf.Sharded) {
 // The result is fully functional and independent of the original; the
 // ring position, rotation count, and per-generation contents are exact.
 func UnmarshalFilter(data []byte) (*Filter, error) {
-	return ReadFilter(bytes.NewReader(data), int64(len(data)))
+	return ReadFilter(bytes.NewReader(data), int64(len(data)), nil)
 }
 
-// ReadFilter is UnmarshalFilter over a stream: it decodes exactly n bytes
-// of r, holding one 64 KiB buffer besides the decoded window.
-func ReadFilter(r io.Reader, n int64) (*Filter, error) { return readFilter(r, n, false, nil) }
-
-// ReadFilterReusing is ReadFilter building the generations' arenas in
-// words taken from a (see mpcbf.Arenas).
-func ReadFilterReusing(r io.Reader, n int64, a *mpcbf.Arenas) (*Filter, error) {
-	return readFilter(r, n, false, a)
-}
-
-// CheckFilter reads a window encoding of exactly n bytes from r and
-// fails exactly when ReadFilter would, building nothing: each generation
-// is checked by mpcbf.CheckSharded.
-func CheckFilter(r io.Reader, n int64) error {
-	_, err := readFilter(r, n, true, nil)
-	return err
-}
-
-// readFilter is ReadFilterReusing, or with check set CheckFilter, which
-// applies the same checks and returns no window.
-func readFilter(r io.Reader, n int64, check bool, a *mpcbf.Arenas) (*Filter, error) {
+// ReadFilter is UnmarshalFilter over a stream, building the
+// generations in a (see mpcbf.Arenas): it decodes exactly n bytes of r,
+// holding one 64 KiB buffer besides the decoded window.
+func ReadFilter(r io.Reader, n int64, a *mpcbf.Arenas) (*Filter, error) {
 	rd := snapio.From(r, n)
 	if n < windowHdrLen || n > rd.Remaining() {
 		return nil, errors.New("window: truncated windowed filter")
@@ -135,11 +118,8 @@ func readFilter(r io.Reader, n int64, check bool, a *mpcbf.Arenas) (*Filter, err
 	if g < 1 || g > 1<<10 || head < 0 || head >= g || span <= 0 || int64(g) > left/(4+core.HeaderLen) {
 		return nil, errors.New("window: implausible windowed header")
 	}
-	var ring []*mpcbf.Sharded
-	if !check {
-		ring = make([]*mpcbf.Sharded, g)
-	}
-	for i := 0; i < g; i++ {
+	ring := make([]*mpcbf.Sharded, g)
+	for i := range ring {
 		if left < 4 {
 			return nil, fmt.Errorf("window: truncated at generation %d", i)
 		}
@@ -152,21 +132,13 @@ func readFilter(r io.Reader, n int64, check bool, a *mpcbf.Arenas) (*Filter, err
 		if size > left {
 			return nil, fmt.Errorf("window: bad generation %d size %d", i, size)
 		}
-		if check {
-			err = mpcbf.CheckSharded(rd, size)
-		} else {
-			ring[i], err = mpcbf.ReadShardedReusing(rd, size, a)
-		}
-		if err != nil {
+		if ring[i], err = mpcbf.ReadSharded(rd, size, a); err != nil {
 			return nil, fmt.Errorf("window: generation %d: %w", i, err)
 		}
 		left -= size
 	}
 	if left != 0 {
 		return nil, errors.New("window: trailing bytes after generations")
-	}
-	if check {
-		return nil, nil
 	}
 	return newFilter(Options{Span: span, Generations: g, Shards: ring[0].Shards()}, ring, head, rotations), nil
 }
